@@ -327,14 +327,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GeLU, tanh approximation (constants GELU_C, GELU_A above)."""
-    inner = GELU_C * (x.data + GELU_A * x.data ** 3)
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x.data * (1.0 + t))
+    """GeLU, tanh approximation (constants GELU_C, GELU_A above).
+
+    The cubic is formed by multiplication, c*x*(1 + a*x*x), not ``x ** 3``:
+    numpy sends a cube to libm ``pow`` element by element.
+    """
+    xd = x.data
+    t = np.tanh(GELU_C * xd * (1.0 + GELU_A * (xd * xd)))
+    out = Tensor(0.5 * xd * (1.0 + t))
 
     def backward(g, grads):
         sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * x.data * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * x.data ** 2)
+        d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * (xd * xd))
         _accum(grads, x, g * d)
 
     return _record(out, (x,), backward, "gelu")
@@ -441,70 +445,62 @@ def einsum_id_ijd(q: Tensor, r: Tensor) -> Tensor:
     return _record(out, (q, r), backward, "einsum_id_ijd")
 
 
+def _pairs(x: np.ndarray, real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reshape [T, ...] rows to [ceil(T/2), 2, ...] windows, plus a broadcastable real mask.
+
+    An odd tail is padded with one row that is never real, so it forms a
+    singleton window.
+    """
+    real = np.asarray(real, dtype=bool)
+    if x.shape[0] % 2:
+        x = np.concatenate([x, np.zeros((1,) + x.shape[1:], dtype=x.dtype)])
+        real = np.append(real, False)
+    n_win = x.shape[0] // 2
+    return (x.reshape((n_win, 2) + x.shape[1:]),
+            real.reshape((n_win, 2) + (1,) * (x.ndim - 1)))
+
+
+def _unpair(pairs: np.ndarray, t: int) -> np.ndarray:
+    """Inverse of ``_pairs`` for a [ceil(T/2), 2, ...] array: back to [T, ...]."""
+    return pairs.reshape((-1,) + pairs.shape[2:])[:t]
+
+
 def mean_pool_pairs(x: Tensor, real: np.ndarray) -> Tensor:
     """Window-2 stride-2 mean over axis 0; only rows flagged real contribute.
 
     An odd tail forms a singleton window.  All-pad windows yield zeros.
     """
-    real = np.asarray(real, dtype=bool)
     t = x.shape[0]
-    n_win = (t + 1) // 2
-    counts = np.zeros(n_win)
-    pooled = np.zeros((n_win,) + x.shape[1:], dtype=x.data.dtype)
-    for w in range(n_win):
-        lo, hi = 2 * w, min(2 * w + 2, t)
-        members = [i for i in range(lo, hi) if real[i]]
-        counts[w] = len(members)
-        if members:
-            pooled[w] = x.data[members].sum(axis=0) / len(members)
-    out = Tensor(pooled)
+    xr, rr = _pairs(x.data, real)
+    counts = rr.sum(axis=1)
+    divisor = np.maximum(counts, 1).astype(x.dtype)
+    # -0.0 is the exact additive identity, so a lone member passes unchanged
+    members = np.where(rr, xr, x.dtype.type(-0.0))
+    out = Tensor(np.where(counts > 0, (members[:, 0] + members[:, 1]) / divisor, 0.0))
 
     def backward(g, grads):
-        dx = np.zeros_like(x.data)
-        for w in range(n_win):
-            if counts[w] == 0:
-                continue
-            lo, hi = 2 * w, min(2 * w + 2, t)
-            for i in range(lo, hi):
-                if real[i]:
-                    dx[i] = g[w] / counts[w]
-        _accum(grads, x, dx)
+        _accum(grads, x, _unpair(np.where(rr, (g / divisor)[:, None], 0.0), t))
 
     return _record(out, (x,), backward, "mean_pool_pairs")
 
 
 def max_pool_pairs(x: Tensor, real: np.ndarray) -> Tensor:
-    """Window-2 stride-2 elementwise max over axis 0, padded rows excluded."""
-    real = np.asarray(real, dtype=bool)
+    """Window-2 stride-2 elementwise max over axis 0, padded rows excluded.
+
+    Ties go to the first member; all-pad windows yield zeros and pass no
+    gradient.
+    """
     t = x.shape[0]
-    n_win = (t + 1) // 2
-    pooled = np.zeros((n_win,) + x.shape[1:], dtype=x.data.dtype)
-    argmax = np.full((n_win,) + x.shape[1:], -1, dtype=np.int64)
-    for w in range(n_win):
-        lo, hi = 2 * w, min(2 * w + 2, t)
-        members = [i for i in range(lo, hi) if real[i]]
-        if not members:
-            continue
-        vals = x.data[members]
-        sel = np.argmax(vals, axis=0)
-        pooled[w] = np.take_along_axis(vals, sel[None], axis=0)[0]
-        argmax[w] = np.asarray(members)[sel]
-    out = Tensor(pooled)
+    xr, rr = _pairs(x.data, real)
+    has_real = rr.any(axis=1)
+    sel = np.where(~rr[:, 0], 1, np.where(~rr[:, 1], 0, np.argmax(xr, axis=1)))
+    picked = np.take_along_axis(xr, sel[:, None], axis=1)[:, 0]
+    out = Tensor(np.where(has_real, picked, 0.0))
 
     def backward(g, grads):
-        dx = np.zeros_like(x.data)
-        for w in range(n_win):
-            src = argmax[w]
-            mask = src >= 0
-            if not mask.any():
-                continue
-            if x.data.ndim == 1:
-                dx[src] += g[w]
-            else:
-                for d in range(x.shape[1]):
-                    if mask[d]:
-                        dx[src[d], d] += g[w, d]
-        _accum(grads, x, dx)
+        member = np.arange(2).reshape((1, 2) + (1,) * (x.data.ndim - 1))
+        route = (member == sel[:, None]) & has_real[:, None]
+        _accum(grads, x, _unpair(np.where(route, g[:, None], 0.0), t))
 
     return _record(out, (x,), backward, "max_pool_pairs")
 

@@ -69,8 +69,8 @@ def pool_pair(h: Tensor, pos: np.ndarray, mask: np.ndarray, op: str
     pos = np.asarray(pos)
     mask = np.asarray(mask, dtype=bool)
     new_pos = pos[0::2].copy()
-    t = len(mask)
-    new_mask = np.array([mask[2 * w: min(2 * w + 2, t)].any() for w in range((t + 1) // 2)])
+    new_mask = mask[0::2].copy()
+    new_mask[:len(mask) // 2] |= mask[1::2]
     return pooled, new_pos, new_mask
 
 

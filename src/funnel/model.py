@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import DTYPES, Rng, Tensor
+from .autodiff import DTYPES, Rng, Tensor, add, gather_rows, matmul
 from .decoder import DecoderOutput, decoder_forward
 from .encoder import POOL_OPS, EncoderState, encoder_forward
 from .layout import HEAD_DIM, LayoutSpec, format_layout, parse_layout
@@ -216,7 +216,6 @@ def sequence_logits(state: EncoderState, w: Tensor, b: Tensor) -> Tensor:
     The compressed final-block output keeps CLS at index 0, so downstream
     classification never needs the decoder.
     """
-    from .autodiff import add, gather_rows, matmul
     cls = gather_rows(state.h_last, np.arange(1))
     return add(matmul(cls, w), b)
 

@@ -46,6 +46,13 @@ class RelPosEncoding:
         psi_j   = cat(cos_j,  cos_j)
         pi_i    = cat(-cos_i, sin_i)
         omega_j = cat(sin_j,  sin_j)
+
+    Tables are memoised on the instance, keyed by the position vector's
+    dtype, shape and bytes; phi/psi/pi/omega are built together from one
+    angle computation per distinct vector.  The memo lives as long as the
+    instance, which the encoder and decoder build once per forward call,
+    so every head and layer of a pass shares its tables and nothing
+    outlives the pass.  Returned tables are read-only.
     """
 
     def __init__(self, width: int, dtype=np.float64):
@@ -55,35 +62,53 @@ class RelPosEncoding:
         self.dtype = np.dtype(dtype)
         i = np.arange(1, width // 2 + 1, dtype=np.float64)
         self.inv_freq = 10000.0 ** (-2.0 * i / width)
+        self._memo: dict = {}
 
     def _angles(self, t: np.ndarray) -> np.ndarray:
         # angles in f64 regardless of output dtype: positions can be large
         a = np.asarray(t, dtype=np.float64)[:, None] * self.inv_freq[None, :]
         return a
 
-    def _cast(self, x: np.ndarray) -> np.ndarray:
-        return x.astype(self.dtype, copy=False)
+    def _memoised(self, kind: str, pos: np.ndarray, build):
+        pos = np.asarray(pos)
+        key = (kind, pos.dtype.str, pos.shape, pos.tobytes())
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build(pos)
+        return value
+
+    def _frozen(self, halves) -> np.ndarray:
+        table = np.concatenate(halves, axis=-1).astype(self.dtype, copy=False)
+        table.setflags(write=False)
+        return table
 
     def encode(self, distances: np.ndarray) -> np.ndarray:
         """r_d rows for an array of signed distances: [N, D]."""
-        a = self._angles(distances)
-        return self._cast(np.concatenate([np.sin(a), np.cos(a)], axis=-1))
+        def build(d):
+            a = self._angles(d)
+            return self._frozen([np.sin(a), np.cos(a)])
+        return self._memoised("encode", distances, build)
+
+    def _factors(self, pos: np.ndarray) -> tuple[np.ndarray, ...]:
+        # all four from one angle computation: every position vector of a
+        # pass serves as both queries and keys, so each table gets used
+        def build(p):
+            a = self._angles(p)
+            s, c = np.sin(a), np.cos(a)
+            return tuple(self._frozen(h) for h in ((s, c), (c, c), (-c, s), (s, s)))
+        return self._memoised("factors", pos, build)
 
     def phi(self, pos: np.ndarray) -> np.ndarray:
-        a = self._angles(pos)
-        return self._cast(np.concatenate([np.sin(a), np.cos(a)], axis=-1))
+        return self._factors(pos)[0]
 
     def psi(self, pos: np.ndarray) -> np.ndarray:
-        c = np.cos(self._angles(pos))
-        return self._cast(np.concatenate([c, c], axis=-1))
+        return self._factors(pos)[1]
 
     def pi(self, pos: np.ndarray) -> np.ndarray:
-        a = self._angles(pos)
-        return self._cast(np.concatenate([-np.cos(a), np.sin(a)], axis=-1))
+        return self._factors(pos)[2]
 
     def omega(self, pos: np.ndarray) -> np.ndarray:
-        s = np.sin(self._angles(pos))
-        return self._cast(np.concatenate([s, s], axis=-1))
+        return self._factors(pos)[3]
 
 
 def position_term_naive(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from funnel.autodiff import (ContractError, NumericError, Rng, ShapeError, Tape, Tensor,
+from funnel.autodiff import (GELU_A, GELU_C, ContractError, NumericError, Rng, ShapeError, Tape, Tensor,
                              add, bce_with_logits_mean, concat_last, concat_rows,
                              cross_entropy_mean, dropout, einsum_id_ijd, gather_rows,
                              gelu, grad_check, layer_norm, mask_fill, matmul,
@@ -94,6 +95,32 @@ class TestGelu:
 
     def test_negative_asymptote(self):
         assert gelu(Tensor([-10.0])).data[0] == pytest.approx(0.0, abs=1e-6)
+
+    @staticmethod
+    def textbook(x):
+        return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_A * np.power(x, 3))))
+
+    def test_matches_textbook_form_on_grid(self):
+        grid = np.array([0.0, 1e-8, -1e-8, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0,
+                         3.0, -3.0, 5.0, 10.0, 20.0, -20.0])
+        out = gelu(Tensor(grid)).data
+        ref = self.textbook(grid)
+        np.testing.assert_allclose(out, ref, rtol=1e-14, atol=0.0)
+
+    def test_matches_textbook_form_dense(self):
+        # Below about x = -3.4, 1 + tanh(.) cancels and the textbook form
+        # itself holds only an absolute accuracy in its factor (1 + tanh)/2,
+        # so the dense sweep compares that factor: |out - ref| <= 1e-14 |x|.
+        x = np.linspace(-20.0, 20.0, 40001)
+        out = gelu(Tensor(x)).data
+        assert (np.abs(out - self.textbook(x)) <= 1e-14 * np.abs(x)).all()
+
+    def test_f32_stays_f32(self):
+        x = np.linspace(-4.0, 4.0, 9, dtype=np.float32)
+        out = gelu(Tensor(x)).data
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, self.textbook(x.astype(np.float64)), rtol=1e-6,
+                                   atol=1e-7)
 
 
 class TestBackward:
@@ -265,3 +292,88 @@ class TestPoolingOps:
     def test_all_pad_window_is_zero(self):
         out = mean_pool_pairs(Tensor([[5.0], [7.0]]), np.array([False, False]))
         np.testing.assert_allclose(out.data, [[0.0]])
+
+
+def loop_mean_pool(x, real):
+    """Per-window reference: (pooled, dpooled -> dx) for mean_pool_pairs."""
+    t = x.shape[0]
+    n_win = (t + 1) // 2
+    pooled = np.zeros((n_win,) + x.shape[1:])
+    groups = []
+    for w in range(n_win):
+        members = [i for i in range(2 * w, min(2 * w + 2, t)) if real[i]]
+        groups.append(members)
+        if members:
+            pooled[w] = x[members].sum(axis=0) / len(members)
+
+    def backward(g):
+        dx = np.zeros_like(x)
+        for w, members in enumerate(groups):
+            for i in members:
+                dx[i] = g[w] / len(members)
+        return dx
+
+    return pooled, backward
+
+
+def loop_max_pool(x, real):
+    """Per-window, per-feature reference for max_pool_pairs (ties to the first)."""
+    t = x.shape[0]
+    n_win = (t + 1) // 2
+    flat = x.reshape(t, -1)
+    pooled = np.zeros((n_win, flat.shape[1]))
+    src = np.full((n_win, flat.shape[1]), -1)
+    for w in range(n_win):
+        members = [i for i in range(2 * w, min(2 * w + 2, t)) if real[i]]
+        for d in range(flat.shape[1]):
+            best = None
+            for i in members:
+                if best is None or flat[i, d] > flat[best, d]:
+                    best = i
+            if best is not None:
+                pooled[w, d], src[w, d] = flat[best, d], best
+
+    def backward(g):
+        dx = np.zeros_like(flat)
+        gf = g.reshape(n_win, -1)
+        for w in range(n_win):
+            for d in range(flat.shape[1]):
+                if src[w, d] >= 0:
+                    dx[src[w, d], d] += gf[w, d]
+        return dx.reshape(x.shape)
+
+    return pooled.reshape((n_win,) + x.shape[1:]), backward
+
+
+POOL_REFERENCES = {"mean": (mean_pool_pairs, loop_mean_pool),
+                   "max": (max_pool_pairs, loop_max_pool)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=st.sampled_from(sorted(POOL_REFERENCES)), t=st.integers(1, 11),
+       width=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1),
+       pad_rate=st.sampled_from([0.0, 0.3, 0.7, 1.0]), ties=st.booleans())
+def test_pooling_matches_loop_reference_bitwise(op, t, width, seed, pad_rate, ties):
+    gen = np.random.Generator(np.random.Philox(seed))
+    shape = (t,) if width is None else (t, width)
+    x = gen.standard_normal(shape)
+    if ties:  # few distinct values, so windows often hold equal members
+        x = np.round(x)
+    real = gen.random(t) >= pad_rate
+    g = gen.standard_normal(((t + 1) // 2,) + shape[1:])
+    op_fn, reference = POOL_REFERENCES[op]
+    ref_out, ref_backward = reference(x, real)
+
+    xt = Tensor(x.copy(), requires_grad=True)
+    with Tape() as tape:
+        out = op_fn(xt, real)
+        tape.backward(sum_all(mul(out, Tensor(g))))
+    np.testing.assert_array_equal(out.data, ref_out)
+    np.testing.assert_array_equal(tape.grad(xt), ref_backward(g))
+
+
+def test_max_pool_excludes_pad_rows_and_keeps_f32():
+    x = Tensor(np.array([[1.0, 9.0], [5.0, 2.0], [100.0, 100.0]], dtype=np.float32))
+    out = max_pool_pairs(x, np.array([True, True, False]))
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out.data, [[5.0, 9.0], [0.0, 0.0]])

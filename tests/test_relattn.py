@@ -67,6 +67,58 @@ class TestEncoding:
             RelPosEncoding(7)
 
 
+class TestEncodingMemo:
+    TABLES = ("encode", "phi", "psi", "pi", "omega")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_memoised_table_equals_fresh_instance(self, dtype):
+        enc = RelPosEncoding(16, dtype=dtype)
+        pos = np.array([0, 1, 3, 7, 15, 100000])
+        for name in self.TABLES:
+            first = getattr(enc, name)(pos)
+            again = getattr(enc, name)(pos.copy())
+            assert again is first
+            fresh = getattr(RelPosEncoding(16, dtype=dtype), name)(pos)
+            assert first.dtype == fresh.dtype == dtype
+            np.testing.assert_array_equal(first, fresh)
+
+    def test_memoised_table_is_read_only(self):
+        enc = RelPosEncoding(8)
+        pos = np.arange(4)
+        for name in self.TABLES:
+            table = getattr(enc, name)(pos)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_key_distinguishes_dtype(self):
+        enc = RelPosEncoding(8)
+        ints = np.array([4607182418800017408], dtype=np.int64)  # the bytes of 1.0 as f64
+        one = enc.phi(ints.view(np.float64))
+        np.testing.assert_array_equal(one, RelPosEncoding(8).phi(np.array([1.0])))
+        assert not np.array_equal(enc.phi(ints), one)
+
+    def test_factorized_forward_computes_angles_once_per_position_vector(self, monkeypatch):
+        calls = []
+        angles = RelPosEncoding._angles
+
+        def spy(self, t):
+            calls.append((self, np.asarray(t).tobytes()))  # holding self keeps ids unique
+            return angles(self, t)
+
+        monkeypatch.setattr(RelPosEncoding, "_angles", spy)
+        model = FunnelModel(ModelConfig(layout="B4-4-4H256D2", vocab_size=30, seed=0))
+        ids = np.random.Generator(np.random.Philox(0)).integers(5, 30, size=128)
+        state = model.encode(ids)
+        model.decode(state)
+        # one encoding object per encoder and decoder pass, each computing
+        # angles for every distinct position vector exactly once
+        assert len(calls) == len(set(calls))
+        encoder_calls = [key for owner, key in calls if owner is calls[0][0]]
+        assert sorted(encoder_calls) == sorted({p.tobytes() for p in state.block_pos})
+        assert len(calls) == len(encoder_calls) + 1
+
+
 class TestNaive:
     def test_zero_query_gives_zero_scores(self):
         _, q_pos, k_pos, w_r, u, enc = random_case(0)
