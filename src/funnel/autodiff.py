@@ -7,8 +7,9 @@ node list in reverse, which is a valid reverse topological order because
 inputs are always recorded before the ops that consume them.
 
 The engine implements exactly the operations the funnel model needs:
-matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers,
-window-2 pooling and fused losses.  No general broadcasting.
+matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
+permutes, window-2 pooling and fused losses.  Binary ops and matmul
+broadcast as numpy does; their backward sums over the broadcast axes.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def _as_tensor(x, like: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b) -> Tensor:
-    """Elementwise a + b.  Supports equal shapes, [T,D]+[D] bias, and scalars."""
+    """Elementwise a + b with numpy broadcasting (e.g. a [D] bias or an [H,1,dh] one)."""
     b = _as_tensor(b, a)
     _check_binary_shapes(a, b, "add")
     out = Tensor(a.data + b.data)
@@ -197,7 +198,7 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; same shape / [T,D]*[D] / scalar operands."""
+    """Elementwise product with numpy broadcasting."""
     b = _as_tensor(b, a)
     _check_binary_shapes(a, b, "mul")
     out = Tensor(a.data * b.data)
@@ -210,52 +211,79 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def _check_binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    sa, sb = a.shape, b.shape
-    if sa == sb or sa == () or sb == ():
-        return
-    # trailing-axis bias/row broadcast, the only non-trivial case the model needs
-    if len(sb) == 1 and len(sa) >= 1 and sa[-1] == sb[0]:
-        return
-    if len(sa) == 1 and len(sb) >= 1 and sb[-1] == sa[0]:
-        return
-    raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast."""
     if g.shape == shape:
         return g
-    if shape == ():
-        return g.sum()
-    # collapse leading axes for a trailing [D] operand
-    return g.reshape(-1, shape[0]).sum(axis=0)
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if stretched:
+        g = g.sum(axis=stretched, keepdims=True)
+    return g
+
+
+def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.matmul``, with a 2-D right operand folded into one GEMM over every row of ``x``."""
+    if y.ndim == 2 and x.ndim > 2:
+        return (x.reshape(-1, x.shape[-1]) @ y).reshape(x.shape[:-1] + y.shape[1:])
+    return np.matmul(x, y)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard matrix product [m,k] @ [k,n] -> [m,n]."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product with ``np.matmul`` semantics: [..., m, k] @ [..., k, n].
+
+    Both operands have rank 2 or more; their batch axes broadcast.
+    Gradients are formed only for operands that require them.
+    """
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(_mm(a.data, b.data))
 
     def backward(g, grads):
-        _accum(grads, a, g @ b.data.T)
-        _accum(grads, b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(grads, a, _unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.requires_grad:
+            if b.data.ndim == 2:
+                # a shared weight: one product over every row of the batch
+                k, n = b.shape
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            _accum(grads, b, gb)
 
     return _record(out, (a, b), backward, "matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects rank 2, got {a.shape}")
-    out = Tensor(a.data.T.copy())
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Reorder axes: out.shape[i] == a.shape[axes[i]]."""
+    axes = tuple(axes)
+    out = Tensor(np.transpose(a.data, axes))
+    inverse = tuple(np.argsort(axes))
 
     def backward(g, grads):
-        _accum(grads, a, g.T)
+        _accum(grads, a, np.transpose(g, inverse))
 
-    return _record(out, (a,), backward, "transpose")
+    return _record(out, (a,), backward, "permute")
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose expects rank >= 2, got {a.shape}")
+    n = a.data.ndim
+    return permute(a, tuple(range(n - 2)) + (n - 1, n - 2))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    out = Tensor(a.data.reshape(shape).copy())
+    out = Tensor(a.data.reshape(shape))
 
     def backward(g, grads):
         _accum(grads, a, g.reshape(a.shape))
@@ -361,9 +389,12 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows of a [N, D] (or [N]) tensor; backward scatter-adds."""
+    """Select rows (axis 0) of ``x``: out[...] = x[idx[...]]; backward scatter-adds.
+
+    ``idx`` may have any shape, e.g. [T, B] token ids into an embedding.
+    """
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.data[idx].copy())
+    out = Tensor(x.data[idx])
 
     def backward(g, grads):
         dx = np.zeros_like(x.data)
@@ -374,48 +405,25 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Per-row gather on the last axis: out[i, j] = x[i, idx[i, j]]."""
+    """Gather on the last axis: out[..., j] = x[..., idx[..., j]].
+
+    ``idx`` broadcasts against the leading axes of ``x``.
+    """
     idx = np.asarray(idx, dtype=np.int64)
-    if x.data.ndim != 2 or idx.ndim != 2 or idx.shape[0] != x.shape[0]:
-        raise ShapeError(f"take_along_last: got {x.shape} and index {idx.shape}")
-    if idx.min() < 0 or idx.max() >= x.shape[1]:
+    idx = np.broadcast_to(idx, x.shape[:-1] + idx.shape[-1:])
+    n = x.shape[-1]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(
-            f"take_along_last: index range [{idx.min()}, {idx.max()}] outside 0..{x.shape[1] - 1}")
-    rows = np.arange(x.shape[0])[:, None]
-    out = Tensor(x.data[rows, idx].copy())
+            f"take_along_last: index range [{idx.min()}, {idx.max()}] outside 0..{n - 1}")
+    out = Tensor(np.take_along_axis(x.data, idx, axis=-1))
 
     def backward(g, grads):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (np.broadcast_to(rows, idx.shape), idx), g)
-        _accum(grads, x, dx)
+        rows = np.arange(x.data.size // n).reshape(x.shape[:-1] + (1,))
+        flat = (idx + n * rows).ravel()
+        dx = np.bincount(flat, weights=g.ravel(), minlength=x.data.size)
+        _accum(grads, x, dx.reshape(x.shape).astype(x.dtype, copy=False))
 
     return _record(out, (x,), backward, "take_along_last")
-
-
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the last axis (head split of packed weights)."""
-    out = Tensor(x.data[..., start:stop].copy())
-
-    def backward(g, grads):
-        dx = np.zeros_like(x.data)
-        dx[..., start:stop] = g
-        _accum(grads, x, dx)
-
-    return _record(out, (x,), backward, "slice_last")
-
-
-def concat_last(parts: Iterable[Tensor]) -> Tensor:
-    parts = list(parts)
-    widths = [p.shape[-1] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
-
-    def backward(g, grads):
-        ofs = 0
-        for p, w in zip(parts, widths):
-            _accum(grads, p, g[..., ofs:ofs + w])
-            ofs += w
-
-    return _record(out, tuple(parts), backward, "concat_last")
 
 
 def concat_rows(parts: Iterable[Tensor]) -> Tensor:
@@ -432,32 +440,37 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     return _record(out, tuple(parts), backward, "concat_rows")
 
 
-def einsum_id_ijd(q: Tensor, r: Tensor) -> Tensor:
-    """scores[i, j] = sum_d q[i, d] * r[i, j, d] (naive position-term pairing)."""
-    if q.data.ndim != 2 or r.data.ndim != 3 or q.shape[0] != r.shape[0] or q.shape[1] != r.shape[2]:
+def einsum_id_ijd(q: Tensor, r: np.ndarray) -> Tensor:
+    """scores[..., i, j] = sum_d q[..., i, d] * r[..., i, j, d] against a constant ``r``.
+
+    The leading axes broadcast (naive position-term pairing); no gradient
+    flows to ``r``.
+    """
+    r = np.asarray(r)
+    if q.data.ndim < 2 or r.ndim < 3 or q.shape[-2] != r.shape[-3] or q.shape[-1] != r.shape[-1]:
         raise ShapeError(f"einsum_id_ijd: got {q.shape} and {r.shape}")
-    out = Tensor(np.einsum("id,ijd->ij", q.data, r.data))
+    out = Tensor(np.einsum("...id,...ijd->...ij", q.data, r))
 
     def backward(g, grads):
-        _accum(grads, q, np.einsum("ij,ijd->id", g, r.data))
-        _accum(grads, r, g[:, :, None] * q.data[:, None, :])
+        _accum(grads, q, _unbroadcast(np.einsum("...ij,...ijd->...id", g, r), q.shape))
 
-    return _record(out, (q, r), backward, "einsum_id_ijd")
+    return _record(out, (q,), backward, "einsum_id_ijd")
 
 
 def _pairs(x: np.ndarray, real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reshape [T, ...] rows to [ceil(T/2), 2, ...] windows, plus a broadcastable real mask.
 
-    An odd tail is padded with one row that is never real, so it forms a
-    singleton window.
+    ``real`` covers the leading axes of ``x``: [T] for one sequence, or
+    [T, B] for a time-major batch, one mask per column.  An odd tail is
+    padded with one row that is never real, so it forms a singleton window.
     """
     real = np.asarray(real, dtype=bool)
     if x.shape[0] % 2:
         x = np.concatenate([x, np.zeros((1,) + x.shape[1:], dtype=x.dtype)])
-        real = np.append(real, False)
+        real = np.concatenate([real, np.zeros((1,) + real.shape[1:], dtype=bool)])
     n_win = x.shape[0] // 2
     return (x.reshape((n_win, 2) + x.shape[1:]),
-            real.reshape((n_win, 2) + (1,) * (x.ndim - 1)))
+            real.reshape((n_win, 2) + real.shape[1:] + (1,) * (x.ndim - real.ndim)))
 
 
 def _unpair(pairs: np.ndarray, t: int) -> np.ndarray:
@@ -468,7 +481,8 @@ def _unpair(pairs: np.ndarray, t: int) -> np.ndarray:
 def mean_pool_pairs(x: Tensor, real: np.ndarray) -> Tensor:
     """Window-2 stride-2 mean over axis 0; only rows flagged real contribute.
 
-    An odd tail forms a singleton window.  All-pad windows yield zeros.
+    ``real`` is [T] or, for a time-major batch, [T, B].  An odd tail forms
+    a singleton window.  All-pad windows yield zeros.
     """
     t = x.shape[0]
     xr, rr = _pairs(x.data, real)
@@ -505,40 +519,47 @@ def max_pool_pairs(x: Tensor, real: np.ndarray) -> Tensor:
     return _record(out, (x,), backward, "max_pool_pairs")
 
 
-def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean of -log softmax(logits)[target] over rows; fused, stable."""
+def cross_entropy_mean(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted mean of -log softmax(logits)[target] over rows; fused, stable.
+
+    ``weights`` has one entry per row; 1/N each gives the plain mean.
+    """
     targets = np.asarray(targets, dtype=np.int64)
     n = logits.shape[0]
     if n == 0:
         raise ContractError("cross_entropy_mean over zero rows")
+    w = np.asarray(weights).astype(logits.dtype, copy=False)[:, None]
     m = logits.data.max(axis=-1, keepdims=True)
     z = logits.data - m
     lse = np.log(np.exp(z).sum(axis=-1)) + m[:, 0]
     nll = lse - logits.data[np.arange(n), targets]
-    out = Tensor(nll.mean())
+    out = Tensor((w[:, 0] * nll).sum())
     probs = np.exp(logits.data - lse[:, None])
 
     def backward(g, grads):
         d = probs.copy()
         d[np.arange(n), targets] -= 1.0
-        _accum(grads, logits, g * d / n)
+        _accum(grads, logits, g * d * w)
 
     return _record(out, (logits,), backward, "cross_entropy_mean")
 
 
-def bce_with_logits_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy on raw logits (stable log1p form)."""
+def bce_with_logits_mean(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted mean binary cross-entropy on raw logits (stable log1p form).
+
+    ``weights`` has the shape of ``logits``; 1/N each gives the plain mean.
+    """
     labels = np.asarray(labels, dtype=logits.data.dtype)
-    n = logits.data.size
-    if n == 0:
+    if logits.data.size == 0:
         raise ContractError("bce_with_logits_mean over zero elements")
+    w = np.asarray(weights).astype(logits.dtype, copy=False)
     x = logits.data
     loss = np.maximum(x, 0.0) - x * labels + np.log1p(np.exp(-np.abs(x)))
-    out = Tensor(loss.mean())
+    out = Tensor((w * loss).sum())
     sig = 1.0 / (1.0 + np.exp(-x))
 
     def backward(g, grads):
-        _accum(grads, logits, g * (sig - labels) / n)
+        _accum(grads, logits, g * (sig - labels) * w)
 
     return _record(out, (logits,), backward, "bce_with_logits_mean")
 
@@ -605,13 +626,18 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     params = list(params)
     if not params:
         return 0.0
+    flags = [p.requires_grad for p in params]
     for p in params:
         p.requires_grad = True
-    with Tape() as tape:
-        out = f()
-    if not np.isfinite(out.data):
-        raise NumericError("grad_check: function value is not finite")
-    tape.backward(out)
+    try:
+        with Tape() as tape:
+            out = f()
+        if not np.isfinite(out.data):
+            raise NumericError("grad_check: function value is not finite")
+        tape.backward(out)
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
     analytic = [tape.grad(p).copy() for p in params]
 
     picker = np.random.Generator(np.random.Philox(seed))

@@ -112,7 +112,10 @@ def encode_corpus(lines, vocab: Vocab, seq_len: int) -> list[EncodedLine]:
 
 @dataclass
 class Batch:
-    """Stacked sequences: [B, T] ids and mask, per-sequence word spans."""
+    """Stacked sequences: [B, T] ids and mask, per-sequence word spans.
+
+    The model reads a batch time-major, as ``token_ids.T`` and ``pad_mask.T``.
+    """
 
     token_ids: np.ndarray
     pad_mask: np.ndarray
@@ -135,9 +138,3 @@ class Batch:
         return cls(np.stack([ln.token_ids for ln in lines]),
                    np.stack([ln.pad_mask for ln in lines]),
                    [ln.word_boundaries for ln in lines])
-
-    def sequences(self):
-        """Per-sequence views, in batch order."""
-        for i in range(len(self)):
-            yield EncodedLine(self.token_ids[i], self.pad_mask[i],
-                              self.word_boundaries[i])

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, Tensor, add, gather_rows
-from .relattn import transformer_layer
+from .relattn import RelPosEncoding, transformer_layer
 
 
 @dataclass
 class DecoderOutput:
-    fused: Tensor   # h1 + upsample(hM), length T
+    fused: Tensor   # h1 + upsample(hM), length T: [T, D] or [T, B, D]
     hidden: Tensor  # after the decoder layers, length T
 
 
@@ -38,13 +38,15 @@ def upsample(h_last: Tensor, rate: int) -> Tensor:
     return gather_rows(h_last, idx)
 
 
-def decoder_forward(h_first: Tensor, h_last: Tensor, config, params,
+def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPosEncoding,
                     pad_mask: np.ndarray | None = None, rng=None) -> DecoderOutput:
     """Fuse skip + up-sampled states, then run the decoder layers.
 
     ``h_first`` is the full-length block-1 output; ``h_last`` the final
-    block's output.  The up-sampling rate is inferred from the length
-    ratio, which must be exact.  With zero decoder layers the fused
+    block's output, both time-major.  The up-sampling rate is inferred
+    from the length ratio, which must be exact.  ``enc`` is the encoder
+    pass's encoding, whose tables already hold the full-length positions.
+    With zero decoder layers the fused
     representation is returned unchanged.
     """
     t, t_last = h_first.shape[0], h_last.shape[0]
@@ -52,10 +54,9 @@ def decoder_forward(h_first: Tensor, h_last: Tensor, config, params,
         raise ContractError(f"full length {t} is not a multiple of compressed length {t_last}")
     fused = add(h_first, upsample(h_last, t // t_last))
     if pad_mask is None:
-        pad_mask = np.ones(t, dtype=bool)
+        pad_mask = np.ones(h_first.shape[:-1], dtype=bool)
     hidden = fused
     pos = np.arange(t, dtype=np.int64)
-    enc = config.encoding()
     for i in range(config.layout.decoder_layers):
         lp = config.decoder_layer_params(params, i)
         hidden, _ = transformer_layer(hidden, pos, lp, params["rel/w_r"], enc,

@@ -11,6 +11,12 @@ windows (``separate_cls``); to keep lengths at powers of two afterwards,
 the final pooled state is dropped (``truncate_seq``).  Pooled states keep
 the position id of the first token of their window so relative distances
 against unpooled keys stay meaningful.
+
+States are time-major, [T, D] for one sequence or [T, B, D] for a batch,
+with pad masks [T] or [T, B]; every pooling op works along axis 0, one
+column at a time.  Positions stay 1-D while every column shares them and
+become [T, B] once top-attention pooling keeps different states per
+column.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (ContractError, Tensor, concat_rows, dropout, gather_rows,
-                       max_pool_pairs, mean_pool_pairs)
+                       max_pool_pairs, mean_pool_pairs, reshape)
 from .relattn import RelPosEncoding, attention, pffn, transformer_layer
 
 POOL_OPS = ("mean", "max", "top_attn")
@@ -30,15 +36,16 @@ POOL_OPS = ("mean", "max", "top_attn")
 class PooledState:
     """Hidden states plus the bookkeeping that rides along through pooling."""
 
-    hidden: Tensor
-    pos: np.ndarray   # absolute position ids, int64
-    mask: np.ndarray  # True where the state is real (not padding)
+    hidden: Tensor    # [T, D] or [T, B, D]
+    pos: np.ndarray   # absolute position ids, int64: [T], or [T, B] per column
+    mask: np.ndarray  # True where the state is real (not padding): [T] or [T, B]
 
 
 @dataclass
 class EncoderState:
     """Per-block outputs of one encoder pass."""
 
+    encoding: RelPosEncoding  # the pass's tables, reused by the decoder
     block_hidden: list[Tensor] = field(default_factory=list)
     block_pos: list[np.ndarray] = field(default_factory=list)
     block_mask: list[np.ndarray] = field(default_factory=list)
@@ -66,34 +73,47 @@ def pool_pair(h: Tensor, pos: np.ndarray, mask: np.ndarray, op: str
     if op not in ("mean", "max"):
         raise ValueError(f"pool_pair op must be mean or max, got {op!r}")
     pooled = mean_pool_pairs(h, mask) if op == "mean" else max_pool_pairs(h, mask)
-    pos = np.asarray(pos)
     mask = np.asarray(mask, dtype=bool)
-    new_pos = pos[0::2].copy()
     new_mask = mask[0::2].copy()
     new_mask[:len(mask) // 2] |= mask[1::2]
-    return pooled, new_pos, new_mask
+    return pooled, np.asarray(pos)[0::2].copy(), new_mask
+
+
+def _column_pos(pos: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Positions broadcast to the mask's shape: one position id per state and column."""
+    pos = np.asarray(pos)
+    return np.broadcast_to(pos.reshape(pos.shape + (1,) * (mask.ndim - pos.ndim)), mask.shape)
 
 
 def pool_top_attn(h: Tensor, pos: np.ndarray, mask: np.ndarray,
                   prev_attn: np.ndarray | None) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Keep the half of the states that drew the most attention.
+    """Keep the half of the states that drew the most attention, per column.
 
     Per-key score = attention map summed over heads and queries.  Exactly
     ceil(n/2) states are kept, ties broken toward the lower index, and the
     survivors stay in original order with their original position ids.
     The map must come from a same-length attention layer, so blocks need
     at least one standard layer after a pool-query-only transition.
+    ``h`` is [n, D] with a [heads, Tq, n] map, or [n, B, D] with a
+    [B, heads, Tq, n] map; positions come back with the mask's shape.
     """
     if prev_attn is None:
         raise ContractError("top-attention pooling needs the previous layer's attention map")
+    mask = np.asarray(mask, dtype=bool)
     n = h.shape[0]
-    scores = prev_attn.sum(axis=(0, 1))
-    if scores.shape != (n,):
+    scores = prev_attn.sum(axis=(-3, -2))                    # [*cols, n]
+    if scores.shape != mask.shape[1:] + (n,):
         raise ContractError(f"attention map keys ({scores.shape}) do not match states ({n})")
     keep = (n + 1) // 2
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
-    chosen = np.array(sorted(order[:keep]), dtype=np.int64)
-    return gather_rows(h, chosen), np.asarray(pos)[chosen], np.asarray(mask, dtype=bool)[chosen]
+    # a stable sort of the negated scores puts ties in index order
+    chosen = np.sort(np.argsort(-scores, axis=-1, kind="stable")[..., :keep], axis=-1)
+    chosen = np.moveaxis(chosen, -1, 0)                      # [keep, *cols]
+    cols = chosen[0].size
+    flat = reshape(h, (n * cols,) + h.shape[mask.ndim:])
+    rows = chosen * cols + np.arange(cols).reshape(chosen.shape[1:])
+    return (gather_rows(flat, rows),
+            np.take_along_axis(_column_pos(pos, mask), chosen, axis=0),
+            np.take_along_axis(mask, chosen, axis=0))
 
 
 def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
@@ -105,24 +125,31 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     for a power-of-two input, so with ``truncate`` the final pooled state is
     dropped to land on a power of two again.  Without ``separate_cls`` the
     whole sequence is pooled stride-2 (already a power of two; no drop).
+    Top-attention scores count only real queries: a pad query's attention
+    row depends on the ids at pad positions.
     """
     if op not in POOL_OPS:
         raise ValueError(f"unknown pool op {op!r}")
     t = state.hidden.shape[0]
+    pos = state.pos
+    if op == "top_attn":
+        pos = _column_pos(pos, state.mask)
+        if prev_attn is not None:
+            prev_attn = prev_attn * np.moveaxis(state.mask, 0, -1)[..., None, :, None]
     if separate_cls:
         if t <= 1:
             return state
         rest = gather_rows(state.hidden, np.arange(1, t))
-        rest_pos, rest_mask = state.pos[1:], state.mask[1:]
+        rest_pos, rest_mask = pos[1:], state.mask[1:]
         if op == "top_attn":
             pooled, ppos, pmask = pool_top_attn(
                 rest, rest_pos, rest_mask,
-                None if prev_attn is None else prev_attn[:, :, 1:])
+                None if prev_attn is None else prev_attn[..., 1:])
         else:
             pooled, ppos, pmask = pool_pair(rest, rest_pos, rest_mask, op)
         cls_row = gather_rows(state.hidden, np.arange(1))
         hidden = concat_rows([cls_row, pooled])
-        pos = np.concatenate([state.pos[:1], ppos])
+        pos = np.concatenate([pos[:1], ppos])
         mask = np.concatenate([state.mask[:1], pmask])
         if truncate and _is_pow2(t) and hidden.shape[0] > 1:
             hidden = gather_rows(hidden, np.arange(hidden.shape[0] - 1))
@@ -130,9 +157,9 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
             mask = mask[:-1]
         return PooledState(hidden, pos, mask)
     if op == "top_attn":
-        pooled, ppos, pmask = pool_top_attn(state.hidden, state.pos, state.mask, prev_attn)
+        pooled, ppos, pmask = pool_top_attn(state.hidden, pos, state.mask, prev_attn)
     else:
-        pooled, ppos, pmask = pool_pair(state.hidden, state.pos, state.mask, op)
+        pooled, ppos, pmask = pool_pair(state.hidden, pos, state.mask, op)
     return PooledState(pooled, ppos, pmask)
 
 
@@ -166,18 +193,21 @@ def encoder_forward(config, params, token_ids: np.ndarray,
                     pad_mask: np.ndarray | None = None, rng=None) -> EncoderState:
     """Run the full encoder: embedding lookup then per-block processing.
 
-    ``token_ids`` is a single sequence whose length must be a power of two
-    when truncation is enabled; ``pad_mask`` is True at real positions.
-    Returns every block's final hidden states (block 1 is kept for the
-    decoder's skip connection).
+    ``token_ids`` is one sequence [T] or a time-major batch [T, B]; T must
+    be a power of two when truncation is enabled.  ``pad_mask`` has the
+    same shape, True at real positions.  Returns every block's final
+    hidden states (block 1 is kept for the decoder's skip connection),
+    [T_m, D] or [T_m, B, D].
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     t = len(token_ids)
     if config.truncate_seq and not _is_pow2(t):
         raise ContractError(f"sequence length {t} must be a power of two with truncation on")
     if pad_mask is None:
-        pad_mask = np.ones(t, dtype=bool)
+        pad_mask = np.ones(token_ids.shape, dtype=bool)
     pad_mask = np.asarray(pad_mask, dtype=bool)
+    if pad_mask.shape != token_ids.shape:
+        raise ContractError(f"pad mask {pad_mask.shape} does not match token ids {token_ids.shape}")
     enc: RelPosEncoding = config.encoding()
     w_r = params["rel/w_r"]
 
@@ -186,7 +216,7 @@ def encoder_forward(config, params, token_ids: np.ndarray,
         hidden = dropout(hidden, config.dropout, rng)
     state = PooledState(hidden, np.arange(t, dtype=np.int64), pad_mask)
 
-    out = EncoderState()
+    out = EncoderState(encoding=enc)
     last_attn = None
     for m, block in enumerate(config.layout.blocks):
         layer_start = 0

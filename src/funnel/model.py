@@ -186,11 +186,16 @@ class FunnelModel:
 
     def encode(self, token_ids: np.ndarray, pad_mask: np.ndarray | None = None,
                rng: Rng | None = None) -> EncoderState:
+        """Encoder pass over one sequence [T] or a time-major batch [T, B] of ids.
+
+        A 1-D sequence is a batch of one without the batch axis: its
+        states come back as [T_m, D].
+        """
         return encoder_forward(self.config, self.params, token_ids, pad_mask, rng=rng)
 
     def token_hidden(self, token_ids: np.ndarray, pad_mask: np.ndarray | None = None,
                      rng: Rng | None = None) -> Tensor:
-        """Full-length hidden states for token-level objectives.
+        """Full-length hidden states for token-level objectives: [T, D] or [T, B, D].
 
         Funnel layouts go through fuse + decoder; a plain single-block
         stack is already full length, so its encoder output is used as is.
@@ -204,7 +209,7 @@ class FunnelModel:
     def decode(self, state: EncoderState, pad_mask: np.ndarray | None = None,
                rng: Rng | None = None) -> DecoderOutput:
         return decoder_forward(state.h_first, state.h_last, self.config, self.params,
-                               pad_mask, rng=rng)
+                               state.encoding, pad_mask, rng=rng)
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return sorted(self.params.items())

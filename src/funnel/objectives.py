@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (ContractError, Rng, Tensor, add, bce_with_logits_mean,
-                       cross_entropy_mean, gather_rows, matmul, reshape, transpose)
-from .corpus import CLS, MASK, PAD, SEP, EncodedLine
+                       cross_entropy_mean, gather_rows, matmul, reshape, softmax_lastdim,
+                       transpose)
+from .corpus import CLS, MASK, PAD, SEP, Batch
 from .model import FunnelModel
 
 DISC_LOSS_WEIGHT = 50.0
@@ -106,25 +107,50 @@ def sample_mask_span(token_ids: np.ndarray, word_boundaries: list[tuple[int, int
     return MaskPlan(positions, token_ids[positions].astype(np.int64))
 
 
-def mlm_logits(hidden: Tensor, embedding: Tensor, positions: np.ndarray) -> Tensor:
-    """Tied-output logits at the given positions: h_i . e(x') for every x'."""
-    sel = gather_rows(hidden, positions)
-    return matmul(sel, transpose(embedding))
+def _plan_list(plans) -> list[MaskPlan]:
+    """One plan per batch column; a lone plan is a batch of one."""
+    plans = [plans] if isinstance(plans, MaskPlan) else list(plans)
+    if not plans or any(len(p) == 0 for p in plans):
+        raise ContractError("mask plan is empty; skip this sequence instead")
+    return plans
 
 
-def mlm_loss(decoder_hidden: Tensor, embedding: Tensor, plan: MaskPlan) -> Tensor:
-    """Mean over masked positions of -log softmax(e(x)' h_i)[original token]."""
-    if len(plan) == 0:
-        raise ContractError("mask plan is empty; skip this step instead")
-    logits = mlm_logits(decoder_hidden, embedding, plan.positions)
-    return cross_entropy_mean(logits, plan.originals)
+def _sequence_weights(counts) -> np.ndarray:
+    """Per-row weights giving each of the sequences an equal share: 1 / (n_s * B)."""
+    return np.concatenate([np.full(n, 1.0 / (n * len(counts))) for n in counts])
+
+
+def _masked_token_loss(hidden: Tensor, embedding: Tensor,
+                       plans: list[MaskPlan]) -> tuple[Tensor, Tensor]:
+    """Tied-output logits h_i . e(x') for every x' at every plan's positions, and their loss.
+
+    ``hidden`` is read as its time-major flattening [T*B, D]; rows run
+    sequence by sequence.
+    """
+    b = len(plans)
+    rows = np.concatenate([p.positions * b + i for i, p in enumerate(plans)])
+    selected = gather_rows(reshape(hidden, (-1, hidden.shape[-1])), rows)
+    logits = matmul(selected, transpose(embedding))
+    loss = cross_entropy_mean(logits, np.concatenate([p.originals for p in plans]),
+                              _sequence_weights([len(p) for p in plans]))
+    return logits, loss
+
+
+def mlm_loss(decoder_hidden: Tensor, embedding: Tensor, plans) -> Tensor:
+    """Mean over sequences of each one's mean -log softmax(e(x)' h_i)[original token].
+
+    ``decoder_hidden`` is time-major [T, B, D] with one plan per column,
+    or [T, D] with a single plan.  Every sequence weighs the same,
+    however many of its positions are masked.
+    """
+    return _masked_token_loss(decoder_hidden, embedding, _plan_list(plans))[1]
 
 
 @dataclass
 class ElectraBatch:
-    """Generator-sampled sequence plus per-position replaced labels."""
+    """Generator-sampled sequences plus per-position replaced labels, [T] or [B, T]."""
 
-    sampled_ids: np.ndarray  # original sequence with masked slots re-sampled
+    sampled_ids: np.ndarray  # original sequences with masked slots re-sampled
     labels: np.ndarray       # 1.0 where the token differs from the original
 
 
@@ -144,35 +170,37 @@ def build_electra_batch(token_ids: np.ndarray, plan: MaskPlan,
 
 
 def electra_step(gen: FunnelModel, disc: FunnelModel, disc_head: tuple[Tensor, Tensor],
-                 line: EncodedLine, plan: MaskPlan, rng: Rng,
+                 batch: Batch, plans: list[MaskPlan], rng: Rng,
                  ) -> tuple[Tensor, Tensor, ElectraBatch]:
-    """One replaced-token-detection step on a single sequence.
+    """One replaced-token-detection step on a batch of sequences.
 
-    The generator is trained by its reconstruction loss on the masked
-    positions; the sampled sequence is rebuilt from raw token ids, so no
-    gradient can flow from the discriminator loss into the generator.
-    The discriminator's binary loss averages over all non-pad positions.
-    Returns (generator loss, discriminator loss, sampled batch); the
-    training objective combines them as gen + DISC_LOSS_WEIGHT * disc.
+    ``batch`` holds [B, T] ids and mask, with one plan per sequence.  The
+    generator is trained by its reconstruction loss on the masked
+    positions.  Its tokens are drawn sequence by sequence, in batch order,
+    after one generator pass; the sampled sequences are rebuilt from raw
+    token ids, so no gradient can flow from the discriminator loss into
+    the generator.  The discriminator's binary loss averages over each
+    sequence's non-pad positions.  Both losses are means over sequences.
+    Returns (generator loss, discriminator loss, sampled [B, T] batch);
+    the training objective combines them as gen + DISC_LOSS_WEIGHT * disc.
     """
-    if len(plan) == 0:
-        raise ContractError("mask plan is empty; skip this step instead")
-    corrupted = plan.apply(line.token_ids)
-    gen_hidden = gen.token_hidden(corrupted, line.pad_mask, rng=rng)
-    logits = mlm_logits(gen_hidden, gen.params["embed/token"], plan.positions)
-    gen_loss = cross_entropy_mean(logits, plan.originals)
+    plans = _plan_list(plans)
+    ids, mask = batch.token_ids, batch.pad_mask              # [B, T]
+    corrupted = np.stack([p.apply(row) for p, row in zip(plans, ids)])
+    gen_hidden = gen.token_hidden(corrupted.T, mask.T, rng=rng)
+    logits, gen_loss = _masked_token_loss(gen_hidden, gen.params["embed/token"], plans)
 
-    batch = build_electra_batch(line.token_ids, plan, _softmax_rows(logits.data), rng)
+    probs = softmax_lastdim(Tensor(logits.data)).data
+    per_seq = np.split(probs, np.cumsum([len(p) for p in plans])[:-1])
+    sampled = [build_electra_batch(row, p, pr, rng) for row, p, pr in zip(ids, plans, per_seq)]
+    sampled_ids = np.stack([s.sampled_ids for s in sampled])
+    labels = np.stack([s.labels for s in sampled])
 
     w, b = disc_head
-    disc_hidden = disc.token_hidden(batch.sampled_ids, line.pad_mask, rng=rng)
-    real = np.flatnonzero(line.pad_mask)
-    sel = gather_rows(disc_hidden, real)
+    disc_hidden = disc.token_hidden(sampled_ids.T, mask.T, rng=rng)
+    seq, pos = np.nonzero(mask)                              # real slots, sequence by sequence
+    sel = gather_rows(reshape(disc_hidden, (-1, disc_hidden.shape[-1])), pos * len(plans) + seq)
     disc_logits = add(matmul(sel, reshape(w, (sel.shape[1], 1))), b)
-    disc_loss = bce_with_logits_mean(disc_logits, batch.labels[real][:, None])
-    return gen_loss, disc_loss, batch
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    disc_loss = bce_with_logits_mean(disc_logits, labels[mask][:, None],
+                                     _sequence_weights(mask.sum(axis=1))[:, None])
+    return gen_loss, disc_loss, ElectraBatch(sampled_ids, labels)

@@ -18,6 +18,12 @@ interchangeable implementations of the position term are provided:
 All three accept arbitrary integer position ids so pooled queries can
 attend to unpooled keys.  Scores are scaled by 1/sqrt(head_dim); applied
 uniformly, the scaling does not affect cross-variant agreement.
+
+Activations are time-major: [T, D] for one sequence or [T, B, D] for a
+batch.  Attention splits the packed projections into heads with one
+reshape, so every score term is a single broadcast matmul over
+[B, H, Tq, Tk].  Positions are 1-D when every column shares them, or
+[T, B] when they differ per column (after top-attention pooling).
 """
 
 from __future__ import annotations
@@ -26,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (NumericError, ShapeError, Tensor, add, concat_last, dropout,
-                       einsum_id_ijd, gelu, layer_norm, mask_fill, matmul, mul,
-                       reshape, slice_last, softmax_lastdim, take_along_last,
-                       transpose)
+from .autodiff import (NumericError, ShapeError, Tensor, add, dropout, einsum_id_ijd,
+                       gelu, layer_norm, mask_fill, matmul, mul, permute, reshape,
+                       softmax_lastdim, take_along_last, transpose)
 
 VARIANTS = ("naive", "gather", "factorized")
 
@@ -47,12 +52,14 @@ class RelPosEncoding:
         pi_i    = cat(-cos_i, sin_i)
         omega_j = cat(sin_j,  sin_j)
 
-    Tables are memoised on the instance, keyed by the position vector's
-    dtype, shape and bytes; phi/psi/pi/omega are built together from one
-    angle computation per distinct vector.  The memo lives as long as the
-    instance, which the encoder and decoder build once per forward call,
-    so every head and layer of a pass shares its tables and nothing
-    outlives the pass.  Returned tables are read-only.
+    Positions may be any integer array; tables gain a trailing axis of
+    width D.  Tables are memoised on the instance, keyed by the position
+    array's dtype, shape and bytes; phi/psi/pi/omega are built together
+    from one angle computation per distinct array.  The memo lives as
+    long as the instance, which the encoder builds once per forward call
+    and hands on to the decoder, so every head and layer of a model pass
+    shares its tables and nothing outlives the pass.  Returned tables are
+    read-only.
     """
 
     def __init__(self, width: int, dtype=np.float64):
@@ -66,8 +73,7 @@ class RelPosEncoding:
 
     def _angles(self, t: np.ndarray) -> np.ndarray:
         # angles in f64 regardless of output dtype: positions can be large
-        a = np.asarray(t, dtype=np.float64)[:, None] * self.inv_freq[None, :]
-        return a
+        return np.asarray(t, dtype=np.float64)[..., None] * self.inv_freq
 
     def _memoised(self, kind: str, pos: np.ndarray, build):
         pos = np.asarray(pos)
@@ -83,7 +89,7 @@ class RelPosEncoding:
         return table
 
     def encode(self, distances: np.ndarray) -> np.ndarray:
-        """r_d rows for an array of signed distances: [N, D]."""
+        """r_d rows for an array of signed distances: [..., D]."""
         def build(d):
             a = self._angles(d)
             return self._frozen([np.sin(a), np.cos(a)])
@@ -111,21 +117,36 @@ class RelPosEncoding:
         return self._factors(pos)[3]
 
 
+def _by_column(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Lay out per-position data [T, ...] so it broadcasts against [..., H, T, ...].
+
+    Shared 1-D positions pass through.  Per-column positions [T, B] move
+    the column axis first and gain a head axis: [B, 1, T, ...].
+    """
+    if np.ndim(pos) == 1:
+        return a
+    return np.moveaxis(a, 1, 0)[:, None]
+
+
 def position_term_naive(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
                         w_r: Tensor, u: Tensor, enc: RelPosEncoding) -> Tensor:
     """Reference form: scores[i,j] = (proj_q[i] + u)' (w_r' r_{q_pos[i]-k_pos[j]}).
 
     Every distance encoding is materialized explicitly, one per (i, j)
-    pair; this is the oracle the cheaper forms are tested against.
+    pair, as rows picked from the memoised ascending table (the array is
+    transient); this is the oracle the cheaper forms are tested against.
+    The query is mapped into the encoding space first, (w_r (q + u))' r,
+    so the pairs enter through one inner product each.
+
+    ``proj_q`` is [..., Tq, dh] with ``w_r`` [..., D, dh] and ``u``
+    broadcasting against it: [Tq, dh] with [D, dh] and [dh] for one head,
+    or [B, H, Tq, dh] with [H, D, dh] and [H, 1, dh] for a batch of heads.
+    Every variant takes the same shapes and returns [..., Tq, Tk].
     """
-    q_pos = np.asarray(q_pos, dtype=np.int64)
-    k_pos = np.asarray(k_pos, dtype=np.int64)
-    tq, tk = len(q_pos), len(k_pos)
-    dist = q_pos[:, None] - k_pos[None, :]
-    rhat = Tensor(enc.encode(dist.reshape(-1)))            # [tq*tk, D]
-    rhat_w = reshape(matmul(rhat, w_r), (tq, tk, w_r.shape[1]))
-    qu = add(proj_q, u)
-    return einsum_id_ijd(qu, rhat_w)
+    idx, span = gather_index_matrix(q_pos, k_pos)
+    table = enc.encode(np.arange(-span, span + 1))           # the gather form's table
+    qr = matmul(add(proj_q, u), transpose(w_r))              # [..., tq, D]
+    return einsum_id_ijd(qr, table[idx])                     # r: [..., tq, tk, D]
 
 
 def gather_index_matrix(q_pos: np.ndarray, k_pos: np.ndarray) -> tuple[np.ndarray, int]:
@@ -134,11 +155,11 @@ def gather_index_matrix(q_pos: np.ndarray, k_pos: np.ndarray) -> tuple[np.ndarra
     The table rows run r_{-(L-1)} .. r_{L-1}; entry [i,j] points at
     r_{q_pos[i]-k_pos[j]}.  For stride-1 positions, consecutive row
     entries differ by exactly 1 (idx[i,j] - idx[i,j+1] == 1): the shift
-    structure.
+    structure.  Per-column positions [T, B] give a [B, 1, Tq, Tk] matrix.
     """
     q_pos = np.asarray(q_pos, dtype=np.int64)
     k_pos = np.asarray(k_pos, dtype=np.int64)
-    dist = q_pos[:, None] - k_pos[None, :]
+    dist = _by_column(q_pos, q_pos)[..., :, None] - _by_column(k_pos, k_pos)[..., None, :]
     span = int(np.abs(dist).max()) if dist.size else 0
     return dist + span, span
 
@@ -148,11 +169,9 @@ def position_term_gather(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     """Shift-trick form: project a 2L-1 distance table once, then gather."""
     idx, span = gather_index_matrix(q_pos, k_pos)
     table = Tensor(enc.encode(np.arange(-span, span + 1)))  # ascending distances
-    table_w = matmul(table, w_r)                             # [2L-1, dh]
+    table_w = matmul(table, w_r)                             # [..., 2L-1, dh]
     qu = add(proj_q, u)
-    full = matmul(qu, transpose(table_w))                    # [tq, 2L-1]
-    if idx.min() < 0 or idx.max() >= table.shape[0]:
-        raise ShapeError("distance outside the encoding table")
+    full = matmul(qu, transpose(table_w))                    # [..., tq, 2L-1]
     return take_along_last(full, idx)
 
 
@@ -162,13 +181,12 @@ def position_term_factorized(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarra
     q_pos = np.asarray(q_pos, dtype=np.int64)
     k_pos = np.asarray(k_pos, dtype=np.int64)
     qu = add(proj_q, u)
-    qr = matmul(qu, transpose(w_r))                          # [tq, D]
-    phi = Tensor(enc.phi(q_pos))
-    pi = Tensor(enc.pi(q_pos))
-    psi = Tensor(enc.psi(k_pos))
-    omega = Tensor(enc.omega(k_pos))
-    return add(matmul(mul(qr, phi), transpose(psi)),
-               matmul(mul(qr, pi), transpose(omega)))
+    qr = matmul(qu, transpose(w_r))                          # [..., tq, D]
+    phi = Tensor(_by_column(enc.phi(q_pos), q_pos))
+    pi = Tensor(_by_column(enc.pi(q_pos), q_pos))
+    psi_t = Tensor(np.swapaxes(_by_column(enc.psi(k_pos), k_pos), -1, -2))
+    omega_t = Tensor(np.swapaxes(_by_column(enc.omega(k_pos), k_pos), -1, -2))
+    return add(matmul(mul(qr, phi), psi_t), matmul(mul(qr, pi), omega_t))
 
 
 _POSITION_TERMS = {
@@ -182,10 +200,10 @@ _POSITION_TERMS = {
 class LayerParams:
     """Per-layer attention + FFN parameters.
 
-    Projections are packed [D, D] and sliced per head; ``u``/``v`` are the
-    packed per-head position/content biases of length D.  The projection
-    of the positional encodings (``w_r``) is shared across layers and
-    passed in separately.
+    Projections are packed [D, D], head h owning columns h*dh..(h+1)*dh;
+    ``u``/``v`` are the packed per-head position/content biases of length
+    D.  The projection of the positional encodings (``w_r``) is shared
+    across layers and passed in separately.
     """
 
     w_q: Tensor
@@ -216,54 +234,53 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
               ) -> tuple[Tensor, np.ndarray]:
     """One post-norm relative-attention sub-layer.
 
-    Per head: scores = (content + position) / sqrt(head_dim), masked keys
-    forced to -inf before the softmax.  Head outputs are concatenated,
-    projected by w_o, added to the residual ``q_in`` and layer normed.
-    Returns the new hidden states and the [heads, Tq, Tk] attention map
-    (detached; used by top-attention pooling).
+    ``q_in`` is [Tq, D] or time-major [Tq, B, D]; ``kv_in`` and
+    ``key_mask`` ([Tk] or [Tk, B], True at real keys) match it.  Per head:
+    scores = (content + position) / sqrt(head_dim), masked keys forced to
+    -inf before the softmax.  Head outputs are merged, projected by w_o,
+    added to the residual ``q_in`` and layer normed.  Returns the new
+    hidden states and the attention map (detached; used by top-attention
+    pooling): [heads, Tq, Tk] for one sequence, [B, heads, Tq, Tk] for a
+    batch.
     """
     if variant not in _POSITION_TERMS:
         raise ValueError(f"unknown attention variant {variant!r}")
-    d = q_in.shape[1]
+    d = q_in.shape[-1]
     if d % n_heads != 0:
         raise ShapeError(f"hidden {d} not divisible by {n_heads} heads")
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
-        if not key_mask.any():
+        if not key_mask.any(axis=0).all():
             raise NumericError("attention with every key masked")
 
-    pos_term = _POSITION_TERMS[variant]
-    head_outs = []
-    maps = np.zeros((n_heads, q_in.shape[0], kv_in.shape[0]))
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        wq = slice_last(params.w_q, lo, hi)
-        wk = slice_last(params.w_k, lo, hi)
-        wv = slice_last(params.w_v, lo, hi)
-        bq = slice_last(params.b_q, lo, hi)
-        bk = slice_last(params.b_k, lo, hi)
-        bv = slice_last(params.b_v, lo, hi)
-        uh = slice_last(params.u, lo, hi)
-        vh = slice_last(params.v, lo, hi)
-        whr = slice_last(w_r, lo, hi)
+    # [T, *cols, D] -> [T, *cols, H, dh] -> [*cols, H, T, dh] (keys: [*cols, H, dh, T])
+    n = q_in.data.ndim
+    to_heads = tuple(range(1, n)) + (0, n)
+    to_keys = tuple(range(1, n)) + (n, 0)
 
-        q = add(matmul(q_in, wq), bq)
-        k = add(matmul(kv_in, wk), bk)
-        val = add(matmul(kv_in, wv), bv)
-        content = matmul(add(q, vh), transpose(k))
-        position = pos_term(q, q_pos, k_pos, whr, uh, enc)
-        scores = mul(add(content, position), scale)
-        if key_mask is not None:
-            scores = mask_fill(scores, key_mask[None, :], -np.inf)
-        weights = softmax_lastdim(scores)
-        maps[h] = weights.data
-        if attn_dropout:
-            weights = dropout(weights, attn_dropout, rng)
-        head_outs.append(matmul(weights, val))
+    def heads(x, w, b, axes):
+        y = add(matmul(x, w), b)
+        return permute(reshape(y, y.shape[:-1] + (n_heads, dh)), axes)
 
-    merged = head_outs[0] if n_heads == 1 else concat_last(head_outs)
+    q = heads(q_in, params.w_q, params.b_q, to_heads)
+    k_t = heads(kv_in, params.w_k, params.b_k, to_keys)
+    val = heads(kv_in, params.w_v, params.b_v, to_heads)
+    bias_shape = (n_heads, 1, dh)
+    w_r_heads = permute(reshape(w_r, (w_r.shape[0], n_heads, dh)), (1, 0, 2))  # [H, D, dh]
+
+    content = matmul(add(q, reshape(params.v, bias_shape)), k_t)
+    position = _POSITION_TERMS[variant](q, q_pos, k_pos, w_r_heads,
+                                        reshape(params.u, bias_shape), enc)
+    scores = mul(add(content, position), scale)
+    if key_mask is not None:
+        scores = mask_fill(scores, np.moveaxis(key_mask, 0, -1)[..., None, None, :], -np.inf)
+    weights = softmax_lastdim(scores)
+    maps = weights.data
+    if attn_dropout:
+        weights = dropout(weights, attn_dropout, rng)
+    merged = reshape(permute(matmul(weights, val), np.argsort(to_heads)), q_in.shape)
     out = add(matmul(merged, params.w_o), params.b_o)
     if hidden_dropout:
         out = dropout(out, hidden_dropout, rng)

@@ -2,7 +2,8 @@
 
 Deliberately single threaded and deterministic: batches cycle through the
 encoded corpus in order and all sampling comes from one counter-based
-stream, so the same seed reproduces a bit-identical loss trace.
+stream, so the same seed reproduces a bit-identical loss trace.  Each
+step runs the whole batch through the model as one time-major tensor.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class AdamW:
 
     @staticmethod
     def decays(name: str) -> bool:
-        return not (name.endswith(("_g", "_b", "ln_g", "ln_b")) or "/b_" in name
-                    or name.endswith(("/b1", "/b2")))
+        return not (name.endswith(("_g", "_b", "ln_g", "ln_b", "/b", "/b1", "/b2"))
+                    or "/b_" in name)
 
     def step(self, tape: Tape, lr: float) -> None:
         self.t += 1
@@ -148,31 +149,26 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
     opt = AdamW(named, settings.optimizer)
     trace: list[TraceRow] = []
     for step in range(settings.steps):
-        batch = Batch.stack([lines[(step * settings.batch_size + i) % len(lines)]
-                             for i in range(settings.batch_size)])
+        rows = [lines[(step * settings.batch_size + i) % len(lines)]
+                for i in range(settings.batch_size)]
+        # every plan first, in sequence order; sequences with nothing to mask sit out
+        plans = [_sample_plan(settings, line, rng) for line in rows]
+        used = [i for i, plan in enumerate(plans) if len(plan)]
+        if not used:
+            continue
+        batch = Batch.stack([rows[i] for i in used])
+        plans = [plans[i] for i in used]
         with Tape() as tape:
-            total = None
-            used = 0
             try:
-                for line in batch.sequences():
-                    plan = _sample_plan(settings, line, rng)
-                    if len(plan) == 0:
-                        continue
-                    if settings.objective == "electra":
-                        gen_loss, disc_loss, _ = electra_step(gen, model, disc_head,
-                                                              line, plan, rng)
-                        loss = add(gen_loss, mul(disc_loss, settings.disc_loss_weight))
-                    else:
-                        hidden = model.token_hidden(plan.apply(line.token_ids),
-                                                    line.pad_mask, rng=rng)
-                        loss = mlm_loss(hidden, model.params["embed/token"], plan)
-                    total = loss if total is None else add(total, loss)
-                    used += 1
+                if settings.objective == "electra":
+                    gen_loss, disc_loss, _ = electra_step(gen, model, disc_head, batch, plans, rng)
+                    total = add(gen_loss, mul(disc_loss, settings.disc_loss_weight))
+                else:
+                    corrupted = np.stack([p.apply(ids) for p, ids in zip(plans, batch.token_ids)])
+                    hidden = model.token_hidden(corrupted.T, batch.pad_mask.T, rng=rng)
+                    total = mlm_loss(hidden, model.params["embed/token"], plans)
             except NumericError as e:
                 raise TrainingDiverged(step) from e
-            if total is None:
-                continue
-            total = mul(total, 1.0 / used)
             if not math.isfinite(total.item()):
                 raise TrainingDiverged(step)
             tape.backward(total)

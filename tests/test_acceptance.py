@@ -13,7 +13,7 @@ import pytest
 
 from funnel.autodiff import Rng, Tensor, bce_with_logits_mean, grad_check
 from funnel.checkpoint import (BadMagic, ShapeMismatch, TruncatedPayload, load, save)
-from funnel.corpus import CLS, SEP, build_vocab, encode_line
+from funnel.corpus import CLS, SEP, Batch, build_vocab, encode_line
 from funnel.costmodel import display_ratio, flops_ratio, param_count
 from funnel.encoder import PooledState, pool_pair, pool_step, pool_top_attn
 from funnel.layout import BlockSpec, LayoutSpec
@@ -148,7 +148,7 @@ def test_criterion_5_gradient_correctness():
                 (lambda: sum_all(mul(layer_norm(x, gam, bet), w)), [x, gam, bet]),
                 (lambda: sum_all(mul(gelu(x), w)), [x]),
                 (lambda: sum_all(mul(mean_pool_pairs(x, np.ones(3, bool)), w2)), [x]),
-                (lambda: cross_entropy_mean(x, tgt), [x]),
+                (lambda: cross_entropy_mean(x, tgt, np.full(3, 1 / 3)), [x]),
                 (lambda: sum_all(mul(add(x, bet), w)), [x, bet]),
             ]
             for f, params in ops:
@@ -248,14 +248,15 @@ def test_criterion_9_electra_scaffold():
             line.token_ids[:] = toks
             line.pad_mask[:] = True
             plan = sample_mask_single(toks, rate=0.3, rng=Rng(seed + 90))
-            _, _, batch = electra_step(gen_model, disc, head, line, plan, Rng(seed))
+            _, _, batch = electra_step(gen_model, disc, head, Batch.stack([line]), [plan],
+                                       Rng(seed))
             # exhaustive per-position consistency: replaced <=> token changed
-            np.testing.assert_array_equal(batch.labels == 1.0,
-                                          batch.sampled_ids != toks)
+            np.testing.assert_array_equal(batch.labels[0] == 1.0,
+                                          batch.sampled_ids[0] != toks)
 
         logits = Tensor(np.zeros((32, 1)))  # probability one half everywhere
         labels = (np.arange(32) % 3 == 0).astype(float)[:, None]
-        loss = bce_with_logits_mean(logits, labels)
+        loss = bce_with_logits_mean(logits, labels, np.full((32, 1), 1 / 32))
         assert abs(loss.item() - math.log(2)) <= 1e-9
 
 

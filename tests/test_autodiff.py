@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from funnel.autodiff import (GELU_A, GELU_C, ContractError, NumericError, Rng, ShapeError, Tape, Tensor,
-                             add, bce_with_logits_mean, concat_last, concat_rows,
+                             add, bce_with_logits_mean, concat_rows,
                              cross_entropy_mean, dropout, einsum_id_ijd, gather_rows,
                              gelu, grad_check, layer_norm, mask_fill, matmul,
-                             max_pool_pairs, mean_pool_pairs, mul, reshape,
-                             slice_last, softmax_lastdim, sub, sum_all,
-                             take_along_last, transpose)
+                             max_pool_pairs, mean_pool_pairs, mul, permute, reshape,
+                             softmax_lastdim, sub, sum_all, take_along_last, transpose)
 
 
 def rand(shape, seed=0):
@@ -177,6 +176,12 @@ class TestGradCheck:
     def test_zero_parameters(self):
         assert grad_check(lambda: Tensor(1.0), []) == 0.0
 
+    def test_restores_requires_grad_flags(self):
+        x = Tensor(rand(3, 10))
+        y = Tensor(rand(3, 11), requires_grad=True)
+        assert grad_check(lambda: sum_all(mul(x, y)), [x, y]) < 1e-8
+        assert not x.requires_grad and y.requires_grad
+
     def test_non_finite_value_rejected(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(NumericError):
@@ -197,11 +202,18 @@ def test_every_op_grad_below_1e4(seed):
     real[0] = True
     x5 = Tensor(gen.standard_normal((5, 3)), requires_grad=True)
     w3 = Tensor(gen.standard_normal((3, 3)))
-    r3 = Tensor(gen.standard_normal((3, 5, 4)), requires_grad=True)
+    r3 = gen.standard_normal((3, 5, 4))
+    x3 = Tensor(gen.standard_normal((2, 3, 4)), requires_grad=True)
+    b4 = Tensor(gen.standard_normal((2, 1, 4, 2)), requires_grad=True)
+    col3 = Tensor(gen.standard_normal((3, 1)), requires_grad=True)
+    row4 = Tensor(gen.standard_normal((2, 1, 4)), requires_grad=True)
+    col4 = Tensor(gen.standard_normal((4, 1)))
     idx = gen.integers(0, 4, size=(3, 2))
     rows = gen.integers(0, 3, size=4)
+    rows5 = gen.integers(0, 4, size=(3, 5))
     targets = gen.integers(0, 4, size=3)
     labels = (gen.random((3, 1)) > 0.5).astype(float)
+    row_w = np.array([0.5, 0.3, 0.2])
 
     w32 = Tensor(gen.standard_normal((3, 2)))
     w44 = Tensor(gen.standard_normal((4, 4)))
@@ -210,6 +222,14 @@ def test_every_op_grad_below_1e4(seed):
     w43 = Tensor(gen.standard_normal((4, 3)))
     w26 = Tensor(gen.standard_normal((2, 6)))
     keep = gen.random((3, 4)) > 0.3
+    w2232 = Tensor(gen.standard_normal((2, 2, 3, 2)))
+    w232 = Tensor(gen.standard_normal((2, 3, 2)))
+    w423 = Tensor(gen.standard_normal((4, 2, 3)))
+    w234 = Tensor(gen.standard_normal((2, 3, 4)))
+    w235 = Tensor(gen.standard_normal((2, 3, 5)))
+    real2 = gen.random((5, 2)) > 0.3
+    x52 = Tensor(gen.standard_normal((5, 2, 3)), requires_grad=True)
+    w32_3 = Tensor(gen.standard_normal((3, 2, 3)))
 
     cases = {
         "matmul": (lambda: sum_all(mul(matmul(x, m), w32)), [x, m]),
@@ -221,13 +241,20 @@ def test_every_op_grad_below_1e4(seed):
         "gelu": (lambda: sum_all(mul(gelu(x), w)), [x]),
         "gather_rows": (lambda: sum_all(mul(gather_rows(x, rows), w44)), [x]),
         "take_along_last": (lambda: sum_all(mul(take_along_last(x, idx), w32)), [x]),
-        "slice_concat": (lambda: sum_all(mul(concat_last([slice_last(x, 2, 4), slice_last(x, 0, 2)]), w)), [x]),
+        "batched_matmul": (lambda: sum_all(mul(matmul(x3, b4), w2232)), [x3, b4]),
+        "shared_weight_matmul": (lambda: sum_all(mul(matmul(x3, m), w232)), [x3, m]),
+        "permute": (lambda: sum_all(mul(permute(x3, (2, 0, 1)), w423)), [x3]),
+        "broadcast_add": (lambda: sum_all(mul(add(x3, col3), w234)), [x3, col3]),
+        "broadcast_mul": (lambda: sum_all(mul(mul(x3, row4), w234)), [x3, row4]),
+        "take_along_last_broadcast": (lambda: sum_all(mul(take_along_last(x3, rows5), w235)), [x3]),
+        "per_column_pools": (lambda: sum_all(mul(add(mean_pool_pairs(x52, real2),
+                                                     max_pool_pairs(x52, real2)), w32_3)), [x52]),
         "concat_rows": (lambda: sum_all(mul(concat_rows([x, y]), w64)), [x, y]),
-        "einsum_id_ijd": (lambda: sum_all(mul(einsum_id_ijd(x, r3), w35)), [x, r3]),
+        "einsum_id_ijd": (lambda: sum_all(mul(einsum_id_ijd(x, r3), w35)), [x]),
         "mean_pool": (lambda: sum_all(mul(mean_pool_pairs(x5, real), w3)), [x5]),
         "max_pool": (lambda: sum_all(mul(max_pool_pairs(x5, real), w3)), [x5]),
-        "cross_entropy": (lambda: cross_entropy_mean(x, targets), [x]),
-        "bce": (lambda: bce_with_logits_mean(slice_last(x, 0, 1), labels), [x]),
+        "cross_entropy": (lambda: cross_entropy_mean(x, targets, row_w), [x]),
+        "bce": (lambda: bce_with_logits_mean(matmul(x, col4), labels, row_w[:, None]), [x]),
         "transpose": (lambda: sum_all(mul(transpose(x), w43)), [x]),
         "reshape": (lambda: sum_all(mul(reshape(x, (2, 6)), w26)), [x]),
         "mask_fill": (lambda: sum_all(mul(mask_fill(x, keep, 0.25), w)), [x]),

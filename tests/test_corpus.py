@@ -100,8 +100,8 @@ def test_batch_invariants_property(lines, seq_len):
         batch = Batch.stack(encoded)
         assert batch.token_ids.shape == (len(encoded), seq_len)
         assert len(batch) == len(encoded)
-        for view, enc in zip(batch.sequences(), encoded):
-            np.testing.assert_array_equal(view.token_ids, enc.token_ids)
+        for row, enc in zip(batch.token_ids, encoded):
+            np.testing.assert_array_equal(row, enc.token_ids)
 
 
 class TestBatch:

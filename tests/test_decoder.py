@@ -46,7 +46,7 @@ class TestDecoderForward:
         _, state = encode(funnel_model)
         zero_last = Tensor(np.zeros_like(state.h_last.data))
         out = decoder_forward(state.h_first, zero_last, funnel_model.config,
-                              funnel_model.params)
+                              funnel_model.params, state.encoding)
         np.testing.assert_array_equal(out.fused.data, state.h_first.data)
 
     def test_zero_decoder_layers_returns_fusion(self):
@@ -67,9 +67,9 @@ class TestDecoderForward:
         delta = np.zeros_like(state.h_first.data)
         delta[3] = 1.25
         base = decoder_forward(state.h_first, state.h_last, funnel_model.config,
-                               funnel_model.params)
+                               funnel_model.params, state.encoding)
         shifted = decoder_forward(Tensor(state.h_first.data + delta), state.h_last,
-                                  funnel_model.config, funnel_model.params)
+                                  funnel_model.config, funnel_model.params, state.encoding)
         np.testing.assert_allclose(shifted.fused.data - base.fused.data, delta,
                                    atol=1e-12)
 
@@ -80,9 +80,9 @@ class TestDecoderForward:
             bumped = state.h_first.data.copy()
             bumped[i] += 0.5
             out = decoder_forward(Tensor(bumped), state.h_last, funnel_model.config,
-                                  funnel_model.params)
+                                  funnel_model.params, state.encoding)
             base = decoder_forward(state.h_first, state.h_last, funnel_model.config,
-                                   funnel_model.params)
+                                   funnel_model.params, state.encoding)
             diff = np.abs(out.fused.data - base.fused.data).sum(axis=1)
             assert diff[i] > 0
             assert np.count_nonzero(diff) == 1
@@ -91,4 +91,4 @@ class TestDecoderForward:
         _, state = encode(funnel_model)
         with pytest.raises(ContractError):
             decoder_forward(Tensor(np.zeros((7, 16))), state.h_last,
-                            funnel_model.config, funnel_model.params)
+                            funnel_model.config, funnel_model.params, state.encoding)

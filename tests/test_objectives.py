@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from funnel.autodiff import ContractError, Rng, Tape, Tensor, bce_with_logits_mean
-from funnel.corpus import CLS, MASK, PAD, SEP, build_vocab, encode_line
+from funnel.corpus import CLS, MASK, PAD, SEP, Batch, build_vocab, encode_line
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig, generator_config
 from funnel.objectives import (MaskPlan, build_electra_batch, electra_step,
@@ -169,16 +169,17 @@ class TestElectra:
         line.pad_mask[:] = True
         plan = sample_mask_single(toks, rate=0.3, rng=Rng(13))
         for seed in range(10):
-            _, _, batch = electra_step(gen_model, disc, head, line, plan, Rng(seed))
-            np.testing.assert_array_equal(batch.labels == 1.0,
-                                          batch.sampled_ids != toks)
+            _, _, batch = electra_step(gen_model, disc, head, Batch.stack([line]), [plan],
+                                       Rng(seed))
+            np.testing.assert_array_equal(batch.labels[0] == 1.0,
+                                          batch.sampled_ids[0] != toks)
             unmasked = np.setdiff1d(np.arange(8), plan.positions)
-            np.testing.assert_array_equal(batch.sampled_ids[unmasked], toks[unmasked])
+            np.testing.assert_array_equal(batch.sampled_ids[0, unmasked], toks[unmasked])
 
     def test_uniform_discriminator_loss_ln2(self):
         logits = Tensor(np.zeros((12, 1)))
         labels = (np.arange(12) % 2).astype(float)[:, None]
-        loss = bce_with_logits_mean(logits, labels)
+        loss = bce_with_logits_mean(logits, labels, np.full((12, 1), 1 / 12))
         assert loss.item() == pytest.approx(math.log(2), abs=1e-9)
 
     def test_generator_copying_originals_gives_all_real(self):
@@ -202,15 +203,16 @@ class TestElectra:
         for _, p in gen_model.trainable() + disc.trainable():
             p.requires_grad = True
         with Tape() as tape:
-            gen_loss, disc_loss, _ = electra_step(gen_model, disc, head, line, plan,
-                                                  Rng(16))
+            gen_loss, disc_loss, _ = electra_step(gen_model, disc, head, Batch.stack([line]),
+                                                  [plan], Rng(16))
             combined = add(gen_loss, mul(disc_loss, DISC_LOSS_WEIGHT))
             tape.backward(combined)
         grads_combined = {n: tape.grad(p).copy() for n, p in gen_model.trainable()}
         disc_grad = tape.grad(head[0])
         assert np.abs(disc_grad).sum() > 0  # the weighted term does train the head
         with Tape() as tape2:
-            gen_loss2, _, _ = electra_step(gen_model, disc, head, line, plan, Rng(16))
+            gen_loss2, _, _ = electra_step(gen_model, disc, head, Batch.stack([line]), [plan],
+                                           Rng(16))
             tape2.backward(gen_loss2)
         for n, p in gen_model.trainable():
             np.testing.assert_array_equal(grads_combined[n], tape2.grad(p))
@@ -227,7 +229,7 @@ class TestElectra:
         line = encode_line("", build_vocab([], 16), 8)
         empty = MaskPlan(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         with pytest.raises(ContractError):
-            electra_step(gen_model, disc, head, line, empty, Rng(0))
+            electra_step(gen_model, disc, head, Batch.stack([line]), [empty], Rng(0))
 
 
 def test_maskable_excludes_all_specials():

@@ -111,12 +111,25 @@ class TestEncodingMemo:
         ids = np.random.Generator(np.random.Philox(0)).integers(5, 30, size=128)
         state = model.encode(ids)
         model.decode(state)
-        # one encoding object per encoder and decoder pass, each computing
-        # angles for every distinct position vector exactly once
-        assert len(calls) == len(set(calls))
-        encoder_calls = [key for owner, key in calls if owner is calls[0][0]]
-        assert sorted(encoder_calls) == sorted({p.tobytes() for p in state.block_pos})
-        assert len(calls) == len(encoder_calls) + 1
+        # one encoding object per model pass, shared by encoder and
+        # decoder, computing angles for every distinct position vector once
+        assert {owner for owner, _ in calls} == {state.encoding}
+        assert sorted(key for _, key in calls) == sorted({p.tobytes() for p in state.block_pos})
+
+
+    def test_naive_memo_holds_no_more_than_twice_the_gather_tables(self):
+        # the naive form picks its pairwise rows out of the gather form's
+        # ascending table, so it memoises no [Tq*Tk, D] table per pair set
+        ids = np.random.Generator(np.random.Philox(1)).integers(5, 30, size=128)
+        held = {}
+        for variant in ("gather", "naive"):
+            model = FunnelModel(ModelConfig(layout="B4-4-4H256D2", vocab_size=30, seed=0,
+                                            attn_variant=variant))
+            state = model.encode(ids)
+            model.decode(state)
+            held[variant] = sum(np.asarray(t).nbytes for v in state.encoding._memo.values()
+                                for t in (v if isinstance(v, tuple) else (v,)))
+        assert held["naive"] <= 2 * held["gather"]
 
 
 class TestNaive:

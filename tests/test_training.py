@@ -50,6 +50,8 @@ class TestAdamW:
         assert AdamW.decays("enc/b0/l0/ffn/w1")
         assert AdamW.decays("embed/token")
         assert AdamW.decays("rel/w_r")
+        assert not AdamW.decays("disc/head/b")
+        assert AdamW.decays("disc/head/w")
 
 
 class TestTrainToy:
