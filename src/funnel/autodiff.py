@@ -373,11 +373,15 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng) -> Tensor:
-    """Inverted dropout.  rate == 0 returns the input untouched."""
-    if rate == 0.0:
-        return x
+    """Inverted dropout.
+
+    Returns the input untouched at rate 0 or when ``rng`` is None.
+    Inference passes no rng, so dropout is active only in training.
+    """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0,1), got {rate}")
+    if rate == 0.0 or rng is None:
+        return x
     keep = rng.generator.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     out = Tensor(np.where(keep, x.data * scale, 0.0))

@@ -17,12 +17,11 @@ import numpy as np
 from . import costmodel
 from .autodiff import ContractError, Rng, Tensor, grad_check
 from .checkpoint import CheckpointError, load
-from .corpus import Vocab, build_vocab, encode_line, load_corpus
+from .corpus import Vocab, encode_line, load_corpus
 from .layout import LayoutError, parse_layout
 from .model import FunnelModel, ModelConfig, build_params
 from .objectives import mlm_loss, sample_mask_single
-from .relattn import (RelPosEncoding, position_term_factorized, position_term_gather,
-                      position_term_naive)
+from .relattn import RelPosEncoding, variant_deviation
 from .training import TrainingDiverged, settings_from_json, train_toy
 
 
@@ -104,10 +103,7 @@ def cmd_verify_attn(args) -> int:
         proj_q = Tensor(gen.standard_normal((len(q_pos), dh)))
         w_r = Tensor(gen.standard_normal((d, dh)))
         u = Tensor(gen.standard_normal(dh))
-        ref = position_term_naive(proj_q, q_pos, k_pos, w_r, u, enc).data
-        for fn in (position_term_gather, position_term_factorized):
-            dev = np.abs(fn(proj_q, q_pos, k_pos, w_r, u, enc).data - ref).max()
-            worst = max(worst, float(dev))
+        worst = max(worst, variant_deviation(proj_q, q_pos, k_pos, w_r, u, enc))
     print(f"max deviation {worst:.3e} over {args.trials} trials")
     if worst > 1e-8:
         raise _fail("verify", f"attention variants deviate by {worst:.3e}", code=1)
@@ -116,12 +112,8 @@ def cmd_verify_attn(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     layout = _parse_layout(args.layout)
-    if args.objective != "mlm":
-        raise _fail("usage", f"unsupported objective {args.objective!r}")
     config = ModelConfig(layout=layout, vocab_size=args.vocab, dtype="f64",
                          seed=args.seed)
-    if args.dropout:
-        raise _fail("contract", "gradcheck requires dropout off (finite differences)")
     model = FunnelModel(config)
     t = args.seq_len
     rng = Rng(args.seed + 1)
@@ -190,16 +182,14 @@ def cmd_encode(args) -> int:
     model = FunnelModel(config, params)
 
     vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
-    lines = load_corpus(input_path)
-    if vocab_path.exists():
-        vocab = Vocab.load(vocab_path)
-    else:
-        vocab = build_vocab(lines, config.vocab_size)
+    if not vocab_path.exists():
+        raise _fail("vocab", f"{vocab_path} does not exist")
+    vocab = Vocab.load(vocab_path)
     if len(vocab) != config.vocab_size:
         raise _fail("vocab", f"vocabulary size {len(vocab)} does not match config "
                              f"{config.vocab_size}")
 
-    for line in lines:
+    for line in load_corpus(input_path):
         enc = encode_line(line, vocab, args.seq_len)
         state = model.encode(enc.token_ids, enc.pad_mask)
         if args.dump == "shapes":
@@ -248,10 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gradcheck", help="end-to-end finite-difference check")
     g.add_argument("--layout", required=True)
     g.add_argument("--seq-len", type=int, default=8)
-    g.add_argument("--objective", default="mlm")
     g.add_argument("--vocab", type=int, default=11)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--dropout", type=float, default=0.0)
     g.add_argument("--coords-per-param", type=int, default=4)
     g.set_defaults(fn=cmd_gradcheck)
 

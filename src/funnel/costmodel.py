@@ -203,7 +203,7 @@ def param_count(layout, vocab: int = DEFAULT_VOCAB, mode: str = "finetune") -> d
 
 
 def cost_report(layout, seq_len: int = 512, mode: str = "finetune",
-                vocab: int = DEFAULT_VOCAB, variant: str = "factorized") -> CostReport:
+                vocab: int = DEFAULT_VOCAB) -> CostReport:
     layout = _as_layout(layout)
     counts = param_count(layout, vocab, mode)
     return CostReport(
@@ -215,7 +215,7 @@ def cost_report(layout, seq_len: int = 512, mode: str = "finetune",
         params_embedding=counts["params_embedding"],
         params_shared=counts["params_shared"],
         effective_layers=effective_layers(layout, mode),
-        flops_exact=flops_exact(layout, seq_len, mode, variant),
+        flops_exact=flops_exact(layout, seq_len, mode),
     )
 
 

@@ -59,8 +59,5 @@ def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPos
     pos = np.arange(t, dtype=np.int64)
     for i in range(config.layout.decoder_layers):
         lp = config.decoder_layer_params(params, i)
-        hidden, _ = transformer_layer(hidden, pos, lp, params["rel/w_r"], enc,
-                                      config.attn_variant, pad_mask, config.layout.heads,
-                                      attn_dropout=config.attn_dropout,
-                                      hidden_dropout=config.dropout, rng=rng)
+        hidden, _ = transformer_layer(hidden, pos, pad_mask, lp, config, enc, rng)
     return DecoderOutput(fused=fused, hidden=hidden)

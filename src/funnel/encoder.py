@@ -131,62 +131,48 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     if op not in POOL_OPS:
         raise ValueError(f"unknown pool op {op!r}")
     t = state.hidden.shape[0]
+    if separate_cls and t <= 1:
+        return state
     pos = state.pos
     if op == "top_attn":
         pos = _column_pos(pos, state.mask)
         if prev_attn is not None:
             prev_attn = prev_attn * np.moveaxis(state.mask, 0, -1)[..., None, :, None]
-    if separate_cls:
-        if t <= 1:
-            return state
-        rest = gather_rows(state.hidden, np.arange(1, t))
-        rest_pos, rest_mask = pos[1:], state.mask[1:]
-        if op == "top_attn":
-            pooled, ppos, pmask = pool_top_attn(
-                rest, rest_pos, rest_mask,
-                None if prev_attn is None else prev_attn[..., 1:])
-        else:
-            pooled, ppos, pmask = pool_pair(rest, rest_pos, rest_mask, op)
-        cls_row = gather_rows(state.hidden, np.arange(1))
-        hidden = concat_rows([cls_row, pooled])
-        pos = np.concatenate([pos[:1], ppos])
-        mask = np.concatenate([state.mask[:1], pmask])
-        if truncate and _is_pow2(t) and hidden.shape[0] > 1:
-            hidden = gather_rows(hidden, np.arange(hidden.shape[0] - 1))
-            pos = pos[:-1]
-            mask = mask[:-1]
-        return PooledState(hidden, pos, mask)
+    rest = slice(1, None) if separate_cls else slice(None)
+    hidden = gather_rows(state.hidden, np.arange(1, t)) if separate_cls else state.hidden
     if op == "top_attn":
-        pooled, ppos, pmask = pool_top_attn(state.hidden, pos, state.mask, prev_attn)
+        pooled, ppos, pmask = pool_top_attn(hidden, pos[rest], state.mask[rest],
+                                            None if prev_attn is None else prev_attn[..., rest])
     else:
-        pooled, ppos, pmask = pool_pair(state.hidden, pos, state.mask, op)
-    return PooledState(pooled, ppos, pmask)
+        pooled, ppos, pmask = pool_pair(hidden, pos[rest], state.mask[rest], op)
+    if not separate_cls:
+        return PooledState(pooled, ppos, pmask)
+    hidden = concat_rows([gather_rows(state.hidden, np.arange(1)), pooled])
+    pos = np.concatenate([pos[:1], ppos])
+    mask = np.concatenate([state.mask[:1], pmask])
+    if truncate and _is_pow2(t) and hidden.shape[0] > 1:
+        hidden = gather_rows(hidden, np.arange(hidden.shape[0] - 1))
+        pos = pos[:-1]
+        mask = mask[:-1]
+    return PooledState(hidden, pos, mask)
 
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def block_transition_attention(pooled: PooledState, unpooled: PooledState,
-                               params, w_r, enc, variant: str, n_heads: int,
-                               pool_query_only: bool = True,
-                               attn_dropout: float = 0.0, hidden_dropout: float = 0.0,
-                               rng=None) -> tuple[Tensor, np.ndarray]:
+def block_transition_attention(pooled: PooledState, unpooled: PooledState, params,
+                               config, enc: RelPosEncoding, rng=None
+                               ) -> tuple[Tensor, np.ndarray]:
     """First attention of a block: pooled queries, unpooled keys/values.
 
     The residual comes from the pooled sequence, so the output length is
-    the pooled length.  With ``pool_query_only`` off this degenerates to a
-    standard layer over the pooled sequence alone.
+    the pooled length.  With ``config.pool_query_only`` off the keys and
+    values are the pooled sequence too: a standard layer over it alone.
     """
-    if pool_query_only:
-        return attention(pooled.hidden, unpooled.hidden, pooled.pos, unpooled.pos,
-                         params, w_r, enc, variant=variant, key_mask=unpooled.mask,
-                         n_heads=n_heads, attn_dropout=attn_dropout,
-                         hidden_dropout=hidden_dropout, rng=rng)
-    return attention(pooled.hidden, pooled.hidden, pooled.pos, pooled.pos,
-                     params, w_r, enc, variant=variant, key_mask=pooled.mask,
-                     n_heads=n_heads, attn_dropout=attn_dropout,
-                     hidden_dropout=hidden_dropout, rng=rng)
+    kv = unpooled if config.pool_query_only else pooled
+    return attention(pooled.hidden, kv.hidden, pooled.pos, kv.pos, kv.mask, params, config,
+                     enc, rng)
 
 
 def encoder_forward(config, params, token_ids: np.ndarray,
@@ -209,11 +195,8 @@ def encoder_forward(config, params, token_ids: np.ndarray,
     if pad_mask.shape != token_ids.shape:
         raise ContractError(f"pad mask {pad_mask.shape} does not match token ids {token_ids.shape}")
     enc: RelPosEncoding = config.encoding()
-    w_r = params["rel/w_r"]
 
-    hidden = gather_rows(params["embed/token"], token_ids)
-    if config.dropout:
-        hidden = dropout(hidden, config.dropout, rng)
+    hidden = dropout(gather_rows(params["embed/token"], token_ids), config.dropout, rng)
     state = PooledState(hidden, np.arange(t, dtype=np.int64), pad_mask)
 
     out = EncoderState(encoding=enc)
@@ -224,19 +207,13 @@ def encoder_forward(config, params, token_ids: np.ndarray,
             pooled = pool_step(state, config.pool_op, config.separate_cls,
                                config.truncate_seq, prev_attn=last_attn)
             lp = config.layer_params(params, m, 0)
-            hidden, last_attn = block_transition_attention(
-                pooled, state, lp, w_r, enc, config.attn_variant, config.layout.heads,
-                pool_query_only=config.pool_query_only,
-                attn_dropout=config.attn_dropout, hidden_dropout=config.dropout, rng=rng)
-            hidden = pffn(hidden, lp, hidden_dropout=config.dropout, rng=rng)
-            state = PooledState(hidden, pooled.pos, pooled.mask)
+            hidden, last_attn = block_transition_attention(pooled, state, lp, config, enc, rng)
+            state = PooledState(pffn(hidden, lp, config, rng), pooled.pos, pooled.mask)
             layer_start = 1
         for t_idx in range(layer_start, block.total_layers):
             lp = config.layer_params(params, m, t_idx)
-            hidden, last_attn = transformer_layer(
-                state.hidden, state.pos, lp, w_r, enc, config.attn_variant,
-                state.mask, config.layout.heads,
-                attn_dropout=config.attn_dropout, hidden_dropout=config.dropout, rng=rng)
+            hidden, last_attn = transformer_layer(state.hidden, state.pos, state.mask, lp,
+                                                  config, enc, rng)
             state = PooledState(hidden, state.pos, state.mask)
         out.block_hidden.append(state.hidden)
         out.block_pos.append(state.pos)

@@ -128,7 +128,8 @@ _LAYER_FIELDS = (
 
 
 def _layer_view(params: dict, prefix: str) -> LayerParams:
-    return LayerParams(**{attr: params[f"{prefix}/{key}"] for key, attr in _LAYER_FIELDS})
+    return LayerParams(**{attr: params[f"{prefix}/{key}"] for key, attr in _LAYER_FIELDS},
+                       w_r=params["rel/w_r"])
 
 
 def build_params(config: ModelConfig) -> dict[str, Tensor]:
@@ -225,13 +226,13 @@ def sequence_logits(state: EncoderState, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(cls, w), b)
 
 
-def generator_config(config: ModelConfig, size_multiplier: float = 0.25) -> ModelConfig:
-    """Shrink a discriminator config into its generator (hidden scaled by 1/4).
+def generator_config(config: ModelConfig) -> ModelConfig:
+    """Shrink a discriminator config into its generator: a quarter of the hidden size.
 
     The scaled hidden size may fall off the 64-wide head grid, in which
     case it becomes a single wide head.
     """
-    gen_hidden = max(2, int(config.hidden * size_multiplier))
+    gen_hidden = max(2, config.hidden // 4)
     if gen_hidden % 2:
         gen_hidden += 1
     heads = max(1, gen_hidden // 64)

@@ -22,7 +22,6 @@ from .corpus import CLS, MASK, PAD, SEP, Batch
 from .model import FunnelModel
 
 DISC_LOSS_WEIGHT = 50.0
-GENERATOR_SIZE_MULTIPLIER = 0.25
 
 
 @dataclass
@@ -48,12 +47,10 @@ def maskable_positions(token_ids: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-def sample_mask_single(token_ids: np.ndarray, rate: float = 0.15,
-                       rng: Rng | None = None) -> MaskPlan:
+def sample_mask_single(token_ids: np.ndarray, rate: float = 0.15, *, rng: Rng) -> MaskPlan:
     """Uniform subset of exactly floor(rate * n) maskable positions."""
     if not 0.0 < rate < 1.0:
         raise ContractError(f"mask rate must be in (0,1), got {rate}")
-    rng = rng or Rng(0)
     pool = maskable_positions(token_ids)
     count = int(rate * len(pool))
     if count == 0:
@@ -63,8 +60,7 @@ def sample_mask_single(token_ids: np.ndarray, rate: float = 0.15,
 
 
 def sample_mask_span(token_ids: np.ndarray, word_boundaries: list[tuple[int, int]],
-                     rate: float = 0.15, max_words: int = 5,
-                     rng: Rng | None = None) -> MaskPlan:
+                     rate: float = 0.15, max_words: int = 5, *, rng: Rng) -> MaskPlan:
     """Complete-word span sampling.
 
     Spans of Uniform{1..max_words} words at uniform starts are drawn until
@@ -74,7 +70,6 @@ def sample_mask_span(token_ids: np.ndarray, word_boundaries: list[tuple[int, int
     """
     if not 0.0 < rate < 1.0:
         raise ContractError(f"mask rate must be in (0,1), got {rate}")
-    rng = rng or Rng(0)
     token_ids = np.asarray(token_ids)
     pool = set(maskable_positions(token_ids).tolist())
     words = [tuple(range(lo, hi)) for lo, hi in word_boundaries

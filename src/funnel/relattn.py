@@ -196,14 +196,22 @@ _POSITION_TERMS = {
 }
 
 
+def variant_deviation(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
+                      w_r: Tensor, u: Tensor, enc: RelPosEncoding) -> float:
+    """Largest |gather - naive| and |factorized - naive| over one case's scores."""
+    ref = position_term_naive(proj_q, q_pos, k_pos, w_r, u, enc).data
+    return max(float(np.abs(fn(proj_q, q_pos, k_pos, w_r, u, enc).data - ref).max())
+               for fn in (position_term_gather, position_term_factorized))
+
+
 @dataclass
 class LayerParams:
     """Per-layer attention + FFN parameters.
 
     Projections are packed [D, D], head h owning columns h*dh..(h+1)*dh;
     ``u``/``v`` are the packed per-head position/content biases of length
-    D.  The projection of the positional encodings (``w_r``) is shared
-    across layers and passed in separately.
+    D.  ``w_r``, the projection of the positional encodings, is shared:
+    every layer's view holds the same tensor.
     """
 
     w_q: Tensor
@@ -224,36 +232,30 @@ class LayerParams:
     b_ffn2: Tensor
     ln_ffn_g: Tensor
     ln_ffn_b: Tensor
+    w_r: Tensor
 
 
 def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
-              params: LayerParams, w_r: Tensor, enc: RelPosEncoding,
-              variant: str = "factorized", key_mask: np.ndarray | None = None,
-              n_heads: int = 1, attn_dropout: float = 0.0,
-              hidden_dropout: float = 0.0, rng=None,
-              ) -> tuple[Tensor, np.ndarray]:
+              key_mask: np.ndarray, params: LayerParams, config, enc: RelPosEncoding,
+              rng=None) -> tuple[Tensor, np.ndarray]:
     """One post-norm relative-attention sub-layer.
 
     ``q_in`` is [Tq, D] or time-major [Tq, B, D]; ``kv_in`` and
-    ``key_mask`` ([Tk] or [Tk, B], True at real keys) match it.  Per head:
-    scores = (content + position) / sqrt(head_dim), masked keys forced to
-    -inf before the softmax.  Head outputs are merged, projected by w_o,
-    added to the residual ``q_in`` and layer normed.  Returns the new
-    hidden states and the attention map (detached; used by top-attention
-    pooling): [heads, Tq, Tk] for one sequence, [B, heads, Tq, Tk] for a
-    batch.
+    ``key_mask`` ([Tk] or [Tk, B], True at real keys) match it.  ``config``
+    supplies ``heads``, ``attn_variant``, ``attn_dropout`` and ``dropout``.
+    Per head: scores = (content + position) / sqrt(head_dim), masked keys
+    forced to -inf before the softmax.  Head outputs are merged, projected
+    by w_o, added to the residual ``q_in`` and layer normed.  Returns the
+    new hidden states and the attention map (detached; used by
+    top-attention pooling): [heads, Tq, Tk] for one sequence,
+    [B, heads, Tq, Tk] for a batch.
     """
-    if variant not in _POSITION_TERMS:
-        raise ValueError(f"unknown attention variant {variant!r}")
-    d = q_in.shape[-1]
-    if d % n_heads != 0:
-        raise ShapeError(f"hidden {d} not divisible by {n_heads} heads")
+    n_heads, d = config.heads, q_in.shape[-1]
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
-    if key_mask is not None:
-        key_mask = np.asarray(key_mask, dtype=bool)
-        if not key_mask.any(axis=0).all():
-            raise NumericError("attention with every key masked")
+    key_mask = np.asarray(key_mask, dtype=bool)
+    if not key_mask.any(axis=0).all():
+        raise NumericError("attention with every key masked")
 
     # [T, *cols, D] -> [T, *cols, H, dh] -> [*cols, H, T, dh] (keys: [*cols, H, dh, T])
     n = q_in.data.ndim
@@ -268,42 +270,31 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     k_t = heads(kv_in, params.w_k, params.b_k, to_keys)
     val = heads(kv_in, params.w_v, params.b_v, to_heads)
     bias_shape = (n_heads, 1, dh)
-    w_r_heads = permute(reshape(w_r, (w_r.shape[0], n_heads, dh)), (1, 0, 2))  # [H, D, dh]
+    w_r_heads = permute(reshape(params.w_r, (d, n_heads, dh)), (1, 0, 2))  # [H, D, dh]
 
     content = matmul(add(q, reshape(params.v, bias_shape)), k_t)
-    position = _POSITION_TERMS[variant](q, q_pos, k_pos, w_r_heads,
-                                        reshape(params.u, bias_shape), enc)
+    position = _POSITION_TERMS[config.attn_variant](q, q_pos, k_pos, w_r_heads,
+                                                    reshape(params.u, bias_shape), enc)
     scores = mul(add(content, position), scale)
-    if key_mask is not None:
-        scores = mask_fill(scores, np.moveaxis(key_mask, 0, -1)[..., None, None, :], -np.inf)
+    scores = mask_fill(scores, np.moveaxis(key_mask, 0, -1)[..., None, None, :], -np.inf)
     weights = softmax_lastdim(scores)
     maps = weights.data
-    if attn_dropout:
-        weights = dropout(weights, attn_dropout, rng)
+    weights = dropout(weights, config.attn_dropout, rng)
     merged = reshape(permute(matmul(weights, val), np.argsort(to_heads)), q_in.shape)
-    out = add(matmul(merged, params.w_o), params.b_o)
-    if hidden_dropout:
-        out = dropout(out, hidden_dropout, rng)
+    out = dropout(add(matmul(merged, params.w_o), params.b_o), config.dropout, rng)
     hidden = layer_norm(add(q_in, out), params.ln_attn_g, params.ln_attn_b)
     return hidden, maps
 
 
-def pffn(x: Tensor, params: LayerParams, hidden_dropout: float = 0.0, rng=None) -> Tensor:
+def pffn(x: Tensor, params: LayerParams, config, rng=None) -> Tensor:
     """Position-wise FFN with GeLU, wrapped in residual + layer norm."""
     inner = gelu(add(matmul(x, params.w_ffn1), params.b_ffn1))
-    out = add(matmul(inner, params.w_ffn2), params.b_ffn2)
-    if hidden_dropout:
-        out = dropout(out, hidden_dropout, rng)
+    out = dropout(add(matmul(inner, params.w_ffn2), params.b_ffn2), config.dropout, rng)
     return layer_norm(add(x, out), params.ln_ffn_g, params.ln_ffn_b)
 
 
-def transformer_layer(x: Tensor, pos: np.ndarray, params: LayerParams, w_r: Tensor,
-                      enc: RelPosEncoding, variant: str, key_mask: np.ndarray | None,
-                      n_heads: int, attn_dropout: float = 0.0,
-                      hidden_dropout: float = 0.0, rng=None) -> tuple[Tensor, np.ndarray]:
+def transformer_layer(x: Tensor, pos: np.ndarray, key_mask: np.ndarray, params: LayerParams,
+                      config, enc: RelPosEncoding, rng=None) -> tuple[Tensor, np.ndarray]:
     """Standard self-attention layer: queries, keys and values from ``x``."""
-    hidden, maps = attention(x, x, pos, pos, params, w_r, enc, variant=variant,
-                             key_mask=key_mask, n_heads=n_heads,
-                             attn_dropout=attn_dropout, hidden_dropout=hidden_dropout,
-                             rng=rng)
-    return pffn(hidden, params, hidden_dropout=hidden_dropout, rng=rng), maps
+    hidden, maps = attention(x, x, pos, pos, key_mask, params, config, enc, rng)
+    return pffn(hidden, params, config, rng), maps

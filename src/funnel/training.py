@@ -19,8 +19,8 @@ import numpy as np
 from .autodiff import NumericError, Rng, Tape, Tensor, add, mul
 from .corpus import Batch, EncodedLine, Vocab, build_vocab, encode_corpus
 from .model import FunnelModel, ModelConfig, generator_config
-from .objectives import (DISC_LOSS_WEIGHT, GENERATOR_SIZE_MULTIPLIER, electra_step,
-                         mlm_loss, sample_mask_single, sample_mask_span)
+from .objectives import (DISC_LOSS_WEIGHT, electra_step, mlm_loss, sample_mask_single,
+                         sample_mask_span)
 
 
 class TrainingDiverged(ArithmeticError):
@@ -51,8 +51,6 @@ class TrainSettings:
     objective: str = "mlm"       # "mlm" | "electra"
     mask_sampler: str = "single"  # "single" | "span"
     mask_rate: float = 0.15
-    disc_loss_weight: float = DISC_LOSS_WEIGHT
-    gen_size_multiplier: float = GENERATOR_SIZE_MULTIPLIER
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
 
@@ -119,7 +117,8 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
     vocabulary so the saved config matches the checkpoint.  When
     ``out_dir`` is given, writes ``trace.csv`` (step,loss,lr),
     ``summary.json``, ``vocab.txt``, a copy of the config and a final
-    ``model.ftnt`` checkpoint there.
+    ``model.ftnt`` checkpoint there.  Raises ValueError when ``steps`` > 0
+    but no step ran because no line had anything to mask.
     """
     vocab = build_vocab(corpus_lines, config.vocab_size)
     config.vocab_size = len(vocab)
@@ -130,7 +129,7 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
     model = FunnelModel(config)
     rng = Rng(config.seed)
     if settings.objective == "electra":
-        gen = FunnelModel(generator_config(config, settings.gen_size_multiplier))
+        gen = FunnelModel(generator_config(config))
         head_rng = Rng(config.seed + 2)
         disc_head = (
             Tensor(head_rng.truncated_normal((config.hidden,), 0.02), requires_grad=True),
@@ -162,7 +161,7 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
             try:
                 if settings.objective == "electra":
                     gen_loss, disc_loss, _ = electra_step(gen, model, disc_head, batch, plans, rng)
-                    total = add(gen_loss, mul(disc_loss, settings.disc_loss_weight))
+                    total = add(gen_loss, mul(disc_loss, DISC_LOSS_WEIGHT))
                 else:
                     corrupted = np.stack([p.apply(ids) for p, ids in zip(plans, batch.token_ids)])
                     hidden = model.token_hidden(corrupted.T, batch.pad_mask.T, rng=rng)
@@ -176,6 +175,9 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
                              settings.optimizer.lr)
         opt.step(tape, lr)
         trace.append(TraceRow(step, total.item(), lr))
+    if settings.steps > 0 and not trace:
+        raise ValueError(f"no line has a maskable token at mask rate {settings.mask_rate}; "
+                         "nothing was trained")
 
     if out_dir is not None:
         _write_outputs(Path(out_dir), config, settings, model, vocab, trace)

@@ -19,8 +19,7 @@ from funnel.encoder import PooledState, pool_pair, pool_step, pool_top_attn
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig, build_params, generator_config
 from funnel.objectives import electra_step, mlm_loss, sample_mask_single
-from funnel.relattn import (RelPosEncoding, position_term_factorized,
-                            position_term_gather, position_term_naive)
+from funnel.relattn import RelPosEncoding, variant_deviation
 from funnel.training import OptimizerConfig, TrainSettings, train_toy
 
 
@@ -104,10 +103,7 @@ def test_criterion_4_attention_equivalence():
             proj_q = Tensor(gen.standard_normal((len(q_pos), dh)))
             w_r = Tensor(gen.standard_normal((d, dh)))
             u = Tensor(gen.standard_normal(dh))
-            ref = position_term_naive(proj_q, q_pos, k_pos, w_r, u, enc).data
-            for fn in (position_term_gather, position_term_factorized):
-                dev = float(np.abs(fn(proj_q, q_pos, k_pos, w_r, u, enc).data - ref).max())
-                worst = max(worst, dev)
+            worst = max(worst, variant_deviation(proj_q, q_pos, k_pos, w_r, u, enc))
         assert worst < 1e-10, f"max deviation {worst:.3e}"
 
 

@@ -104,7 +104,7 @@ class TestGradcheck:
         code, _, err = run(capsys, "gradcheck", "--layout", "B2-2H64",
                            "--dropout", "0.1")
         assert code == 2
-        assert "error: contract:" in err
+        assert "unrecognized arguments: --dropout" in err
 
 
 @pytest.fixture
@@ -144,6 +144,30 @@ class TestTrainToy:
                            "--corpus", str(tmp / "nope.txt"), "--out", str(tmp / "o"))
         assert code == 2
         assert "error: input:" in err
+
+    def test_nothing_to_mask_exit_2(self, train_setup, capsys):
+        # floor(0.15 * 4) = 0: no line of four words has a token to mask
+        cfg, _, tmp = train_setup
+        short = tmp / "short.txt"
+        short.write_text("w1 w2 w3 w4\nw5 w6 w7 w8\n")
+        d = json.loads(cfg.read_text())
+        d["train"]["mask_rate"] = 0.15
+        cfg.write_text(json.dumps(d))
+        code, _, err = run(capsys, "train-toy", "--config", str(cfg),
+                           "--corpus", str(short), "--out", str(tmp / "o"))
+        assert code == 2
+        assert "error: input:" in err
+        assert not (tmp / "o" / "model.ftnt").exists()
+
+    def test_removed_training_field_refused(self, train_setup, capsys):
+        cfg, corpus, tmp = train_setup
+        d = json.loads(cfg.read_text())
+        d["train"]["disc_loss_weight"] = 50.0
+        cfg.write_text(json.dumps(d))
+        code, _, err = run(capsys, "train-toy", "--config", str(cfg),
+                           "--corpus", str(corpus), "--out", str(tmp / "o"))
+        assert code == 2
+        assert "error: config: unknown training fields" in err
 
 
 class TestEncode:
@@ -186,6 +210,36 @@ class TestEncode:
                            "--seq-len", "16", "--vocab", str(moved))
         assert code == 0
         assert json.loads(out.splitlines()[0])["block_shapes"] == [[16, 64], [8, 64]]
+
+    def test_dropout_is_off_at_inference(self, train_setup, capsys):
+        cfg, corpus, tmp = train_setup
+        run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
+            "--out", str(tmp / "run"))
+        outputs = []
+        for rate in (0.0, 0.1):
+            d = json.loads((tmp / "run" / "config.json").read_text())
+            d["dropout"] = d["attn_dropout"] = rate
+            rate_cfg = tmp / f"cfg_{rate}.json"
+            rate_cfg.write_text(json.dumps(d))
+            code, out, _ = run(capsys, "encode", "--config", str(rate_cfg),
+                               "--checkpoint", str(tmp / "run" / "model.ftnt"),
+                               "--vocab", str(tmp / "run" / "vocab.txt"),
+                               "--input", str(corpus), "--dump", "tokens", "--seq-len", "16")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_missing_vocab_exit_2(self, train_setup, capsys):
+        cfg, corpus, tmp = train_setup
+        run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
+            "--out", str(tmp / "run"))
+        (tmp / "run" / "vocab.txt").unlink()
+        code, out, err = run(capsys, "encode", "--config", str(tmp / "run" / "config.json"),
+                             "--checkpoint", str(tmp / "run" / "model.ftnt"),
+                             "--input", str(corpus))
+        assert code == 2
+        assert "error: vocab:" in err
+        assert out == ""
 
     def test_missing_checkpoint_exit_2(self, train_setup, capsys):
         cfg, corpus, tmp = train_setup

@@ -1,5 +1,7 @@
 """Encoder: pooling semantics, separate-CLS handling, length schedules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,10 +151,8 @@ class TestBlockTransition:
         unpooled = make_state(gen.standard_normal((8, 16)))
         pooled = pool_step(unpooled, "mean", True, True)
         lp = tiny_config.layer_params(model.params, 1, 0)
-        out, _ = block_transition_attention(pooled, unpooled, lp,
-                                            model.params["rel/w_r"],
-                                            tiny_config.encoding(), "factorized",
-                                            tiny_config.heads)
+        out, _ = block_transition_attention(pooled, unpooled, lp, tiny_config,
+                                            tiny_config.encoding())
         assert out.shape == (4, 16)
 
     def test_pool_query_only_off_matches_standard_layer(self, tiny_config):
@@ -162,14 +162,11 @@ class TestBlockTransition:
         unpooled = make_state(gen.standard_normal((8, 16)))
         pooled = pool_step(unpooled, "mean", True, True)
         lp = tiny_config.layer_params(model.params, 1, 0)
-        out, _ = block_transition_attention(pooled, unpooled, lp,
-                                            model.params["rel/w_r"],
-                                            tiny_config.encoding(), "factorized",
-                                            tiny_config.heads, pool_query_only=False)
-        ref, _ = attention(pooled.hidden, pooled.hidden, pooled.pos, pooled.pos, lp,
-                           model.params["rel/w_r"], tiny_config.encoding(),
-                           variant="factorized", key_mask=pooled.mask,
-                           n_heads=tiny_config.heads)
+        config = replace(tiny_config, pool_query_only=False)
+        out, _ = block_transition_attention(pooled, unpooled, lp, config,
+                                            tiny_config.encoding())
+        ref, _ = attention(pooled.hidden, pooled.hidden, pooled.pos, pooled.pos, pooled.mask,
+                           lp, tiny_config, tiny_config.encoding())
         np.testing.assert_array_equal(out.data, ref.data)
 
     def test_zero_scores_average_unpooled_states(self, tiny_config):
@@ -188,10 +185,8 @@ class TestBlockTransition:
         gen = np.random.Generator(np.random.Philox(7))
         unpooled = make_state(gen.standard_normal((4, d)))
         pooled = pool_step(unpooled, "mean", True, True)
-        out, _ = block_transition_attention(pooled, unpooled, lp,
-                                            model.params["rel/w_r"],
-                                            tiny_config.encoding(), "factorized",
-                                            tiny_config.heads)
+        out, _ = block_transition_attention(pooled, unpooled, lp, tiny_config,
+                                            tiny_config.encoding())
         mean_state = unpooled.hidden.data.mean(axis=0)
         expected = layer_norm(Tensor(pooled.hidden.data + mean_state),
                               lp.ln_attn_g, lp.ln_attn_b).data

@@ -1,6 +1,7 @@
 """Relative attention: encodings, three-way score equivalence, layer semantics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
 from funnel.relattn import (RelPosEncoding, attention, gather_index_matrix, pffn,
                             position_term_factorized, position_term_gather,
-                            position_term_naive, transformer_layer)
+                            position_term_naive, transformer_layer, variant_deviation)
 
 VARIANT_FNS = {
     "naive": position_term_naive,
@@ -234,10 +235,7 @@ def test_three_way_equivalence_property():
         proj_q = Tensor(gen.standard_normal((tq, dh)))
         w_r = Tensor(gen.standard_normal((d, dh)))
         u = Tensor(gen.standard_normal(dh))
-        ref = position_term_naive(proj_q, q_pos, k_pos, w_r, u, enc).data
-        for fn in (position_term_gather, position_term_factorized):
-            np.testing.assert_allclose(fn(proj_q, q_pos, k_pos, w_r, u, enc).data,
-                                       ref, atol=1e-10)
+        assert variant_deviation(proj_q, q_pos, k_pos, w_r, u, enc) < 1e-10
 
 
 def test_equivalence_survives_pretraining_scale_positions():
@@ -251,10 +249,8 @@ def test_equivalence_survives_pretraining_scale_positions():
         proj_q = Tensor(gen.standard_normal((7, d)))
         w_r = Tensor(gen.standard_normal((d, d)))
         u = Tensor(gen.standard_normal(d))
-        ref = position_term_naive(proj_q, q_pos, k_pos, w_r, u, enc).data
-        for fn in (position_term_gather, position_term_factorized):
-            dev = np.abs(fn(proj_q, q_pos, k_pos, w_r, u, enc).data - ref).max()
-            assert dev < 1e-9, f"{fn.__name__} deviates {dev:.2e} at D={d}"
+        dev = variant_deviation(proj_q, q_pos, k_pos, w_r, u, enc)
+        assert dev < 1e-9, f"deviation {dev:.2e} at D={d}"
 
 
 @pytest.fixture
@@ -272,9 +268,8 @@ class TestAttentionLayer:
         gen = np.random.Generator(np.random.Philox(5))
         q_in = Tensor(gen.standard_normal((3, 8)))
         kv = Tensor(gen.standard_normal((1, 8)))
-        _, maps = attention(q_in, kv, np.arange(3), np.arange(1), lp,
-                            model.params["rel/w_r"], config.encoding(),
-                            n_heads=2)
+        _, maps = attention(q_in, kv, np.arange(3), np.arange(1), np.ones(1, bool), lp,
+                            config, config.encoding())
         np.testing.assert_allclose(maps, np.ones((2, 3, 1)))
 
     def test_variant_swap_changes_layer_output_below_1e8(self, tiny_layer):
@@ -284,8 +279,8 @@ class TestAttentionLayer:
         pos = np.arange(5)
         outs = {}
         for variant in ("naive", "gather", "factorized"):
-            out, _ = attention(x, x, pos, pos, lp, model.params["rel/w_r"],
-                               config.encoding(), variant=variant, n_heads=2)
+            out, _ = attention(x, x, pos, pos, np.ones(5, bool), lp,
+                               replace(config, attn_variant=variant), config.encoding())
             outs[variant] = out.data
         assert np.abs(outs["naive"] - outs["gather"]).max() < 1e-8
         assert np.abs(outs["naive"] - outs["factorized"]).max() < 1e-8
@@ -295,9 +290,8 @@ class TestAttentionLayer:
         gen = np.random.Generator(np.random.Philox(7))
         x = Tensor(gen.standard_normal((4, 8)))
         mask = np.array([True, True, False, True])
-        _, maps = attention(x, x, np.arange(4), np.arange(4), lp,
-                            model.params["rel/w_r"], config.encoding(),
-                            key_mask=mask, n_heads=2)
+        _, maps = attention(x, x, np.arange(4), np.arange(4), mask, lp, config,
+                            config.encoding())
         assert (maps[:, :, 2] == 0.0).all()
         np.testing.assert_allclose(maps.sum(axis=-1), np.ones((2, 4)), atol=1e-9)
 
@@ -305,8 +299,8 @@ class TestAttentionLayer:
         config, model, lp = tiny_layer
         x = Tensor(np.zeros((2, 8)))
         with pytest.raises(NumericError):
-            attention(x, x, np.arange(2), np.arange(2), lp, model.params["rel/w_r"],
-                      config.encoding(), key_mask=np.zeros(2, bool), n_heads=2)
+            attention(x, x, np.arange(2), np.arange(2), np.zeros(2, bool), lp, config,
+                      config.encoding())
 
     def test_content_term_matches_outer_product_form(self, tiny_layer):
         # with the position projection zeroed, scores reduce to the
@@ -316,8 +310,7 @@ class TestAttentionLayer:
         gen = np.random.Generator(np.random.Philox(8))
         x = Tensor(gen.standard_normal((4, 8)))
         pos = np.arange(4)
-        _, maps = attention(x, x, pos, pos, lp, model.params["rel/w_r"],
-                            config.encoding(), n_heads=2)
+        _, maps = attention(x, x, pos, pos, np.ones(4, bool), lp, config, config.encoding())
         dh = 4
         for h in range(2):
             lo, hi = h * dh, (h + 1) * dh
@@ -336,7 +329,7 @@ class TestPffn:
             t.data[:] = 0.0
         gen = np.random.Generator(np.random.Philox(9))
         x = Tensor(gen.standard_normal((3, 8)))
-        out = pffn(x, lp)
+        out = pffn(x, lp, config)
         from funnel.autodiff import layer_norm
         expected = layer_norm(x, lp.ln_ffn_g, lp.ln_ffn_b).data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -346,8 +339,8 @@ class TestPffn:
         gen = np.random.Generator(np.random.Philox(10))
         x = gen.standard_normal((5, 8))
         perm = np.array([4, 2, 0, 1, 3])
-        out = pffn(Tensor(x), lp).data
-        out_perm = pffn(Tensor(x[perm]), lp).data
+        out = pffn(Tensor(x), lp, config).data
+        out_perm = pffn(Tensor(x[perm]), lp, config).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
     def test_grad_check(self, tiny_layer):
@@ -356,7 +349,7 @@ class TestPffn:
         x = Tensor(gen.standard_normal((4, 8)), requires_grad=True)
         w = Tensor(gen.standard_normal((4, 8)))
         params = [x, lp.w_ffn1, lp.b_ffn1, lp.w_ffn2, lp.b_ffn2, lp.ln_ffn_g, lp.ln_ffn_b]
-        err = grad_check(lambda: sum_all(mul(pffn(x, lp), w)), params, seed=11)
+        err = grad_check(lambda: sum_all(mul(pffn(x, lp, config), w)), params, seed=11)
         assert err < 1e-4
 
 
@@ -371,8 +364,7 @@ def test_full_layer_grad_check(tiny_layer_factory=None):
     pos = np.arange(4)
 
     def f():
-        out, _ = transformer_layer(x, pos, lp, model.params["rel/w_r"],
-                                   config.encoding(), "factorized", None, 2)
+        out, _ = transformer_layer(x, pos, np.ones(4, bool), lp, config, config.encoding())
         return sum_all(mul(out, w))
 
     params = [x, model.params["rel/w_r"]] + [
