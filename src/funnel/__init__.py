@@ -17,8 +17,8 @@ from .decoder import DecoderOutput, decoder_forward, upsample
 from .encoder import (EncoderState, PooledState, block_transition_attention,
                       encoder_forward, pool_pair, pool_step, pool_top_attn)
 from .layout import BlockSpec, LayoutError, LayoutSpec, format_layout, parse_layout
-from .model import (FunnelModel, ModelConfig, build_params, generator_config,
-                    sequence_logits)
+from .model import (FunnelModel, ModelConfig, ParamSpec, build_params, generator_config,
+                    param_specs, sequence_logits)
 from .objectives import (ElectraBatch, MaskPlan, build_electra_batch, electra_step,
                          mlm_loss, sample_mask_single, sample_mask_span)
 from .relattn import (LayerParams, RelPosEncoding, attention, pffn,

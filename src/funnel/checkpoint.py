@@ -15,6 +15,7 @@ produces byte-identical files.
 from __future__ import annotations
 
 import struct
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +78,12 @@ def save(params: dict[str, Tensor], path: str | Path) -> None:
         raise CheckpointError(f"cannot write {path}: {e}") from e
 
 
-def load(path: str | Path, expected: dict[str, Tensor] | None = None) -> dict[str, Tensor]:
-    """Read an archive back into a name -> Tensor mapping.
+def load(path: str | Path, expected: Mapping | None = None) -> dict[str, Tensor]:
+    """Read an archive back into a name -> Tensor mapping; every tensor requires grad.
 
-    With ``expected`` (a freshly built parameter tree for the active
-    config) every entry's shape is validated and missing or extra names
-    are rejected; the returned tensors keep ``requires_grad`` from the
-    template.
+    With ``expected`` (name -> template with ``.shape`` and ``.dtype``,
+    e.g. ``model.param_specs(config)`` or a built tree) missing or extra
+    names are rejected and each entry's shape and dtype must match.
     """
     try:
         blob = Path(path).read_bytes()
@@ -122,7 +122,7 @@ def load(path: str | Path, expected: dict[str, Tensor] | None = None) -> dict[st
             raise TruncatedPayload(f"{path}: payload of {name!r} is truncated")
         arr = np.frombuffer(blob[ofs: ofs + n_bytes], dtype=dt).reshape(dims).copy()
         ofs += n_bytes
-        out[name] = Tensor(arr)
+        out[name] = Tensor(arr, requires_grad=True)
     if ofs != len(blob):
         raise CorruptHeader(f"{path}: {len(blob) - ofs} trailing bytes")
 
@@ -132,9 +132,9 @@ def load(path: str | Path, expected: dict[str, Tensor] | None = None) -> dict[st
         if missing or extra:
             raise ShapeMismatch(f"{path}: missing {missing}, unexpected {extra}")
         for name, template in expected.items():
-            if out[name].shape != template.shape:
+            got = out[name]
+            if got.shape != template.shape or got.dtype != template.dtype:
                 raise ShapeMismatch(
-                    f"{path}: {name!r} has shape {out[name].shape}, "
-                    f"expected {template.shape}")
-            out[name].requires_grad = template.requires_grad
+                    f"{path}: {name!r} is {got.dtype} {got.shape}, "
+                    f"expected {template.dtype} {template.shape}")
     return out

@@ -19,7 +19,7 @@ from .autodiff import ContractError, Rng, Tensor, grad_check
 from .checkpoint import CheckpointError, load
 from .corpus import Vocab, encode_line, load_corpus
 from .layout import LayoutError, parse_layout
-from .model import FunnelModel, ModelConfig, build_params
+from .model import FunnelModel, ModelConfig, param_specs
 from .objectives import mlm_loss, sample_mask_single
 from .relattn import RelPosEncoding, variant_deviation
 from .training import TrainingDiverged, settings_from_json, train_toy
@@ -174,9 +174,8 @@ def cmd_encode(args) -> int:
         config = ModelConfig.from_json(cfg_path.read_text())
     except (ValueError, LayoutError) as e:
         raise _fail("config", str(e)) from e
-    template = build_params(config)
     try:
-        params = load(ckpt_path, expected=template)
+        params = load(ckpt_path, expected=param_specs(config))
     except CheckpointError as e:
         raise _fail("checkpoint", str(e)) from e
     model = FunnelModel(config, params)

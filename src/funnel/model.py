@@ -1,17 +1,16 @@
 """Model configuration, parameter tree construction, and full forward passes.
 
-Parameters live in a flat name -> Tensor mapping so checkpointing and the
-cost model can account for every tensor.  Per unique layer there are 18
-tensors (packed QKVO projections with biases, the position/content biases
-u and v, two layer-norm pairs and the FFN); the projection of the
-positional encodings (``rel/w_r``) is a single model-level tensor shared
-by all layers, and the token embedding is tied to the output softmax.
+Parameters live in a flat name -> Tensor mapping laid out by one table,
+``param_specs``, which init, checkpoint checks and weight decay all read.
+The positional-encoding projection ``rel/w_r`` is shared by all layers,
+and the token embedding is tied to the output softmax.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,19 +65,8 @@ class ModelConfig:
     def to_json(self) -> str:
         if self.layout.head_dim != HEAD_DIM:
             raise ValueError("layouts off the 64-wide head grid have no string form")
-        d = {
-            "layout": format_layout(self.layout),
-            "vocab_size": self.vocab_size,
-            "pool_op": self.pool_op,
-            "pool_query_only": self.pool_query_only,
-            "separate_cls": self.separate_cls,
-            "truncate_seq": self.truncate_seq,
-            "attn_variant": self.attn_variant,
-            "dropout": self.dropout,
-            "attn_dropout": self.attn_dropout,
-            "dtype": self.dtype,
-            "seed": self.seed,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["layout"] = format_layout(self.layout)
         return json.dumps(d, indent=2, sort_keys=True)
 
     @classmethod
@@ -92,16 +80,6 @@ class ModelConfig:
 
     # -- parameter tree -----------------------------------------------------
 
-    def layer_names(self) -> list[str]:
-        """Prefixes of every unique parameter set, encoder blocks then decoder."""
-        names = []
-        for m, block in enumerate(self.layout.blocks):
-            for s in range(block.unique_layers):
-                names.append(f"enc/b{m}/l{s}")
-        for i in range(self.layout.decoder_layers):
-            names.append(f"dec/l{i}")
-        return names
-
     def layer_params(self, params: dict, m: int, t: int) -> LayerParams:
         """Parameter set for layer ``t`` (0-based) of encoder block ``m``.
 
@@ -114,68 +92,62 @@ class ModelConfig:
         return _layer_view(params, f"dec/l{i}")
 
 
-_LAYER_FIELDS = (
-    ("attn/w_q", "w_q"), ("attn/b_q", "b_q"),
-    ("attn/w_k", "w_k"), ("attn/b_k", "b_k"),
-    ("attn/w_v", "w_v"), ("attn/b_v", "b_v"),
-    ("attn/w_o", "w_o"), ("attn/b_o", "b_o"),
-    ("attn/u", "u"), ("attn/v", "v"),
-    ("attn/ln_g", "ln_attn_g"), ("attn/ln_b", "ln_attn_b"),
-    ("ffn/w1", "w_ffn1"), ("ffn/b1", "b_ffn1"),
-    ("ffn/w2", "w_ffn2"), ("ffn/b2", "b_ffn2"),
-    ("ffn/ln_g", "ln_ffn_g"), ("ffn/ln_b", "ln_ffn_b"),
+class ParamSpec(NamedTuple):
+    """What ``build_params`` makes for one name, without drawing it."""
+
+    shape: tuple[int, ...]
+    dtype: np.dtype
+    init: str  # "normal" (truncated, std INIT_STD), "zeros" or "ones"
+
+
+# One row per tensor of a unique layer: (LayerParams attribute, name under
+# the layer prefix, dims, init).  Dims name the hidden size "d" or the FFN
+# width "inner".  Row order is draw order.
+_LAYER_TENSORS = (
+    ("w_q", "attn/w_q", ("d", "d"), "normal"), ("b_q", "attn/b_q", ("d",), "zeros"),
+    ("w_k", "attn/w_k", ("d", "d"), "normal"), ("b_k", "attn/b_k", ("d",), "zeros"),
+    ("w_v", "attn/w_v", ("d", "d"), "normal"), ("b_v", "attn/b_v", ("d",), "zeros"),
+    ("w_o", "attn/w_o", ("d", "d"), "normal"), ("b_o", "attn/b_o", ("d",), "zeros"),
+    ("u", "attn/u", ("d",), "normal"), ("v", "attn/v", ("d",), "normal"),
+    ("ln_attn_g", "attn/ln_g", ("d",), "ones"), ("ln_attn_b", "attn/ln_b", ("d",), "zeros"),
+    ("w_ffn1", "ffn/w1", ("d", "inner"), "normal"), ("b_ffn1", "ffn/b1", ("inner",), "zeros"),
+    ("w_ffn2", "ffn/w2", ("inner", "d"), "normal"), ("b_ffn2", "ffn/b2", ("d",), "zeros"),
+    ("ln_ffn_g", "ffn/ln_g", ("d",), "ones"), ("ln_ffn_b", "ffn/ln_b", ("d",), "zeros"),
 )
 
 
 def _layer_view(params: dict, prefix: str) -> LayerParams:
-    return LayerParams(**{attr: params[f"{prefix}/{key}"] for key, attr in _LAYER_FIELDS},
+    return LayerParams(**{attr: params[f"{prefix}/{key}"] for attr, key, _, _ in _LAYER_TENSORS},
                        w_r=params["rel/w_r"])
 
 
-def build_params(config: ModelConfig) -> dict[str, Tensor]:
-    """Freshly initialized parameter tree: truncated normal, std 0.02.
+def param_specs(config: ModelConfig) -> dict[str, ParamSpec]:
+    """Every parameter's shape, dtype and init by name, in ``build_params`` draw order."""
+    dt = np.dtype(DTYPES[config.dtype])
+    d = config.hidden
+    size = {"d": d, "inner": config.layout.ffn_inner}
+    specs = {"embed/token": ParamSpec((config.vocab_size, d), dt, "normal"),
+             "rel/w_r": ParamSpec((d, d), dt, "normal")}
+    prefixes = [f"enc/b{m}/l{s}" for m, block in enumerate(config.layout.blocks)
+                for s in range(block.unique_layers)]
+    prefixes += [f"dec/l{i}" for i in range(config.layout.decoder_layers)]
+    for prefix in prefixes:
+        for _, key, dims, init in _LAYER_TENSORS:
+            specs[f"{prefix}/{key}"] = ParamSpec(tuple(size[n] for n in dims), dt, init)
+    return specs
 
-    Biases and layer-norm shifts start at zero, layer-norm gains at one.
-    Deterministic given ``config.seed``; tensors are created in a fixed
-    name order so identical seeds give identical models.
+
+def build_params(config: ModelConfig) -> dict[str, Tensor]:
+    """Fresh parameter tree drawn in ``param_specs`` order; same seed, same model.
+
+    Weights are truncated normal with std 0.02; biases and layer-norm
+    shifts start at zero, layer-norm gains at one.
     """
     rng = Rng(config.seed)
-    dt = DTYPES[config.dtype]
-    d = config.hidden
-    inner = config.layout.ffn_inner
-
-    def w(shape):
-        return Tensor(rng.truncated_normal(shape, INIT_STD, dt), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dt), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape, dtype=dt), requires_grad=True)
-
-    params: dict[str, Tensor] = {}
-    params["embed/token"] = w((config.vocab_size, d))
-    params["rel/w_r"] = w((d, d))
-    for prefix in config.layer_names():
-        params[f"{prefix}/attn/w_q"] = w((d, d))
-        params[f"{prefix}/attn/b_q"] = zeros((d,))
-        params[f"{prefix}/attn/w_k"] = w((d, d))
-        params[f"{prefix}/attn/b_k"] = zeros((d,))
-        params[f"{prefix}/attn/w_v"] = w((d, d))
-        params[f"{prefix}/attn/b_v"] = zeros((d,))
-        params[f"{prefix}/attn/w_o"] = w((d, d))
-        params[f"{prefix}/attn/b_o"] = zeros((d,))
-        params[f"{prefix}/attn/u"] = w((d,))
-        params[f"{prefix}/attn/v"] = w((d,))
-        params[f"{prefix}/attn/ln_g"] = ones((d,))
-        params[f"{prefix}/attn/ln_b"] = zeros((d,))
-        params[f"{prefix}/ffn/w1"] = w((d, inner))
-        params[f"{prefix}/ffn/b1"] = zeros((inner,))
-        params[f"{prefix}/ffn/w2"] = w((inner, d))
-        params[f"{prefix}/ffn/b2"] = zeros((d,))
-        params[f"{prefix}/ffn/ln_g"] = ones((d,))
-        params[f"{prefix}/ffn/ln_b"] = zeros((d,))
-    return params
+    fill = {"normal": lambda shape, dtype: rng.truncated_normal(shape, INIT_STD, dtype),
+            "zeros": np.zeros, "ones": np.ones}
+    return {name: Tensor(fill[s.init](s.shape, dtype=s.dtype), requires_grad=True)
+            for name, s in param_specs(config).items()}
 
 
 class FunnelModel:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import NumericError, Rng, Tape, Tensor, add, mul
 from .corpus import Batch, EncodedLine, Vocab, build_vocab, encode_corpus
-from .model import FunnelModel, ModelConfig, generator_config
+from .model import FunnelModel, ModelConfig, generator_config, param_specs
 from .objectives import (DISC_LOSS_WEIGHT, electra_step, mlm_loss, sample_mask_single,
                          sample_mask_span)
 
@@ -53,35 +53,42 @@ class TrainSettings:
     mask_rate: float = 0.15
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
+    def __post_init__(self):
+        for name, allowed in (("objective", ("mlm", "electra")),
+                              ("mask_sampler", ("single", "span"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+
 
 class AdamW:
-    """Adam with decoupled weight decay; decay skips biases and norm params."""
+    """Adam with decoupled weight decay over ``(name, tensor, decays)`` triples."""
 
-    def __init__(self, named_params: list[tuple[str, Tensor]], cfg: OptimizerConfig):
-        self.named = named_params
+    def __init__(self, params: list[tuple[str, Tensor, bool]], cfg: OptimizerConfig):
+        self.params = params
         self.cfg = cfg
-        self.m = [np.zeros_like(t.data) for _, t in named_params]
-        self.v = [np.zeros_like(t.data) for _, t in named_params]
+        self.m = [np.zeros_like(t.data) for _, t, _ in params]
+        self.v = [np.zeros_like(t.data) for _, t, _ in params]
         self.t = 0
-
-    @staticmethod
-    def decays(name: str) -> bool:
-        return not (name.endswith(("_g", "_b", "ln_g", "ln_b", "/b", "/b1", "/b2"))
-                    or "/b_" in name)
 
     def step(self, tape: Tape, lr: float) -> None:
         self.t += 1
         c = self.cfg
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for i, (name, p) in enumerate(self.named):
+        for i, (_, p, decays) in enumerate(self.params):
             g = tape.grad(p)
             self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g
             self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g
             update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + c.eps)
-            if c.weight_decay and self.decays(name):
+            if c.weight_decay and decays:
                 update = update + c.weight_decay * p.data
             p.data = (p.data - lr * update).astype(p.data.dtype, copy=False)
+
+
+def model_params(model: FunnelModel, prefix: str = "") -> list[tuple[str, Tensor, bool]]:
+    """``AdamW`` triples: weights (normal init) decay; biases and norm params do not."""
+    specs = param_specs(model.config)
+    return [(prefix + name, t, specs[name].init == "normal") for name, t in model.trainable()]
 
 
 def linear_schedule(step: int, total: int, warmup: int, base_lr: float) -> float:
@@ -128,6 +135,8 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
 
     model = FunnelModel(config)
     rng = Rng(config.seed)
+    gen = disc_head = None
+    params = model_params(model, "disc/" if settings.objective == "electra" else "")
     if settings.objective == "electra":
         gen = FunnelModel(generator_config(config))
         head_rng = Rng(config.seed + 2)
@@ -135,17 +144,10 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
             Tensor(head_rng.truncated_normal((config.hidden,), 0.02), requires_grad=True),
             Tensor(np.zeros(()), requires_grad=True),
         )
-        named = ([("disc/" + n, t) for n, t in model.trainable()]
-                 + [("gen/" + n, t) for n, t in gen.trainable()]
-                 + [("disc/head/w", disc_head[0]), ("disc/head/b", disc_head[1])])
-    elif settings.objective == "mlm":
-        gen = None
-        disc_head = None
-        named = model.trainable()
-    else:
-        raise ValueError(f"unknown objective {settings.objective!r}")
+        params += model_params(gen, "gen/") + [("disc/head/w", disc_head[0], True),
+                                               ("disc/head/b", disc_head[1], False)]
 
-    opt = AdamW(named, settings.optimizer)
+    opt = AdamW(params, settings.optimizer)
     trace: list[TraceRow] = []
     for step in range(settings.steps):
         rows = [lines[(step * settings.batch_size + i) % len(lines)]

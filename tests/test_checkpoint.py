@@ -6,14 +6,16 @@ import pytest
 from funnel.checkpoint import (BadMagic, BadVersion, CheckpointError, ShapeMismatch,
                                TruncatedPayload, load, save)
 from funnel.layout import BlockSpec, LayoutSpec
-from funnel.model import ModelConfig, build_params
+from funnel.model import ModelConfig, build_params, param_specs
+
+
+LAYOUT = LayoutSpec(blocks=(BlockSpec(1), BlockSpec(1)), hidden=16, decoder_layers=1,
+                    head_dim=8)
 
 
 @pytest.fixture
 def params():
-    layout = LayoutSpec(blocks=(BlockSpec(1), BlockSpec(1)), hidden=16,
-                        decoder_layers=1, head_dim=8)
-    return build_params(ModelConfig(layout=layout, vocab_size=11, seed=0))
+    return build_params(ModelConfig(layout=LAYOUT, vocab_size=11, seed=0))
 
 
 class TestRoundTrip:
@@ -25,6 +27,13 @@ class TestRoundTrip:
         for name in params:
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
             assert loaded[name].data.dtype == params[name].data.dtype
+
+    def test_specs_template_gives_trainable_tensors(self, params, tmp_path):
+        path = tmp_path / "m.ftnt"
+        save(params, path)
+        loaded = load(path, expected=param_specs(ModelConfig(layout=LAYOUT, vocab_size=11)))
+        assert set(loaded) == set(params)
+        assert all(t.requires_grad for t in loaded.values())
 
     def test_byte_determinism(self, params, tmp_path):
         a, b = tmp_path / "a.ftnt", tmp_path / "b.ftnt"
@@ -79,8 +88,15 @@ class TestErrors:
         save(params, path)
         bigger = LayoutSpec(blocks=(BlockSpec(1), BlockSpec(1), BlockSpec(1)),
                             hidden=16, decoder_layers=1, head_dim=8)
-        template = build_params(ModelConfig(layout=bigger, vocab_size=11, seed=0))
+        template = param_specs(ModelConfig(layout=bigger, vocab_size=11, seed=0))
         with pytest.raises(ShapeMismatch, match="enc/b2"):
+            load(path, expected=template)
+
+    def test_dtype_mismatch_rejected(self, params, tmp_path):
+        path = tmp_path / "m.ftnt"
+        save(params, path)
+        template = param_specs(ModelConfig(layout=LAYOUT, vocab_size=11, dtype="f32"))
+        with pytest.raises(ShapeMismatch, match="float64.*expected float32"):
             load(path, expected=template)
 
     def test_wrong_shape_entry(self, params, tmp_path):

@@ -169,6 +169,18 @@ class TestTrainToy:
         assert code == 2
         assert "error: config: unknown training fields" in err
 
+    @pytest.mark.parametrize("field", ["objective", "mask_sampler"])
+    def test_unknown_choice_refused(self, train_setup, capsys, field):
+        cfg, corpus, tmp = train_setup
+        d = json.loads(cfg.read_text())
+        d["train"][field] = "spam"
+        cfg.write_text(json.dumps(d))
+        code, _, err = run(capsys, "train-toy", "--config", str(cfg),
+                           "--corpus", str(corpus), "--out", str(tmp / "o"))
+        assert code == 2
+        assert f"error: config: {field} must be one of" in err
+        assert not (tmp / "o").exists()
+
 
 class TestEncode:
     def test_shapes_cls_tokens(self, train_setup, capsys):
@@ -262,6 +274,37 @@ class TestEncode:
                            "--input", str(corpus))
         assert code == 2
         assert "error: checkpoint:" in err
+
+    def test_wrong_dtype_checkpoint_exit_2(self, train_setup, capsys):
+        cfg, corpus, tmp = train_setup
+        run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
+            "--out", str(tmp / "run"))
+        f32_cfg = tmp / "f32.json"
+        d = json.loads((tmp / "run" / "config.json").read_text())
+        d["dtype"] = "f32"
+        f32_cfg.write_text(json.dumps(d))
+        code, out, err = run(capsys, "encode", "--config", str(f32_cfg),
+                             "--checkpoint", str(tmp / "run" / "model.ftnt"),
+                             "--input", str(corpus))
+        assert code == 2
+        assert "error: checkpoint:" in err and "float64" in err
+        assert out == ""
+
+    def test_loading_draws_no_initial_parameters(self, train_setup, capsys, monkeypatch):
+        from funnel.autodiff import Rng
+        cfg, corpus, tmp = train_setup
+        run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
+            "--out", str(tmp / "run"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("encode drew an initial parameter")
+
+        monkeypatch.setattr(Rng, "truncated_normal", refuse)
+        code, out, _ = run(capsys, "encode", "--config", str(tmp / "run" / "config.json"),
+                           "--checkpoint", str(tmp / "run" / "model.ftnt"),
+                           "--input", str(corpus), "--dump", "tokens", "--seq-len", "16")
+        assert code == 0
+        assert len(out.splitlines()) == 16
 
 
 def test_shapes_three_blocks(tmp_path, capsys):

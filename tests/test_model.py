@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from funnel.model import FunnelModel, ModelConfig, build_params, generator_config
+from funnel.model import FunnelModel, ModelConfig, build_params, generator_config, param_specs
 
 
 class TestConfig:
@@ -62,6 +62,19 @@ class TestParams:
         enc_ids = {id(params[k]) for k in params if k.startswith("enc/")}
         dec_ids = {id(params[k]) for k in params if k.startswith("dec/")}
         assert not enc_ids & dec_ids
+
+    @pytest.mark.parametrize("layout", ["B2-1x2H64D2", "B3-2-1H128D1", "L2H64"])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_specs_match_built_tree(self, layout, dtype):
+        cfg = ModelConfig(layout=layout, vocab_size=11, dtype=dtype, seed=2)
+        specs, params = param_specs(cfg), build_params(cfg)
+        assert list(specs) == list(params)
+        for name, spec in specs.items():
+            assert params[name].shape == spec.shape, name
+            assert params[name].dtype == spec.dtype, name
+            fill = {"zeros": 0.0, "ones": 1.0}.get(spec.init)
+            if fill is not None:
+                assert (params[name].data == fill).all(), name
 
     def test_dtype_respected(self):
         cfg = ModelConfig(layout="L1H64", vocab_size=11, dtype="f32", seed=0)

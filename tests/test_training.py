@@ -6,9 +6,10 @@ import math
 
 import pytest
 
+from funnel import training
 from funnel.autodiff import Rng
 from funnel.checkpoint import load
-from funnel.model import ModelConfig, build_params
+from funnel.model import ModelConfig, param_specs
 from funnel.training import (AdamW, OptimizerConfig, TrainSettings, linear_schedule,
                              settings_from_json, train_toy)
 
@@ -42,16 +43,51 @@ class TestSchedule:
         assert linear_schedule(0, 10, 0, 2.0) == 2.0
 
 
+def optimizer_decays(config, objective):
+    """name -> decays flag of every tensor ``train_toy`` hands to AdamW."""
+    seen = []
+
+    class Spy(AdamW):
+        def __init__(self, params, cfg):
+            seen.extend(params)
+            super().__init__(params, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "AdamW", Spy)
+        train_toy(config, tiny_corpus(), tiny_settings(objective=objective, steps=0))
+    return {name: decays for name, _, decays in seen}
+
+
+def suffix_rule(name):
+    """The name-suffix decay rule the optimizer applied before ``param_specs``."""
+    return not (name.endswith(("_g", "_b", "ln_g", "ln_b", "/b", "/b1", "/b2"))
+                or "/b_" in name)
+
+
 class TestAdamW:
     def test_decay_exemptions(self):
-        assert not AdamW.decays("enc/b0/l0/attn/ln_g")
-        assert not AdamW.decays("enc/b0/l0/attn/b_q")
-        assert not AdamW.decays("enc/b0/l0/ffn/b1")
-        assert AdamW.decays("enc/b0/l0/ffn/w1")
-        assert AdamW.decays("embed/token")
-        assert AdamW.decays("rel/w_r")
-        assert not AdamW.decays("disc/head/b")
-        assert AdamW.decays("disc/head/w")
+        decays = optimizer_decays(tiny_config(), "mlm")
+        assert not decays["enc/b0/l0/attn/ln_g"]
+        assert not decays["enc/b0/l0/attn/b_q"]
+        assert not decays["enc/b0/l0/ffn/b1"]
+        assert decays["enc/b0/l0/ffn/w1"]
+        assert decays["embed/token"]
+        assert decays["rel/w_r"]
+        decays = optimizer_decays(tiny_config(), "electra")
+        assert not decays["disc/head/b"]
+        assert decays["disc/head/w"]
+
+    @pytest.mark.parametrize("config,objective", [
+        (ModelConfig(layout="B2-2H64D2", vocab_size=20, pool_op="mean",
+                     attn_variant="factorized", seed=0), "mlm"),
+        (ModelConfig(layout="B2-2H128D2", vocab_size=64, pool_op="max",
+                     attn_variant="gather", seed=0), "electra"),
+    ])
+    def test_decayed_set_matches_suffix_rule(self, config, objective):
+        decays = optimizer_decays(config, objective)
+        decayed = {name for name, flag in decays.items() if flag}
+        assert decayed == {name for name in decays if suffix_rule(name)}
+        assert 0 < len(decayed) < len(decays)
 
 
 class TestTrainToy:
@@ -80,7 +116,7 @@ class TestTrainToy:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["steps"] == 4
         assert (out / "vocab.txt").exists()
-        template = build_params(ModelConfig.from_json((out / "config.json").read_text()))
+        template = param_specs(ModelConfig.from_json((out / "config.json").read_text()))
         loaded = load(out / "model.ftnt", expected=template)
         assert set(loaded) == set(template)
 
