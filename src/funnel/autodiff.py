@@ -1,7 +1,9 @@
 """Minimal dense tensor engine with a reverse-mode gradient tape.
 
 Tensors wrap numpy arrays (f32 or f64, rank <= 4) and are treated as
-immutable values once created.  While a Tape is active, every operation
+immutable values once created.  Parameters are the one exception: the
+optimizer (``training.AdamW``) updates their buffers in place between
+tapes, never while one is recording.  While a Tape is active, every operation
 appends a node holding a backward closure; ``Tape.backward`` walks the
 node list in reverse, which is a valid reverse topological order because
 inputs are always recorded before the ops that consume them.
@@ -10,6 +12,9 @@ The engine implements exactly the operations the funnel model needs:
 matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
 permutes, window-2 pooling and fused losses.  Binary ops and matmul
 broadcast as numpy does; their backward sums over the broadcast axes.
+Some nodes fold a neighbour's work into their own pass: matmul adds a
+bias, softmax applies the attention scale and key mask, layer norm
+adds the residual.
 """
 
 from __future__ import annotations
@@ -120,6 +125,8 @@ class Tape:
 
     def __exit__(self, *exc):
         global _ACTIVE_TAPE
+        if _ACTIVE_TAPE is not self:
+            raise ContractError("exiting a tape that is not the active one")
         _ACTIVE_TAPE = None
         return False
 
@@ -237,15 +244,23 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x, y)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with ``np.matmul`` semantics: [..., m, k] @ [..., k, n].
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product with ``np.matmul`` semantics: [..., m, k] @ [..., k, n], plus ``bias``.
 
-    Both operands have rank 2 or more; their batch axes broadcast.
-    Gradients are formed only for operands that require them.
+    Both operands have rank 2 or more; their batch axes broadcast.  The
+    optional ``bias`` (e.g. [n]) broadcasts against the product and is
+    added in place, one node for ``a @ b + bias``.  Gradients are formed
+    only for operands that require them.
     """
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(_mm(a.data, b.data))
+    y = _mm(a.data, b.data)
+    if bias is not None:
+        try:
+            y += bias.data
+        except ValueError:
+            raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to {y.shape}") from None
+    out = Tensor(y)
 
     def backward(g, grads):
         if a.requires_grad:
@@ -258,8 +273,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             else:
                 gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
             _accum(grads, b, gb)
+        if bias is not None and bias.requires_grad:
+            _accum(grads, bias, _unbroadcast(g, bias.shape))
 
-    return _record(out, (a, b), backward, "matmul")
+    return _record(out, (a, b) if bias is None else (a, b, bias), backward, "matmul")
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -300,58 +317,80 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(out, (a,), backward, "sum_all")
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Row-stochastic softmax over the last axis, max-subtracted for stability."""
-    if not np.isfinite(x.data).all():
-        if np.isnan(x.data).any():
+def softmax_lastdim(x: Tensor, scale: float = 1.0, keep: np.ndarray | None = None) -> Tensor:
+    """Row-stochastic softmax over the last axis of ``scale * x``, max-subtracted.
+
+    ``keep`` (bool, broadcasting against ``x``) masks logits to -inf where
+    False; they get zero weight and no gradient.  Raises NumericError
+    when a row holds a NaN or has every logit masked, both read off the
+    row maxima.
+    """
+    y = x.data * x.data.dtype.type(scale)
+    if keep is not None:
+        np.copyto(y, -np.inf, where=~np.asarray(keep, dtype=bool))
+    m = np.max(y, axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        if np.isnan(m).any():
             raise NumericError("softmax input contains NaN")
         # -inf entries are legal (masked logits); a row of all -inf is not
-        if np.all(x.data == -np.inf, axis=-1).any():
+        if (m == -np.inf).any():
             raise NumericError("softmax row with every logit masked")
-    m = np.max(x.data, axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y -= m
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def backward(g, grads):
-        dot = np.sum(g * y, axis=-1, keepdims=True)
-        _accum(grads, x, y * (g - dot))
+        d = g * y
+        dot = np.sum(d, axis=-1, keepdims=True)
+        np.subtract(g, dot, out=d)
+        d *= y
+        d *= d.dtype.type(scale)
+        _accum(grads, x, d)
 
     return _record(out, (x,), backward, "softmax")
 
 
-def mask_fill(x: Tensor, keep: np.ndarray, value: float) -> Tensor:
-    """Replace entries where ``keep`` is False by ``value`` (no grad there)."""
-    keep = np.broadcast_to(np.asarray(keep, dtype=bool), x.shape)
-    out = Tensor(np.where(keep, x.data, x.data.dtype.type(value)))
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
+               residual: Tensor | None = None) -> Tensor:
+    """Per-row normalization over the last axis of ``x`` (+ ``residual``), then affine gamma/beta.
 
-    def backward(g, grads):
-        _accum(grads, x, np.where(keep, g, 0.0))
-
-    return _record(out, (x,), backward, "mask_fill")
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-row normalization over the last axis, then affine gamma/beta."""
+    With ``residual`` the sum ``x + residual`` is normalised in the same
+    node, and both inputs receive its gradient.
+    """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must be ({d},), got {gamma.shape}/{beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"layer_norm: residual {residual.shape} does not match {x.shape}")
+    xd = x.data if residual is None else x.data + residual.data
+    xc = xd - xd.mean(axis=-1, keepdims=True)
+    sq = xc * xc
+    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + eps)
+    xhat = np.multiply(xc, inv, out=xc)
+    y = np.multiply(xhat, gamma.data, out=sq)
+    y += beta.data
+    out = Tensor(y)
 
     def backward(g, grads):
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(grads, x, inv * (dxhat - m1 - xhat * m2))
+        dx = g * gamma.data
+        t = dx * xhat
+        m2 = t.mean(axis=-1, keepdims=True)
+        m1 = dx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=t)
+        dx -= m1
+        dx -= t
+        dx *= inv
+        _accum(grads, x, dx)
+        if residual is not None:
+            _accum(grads, residual, dx)
         axes = tuple(range(g.ndim - 1))
-        _accum(grads, gamma, (g * xhat).sum(axis=axes))
+        np.multiply(g, xhat, out=t)
+        _accum(grads, gamma, t.sum(axis=axes))
         _accum(grads, beta, g.sum(axis=axes))
 
-    return _record(out, (x, gamma, beta), backward, "layer_norm")
+    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    return _record(out, inputs, backward, "layer_norm")
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -396,13 +435,19 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows (axis 0) of ``x``: out[...] = x[idx[...]]; backward scatter-adds.
 
     ``idx`` may have any shape, e.g. [T, B] token ids into an embedding.
+    The backward scatter sums rows sharing an index (lookups, up-sampling)
+    with ``np.bincount`` in index order, without ``np.add.at``'s
+    per-element cost; a row hit once gets its gradient unchanged.
     """
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(x.data[idx])
 
     def backward(g, grads):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, g)
+        flat = idx.reshape(-1) % len(x.data)  # -1 and n-1 name the same row
+        width = math.prod(x.shape[1:])
+        cells = (flat[:, None] * width + np.arange(width)).reshape(-1)
+        dx = np.bincount(cells, weights=g.reshape(-1), minlength=x.data.size)
+        dx = dx.reshape(x.shape).astype(x.dtype, copy=False)
         _accum(grads, x, dx)
 
     return _record(out, (x,), backward, "gather_rows")

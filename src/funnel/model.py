@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import DTYPES, Rng, Tensor, add, gather_rows, matmul
+from .autodiff import DTYPES, Rng, Tensor, gather_rows, matmul
 from .decoder import DecoderOutput, decoder_forward
 from .encoder import POOL_OPS, EncoderState, encoder_forward
 from .layout import HEAD_DIM, LayoutSpec, format_layout, parse_layout
@@ -195,7 +195,7 @@ def sequence_logits(state: EncoderState, w: Tensor, b: Tensor) -> Tensor:
     classification never needs the decoder.
     """
     cls = gather_rows(state.h_last, np.arange(1))
-    return add(matmul(cls, w), b)
+    return matmul(cls, w, b)
 
 
 def generator_config(config: ModelConfig) -> ModelConfig:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ContractError, Rng, Tensor, add, bce_with_logits_mean,
+from .autodiff import (ContractError, Rng, Tensor, bce_with_logits_mean,
                        cross_entropy_mean, gather_rows, matmul, reshape, softmax_lastdim,
                        transpose)
 from .corpus import CLS, MASK, PAD, SEP, Batch
@@ -195,7 +195,7 @@ def electra_step(gen: FunnelModel, disc: FunnelModel, disc_head: tuple[Tensor, T
     disc_hidden = disc.token_hidden(sampled_ids.T, mask.T, rng=rng)
     seq, pos = np.nonzero(mask)                              # real slots, sequence by sequence
     sel = gather_rows(reshape(disc_hidden, (-1, disc_hidden.shape[-1])), pos * len(plans) + seq)
-    disc_logits = add(matmul(sel, reshape(w, (sel.shape[1], 1))), b)
+    disc_logits = matmul(sel, reshape(w, (sel.shape[1], 1)), b)
     disc_loss = bce_with_logits_mean(disc_logits, labels[mask][:, None],
                                      _sequence_weights(mask.sum(axis=1))[:, None])
     return gen_loss, disc_loss, ElectraBatch(sampled_ids, labels)

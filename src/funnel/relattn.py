@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (NumericError, ShapeError, Tensor, add, dropout, einsum_id_ijd,
-                       gelu, layer_norm, mask_fill, matmul, mul, permute, reshape,
-                       softmax_lastdim, take_along_last, transpose)
+                       gelu, layer_norm, matmul, mul, permute, reshape, softmax_lastdim,
+                       take_along_last, transpose)
 
 VARIANTS = ("naive", "gather", "factorized")
 
@@ -263,7 +263,7 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     to_keys = tuple(range(1, n)) + (n, 0)
 
     def heads(x, w, b, axes):
-        y = add(matmul(x, w), b)
+        y = matmul(x, w, b)
         return permute(reshape(y, y.shape[:-1] + (n_heads, dh)), axes)
 
     q = heads(q_in, params.w_q, params.b_q, to_heads)
@@ -275,22 +275,21 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     content = matmul(add(q, reshape(params.v, bias_shape)), k_t)
     position = _POSITION_TERMS[config.attn_variant](q, q_pos, k_pos, w_r_heads,
                                                     reshape(params.u, bias_shape), enc)
-    scores = mul(add(content, position), scale)
-    scores = mask_fill(scores, np.moveaxis(key_mask, 0, -1)[..., None, None, :], -np.inf)
-    weights = softmax_lastdim(scores)
+    weights = softmax_lastdim(add(content, position), scale,
+                              np.moveaxis(key_mask, 0, -1)[..., None, None, :])
     maps = weights.data
     weights = dropout(weights, config.attn_dropout, rng)
     merged = reshape(permute(matmul(weights, val), np.argsort(to_heads)), q_in.shape)
-    out = dropout(add(matmul(merged, params.w_o), params.b_o), config.dropout, rng)
-    hidden = layer_norm(add(q_in, out), params.ln_attn_g, params.ln_attn_b)
+    out = dropout(matmul(merged, params.w_o, params.b_o), config.dropout, rng)
+    hidden = layer_norm(q_in, params.ln_attn_g, params.ln_attn_b, residual=out)
     return hidden, maps
 
 
 def pffn(x: Tensor, params: LayerParams, config, rng=None) -> Tensor:
     """Position-wise FFN with GeLU, wrapped in residual + layer norm."""
-    inner = gelu(add(matmul(x, params.w_ffn1), params.b_ffn1))
-    out = dropout(add(matmul(inner, params.w_ffn2), params.b_ffn2), config.dropout, rng)
-    return layer_norm(add(x, out), params.ln_ffn_g, params.ln_ffn_b)
+    inner = gelu(matmul(x, params.w_ffn1, params.b_ffn1))
+    out = dropout(matmul(inner, params.w_ffn2, params.b_ffn2), config.dropout, rng)
+    return layer_norm(x, params.ln_ffn_g, params.ln_ffn_b, residual=out)
 
 
 def transformer_layer(x: Tensor, pos: np.ndarray, key_mask: np.ndarray, params: LayerParams,

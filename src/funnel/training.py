@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import NumericError, Rng, Tape, Tensor, add, mul
+from .autodiff import DTYPES, NumericError, Rng, Tape, Tensor, add, mul
 from .corpus import Batch, EncodedLine, Vocab, build_vocab, encode_corpus
 from .model import FunnelModel, ModelConfig, generator_config, param_specs
 from .objectives import (DISC_LOSS_WEIGHT, electra_step, mlm_loss, sample_mask_single,
@@ -61,13 +61,36 @@ class TrainSettings:
 
 
 class AdamW:
-    """Adam with decoupled weight decay over ``(name, tensor, decays)`` triples."""
+    """Adam with decoupled weight decay over ``(name, tensor, decays)`` triples.
+
+    Parameters, gradients and both moments live in one [4, N] buffer of
+    the parameters' shared dtype, decaying tensors first (``params`` is
+    kept in that order).  Each tensor's ``.data`` becomes a view into the
+    parameter row, so ``step`` updates the model in place.  The update
+    runs one chunk of ``CHUNK`` elements at a time through two scratch
+    rows, which keeps its temporaries in cache; every element sees the
+    same operations in the same order as the textbook per-tensor formula.
+    """
+
+    CHUNK = 1 << 15
 
     def __init__(self, params: list[tuple[str, Tensor, bool]], cfg: OptimizerConfig):
-        self.params = params
+        self.params = sorted(params, key=lambda p: not p[2])  # stable: decaying first
+        dtypes = {t.data.dtype for _, t, _ in self.params}
+        if len(dtypes) != 1:
+            raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
+        sizes = [t.data.size for _, t, _ in self.params]
+        self.buffer = np.zeros((4, sum(sizes)), dtype=dtypes.pop())
+        self.flat, self.grad, self.m, self.v = self.buffer
+        self.n_decay = sum(n for n, (_, _, decays) in zip(sizes, self.params) if decays)
+        ofs = 0
+        for n, (_, t, _) in zip(sizes, self.params):
+            view = self.flat[ofs:ofs + n].reshape(t.shape)
+            view[...] = t.data
+            t.data = view
+            ofs += n
+        self._scratch = np.empty((2, min(self.CHUNK, self.flat.size)), dtype=self.flat.dtype)
         self.cfg = cfg
-        self.m = [np.zeros_like(t.data) for _, t, _ in params]
-        self.v = [np.zeros_like(t.data) for _, t, _ in params]
         self.t = 0
 
     def step(self, tape: Tape, lr: float) -> None:
@@ -75,14 +98,33 @@ class AdamW:
         c = self.cfg
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for i, (_, p, decays) in enumerate(self.params):
-            g = tape.grad(p)
-            self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g
-            self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g
-            update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + c.eps)
-            if c.weight_decay and decays:
-                update = update + c.weight_decay * p.data
-            p.data = (p.data - lr * update).astype(p.data.dtype, copy=False)
+        np.concatenate([tape.grad(t).reshape(-1) for _, t, _ in self.params], out=self.grad)
+        n_decay = self.n_decay if c.weight_decay else 0
+        for lo in range(0, self.flat.size, self.CHUNK):
+            p, g, m, v = self.buffer[:, lo:lo + self.CHUNK]
+            s, u = self._scratch[:, :len(p)]
+            # m = beta1 m + (1 - beta1) g
+            m *= c.beta1
+            np.multiply(g, 1.0 - c.beta1, out=s)
+            m += s
+            # v = beta2 v + (1 - beta2) g g
+            v *= c.beta2
+            np.multiply(g, 1.0 - c.beta2, out=s)
+            s *= g
+            v += s
+            # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay p]
+            np.divide(v, bc2, out=u)
+            np.sqrt(u, out=u)
+            u += c.eps
+            np.divide(m, bc1, out=s)
+            s /= u
+            k = min(max(n_decay - lo, 0), len(p))  # decaying elements of this chunk
+            if k:
+                np.multiply(p[:k], c.weight_decay, out=u[:k])
+                s[:k] += u[:k]
+            # p = p - lr update
+            s *= lr
+            p -= s
 
 
 def model_params(model: FunnelModel, prefix: str = "") -> list[tuple[str, Tensor, bool]]:
@@ -140,9 +182,10 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
     if settings.objective == "electra":
         gen = FunnelModel(generator_config(config))
         head_rng = Rng(config.seed + 2)
+        dtype = DTYPES[config.dtype]
         disc_head = (
-            Tensor(head_rng.truncated_normal((config.hidden,), 0.02), requires_grad=True),
-            Tensor(np.zeros(()), requires_grad=True),
+            Tensor(head_rng.truncated_normal((config.hidden,), 0.02, dtype), requires_grad=True),
+            Tensor(np.zeros((), dtype), requires_grad=True),
         )
         params += model_params(gen, "gen/") + [("disc/head/w", disc_head[0], True),
                                                ("disc/head/b", disc_head[1], False)]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from funnel.autodiff import (GELU_A, GELU_C, ContractError, NumericError, Rng, ShapeError, Tape, Tensor,
                              add, bce_with_logits_mean, concat_rows,
                              cross_entropy_mean, dropout, einsum_id_ijd, gather_rows,
-                             gelu, grad_check, layer_norm, mask_fill, matmul,
+                             gelu, grad_check, layer_norm, matmul,
                              max_pool_pairs, mean_pool_pairs, mul, permute, reshape,
                              softmax_lastdim, sub, sum_all, take_along_last, transpose)
 
@@ -42,6 +42,12 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
             matmul(Tensor(rand((3, 4))), Tensor(rand((3, 2))))
 
+    def test_bias_form_equals_separate_add(self):
+        a, b, bias = Tensor(rand((5, 2, 3), 27)), Tensor(rand((3, 4), 28)), Tensor(rand(4, 29))
+        np.testing.assert_array_equal(matmul(a, b, bias).data, add(matmul(a, b), bias).data)
+        with pytest.raises(ShapeError, match="bias"):
+            matmul(a, b, Tensor(rand((2, 1, 4))))
+
 
 class TestSoftmax:
     def test_symmetric_pair(self):
@@ -67,6 +73,45 @@ class TestSoftmax:
         with pytest.raises(NumericError):
             softmax_lastdim(Tensor([-np.inf, -np.inf]))
 
+    @staticmethod
+    def textbook(x, scale, keep):
+        z = np.where(keep, scale * x, -np.inf)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    def test_scaled_masked_matches_textbook(self):
+        x = 30.0 * rand((2, 6, 9), 12)
+        keep = np.random.Generator(np.random.Philox(13)).random((2, 1, 9)) > 0.4
+        keep[0, 0] = np.arange(9) == 4                       # a row with one real key
+        keep[1, 0, :] = True                                 # and one with no masked key
+        out = softmax_lastdim(Tensor(x), 0.125, keep).data
+        np.testing.assert_allclose(out, self.textbook(x, 0.125, keep), rtol=1e-14, atol=0.0)
+        assert (out[np.broadcast_to(~keep, out.shape)] == 0.0).all()
+
+    def test_scaled_masked_backward_matches_textbook(self):
+        x = Tensor(rand((4, 7), 14), requires_grad=True)
+        keep = np.arange(7) % 3 != 1
+        g = rand((4, 7), 15)
+        with Tape() as tape:
+            y = softmax_lastdim(x, 0.5, keep)
+            tape.backward(sum_all(mul(y, Tensor(g))))
+        p = self.textbook(x.data, 0.5, keep)
+        ref = 0.5 * p * (g - (g * p).sum(axis=-1, keepdims=True))
+        np.testing.assert_allclose(tape.grad(x), ref, rtol=1e-14, atol=1e-300)
+        assert (tape.grad(x)[:, ~keep] == 0.0).all()
+
+    def test_masked_nan_ignored_kept_nan_rejected(self):
+        keep = np.array([True, False])
+        out = softmax_lastdim(Tensor([[1.0, np.nan]]), 2.0, keep).data
+        np.testing.assert_array_equal(out, [[1.0, 0.0]])
+        with pytest.raises(NumericError, match="NaN"):
+            softmax_lastdim(Tensor([[np.nan, 1.0]]), 2.0, keep)
+
+    def test_all_masked_by_keep_rejected(self):
+        keep = np.array([[True, True], [False, False]])
+        with pytest.raises(NumericError, match="every logit masked"):
+            softmax_lastdim(Tensor(rand((2, 2), 16)), 1.0, keep)
+
 
 class TestLayerNorm:
     def test_two_point_row(self):
@@ -83,6 +128,33 @@ class TestLayerNorm:
         out = layer_norm(x, Tensor(np.ones(64)), Tensor(np.zeros(64)), eps=1e-12).data
         assert abs(out.mean()) < 1e-10
         assert 1.0 - 1e-6 <= out.var() <= 1.0
+
+    def test_residual_form_matches_textbook(self):
+        x, r = rand((3, 5, 16), 17), 4.0 + rand((3, 5, 16), 18)
+        gamma, beta = rand(16, 19), rand(16, 20)
+        out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), residual=Tensor(r)).data
+        s = x + r
+        ref = (s - s.mean(axis=-1, keepdims=True)) / np.sqrt(s.var(axis=-1, keepdims=True)
+                                                             + 1e-6) * gamma + beta
+        np.testing.assert_allclose(out, ref, rtol=1e-14, atol=0.0)
+
+    def test_residual_form_equals_separate_add(self):
+        x = Tensor(rand((6, 8), 21), requires_grad=True)
+        r = Tensor(rand((6, 8), 22), requires_grad=True)
+        gamma = Tensor(rand(8, 23), requires_grad=True)
+        beta = Tensor(rand(8, 24), requires_grad=True)
+        w = Tensor(rand((6, 8), 25))
+        runs, nodes = [], []
+        for fused in (True, False):
+            with Tape() as tape:
+                y = (layer_norm(x, gamma, beta, residual=r) if fused
+                     else layer_norm(add(x, r), gamma, beta))
+                tape.backward(sum_all(mul(y, w)))
+            runs.append([y.data] + [tape.grad(t) for t in (x, r, gamma, beta)])
+            nodes.append(len(tape.nodes))
+        for a, b in zip(*runs):
+            np.testing.assert_array_equal(a, b)
+        assert nodes == [3, 4]
 
 
 class TestGelu:
@@ -113,6 +185,18 @@ class TestGelu:
         x = np.linspace(-20.0, 20.0, 40001)
         out = gelu(Tensor(x)).data
         assert (np.abs(out - self.textbook(x)) <= 1e-14 * np.abs(x)).all()
+
+    def test_backward_matches_textbook_derivative(self):
+        x = Tensor(np.linspace(-20.0, 20.0, 4001), requires_grad=True)
+        g = rand(4001, 26)
+        with Tape() as tape:
+            tape.backward(sum_all(mul(gelu(x), Tensor(g))))
+        xd = x.data
+        t = np.tanh(GELU_C * (xd + GELU_A * np.power(xd, 3)))
+        ref = g * (0.5 * (1.0 + t)
+                   + 0.5 * xd * (1.0 - t ** 2) * GELU_C * (1.0 + 3.0 * GELU_A * xd ** 2))
+        # the same 1 + tanh cancellation as the forward sweep bounds it by |x|
+        assert (np.abs(tape.grad(x) - ref) <= 1e-14 * np.abs(g) * np.maximum(np.abs(xd), 1.0)).all()
 
     def test_f32_stays_f32(self):
         x = np.linspace(-4.0, 4.0, 9, dtype=np.float32)
@@ -145,6 +229,21 @@ class TestBackward:
         g = tape.grad(unused)
         assert g.shape == (3, 2)
         np.testing.assert_array_equal(g, np.zeros((3, 2)))
+
+    def test_exiting_inactive_tape_raises_and_keeps_active_one(self):
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        outer.__exit__(None, None, None)
+        x = Tensor([2.0], requires_grad=True)
+        with inner:
+            with pytest.raises(ContractError, match="not the active one"):
+                outer.__exit__(None, None, None)
+            y = mul(x, x)                                    # still recorded on ``inner``
+        assert [n.out for n in inner.nodes] == [y]
+        with pytest.raises(ContractError):
+            Tape().__exit__(None, None, None)                # never entered, nothing active
+        with Tape():                                         # and the slot is free again
+            pass
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(rand((2, 2)), requires_grad=True)
@@ -230,16 +329,31 @@ def test_every_op_grad_below_1e4(seed):
     real2 = gen.random((5, 2)) > 0.3
     x52 = Tensor(gen.standard_normal((5, 2, 3)), requires_grad=True)
     w32_3 = Tensor(gen.standard_normal((3, 2, 3)))
+    bias2 = Tensor(gen.standard_normal(2), requires_grad=True)
+    bias_b = Tensor(gen.standard_normal((2, 1, 2)), requires_grad=True)
+    keep3 = gen.random((2, 1, 4)) > 0.4
+    keep3[..., 0] = True
+    keep[:, 0] = True
 
     cases = {
         "matmul": (lambda: sum_all(mul(matmul(x, m), w32)), [x, m]),
+        "matmul_bias": (lambda: sum_all(mul(matmul(x, m, bias2), w32)), [x, m, bias2]),
+        "batched_matmul_bias": (lambda: sum_all(mul(matmul(x3, m, bias_b), w232)),
+                                [x3, m, bias_b]),
         "add_bias": (lambda: sum_all(mul(add(x, bias), w)), [x, bias]),
         "sub": (lambda: sum_all(mul(sub(x, y), w)), [x, y]),
         "mul": (lambda: sum_all(mul(mul(x, y), w)), [x, y]),
         "softmax": (lambda: sum_all(mul(softmax_lastdim(x), w)), [x]),
+        "softmax_scaled_masked": (lambda: sum_all(mul(softmax_lastdim(x, 0.7, keep), w)), [x]),
+        "softmax_broadcast_mask": (lambda: sum_all(mul(softmax_lastdim(x3, 0.7, keep3), w234)),
+                                  [x3]),
         "layer_norm": (lambda: sum_all(mul(layer_norm(x, gamma, bias), w)), [x, gamma, bias]),
+        "layer_norm_residual": (lambda: sum_all(mul(layer_norm(x, gamma, bias, residual=y), w)),
+                                [x, gamma, bias, y]),
         "gelu": (lambda: sum_all(mul(gelu(x), w)), [x]),
         "gather_rows": (lambda: sum_all(mul(gather_rows(x, rows), w44)), [x]),
+        "gather_rows_distinct": (lambda: sum_all(mul(gather_rows(x3, [1, 0]), w234)), [x3]),
+        "gather_rows_negative": (lambda: sum_all(mul(gather_rows(x3, [-1, 1]), w234)), [x3]),
         "take_along_last": (lambda: sum_all(mul(take_along_last(x, idx), w32)), [x]),
         "batched_matmul": (lambda: sum_all(mul(matmul(x3, b4), w2232)), [x3, b4]),
         "shared_weight_matmul": (lambda: sum_all(mul(matmul(x3, m), w232)), [x3, m]),
@@ -257,7 +371,6 @@ def test_every_op_grad_below_1e4(seed):
         "bce": (lambda: bce_with_logits_mean(matmul(x, col4), labels, row_w[:, None]), [x]),
         "transpose": (lambda: sum_all(mul(transpose(x), w43)), [x]),
         "reshape": (lambda: sum_all(mul(reshape(x, (2, 6)), w26)), [x]),
-        "mask_fill": (lambda: sum_all(mul(mask_fill(x, keep, 0.25), w)), [x]),
     }
     for name, (f, params) in cases.items():
         err = grad_check(f, params, seed=seed)

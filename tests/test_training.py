@@ -4,10 +4,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from funnel import training
-from funnel.autodiff import Rng
+from funnel.autodiff import Rng, Tape, Tensor
 from funnel.checkpoint import load
 from funnel.model import ModelConfig, param_specs
 from funnel.training import (AdamW, OptimizerConfig, TrainSettings, linear_schedule,
@@ -88,6 +89,112 @@ class TestAdamW:
         decayed = {name for name, flag in decays.items() if flag}
         assert decayed == {name for name in decays if suffix_rule(name)}
         assert 0 < len(decayed) < len(decays)
+
+
+class ReferenceAdamW:
+    """The per-tensor AdamW update the flat optimizer must reproduce bit for bit."""
+
+    def __init__(self, params, cfg):
+        self.params = params
+        self.cfg = cfg
+        self.m = [np.zeros_like(t.data) for _, t, _ in params]
+        self.v = [np.zeros_like(t.data) for _, t, _ in params]
+        self.t = 0
+
+    def step(self, tape, lr):
+        self.t += 1
+        c = self.cfg
+        bc1 = 1.0 - c.beta1 ** self.t
+        bc2 = 1.0 - c.beta2 ** self.t
+        for i, (_, p, decays) in enumerate(self.params):
+            g = tape.grad(p)
+            self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g
+            self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g
+            update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + c.eps)
+            if c.weight_decay and decays:
+                update = update + c.weight_decay * p.data
+            p.data = (p.data - lr * update).astype(p.data.dtype, copy=False)
+
+
+class TestFlatAdamW:
+    SHAPES = [("a", (5, 3), True), ("b", (7,), False), ("c", (4, 4), True),
+              ("unused", (3, 2), True), ("d", (), False), ("e", (2, 9), False)]
+
+    def triples(self, dtype):
+        gen = Rng(5)
+        return [(name, Tensor(gen.truncated_normal(shape, 0.5, dtype), requires_grad=True), d)
+                for name, shape, d in self.SHAPES]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk", [AdamW.CHUNK, 7])
+    @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+    def test_bit_identical_to_reference(self, dtype, chunk, weight_decay, monkeypatch):
+        monkeypatch.setattr(AdamW, "CHUNK", chunk)  # 7 splits tensors and the decay prefix
+        cfg = OptimizerConfig(weight_decay=weight_decay)
+        flat, ref = AdamW(self.triples(dtype), cfg), ReferenceAdamW(self.triples(dtype), cfg)
+        gen = np.random.Generator(np.random.Philox(6))
+        ref_tensor = {name: t for name, t, _ in ref.params}
+        for step in range(20):
+            tape = Tape()  # gradients set directly; "unused" stays disconnected
+            for name, p, _ in flat.params:
+                if name != "unused":
+                    g = gen.standard_normal(p.shape).astype(dtype)
+                    tape.grads[id(p)] = tape.grads[id(ref_tensor[name])] = g
+            flat.step(tape, 1e-2 * (step + 1))
+            ref.step(tape, 1e-2 * (step + 1))
+        by_name = {name: i for i, (name, _, _) in enumerate(ref.params)}
+        ofs = 0
+        for name, p, _ in flat.params:
+            i, n = by_name[name], p.data.size
+            q = ref.params[i][1]
+            assert p.data.dtype == q.data.dtype == dtype
+            np.testing.assert_array_equal(p.data, q.data)
+            np.testing.assert_array_equal(flat.m[ofs:ofs + n].reshape(p.shape), ref.m[i])
+            np.testing.assert_array_equal(flat.v[ofs:ofs + n].reshape(p.shape), ref.v[i])
+            ofs += n
+
+    def test_parameters_alias_the_buffer_decaying_first(self):
+        triples = self.triples(np.float64)
+        before = {name: t.data.copy() for name, t, _ in triples}
+        opt = AdamW(triples, OptimizerConfig())
+        assert [d for _, _, d in opt.params] == sorted((d for _, _, d in triples), reverse=True)
+        ofs = 0
+        for name, t, _ in opt.params:
+            np.testing.assert_array_equal(t.data, before[name])
+            assert np.shares_memory(t.data, opt.flat)
+            assert t.data.ctypes.data == opt.flat[ofs:].ctypes.data
+            ofs += t.data.size
+        assert ofs == opt.flat.size
+        assert opt.n_decay == sum(t.data.size for _, t, d in triples if d)
+
+    def test_mixed_dtypes_rejected(self):
+        triples = self.triples(np.float64)
+        triples[0] = ("a", Tensor(np.zeros((5, 3), np.float32), requires_grad=True), True)
+        with pytest.raises(ValueError, match="one dtype"):
+            AdamW(triples, OptimizerConfig())
+
+    @pytest.mark.parametrize("objective,dtype", [("mlm", "f64"), ("electra", "f32")])
+    def test_checkpoint_after_training_round_trips(self, objective, dtype, tmp_path):
+        opts = []
+
+        class Spy(AdamW):
+            def __init__(self, params, cfg):
+                super().__init__(params, cfg)
+                opts.append(self)
+
+        config = ModelConfig(layout="B2-2H64D2", vocab_size=20, dtype=dtype, seed=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "AdamW", Spy)
+            train_toy(config, tiny_corpus(), tiny_settings(objective=objective), out_dir=tmp_path)
+        (opt,) = opts
+        assert opt.buffer.dtype == np.dtype(np.float32 if dtype == "f32" else np.float64)
+        prefix = "disc/" if objective == "electra" else ""
+        trained = {name[len(prefix):]: t.data for name, t, _ in opt.params
+                   if name.startswith(prefix) and not name.startswith("disc/head")}
+        loaded = load(tmp_path / "model.ftnt", expected=param_specs(config))
+        assert set(loaded) == set(trained)
+        for name, t in loaded.items():
+            np.testing.assert_array_equal(t.data, trained[name])
 
 
 class TestTrainToy:
