@@ -8,6 +8,13 @@ appends a node holding a backward closure; ``Tape.backward`` walks the
 node list in reverse, which is a valid reverse topological order because
 inputs are always recorded before the ops that consume them.
 
+The walk frees as it goes: a node's output gradient is final when the
+walk reaches it (every consumer comes later on the tape), so once its
+pull-back has run the gradient is dropped and the node lets go of its
+closure, inputs and output.  After ``backward`` only the gradients of
+leaf tensors that require grad remain; an intermediate tensor's gradient
+is gone, and the tape cannot be walked a second time.
+
 The engine implements exactly the operations the funnel model needs:
 matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
 permutes, window-2 pooling and fused losses.  Binary ops and matmul
@@ -89,7 +96,10 @@ class Tensor:
 
 
 class Node:
-    """One executed op on the tape: output, inputs, and a pull-back closure."""
+    """One executed op on the tape: output, inputs, and a pull-back closure.
+
+    ``Tape.backward`` sets all three to None once it has run the pull-back.
+    """
 
     __slots__ = ("out", "inputs", "backward", "name")
 
@@ -115,6 +125,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self.grads: dict[int, np.ndarray] = {}
+        self.walked = False
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -131,22 +142,37 @@ class Tape:
         return False
 
     def backward(self, root: Tensor) -> None:
-        """Accumulate gradients of ``root`` w.r.t. every recorded tensor.
+        """Accumulate gradients of ``root`` into ``grads`` for every leaf that requires grad.
 
-        ``root`` must be a scalar produced on this tape.  Deterministic:
-        nodes are replayed in strict reverse execution order.
+        ``root`` must be a scalar recorded on this tape.  Deterministic:
+        nodes are replayed in strict reverse execution order.  Each node's
+        output gradient, closure, inputs and output are released once its
+        pull-back has run, so afterwards ``grads`` holds leaf gradients
+        only and the tape cannot be walked again (``nodes`` keeps its
+        length).
         """
         if root.data.ndim != 0:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
+        if self.walked:
+            raise ContractError("backward already ran on this tape; record a new one")
+        if not any(node.out is root for node in reversed(self.nodes)):
+            raise ContractError("backward root was not recorded on this tape; "
+                                "compute it inside the tape from a tensor that requires grad")
+        self.walked = True
         self.grads = {id(root): np.ones((), dtype=root.data.dtype)}
         for node in reversed(self.nodes):
-            g = self.grads.get(id(node.out))
-            if g is None:
-                continue
-            node.backward(g, self.grads)
+            g = self.grads.pop(id(node.out), None)
+            if g is not None:
+                node.backward(g, self.grads)
+            node.out = node.inputs = node.backward = None
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient for ``t``; zeros of matching shape if disconnected."""
+        """Gradient for leaf ``t``; zeros of matching shape if it has none.
+
+        After ``backward`` only leaves that require grad have one: an
+        intermediate tensor's gradient was freed during the walk, and a
+        tensor that does not require grad never gets one.
+        """
         g = self.grads.get(id(t))
         if g is None:
             return np.zeros_like(t.data)
@@ -162,6 +188,8 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable, name: str
 
 
 def _accum(grads: dict, t: Tensor, g: np.ndarray) -> None:
+    if not t.requires_grad:
+        return  # a constant: nothing reads its gradient
     key = id(t)
     if key in grads:
         grads[key] = grads[key] + g
@@ -186,8 +214,10 @@ def add(a: Tensor, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(g, grads):
-        _accum(grads, a, _unbroadcast(g, a.shape))
-        _accum(grads, b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(grads, a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(grads, b, _unbroadcast(g, b.shape))
 
     return _record(out, (a, b), backward, "add")
 
@@ -198,8 +228,10 @@ def sub(a: Tensor, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def backward(g, grads):
-        _accum(grads, a, _unbroadcast(g, a.shape))
-        _accum(grads, b, -_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(grads, a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(grads, b, -_unbroadcast(g, b.shape))
 
     return _record(out, (a, b), backward, "sub")
 
@@ -211,8 +243,10 @@ def mul(a: Tensor, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward(g, grads):
-        _accum(grads, a, _unbroadcast(g * b.data, a.shape))
-        _accum(grads, b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(grads, a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(grads, b, _unbroadcast(g * a.data, b.shape))
 
     return _record(out, (a, b), backward, "mul")
 
