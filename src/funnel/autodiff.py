@@ -17,8 +17,9 @@ is gone, and the tape cannot be walked a second time.
 
 The engine implements exactly the operations the funnel model needs:
 matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
-permutes, window-2 pooling and fused losses.  Binary ops and matmul
-broadcast as numpy does; their backward sums over the broadcast axes.
+permutes, window-2 pooling, fused losses and the factorized position
+term's folded products.  Binary ops and matmul broadcast as numpy does;
+their backward sums over the broadcast axes.
 Some nodes fold a neighbour's work into their own pass: matmul adds a
 bias, softmax applies the attention scale and key mask, layer norm
 adds the residual.
@@ -125,6 +126,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self.grads: dict[int, np.ndarray] = {}
+        self.produced: set[int] = set()
         self.walked = False
 
     def __enter__(self):
@@ -155,7 +157,9 @@ class Tape:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
         if self.walked:
             raise ContractError("backward already ran on this tape; record a new one")
-        if not any(node.out is root for node in reversed(self.nodes)):
+        # every node output is alive here, so ids name tensors uniquely
+        self.produced = {id(node.out) for node in self.nodes}
+        if id(root) not in self.produced:
             raise ContractError("backward root was not recorded on this tape; "
                                 "compute it inside the tape from a tensor that requires grad")
         self.walked = True
@@ -167,15 +171,21 @@ class Tape:
             node.out = node.inputs = node.backward = None
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient for leaf ``t``; zeros of matching shape if it has none.
+        """Gradient for leaf ``t``; zeros if the walk never reached it.
 
-        After ``backward`` only leaves that require grad have one: an
-        intermediate tensor's gradient was freed during the walk, and a
-        tensor that does not require grad never gets one.
+        Only leaves that require grad have one.  Asking for a tensor that
+        does not require grad, or for one an op on this tape produced (its
+        gradient was freed during the walk), raises ContractError rather
+        than reading as zeros.
         """
+        if not t.requires_grad:
+            raise ContractError("grad of a tensor that does not require grad")
+        if id(t) in self.produced:
+            raise ContractError("grad of a tensor an op on this tape produced; "
+                                "only leaf gradients outlive backward")
         g = self.grads.get(id(t))
         if g is None:
-            return np.zeros_like(t.data)
+            return np.zeros_like(t.data)  # a disconnected parameter
         return g
 
 
@@ -540,6 +550,43 @@ def einsum_id_ijd(q: Tensor, r: np.ndarray) -> Tensor:
     return _record(out, (q,), backward, "einsum_id_ijd")
 
 
+def fold_products(x: Tensor, a: np.ndarray, b: np.ndarray) -> Tensor:
+    """cat(fold(x * a), fold(x * b)) with fold(y) = y[..., :h] + y[..., h:], h = width / 2.
+
+    ``a`` and ``b`` are constant tables that broadcast against ``x``; no
+    gradient flows to them.  The result keeps the last axis width 2h.
+    It turns two products against tables whose halves repeat into one:
+    (x * a) cat(k, k)' + (x * b) cat(l, l)' = fold_products(x, a, b) cat(k, l)'
+    (the factorized position term).
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    msg = f"fold_products: got {x.shape}, {a.shape} and {b.shape}"
+    width = x.shape[-1]
+    if width % 2 or a.shape[-1:] != (width,) or b.shape[-1:] != (width,):
+        raise ShapeError(msg)
+    try:
+        shape = np.broadcast_shapes(x.shape, a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(msg) from None
+    h = width // 2
+    x1, x2 = x.data[..., :h], x.data[..., h:]
+    y = np.empty(shape, dtype=x.dtype)
+    # one half-width scratch for both tables, not a fresh full-width product each
+    second = np.empty(y[..., h:].shape, dtype=x.dtype)
+    for half, table in ((y[..., :h], a), (y[..., h:], b)):
+        np.multiply(x1, table[..., :h], out=half)
+        np.multiply(x2, table[..., h:], out=second)
+        half += second
+    out = Tensor(y)
+
+    def backward(g, grads):
+        dx = np.concatenate([g[..., :h]] * 2, axis=-1) * a
+        dx += np.concatenate([g[..., h:]] * 2, axis=-1) * b
+        _accum(grads, x, _unbroadcast(dx, x.shape))
+
+    return _record(out, (x,), backward, "fold_products")
+
+
 def _pairs(x: np.ndarray, real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reshape [T, ...] rows to [ceil(T/2), 2, ...] windows, plus a broadcastable real mask.
 
@@ -718,10 +765,10 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
         if not np.isfinite(out.data):
             raise NumericError("grad_check: function value is not finite")
         tape.backward(out)
+        analytic = [tape.grad(p).copy() for p in params]
     finally:
         for p, flag in zip(params, flags):
             p.requires_grad = flag
-    analytic = [tape.grad(p).copy() for p in params]
 
     picker = np.random.Generator(np.random.Philox(seed))
     worst = 0.0

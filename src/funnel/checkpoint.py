@@ -14,9 +14,12 @@ produces byte-identical files.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from collections.abc import Mapping
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -73,7 +76,7 @@ def save(params: dict[str, Tensor], path: str | Path) -> None:
                 f.write(raw)
                 f.write(struct.pack("<BB", code, data.ndim))
                 f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-                f.write(np.ascontiguousarray(data, dtype=_CODE_DTYPES[code]).tobytes())
+                f.write(memoryview(np.ascontiguousarray(data, dtype=_CODE_DTYPES[code])))
     except OSError as e:
         raise CheckpointError(f"cannot write {path}: {e}") from e
 
@@ -81,50 +84,21 @@ def save(params: dict[str, Tensor], path: str | Path) -> None:
 def load(path: str | Path, expected: Mapping | None = None) -> dict[str, Tensor]:
     """Read an archive back into a name -> Tensor mapping; every tensor requires grad.
 
+    The file is streamed: each payload is read straight into its own
+    freshly allocated array, so loading holds no second copy of the
+    archive.  An entry's byte count is checked against the bytes left in
+    the file before its array is allocated, so a corrupt size raises
+    ``TruncatedPayload`` instead of attempting a huge allocation.
+
     With ``expected`` (name -> template with ``.shape`` and ``.dtype``,
     e.g. ``model.param_specs(config)`` or a built tree) missing or extra
     names are rejected and each entry's shape and dtype must match.
     """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            out = _read_entries(f, path)
     except OSError as e:
         raise CheckpointError(f"cannot read {path}: {e}") from e
-    if len(blob) < 12:
-        raise CorruptHeader(f"{path}: file shorter than the fixed header")
-    if blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: bad magic {blob[:4]!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != VERSION:
-        raise BadVersion(f"{path}: unsupported version {version}")
-    ofs = 12
-    out: dict[str, Tensor] = {}
-    for _ in range(count):
-        try:
-            (name_len,) = struct.unpack_from("<I", blob, ofs)
-            ofs += 4
-            if len(blob) < ofs + name_len:
-                raise CorruptHeader(f"{path}: entry name runs past end of file")
-            name = blob[ofs: ofs + name_len].decode("utf-8")
-            ofs += name_len
-            code, rank = struct.unpack_from("<BB", blob, ofs)
-            ofs += 2
-            dims = struct.unpack_from(f"<{rank}Q", blob, ofs)
-            ofs += 8 * rank
-        except (struct.error, UnicodeDecodeError) as e:
-            raise CorruptHeader(f"{path}: {e}") from e
-        if code not in _CODE_DTYPES:
-            raise CorruptHeader(f"{path}: unknown dtype code {code}")
-        if name in out:
-            raise CorruptHeader(f"{path}: duplicate entry {name!r}")
-        dt = _CODE_DTYPES[code]
-        n_bytes = int(np.prod(dims, dtype=np.int64)) * dt.itemsize if rank else dt.itemsize
-        if len(blob) < ofs + n_bytes:
-            raise TruncatedPayload(f"{path}: payload of {name!r} is truncated")
-        arr = np.frombuffer(blob[ofs: ofs + n_bytes], dtype=dt).reshape(dims).copy()
-        ofs += n_bytes
-        out[name] = Tensor(arr, requires_grad=True)
-    if ofs != len(blob):
-        raise CorruptHeader(f"{path}: {len(blob) - ofs} trailing bytes")
 
     if expected is not None:
         missing = sorted(set(expected) - set(out))
@@ -137,4 +111,52 @@ def load(path: str | Path, expected: Mapping | None = None) -> dict[str, Tensor]
                 raise ShapeMismatch(
                     f"{path}: {name!r} is {got.dtype} {got.shape}, "
                     f"expected {template.dtype} {template.shape}")
+    return out
+
+
+def _read_entries(f: BinaryIO, path) -> dict[str, Tensor]:
+    """Parse an open archive, reading each payload straight into its array."""
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(12)
+    if len(head) < 12:
+        raise CorruptHeader(f"{path}: file shorter than the fixed header")
+    if head[:4] != MAGIC:
+        raise BadMagic(f"{path}: bad magic {head[:4]!r}")
+    version, count = struct.unpack_from("<II", head, 4)
+    if version != VERSION:
+        raise BadVersion(f"{path}: unsupported version {version}")
+
+    def fields(fmt: str) -> tuple:
+        n = struct.calcsize(fmt)
+        raw = f.read(n)
+        if len(raw) < n:
+            raise CorruptHeader(f"{path}: entry header runs past end of file")
+        return struct.unpack(fmt, raw)
+
+    out: dict[str, Tensor] = {}
+    for _ in range(count):
+        (name_len,) = fields("<I")
+        if name_len > size - f.tell():
+            raise CorruptHeader(f"{path}: entry name runs past end of file")
+        try:
+            name = f.read(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CorruptHeader(f"{path}: {e}") from e
+        code, rank = fields("<BB")
+        dims = fields(f"<{rank}Q")
+        if code not in _CODE_DTYPES:
+            raise CorruptHeader(f"{path}: unknown dtype code {code}")
+        if name in out:
+            raise CorruptHeader(f"{path}: duplicate entry {name!r}")
+        dt = _CODE_DTYPES[code]
+        n_bytes = math.prod(dims) * dt.itemsize
+        if n_bytes > size - f.tell():
+            raise TruncatedPayload(f"{path}: payload of {name!r} is truncated")
+        arr = np.empty(dims, dtype=dt)
+        # a flat byte view of the array itself, valid for rank 0 and size 0 alike
+        if f.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
+            raise TruncatedPayload(f"{path}: payload of {name!r} is truncated")
+        out[name] = Tensor(arr, requires_grad=True)
+    if f.tell() != size:
+        raise CorruptHeader(f"{path}: {size - f.tell()} trailing bytes")
     return out

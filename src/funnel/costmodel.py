@@ -91,9 +91,10 @@ def layer_flops(q_len: int, k_len: int, hidden: int, variant: str = "factorized"
       FFN           two 4D-wide matmuls at q_len
 
     Position-term costs follow the published single-head analysis (the
-    width-D outer-product form); a per-head implementation of the
-    factorized variant spends head-count times more on its two outer
-    products, which is the price it pays to avoid the gather.
+    width-D outer-product form); the per-head implementation of the
+    factorized variant folds the two outer products into one width-D
+    product per head, head-count / 2 times this count, which is the
+    price it pays to avoid the gather.
     """
     d = hidden
     macs = 0

@@ -11,9 +11,9 @@ interchangeable implementations of the position term are provided:
 * ``naive``      -- materializes every r_{i-j}; the reference/oracle form.
 * ``gather``     -- one projection of a 2L-1 distance table, then a
                     per-(i,j) gather (the classic shift trick).
-* ``factorized`` -- two outer products against position encodings
+* ``factorized`` -- the two outer products against position encodings
                     phi/psi/pi/omega derived from the angle-difference
-                    identities; no gather at all.
+                    identities, folded into one product; no gather at all.
 
 All three accept arbitrary integer position ids so pooled queries can
 attend to unpooled keys.  Scores are scaled by 1/sqrt(head_dim); applied
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (NumericError, ShapeError, Tensor, add, dropout, einsum_id_ijd,
-                       gelu, layer_norm, matmul, mul, permute, reshape, softmax_lastdim,
-                       take_along_last, transpose)
+                       fold_products, gelu, layer_norm, matmul, permute, reshape,
+                       softmax_lastdim, take_along_last, transpose)
 
 VARIANTS = ("naive", "gather", "factorized")
 
@@ -51,6 +51,10 @@ class RelPosEncoding:
         psi_j   = cat(cos_j,  cos_j)
         pi_i    = cat(-cos_i, sin_i)
         omega_j = cat(sin_j,  sin_j)
+
+    psi and omega repeat their halves, so the factorized term folds each
+    product's halves and uses only their first halves, cat(cos_j, sin_j),
+    on the key side (see ``position_term_factorized``).
 
     Positions may be any integer array; tables gain a trailing axis of
     width D.  Tables are memoised on the instance, keyed by the position
@@ -177,16 +181,26 @@ def position_term_gather(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
 
 def position_term_factorized(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
                              w_r: Tensor, u: Tensor, enc: RelPosEncoding) -> Tensor:
-    """Gather-free form: [(q+u) w_r' (.) phi] psi' + [(q+u) w_r' (.) pi] omega'."""
+    """Gather-free form: [(q+u) w_r' (.) phi] psi' + [(q+u) w_r' (.) pi] omega', as one product.
+
+    psi = cat(cos, cos) and omega = cat(sin, sin) repeat their halves, so
+    each outer product's halves are folded first (``fold_products``):
+    the query side becomes cat(fold(qr (.) phi), fold(qr (.) pi)), the
+    query rotated by its position angle, and the key side cat(cos, sin),
+    the first halves of psi and omega.  One [..., Tq, D] @ [..., D, Tk]
+    product replaces two.
+    """
     q_pos = np.asarray(q_pos, dtype=np.int64)
     k_pos = np.asarray(k_pos, dtype=np.int64)
     qu = add(proj_q, u)
     qr = matmul(qu, transpose(w_r))                          # [..., tq, D]
-    phi = Tensor(_by_column(enc.phi(q_pos), q_pos))
-    pi = Tensor(_by_column(enc.pi(q_pos), q_pos))
-    psi_t = Tensor(np.swapaxes(_by_column(enc.psi(k_pos), k_pos), -1, -2))
-    omega_t = Tensor(np.swapaxes(_by_column(enc.omega(k_pos), k_pos), -1, -2))
-    return add(matmul(mul(qr, phi), psi_t), matmul(mul(qr, pi), omega_t))
+    rotated = fold_products(qr, _by_column(enc.phi(q_pos), q_pos),
+                            _by_column(enc.pi(q_pos), q_pos))
+    h = enc.width // 2
+    # cat(cos, sin)', laid out contiguously as [..., D, tk] for the product
+    keys = np.concatenate([np.swapaxes(_by_column(t, k_pos)[..., :h], -1, -2)
+                           for t in (enc.psi(k_pos), enc.omega(k_pos))], axis=-2)
+    return matmul(rotated, Tensor(keys))
 
 
 _POSITION_TERMS = {

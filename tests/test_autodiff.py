@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from funnel.autodiff import (GELU_A, GELU_C, ContractError, NumericError, Rng, ShapeError, Tape, Tensor,
                              add, bce_with_logits_mean, concat_rows,
-                             cross_entropy_mean, dropout, einsum_id_ijd, gather_rows,
+                             cross_entropy_mean, dropout, einsum_id_ijd, fold_products,
+                             gather_rows,
                              gelu, grad_check, layer_norm, matmul,
                              max_pool_pairs, mean_pool_pairs, mul, permute, reshape,
                              softmax_lastdim, sub, sum_all, take_along_last, transpose)
@@ -330,8 +331,10 @@ class TestBackwardFrees:
         assert set(tape.grads) == {id(x)}
         assert len(tape.nodes) == 4
         np.testing.assert_array_equal(tape.grad(x), 2.0 * c.data)
-        np.testing.assert_array_equal(tape.grad(y), np.zeros((3, 2)))  # freed by the walk
-        np.testing.assert_array_equal(tape.grad(c), np.zeros((3, 2)))  # never formed
+        with pytest.raises(ContractError, match="an op on this tape produced"):
+            tape.grad(y)                                   # freed by the walk
+        with pytest.raises(ContractError, match="does not require grad"):
+            tape.grad(c)                                   # never formed
 
     def test_second_backward_raises(self):
         x = Tensor([2.0], requires_grad=True)
@@ -408,6 +411,19 @@ class TestGradCheck:
             grad_check(lambda: sum_all(mul(x, np.inf)), [x])
 
 
+def test_fold_products_folds_each_product_by_halves():
+    x = Tensor(rand((2, 3, 6), 20))
+    a, b = rand((3, 6), 21), rand(6, 22)
+    pa, pb = x.data * a, x.data * b
+    expected = np.concatenate([pa[..., :3] + pa[..., 3:], pb[..., :3] + pb[..., 3:]], axis=-1)
+    np.testing.assert_array_equal(fold_products(x, a, b).data, expected)
+    for bad in (rand((3, 4), 23), rand((2, 2, 6), 24)):       # wrong width; no broadcast
+        with pytest.raises(ShapeError, match="fold_products"):
+            fold_products(x, bad, b)
+    with pytest.raises(ShapeError, match="fold_products"):   # odd width
+        fold_products(Tensor(rand((2, 5), 25)), rand(5, 26), rand(5, 27))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_every_op_grad_below_1e4(seed):
     """Per-op reverse-mode correctness across seeds (spec gradient invariant)."""
@@ -455,6 +471,10 @@ def test_every_op_grad_below_1e4(seed):
     keep3 = gen.random((2, 1, 4)) > 0.4
     keep3[..., 0] = True
     keep[:, 0] = True
+    # drawn after every table above, so the earlier cases keep their values
+    fold_a = gen.standard_normal((3, 4))
+    fold_b = gen.standard_normal(4)
+    fold_c = gen.standard_normal((2, 3, 4))
 
     cases = {
         "matmul": (lambda: sum_all(mul(matmul(x, m), w32)), [x, m]),
@@ -492,6 +512,9 @@ def test_every_op_grad_below_1e4(seed):
         "bce": (lambda: bce_with_logits_mean(matmul(x, col4), labels, row_w[:, None]), [x]),
         "transpose": (lambda: sum_all(mul(transpose(x), w43)), [x]),
         "reshape": (lambda: sum_all(mul(reshape(x, (2, 6)), w26)), [x]),
+        "fold_products": (lambda: sum_all(mul(fold_products(x3, fold_a, fold_b), w234)), [x3]),
+        "fold_products_broadcast": (lambda: sum_all(mul(fold_products(x, fold_c, fold_b), w234)),
+                                    [x]),
     }
     for name, (f, params) in cases.items():
         err = grad_check(f, params, seed=seed)

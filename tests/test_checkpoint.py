@@ -1,10 +1,14 @@
-"""FTNT archives: byte determinism, round-trips, the error taxonomy."""
+"""FTNT archives: byte determinism, round-trips, the error taxonomy, loading memory."""
+
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from funnel.checkpoint import (BadMagic, BadVersion, CheckpointError, ShapeMismatch,
-                               TruncatedPayload, load, save)
+from funnel.autodiff import Tensor
+from funnel.checkpoint import (BadMagic, BadVersion, CheckpointError, CorruptHeader,
+                               ShapeMismatch, TruncatedPayload, load, save)
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import ModelConfig, build_params, param_specs
 
@@ -47,13 +51,41 @@ class TestRoundTrip:
         assert load(path) == {}
 
     def test_f32_entries_survive(self, tmp_path):
-        from funnel.autodiff import Tensor
         path = tmp_path / "f32.ftnt"
         t = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2))
         save({"x": t}, path)
         out = load(path)["x"]
         assert out.data.dtype == np.float32
         np.testing.assert_array_equal(out.data, t.data)
+
+
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        # the layout in the module docstring, written out independently
+        tensors = {"b": Tensor(np.arange(6.0).reshape(3, 2).T),   # not contiguous
+                   "a": Tensor(np.float32(1.5)), "c": Tensor(np.zeros((0, 4)))}
+        expected = b"FTNT" + struct.pack("<II", 1, 3)
+        for name in sorted(tensors):
+            data = tensors[name].data
+            expected += struct.pack("<I", len(name)) + name.encode()
+            expected += struct.pack("<BB", int(data.dtype == np.float64), data.ndim)
+            expected += struct.pack(f"<{data.ndim}Q", *data.shape) + data.tobytes()
+        path = tmp_path / "m.ftnt"
+        save(tensors, path)
+        assert path.read_bytes() == expected
+        for name, t in load(path).items():
+            assert t.data.dtype == tensors[name].dtype
+            np.testing.assert_array_equal(t.data, tensors[name].data)
+
+
+def entry(name: str, dims: tuple, code: int = 1) -> bytes:
+    """One entry header (no payload) in the archive layout."""
+    raw = name.encode()
+    return (struct.pack("<I", len(raw)) + raw + struct.pack("<BB", code, len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims))
+
+
+def archive(*entries: bytes, count: int | None = None) -> bytes:
+    return b"FTNT" + struct.pack("<II", 1, len(entries) if count is None else count) + b"".join(entries)
 
 
 class TestErrors:
@@ -102,7 +134,6 @@ class TestErrors:
     def test_wrong_shape_entry(self, params, tmp_path):
         path = tmp_path / "m.ftnt"
         other = dict(params)
-        from funnel.autodiff import Tensor
         other["embed/token"] = Tensor(np.zeros((5, 16)))
         save(other, path)
         template = params
@@ -114,8 +145,6 @@ class TestErrors:
             load(tmp_path / "nope.ftnt")
 
     def test_duplicate_entry_rejected(self, tmp_path):
-        import struct
-        from funnel.autodiff import Tensor
         path = tmp_path / "dup.ftnt"
         save({"x": Tensor(np.zeros(2))}, path)
         blob = path.read_bytes()
@@ -124,3 +153,46 @@ class TestErrors:
         path.write_bytes(doubled)
         with pytest.raises(CheckpointError, match="duplicate"):
             load(path)
+
+    @pytest.mark.parametrize("blob", [
+        b"FTNT\x01\x00",                                         # shorter than the fixed header
+        archive(count=1),                                          # entry header missing
+        archive(struct.pack("<I", 50) + b"x"),                     # name runs past end of file
+        archive(b"\x01\x00\x00\x00\xff\x01\x01" + bytes(8) + bytes(8)),  # name not UTF-8
+        archive(entry("x", (1,), code=7) + bytes(8)),              # unknown dtype
+        archive(entry("x", (2, 3))[:-4]),                          # dims cut short
+        archive(entry("x", (1,)) + bytes(8) + b"extra"),           # trailing bytes
+    ])
+    def test_corrupt_headers(self, blob, tmp_path):
+        path = tmp_path / "bad.ftnt"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptHeader):
+            load(path)
+
+    @pytest.mark.parametrize("dims", [(1 << 40,), (1 << 33, 1 << 33)])
+    def test_oversized_entry_is_truncated_before_allocation(self, dims, tmp_path):
+        # 2^40 elements would be an 8 TiB array; 2^66 overflows a 64-bit product
+        path = tmp_path / "huge.ftnt"
+        path.write_bytes(archive(entry("x", dims) + bytes(64)))
+        with pytest.raises(TruncatedPayload, match="'x'"):
+            load(path)
+
+
+def test_load_holds_no_second_copy_of_the_archive(tmp_path):
+    """Payloads stream into their arrays: the traced peak stays near the payload bytes."""
+    config = ModelConfig(layout="B2-2H128D2", vocab_size=64, seed=0)
+    params = build_params(config)
+    payload = sum(t.data.nbytes for t in params.values())
+    path = tmp_path / "m.ftnt"
+    save(params, path)
+    del params
+    specs = param_specs(config)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load(path, expected=specs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert sum(t.data.nbytes for t in loaded.values()) == payload
+    assert peak <= 1.1 * payload, f"peak {peak / payload:.3f}x the payload bytes"

@@ -9,6 +9,7 @@ import pytest
 from funnel.autodiff import NumericError, Tensor, grad_check, mul, sum_all
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
+from funnel import relattn
 from funnel.relattn import (RelPosEncoding, attention, gather_index_matrix, pffn,
                             position_term_factorized, position_term_gather,
                             position_term_naive, transformer_layer, variant_deviation)
@@ -219,6 +220,62 @@ class TestFactorized:
         out = position_term_factorized(proj_q, np.array([0]), np.array([0]), w_r, u, enc)
         projected_query = (proj_q.data[0] + u.data) @ w_r.data.T
         assert out.data[0, 0] == pytest.approx(projected_query[d // 2:].sum(), rel=1e-12)
+
+
+def two_product_reference(proj_q, q_pos, k_pos, w_r, u, enc):
+    """The factorized term before folding: [qr (.) phi] psi' + [qr (.) pi] omega'."""
+    def lay(table, pos):  # [T, ...] tables against [..., H, T, D]; [T, B] ones -> [B, 1, T, D]
+        return table if np.ndim(pos) == 1 else np.moveaxis(table, 1, 0)[:, None]
+
+    qr = (proj_q.data + u.data) @ np.swapaxes(w_r.data, -1, -2)
+    phi, pi = lay(enc.phi(q_pos), q_pos), lay(enc.pi(q_pos), q_pos)
+    psi_t = np.swapaxes(lay(enc.psi(k_pos), k_pos), -1, -2)
+    omega_t = np.swapaxes(lay(enc.omega(k_pos), k_pos), -1, -2)
+    return (qr * phi) @ psi_t + (qr * pi) @ omega_t
+
+
+def folded_cases(dtype):
+    """Shared 1-D positions, pooled queries against unpooled keys, per-column [T, B] positions."""
+    gen = np.random.Generator(np.random.Philox(88))
+    h, d, dh, b = 3, 16, 4, 2
+
+    def draw(*shape):
+        return Tensor(gen.standard_normal(shape).astype(dtype))
+
+    w_r, u = draw(h, d, dh), draw(h, 1, dh)
+    per_column_k = np.stack([np.arange(8), np.arange(8) + 3], axis=1)   # [8, 2]
+    return [
+        (draw(h, 7, dh), np.arange(7), np.arange(7), w_r, u),
+        (draw(h, 4, dh), np.array([0, 2, 4, 6]), np.arange(8), w_r, u),
+        (draw(b, h, 4, dh), per_column_k[[0, 3, 5, 6]], per_column_k, w_r, u),
+    ]
+
+
+@pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_folded_factorized_equals_two_product_form(dtype, rel):
+    for proj_q, q_pos, k_pos, w_r, u in folded_cases(dtype):
+        enc = RelPosEncoding(16, dtype)
+        out = position_term_factorized(proj_q, q_pos, k_pos, w_r, u, enc).data
+        ref = two_product_reference(proj_q, q_pos, k_pos, w_r, u, enc)
+        assert out.dtype == dtype and out.shape == ref.shape
+        assert np.abs(out - ref).max() <= rel * np.abs(ref).max()
+
+
+def test_factorized_issues_one_score_sized_matmul(monkeypatch):
+    shapes = []
+    real = relattn.matmul
+
+    def spy(a, b, bias=None):
+        out = real(a, b, bias)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(relattn, "matmul", spy)
+    for proj_q, q_pos, k_pos, w_r, u in folded_cases(np.float64):
+        shapes.clear()
+        position_term_factorized(proj_q, q_pos, k_pos, w_r, u, RelPosEncoding(16))
+        tq, tk = len(q_pos), len(k_pos)
+        assert sum(shape[-2:] == (tq, tk) for shape in shapes) == 1, shapes
 
 
 def test_three_way_equivalence_property():
