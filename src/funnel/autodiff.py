@@ -553,36 +553,44 @@ def einsum_id_ijd(q: Tensor, r: np.ndarray) -> Tensor:
 def fold_products(x: Tensor, a: np.ndarray, b: np.ndarray) -> Tensor:
     """cat(fold(x * a), fold(x * b)) with fold(y) = y[..., :h] + y[..., h:], h = width / 2.
 
-    ``a`` and ``b`` are constant tables that broadcast against ``x``; no
-    gradient flows to them.  The result keeps the last axis width 2h.
-    It turns two products against tables whose halves repeat into one:
+    ``a`` and ``b`` are constant tables that broadcast to the shape of
+    ``x``, which the result keeps; no gradient flows to them.  It turns
+    two products against tables whose halves repeat into one:
     (x * a) cat(k, k)' + (x * b) cat(l, l)' = fold_products(x, a, b) cat(k, l)'
     (the factorized position term).
+
+    Evaluated in the rotary form x * p + swap(x) * q, with swap(v) =
+    cat(v[..., h:], v[..., :h]), p = cat(a[..., :h], b[..., h:]) and
+    q = cat(a[..., h:], b[..., :h]): the same products summed in the same
+    pairs, so the same result to the bit, from whole-width passes only
+    (half-width strided passes cost more than the arithmetic here).
     """
     a, b = np.asarray(a), np.asarray(b)
-    msg = f"fold_products: got {x.shape}, {a.shape} and {b.shape}"
     width = x.shape[-1]
-    if width % 2 or a.shape[-1:] != (width,) or b.shape[-1:] != (width,):
-        raise ShapeError(msg)
     try:
-        shape = np.broadcast_shapes(x.shape, a.shape, b.shape)
+        fits = np.broadcast_shapes(x.shape, a.shape, b.shape) == x.shape
     except ValueError:
-        raise ShapeError(msg) from None
+        fits = False
+    if not fits or width % 2 or a.shape[-1:] != (width,) or b.shape[-1:] != (width,):
+        raise ShapeError(f"fold_products: got {x.shape}, {a.shape} and {b.shape}")
     h = width // 2
-    x1, x2 = x.data[..., :h], x.data[..., h:]
-    y = np.empty(shape, dtype=x.dtype)
-    # one half-width scratch for both tables, not a fresh full-width product each
-    second = np.empty(y[..., h:].shape, dtype=x.dtype)
-    for half, table in ((y[..., :h], a), (y[..., h:], b)):
-        np.multiply(x1, table[..., :h], out=half)
-        np.multiply(x2, table[..., h:], out=second)
-        half += second
+
+    def swap(v):
+        return np.concatenate([v[..., h:], v[..., :h]], axis=-1)
+
+    a, b = np.broadcast_arrays(a, b)
+    p = np.concatenate([a[..., :h], b[..., h:]], axis=-1)
+    q = np.concatenate([a[..., h:], b[..., :h]], axis=-1)
+    y = x.data * p
+    rotated = swap(x.data)
+    rotated *= q
+    y += rotated
     out = Tensor(y)
 
     def backward(g, grads):
-        dx = np.concatenate([g[..., :h]] * 2, axis=-1) * a
-        dx += np.concatenate([g[..., h:]] * 2, axis=-1) * b
-        _accum(grads, x, _unbroadcast(dx, x.shape))
+        dx = g * p
+        dx += swap(g * q)
+        _accum(grads, x, dx)
 
     return _record(out, (x,), backward, "fold_products")
 

@@ -417,7 +417,8 @@ def test_fold_products_folds_each_product_by_halves():
     pa, pb = x.data * a, x.data * b
     expected = np.concatenate([pa[..., :3] + pa[..., 3:], pb[..., :3] + pb[..., 3:]], axis=-1)
     np.testing.assert_array_equal(fold_products(x, a, b).data, expected)
-    for bad in (rand((3, 4), 23), rand((2, 2, 6), 24)):       # wrong width; no broadcast
+    for bad in (rand((3, 4), 23), rand((2, 2, 6), 24), rand((4, 2, 3, 6), 28)):
+        # wrong width; no broadcast; would grow the result
         with pytest.raises(ShapeError, match="fold_products"):
             fold_products(x, bad, b)
     with pytest.raises(ShapeError, match="fold_products"):   # odd width
@@ -474,7 +475,7 @@ def test_every_op_grad_below_1e4(seed):
     # drawn after every table above, so the earlier cases keep their values
     fold_a = gen.standard_normal((3, 4))
     fold_b = gen.standard_normal(4)
-    fold_c = gen.standard_normal((2, 3, 4))
+    fold_c = gen.standard_normal((2, 1, 4))
 
     cases = {
         "matmul": (lambda: sum_all(mul(matmul(x, m), w32)), [x, m]),
@@ -513,8 +514,8 @@ def test_every_op_grad_below_1e4(seed):
         "transpose": (lambda: sum_all(mul(transpose(x), w43)), [x]),
         "reshape": (lambda: sum_all(mul(reshape(x, (2, 6)), w26)), [x]),
         "fold_products": (lambda: sum_all(mul(fold_products(x3, fold_a, fold_b), w234)), [x3]),
-        "fold_products_broadcast": (lambda: sum_all(mul(fold_products(x, fold_c, fold_b), w234)),
-                                    [x]),
+        "fold_products_per_column": (lambda: sum_all(mul(fold_products(x3, fold_c, fold_a), w234)),
+                                     [x3]),
     }
     for name, (f, params) in cases.items():
         err = grad_check(f, params, seed=seed)
