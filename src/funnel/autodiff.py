@@ -52,9 +52,13 @@ class ContractError(RuntimeError):
 
 
 class Tensor:
-    """Dense numeric array with shape metadata, optionally tracked for grads."""
+    """Dense numeric array with shape metadata, optionally tracked for grads.
 
-    __slots__ = ("data", "requires_grad")
+    ``recorded`` is True for the output of an op recorded on a tape: not a
+    leaf, so no gradient of it outlives ``Tape.backward``.
+    """
+
+    __slots__ = ("data", "requires_grad", "recorded")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -64,6 +68,7 @@ class Tensor:
             raise ShapeError(f"rank {arr.ndim} > 4 not supported")
         self.data = arr
         self.requires_grad = requires_grad
+        self.recorded = False
 
     @property
     def shape(self) -> tuple:
@@ -126,7 +131,6 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self.grads: dict[int, np.ndarray] = {}
-        self.produced: set[int] = set()
         self.walked = False
 
     def __enter__(self):
@@ -157,9 +161,7 @@ class Tape:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
         if self.walked:
             raise ContractError("backward already ran on this tape; record a new one")
-        # every node output is alive here, so ids name tensors uniquely
-        self.produced = {id(node.out) for node in self.nodes}
-        if id(root) not in self.produced:
+        if not any(node.out is root for node in reversed(self.nodes)):
             raise ContractError("backward root was not recorded on this tape; "
                                 "compute it inside the tape from a tensor that requires grad")
         self.walked = True
@@ -174,14 +176,14 @@ class Tape:
         """Gradient for leaf ``t``; zeros if the walk never reached it.
 
         Only leaves that require grad have one.  Asking for a tensor that
-        does not require grad, or for one an op on this tape produced (its
-        gradient was freed during the walk), raises ContractError rather
-        than reading as zeros.
+        does not require grad, or for the output of a recorded op (its
+        gradient was freed during the walk, or it belongs to another tape),
+        raises ContractError rather than reading as zeros.
         """
         if not t.requires_grad:
             raise ContractError("grad of a tensor that does not require grad")
-        if id(t) in self.produced:
-            raise ContractError("grad of a tensor an op on this tape produced; "
+        if t.recorded:
+            raise ContractError("grad of a tensor a recorded op produced; "
                                 "only leaf gradients outlive backward")
         g = self.grads.get(id(t))
         if g is None:
@@ -192,7 +194,7 @@ class Tape:
 def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable, name: str):
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
+        out.requires_grad = out.recorded = True
         tape.nodes.append(Node(out, inputs, backward, name))
     return out
 

@@ -331,8 +331,11 @@ class TestBackwardFrees:
         assert set(tape.grads) == {id(x)}
         assert len(tape.nodes) == 4
         np.testing.assert_array_equal(tape.grad(x), 2.0 * c.data)
-        with pytest.raises(ContractError, match="an op on this tape produced"):
-            tape.grad(y)                                   # freed by the walk
+        with Tape():
+            elsewhere = mul(x, c)                          # recorded on another tape
+        for produced in (y, elsewhere):                    # y: freed by the walk
+            with pytest.raises(ContractError, match="a recorded op produced"):
+                tape.grad(produced)
         with pytest.raises(ContractError, match="does not require grad"):
             tape.grad(c)                                   # never formed
 
