@@ -53,8 +53,8 @@ class RelPosEncoding:
         omega_j = cat(sin_j,  sin_j)
 
     psi and omega repeat their halves, so the factorized term folds each
-    product's halves and uses only their first halves, cat(cos_j, sin_j),
-    on the key side (see ``position_term_factorized``).
+    product's halves and keeps only the first halves of psi and omega,
+    cat(cos_j, sin_j), on the key side (see ``position_term_factorized``).
 
     Positions may be any integer array; tables gain a trailing axis of
     width D.  Tables are memoised on the instance, keyed by the position
