@@ -28,7 +28,7 @@ adds the residual.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -83,22 +83,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
-
-    # Arithmetic sugar; all shape rules live in the op functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Node:
@@ -175,11 +159,14 @@ class Tape:
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient for leaf ``t``; zeros if the walk never reached it.
 
-        Only leaves that require grad have one.  Asking for a tensor that
-        does not require grad, or for the output of a recorded op (its
-        gradient was freed during the walk, or it belongs to another tape),
-        raises ContractError rather than reading as zeros.
+        Only leaves that require grad have one, and only once ``backward``
+        has run.  Asking before the walk, for a tensor that does not require
+        grad, or for the output of a recorded op (its gradient was freed
+        during the walk, or it belongs to another tape) raises ContractError
+        rather than reading as zeros.
         """
+        if not self.walked:
+            raise ContractError("grad before backward has run on this tape")
         if not t.requires_grad:
             raise ContractError("grad of a tensor that does not require grad")
         if t.recorded:
@@ -232,20 +219,6 @@ def add(a: Tensor, b) -> Tensor:
             _accum(grads, b, _unbroadcast(g, b.shape))
 
     return _record(out, (a, b), backward, "add")
-
-
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    _check_binary_shapes(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def backward(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(grads, b, -_unbroadcast(g, b.shape))
-
-    return _record(out, (a, b), backward, "sub")
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -519,20 +492,6 @@ def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
         _accum(grads, x, dx.reshape(x.shape).astype(x.dtype, copy=False))
 
     return _record(out, (x,), backward, "take_along_last")
-
-
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    parts = list(parts)
-    heights = [p.shape[0] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-
-    def backward(g, grads):
-        ofs = 0
-        for p, h in zip(parts, heights):
-            _accum(grads, p, g[ofs:ofs + h])
-            ofs += h
-
-    return _record(out, tuple(parts), backward, "concat_rows")
 
 
 def einsum_id_ijd(q: Tensor, r: np.ndarray) -> Tensor:

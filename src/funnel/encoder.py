@@ -6,11 +6,13 @@ pooled sequence as queries against the unpooled sequence as keys/values
 (pool-query-only attention), after which standard layers continue at the
 reduced length.
 
-The classification token at index 0 can be kept out of the pooling
-windows (``separate_cls``); to keep lengths at powers of two afterwards,
-the final pooled state is dropped (``truncate_seq``).  Pooled states keep
-the position id of the first token of their window so relative distances
-against unpooled keys stay meaningful.
+The classification token at index 0 can be kept out of the other
+tokens' pooling windows (``separate_cls``): pooling reads it twice, so it
+shares a window only with itself.  To keep lengths at powers of two
+afterwards, the same row index leaves out the final pooled state
+(``truncate_seq``).  Pooled states keep the position id of the first
+token of their window so relative distances against unpooled keys stay
+meaningful.
 
 States are time-major, [T, D] for one sequence or [T, B, D] for a batch,
 with pad masks [T] or [T, B]; every pooling op works along axis 0, one
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (ContractError, Tensor, concat_rows, dropout, gather_rows,
-                       max_pool_pairs, mean_pool_pairs, reshape)
+from .autodiff import (ContractError, Tensor, dropout, gather_rows, max_pool_pairs,
+                       mean_pool_pairs, reshape)
 from .relattn import RelPosEncoding, attention, pffn, transformer_layer
 
 POOL_OPS = ("mean", "max", "top_attn")
@@ -85,46 +87,64 @@ def _column_pos(pos: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.broadcast_to(pos.reshape(pos.shape + (1,) * (mask.ndim - pos.ndim)), mask.shape)
 
 
-def pool_top_attn(h: Tensor, pos: np.ndarray, mask: np.ndarray,
-                  prev_attn: np.ndarray | None) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Keep the half of the states that drew the most attention, per column.
+def top_attn_rows(mask: np.ndarray, prev_attn: np.ndarray | None) -> np.ndarray:
+    """Rows kept by top-attention pooling, [ceil(n/2)] or [ceil(n/2), B] like the mask.
 
     Per-key score = attention map summed over heads and queries.  Exactly
-    ceil(n/2) states are kept, ties broken toward the lower index, and the
-    survivors stay in original order with their original position ids.
-    The map must come from a same-length attention layer, so blocks need
-    at least one standard layer after a pool-query-only transition.
-    ``h`` is [n, D] with a [heads, Tq, n] map, or [n, B, D] with a
-    [B, heads, Tq, n] map; positions come back with the mask's shape.
+    ceil(n/2) rows are kept per column, ties broken toward the lower index,
+    in original order.  The map ([heads, Tq, n], or [B, heads, Tq, n] for a
+    batch) must come from a same-length attention layer, so blocks need at
+    least one standard layer after a pool-query-only transition.
     """
     if prev_attn is None:
         raise ContractError("top-attention pooling needs the previous layer's attention map")
-    mask = np.asarray(mask, dtype=bool)
-    n = h.shape[0]
+    n = mask.shape[0]
     scores = prev_attn.sum(axis=(-3, -2))                    # [*cols, n]
     if scores.shape != mask.shape[1:] + (n,):
         raise ContractError(f"attention map keys ({scores.shape}) do not match states ({n})")
     keep = (n + 1) // 2
     # a stable sort of the negated scores puts ties in index order
     chosen = np.sort(np.argsort(-scores, axis=-1, kind="stable")[..., :keep], axis=-1)
-    chosen = np.moveaxis(chosen, -1, 0)                      # [keep, *cols]
-    cols = chosen[0].size
-    flat = reshape(h, (n * cols,) + h.shape[mask.ndim:])
-    rows = chosen * cols + np.arange(cols).reshape(chosen.shape[1:])
-    return (gather_rows(flat, rows),
-            np.take_along_axis(_column_pos(pos, mask), chosen, axis=0),
-            np.take_along_axis(mask, chosen, axis=0))
+    return np.moveaxis(chosen, -1, 0)
+
+
+def gather_column_rows(h: Tensor, pos: np.ndarray, mask: np.ndarray, rows: np.ndarray
+                       ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """States, positions and mask at ``rows``, which has the mask's shape: one gather.
+
+    A batch [n, B, D] is gathered from its [n*B, D] rows, so each column
+    keeps its own states; positions come back with the mask's shape.
+    """
+    cols = mask[0].size
+    flat = h if mask.ndim == 1 else reshape(h, (mask.size,) + h.shape[2:])
+    return (gather_rows(flat, rows * cols + np.arange(cols)),
+            np.take_along_axis(_column_pos(pos, mask), rows, axis=0),
+            np.take_along_axis(mask, rows, axis=0))
+
+
+def pool_top_attn(h: Tensor, pos: np.ndarray, mask: np.ndarray,
+                  prev_attn: np.ndarray | None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Keep the half of the states that drew the most attention (``top_attn_rows``).
+
+    ``h`` is [n, D] with a [heads, Tq, n] map, or [n, B, D] with a
+    [B, heads, Tq, n] map; survivors keep their position ids.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    return gather_column_rows(h, pos, mask, top_attn_rows(mask, prev_attn))
 
 
 def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
               prev_attn: np.ndarray | None = None) -> PooledState:
-    """One inter-block compression step.
+    """One inter-block compression step: one row index, then one pooling op.
 
-    With ``separate_cls`` the index-0 state is carried through untouched and
-    only the rest is pooled; the pooled sequence then has one state too many
-    for a power-of-two input, so with ``truncate`` the final pooled state is
-    dropped to land on a power of two again.  Without ``separate_cls`` the
-    whole sequence is pooled stride-2 (already a power of two; no drop).
+    With ``separate_cls`` mean and max pool the rows [0, 0, 1, 2, ...]: the
+    index-0 state shares a window only with itself and comes through
+    unchanged (``(x + x) / 2 == x``; max ties go to the first member), so a
+    pad index 0 pools to zero like any all-pad window.  Top-attention keeps
+    row 0 ahead of its choice among the rest.  The result then has one state
+    too many for a power-of-two input, so with ``truncate`` the index leaves
+    out the final pooled state's rows.  Without ``separate_cls`` the whole
+    sequence is pooled stride-2 (already a power of two; no drop).
     Top-attention scores count only real queries: a pad query's attention
     row depends on the ids at pad positions.
     """
@@ -133,28 +153,19 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     t = state.hidden.shape[0]
     if separate_cls and t <= 1:
         return state
-    pos = state.pos
+    cls = int(separate_cls)
+    drop = int(separate_cls and truncate and _is_pow2(t))
+    hidden, pos, mask = state.hidden, np.asarray(state.pos), np.asarray(state.mask, dtype=bool)
     if op == "top_attn":
-        pos = _column_pos(pos, state.mask)
         if prev_attn is not None:
-            prev_attn = prev_attn * np.moveaxis(state.mask, 0, -1)[..., None, :, None]
-    rest = slice(1, None) if separate_cls else slice(None)
-    hidden = gather_rows(state.hidden, np.arange(1, t)) if separate_cls else state.hidden
-    if op == "top_attn":
-        pooled, ppos, pmask = pool_top_attn(hidden, pos[rest], state.mask[rest],
-                                            None if prev_attn is None else prev_attn[..., rest])
-    else:
-        pooled, ppos, pmask = pool_pair(hidden, pos[rest], state.mask[rest], op)
-    if not separate_cls:
-        return PooledState(pooled, ppos, pmask)
-    hidden = concat_rows([gather_rows(state.hidden, np.arange(1)), pooled])
-    pos = np.concatenate([pos[:1], ppos])
-    mask = np.concatenate([state.mask[:1], pmask])
-    if truncate and _is_pow2(t) and hidden.shape[0] > 1:
-        hidden = gather_rows(hidden, np.arange(hidden.shape[0] - 1))
-        pos = pos[:-1]
-        mask = mask[:-1]
-    return PooledState(hidden, pos, mask)
+            prev_attn = (prev_attn * np.moveaxis(mask, 0, -1)[..., None, :, None])[..., cls:]
+        chosen = top_attn_rows(mask[cls:], prev_attn) + cls
+        rows = np.concatenate([np.zeros_like(chosen[:cls]), chosen])
+        return PooledState(*gather_column_rows(hidden, pos, mask, rows[:len(rows) - drop]))
+    if separate_cls:
+        rows = np.maximum(np.arange(-1, t - drop), 0)
+        hidden, pos, mask = gather_rows(hidden, rows), pos[rows], mask[rows]
+    return PooledState(*pool_pair(hidden, pos, mask, op))
 
 
 def _is_pow2(n: int) -> bool:

@@ -44,6 +44,11 @@ class ModelConfig:
             self.layout = parse_layout(self.layout)
         if self.pool_op not in POOL_OPS:
             raise ValueError(f"pool_op must be one of {POOL_OPS}, got {self.pool_op!r}")
+        if (self.pool_op == "top_attn" and self.pool_query_only
+                and any(b.total_layers == 1 for b in self.layout.blocks[1:-1])):
+            # a lone transition's map has unpooled keys: the next pooling cannot use it
+            raise ValueError("top_attn pooling with pool_query_only needs at least two "
+                             "layers in every block that is followed by pooling")
         if self.attn_variant not in VARIANTS:
             raise ValueError(f"attn_variant must be one of {VARIANTS}, got {self.attn_variant!r}")
         if self.dtype not in DTYPES:

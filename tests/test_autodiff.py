@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from funnel.autodiff import (GELU_A, GELU_C, ContractError, NumericError, Rng, ShapeError, Tape, Tensor,
-                             add, bce_with_logits_mean, concat_rows,
+                             add, bce_with_logits_mean,
                              cross_entropy_mean, dropout, einsum_id_ijd, fold_products,
                              gather_rows,
                              gelu, grad_check, layer_norm, matmul,
                              max_pool_pairs, mean_pool_pairs, mul, permute, reshape,
-                             softmax_lastdim, sub, sum_all, take_along_last, transpose)
+                             softmax_lastdim, sum_all, take_along_last, transpose)
 from funnel.model import ModelConfig
 from funnel.training import TrainSettings, train_toy
 
@@ -326,7 +326,7 @@ class TestBackwardFrees:
         c = Tensor(rand((3, 2), 13))                       # a constant
         with Tape() as tape:
             y = mul(x, c)
-            out = sum_all(concat_rows([add(y, y), c]))
+            out = sum_all(add(add(y, y), c))
             tape.backward(out)
         assert set(tape.grads) == {id(x)}
         assert len(tape.nodes) == 4
@@ -338,6 +338,18 @@ class TestBackwardFrees:
                 tape.grad(produced)
         with pytest.raises(ContractError, match="does not require grad"):
             tape.grad(c)                                   # never formed
+
+    def test_grad_before_backward_raises(self):
+        # zeros here would let a caller who forgot backward step on nothing
+        x = Tensor(rand((3, 2), 14), requires_grad=True)
+        with Tape() as tape:
+            out = sum_all(mul(x, x))
+            with pytest.raises(ContractError, match="before backward"):
+                tape.grad(x)
+            tape.backward(out)
+        np.testing.assert_array_equal(tape.grad(x), 2.0 * x.data)
+        with pytest.raises(ContractError, match="before backward"):
+            Tape().grad(x)                                 # an empty tape too
 
     def test_second_backward_raises(self):
         x = Tensor([2.0], requires_grad=True)
@@ -457,7 +469,7 @@ def test_every_op_grad_below_1e4(seed):
 
     w32 = Tensor(gen.standard_normal((3, 2)))
     w44 = Tensor(gen.standard_normal((4, 4)))
-    w64 = Tensor(gen.standard_normal((6, 4)))
+    gen.standard_normal((6, 4))  # a removed case's weights: later tables keep their values
     w35 = Tensor(gen.standard_normal((3, 5)))
     w43 = Tensor(gen.standard_normal((4, 3)))
     w26 = Tensor(gen.standard_normal((2, 6)))
@@ -486,7 +498,6 @@ def test_every_op_grad_below_1e4(seed):
         "batched_matmul_bias": (lambda: sum_all(mul(matmul(x3, m, bias_b), w232)),
                                 [x3, m, bias_b]),
         "add_bias": (lambda: sum_all(mul(add(x, bias), w)), [x, bias]),
-        "sub": (lambda: sum_all(mul(sub(x, y), w)), [x, y]),
         "mul": (lambda: sum_all(mul(mul(x, y), w)), [x, y]),
         "softmax": (lambda: sum_all(mul(softmax_lastdim(x), w)), [x]),
         "softmax_scaled_masked": (lambda: sum_all(mul(softmax_lastdim(x, 0.7, keep), w)), [x]),
@@ -508,7 +519,6 @@ def test_every_op_grad_below_1e4(seed):
         "take_along_last_broadcast": (lambda: sum_all(mul(take_along_last(x3, rows5), w235)), [x3]),
         "per_column_pools": (lambda: sum_all(mul(add(mean_pool_pairs(x52, real2),
                                                      max_pool_pairs(x52, real2)), w32_3)), [x52]),
-        "concat_rows": (lambda: sum_all(mul(concat_rows([x, y]), w64)), [x, y]),
         "einsum_id_ijd": (lambda: sum_all(mul(einsum_id_ijd(x, r3), w35)), [x]),
         "mean_pool": (lambda: sum_all(mul(mean_pool_pairs(x5, real), w3)), [x5]),
         "max_pool": (lambda: sum_all(mul(max_pool_pairs(x5, real), w3)), [x5]),

@@ -181,6 +181,17 @@ class TestTrainToy:
         assert f"error: config: {field} must be one of" in err
         assert not (tmp / "o").exists()
 
+    def test_top_attn_after_lone_transition_refused(self, train_setup, capsys):
+        cfg, corpus, tmp = train_setup
+        d = json.loads(cfg.read_text())
+        d.update(layout="B2-1-2H64D2", pool_op="top_attn")
+        cfg.write_text(json.dumps(d))
+        code, _, err = run(capsys, "train-toy", "--config", str(cfg),
+                           "--corpus", str(corpus), "--out", str(tmp / "o"))
+        assert code == 2
+        assert "error: config: top_attn pooling with pool_query_only" in err
+        assert not (tmp / "o").exists()
+
 
 class TestEncode:
     def test_shapes_cls_tokens(self, train_setup, capsys):

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from funnel.autodiff import ContractError, Rng, Tensor, grad_check, mul, sum_all
-from funnel.encoder import (PooledState, block_transition_attention, pool_pair,
-                            pool_step, pool_top_attn)
+from funnel import autodiff
+from funnel.autodiff import (ContractError, Rng, Tape, Tensor, gather_rows, grad_check, mul,
+                             sum_all)
+from funnel.encoder import (PooledState, _column_pos, _is_pow2, block_transition_attention,
+                            pool_pair, pool_step, pool_top_attn)
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
 
@@ -135,6 +137,116 @@ class TestPoolStep:
         vals2[0] += 10.0
         b = pool_step(make_state(vals2), "mean", separate_cls=False, truncate=True)
         assert not np.allclose(a.hidden.data[0], b.hidden.data[0])
+
+
+def concat_rows(parts):
+    """Row concatenation with a pull-back that slices the gradient per part."""
+    parts = list(parts)
+    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+
+    def backward(g, grads):
+        ofs = 0
+        for p in parts:
+            autodiff._accum(grads, p, g[ofs:ofs + p.shape[0]])
+            ofs += p.shape[0]
+
+    return autodiff._record(out, tuple(parts), backward, "concat_rows")
+
+
+def split_concat_drop(state, op, separate_cls, truncate, prev_attn=None):
+    """Separate-CLS pooling as three steps: split CLS off, pool the rest, put
+    CLS back in front, then drop the last pooled state of a power-of-two input."""
+    t = state.hidden.shape[0]
+    if separate_cls and t <= 1:
+        return state
+    pos = state.pos
+    if op == "top_attn":
+        pos = _column_pos(pos, state.mask)
+        if prev_attn is not None:
+            prev_attn = prev_attn * np.moveaxis(state.mask, 0, -1)[..., None, :, None]
+    rest = slice(1, None) if separate_cls else slice(None)
+    hidden = gather_rows(state.hidden, np.arange(1, t)) if separate_cls else state.hidden
+    if op == "top_attn":
+        pooled, ppos, pmask = pool_top_attn(hidden, pos[rest], state.mask[rest],
+                                            None if prev_attn is None else prev_attn[..., rest])
+    else:
+        pooled, ppos, pmask = pool_pair(hidden, pos[rest], state.mask[rest], op)
+    if not separate_cls:
+        return PooledState(pooled, ppos, pmask)
+    hidden = concat_rows([gather_rows(state.hidden, np.arange(1)), pooled])
+    pos = np.concatenate([pos[:1], ppos])
+    mask = np.concatenate([state.mask[:1], pmask])
+    if truncate and _is_pow2(t) and hidden.shape[0] > 1:
+        hidden = gather_rows(hidden, np.arange(hidden.shape[0] - 1))
+        pos, mask = pos[:-1], mask[:-1]
+    return PooledState(hidden, pos, mask)
+
+
+def pooled_with_grad(pool, state, op, separate_cls, truncate, prev_attn, weights_seed):
+    """Pooled state plus d(sum(pooled * w))/d(hidden) from one tape walk."""
+    h = Tensor(state.hidden.data, requires_grad=True)
+    with Tape() as tape:
+        out = pool(PooledState(h, state.pos, state.mask), op, separate_cls, truncate, prev_attn)
+        gen = np.random.Generator(np.random.Philox(weights_seed))
+        tape.backward(sum_all(mul(out.hidden, Tensor(gen.standard_normal(out.hidden.shape)))))
+    return out, tape.grad(h), len(tape.nodes)
+
+
+class TestPoolStepMatchesSplitConcatDrop:
+    """One row index plus one pooling op gives the three-step composition's
+    states, positions, mask and gradients bit for bit."""
+
+    @pytest.mark.parametrize("op", ["mean", "max", "top_attn"])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_bit_identical(self, op, cols):
+        for t in list(range(1, 10)) + [16]:
+            gen = np.random.Generator(np.random.Philox(t * 10 + (cols or 0)))
+            shape = (t,) if cols is None else (t, cols)
+            mask = gen.random(shape) > 0.4
+            mask[0] = True                                 # position 0 is real
+            pos = np.arange(t)
+            attn = None
+            if op == "top_attn":
+                attn = gen.random(((cols,) if cols else ()) + (2, t, t))
+                if cols:                                   # as after a top_attn step
+                    pos = np.sort(gen.choice(4 * t, (t, cols), replace=False), axis=0)
+            state = PooledState(Tensor(gen.standard_normal(shape + (4,))), pos, mask)
+            for separate_cls in (True, False):
+                for truncate in (True, False):
+                    args = (state, op, separate_cls, truncate, attn, t)
+                    got, dgot, _ = pooled_with_grad(pool_step, *args)
+                    ref, dref, _ = pooled_with_grad(split_concat_drop, *args)
+                    where = f"t={t} separate_cls={separate_cls} truncate={truncate}"
+                    assert got.hidden.data.tobytes() == ref.hidden.data.tobytes(), where
+                    assert got.hidden.shape == ref.hidden.shape, where
+                    np.testing.assert_array_equal(got.pos, ref.pos, err_msg=where)
+                    np.testing.assert_array_equal(got.mask, ref.mask, err_msg=where)
+                    assert dgot.tobytes() == dref.tobytes(), where
+
+    @pytest.mark.parametrize("op,cols,nodes", [("mean", None, 2), ("max", 3, 2),
+                                               ("top_attn", None, 1), ("top_attn", 3, 2)])
+    def test_tape_nodes(self, op, cols, nodes):
+        # the three-step composition records 5 (mean, max) or 6 (top_attn) nodes
+        gen = np.random.Generator(np.random.Philox(1))
+        shape = (8,) if cols is None else (8, cols)
+        attn = gen.random(((cols,) if cols else ()) + (2, 8, 8))
+        state = PooledState(Tensor(gen.standard_normal(shape + (4,))), np.arange(8),
+                            np.ones(shape, bool))
+        out, _, n = pooled_with_grad(pool_step, state, op, True, True, attn, 2)
+        assert out.hidden.shape[0] == 4
+        assert n == nodes + 2                              # plus mul and sum_all
+
+    @pytest.mark.parametrize("op", ["mean", "max"])
+    def test_pad_cls_pools_like_an_all_pad_window(self, op):
+        # encode_line and Batch always make position 0 real; a hand-built
+        # state with a pad CLS reads it twice, an all-pad window: zero, still pad
+        vals = np.array([100.0, 1, 3, 5, 7, 9, 11, 13])
+        mask = np.ones(8, bool)
+        mask[0] = False
+        out = pool_step(make_state(vals, mask=mask), op, separate_cls=True, truncate=True)
+        assert out.hidden.data[0, 0] == 0.0
+        np.testing.assert_array_equal(out.mask, [False, True, True, True])
+        np.testing.assert_array_equal(out.pos, [0, 1, 3, 5])
 
 
 @pytest.fixture

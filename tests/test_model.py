@@ -35,6 +35,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(**kw)
 
+    @pytest.mark.parametrize("layout", ["B2-1-2H64D2", "B1-1-1H64D1", "B2-1-1-2H64D2",
+                                        "B3-1-3H64D2"])
+    def test_top_attn_after_lone_transition_refused(self, layout):
+        # a one-layer middle block leaves only the transition's map, whose keys
+        # are unpooled; such a config failed to encode at every length
+        with pytest.raises(ValueError, match="top_attn pooling with pool_query_only"):
+            ModelConfig(layout=layout, vocab_size=20, pool_op="top_attn")
+        ModelConfig(layout=layout, vocab_size=20, pool_op="top_attn", pool_query_only=False)
+        ModelConfig(layout=layout, vocab_size=20, pool_op="mean")
+
+    @pytest.mark.parametrize("layout", ["B2-1H64D2", "B1-1H64D1", "B1-2-1H64D1"])
+    def test_top_attn_lone_transition_in_last_block_runs(self, layout):
+        config = ModelConfig(layout=layout, vocab_size=20, pool_op="top_attn")
+        state = FunnelModel(config).encode(np.full(16, 7))
+        assert state.h_last.shape[0] == 16 >> (len(config.layout.blocks) - 1)
+
 
 class TestParams:
     def test_same_seed_identical_tree(self):

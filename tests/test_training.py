@@ -1,6 +1,7 @@
 """Toy trainer: determinism, schedules, outputs, divergence handling."""
 
 import csv
+import functools
 import json
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from funnel import training
-from funnel.autodiff import Rng, Tape, Tensor
+from funnel.autodiff import Rng, Tape, Tensor, add, mul, sum_all
 from funnel.checkpoint import load
 from funnel.model import ModelConfig, param_specs
 from funnel.training import (AdamW, OptimizerConfig, TrainSettings, linear_schedule,
@@ -135,11 +136,16 @@ class TestFlatAdamW:
         gen = np.random.Generator(np.random.Philox(6))
         ref_tensor = {name: t for name, t, _ in ref.params}
         for step in range(20):
-            tape = Tape()  # gradients set directly; "unused" stays disconnected
-            for name, p, _ in flat.params:
-                if name != "unused":
-                    g = gen.standard_normal(p.shape).astype(dtype)
-                    tape.grads[id(p)] = tape.grads[id(ref_tensor[name])] = g
+            # the walk of sum(p * g) gives each tensor exactly g; "unused" stays disconnected
+            with Tape() as tape:
+                terms, drawn = [], {}
+                for name, p, _ in flat.params:
+                    if name != "unused":
+                        g = drawn[name] = Tensor(gen.standard_normal(p.shape).astype(dtype))
+                        terms += [sum_all(mul(p, g)), sum_all(mul(ref_tensor[name], g))]
+                tape.backward(functools.reduce(add, terms))
+            for name, g in drawn.items():
+                assert tape.grad(ref_tensor[name]).tobytes() == g.data.tobytes()
             flat.step(tape, 1e-2 * (step + 1))
             ref.step(tape, 1e-2 * (step + 1))
         by_name = {name: i for i, (name, _, _) in enumerate(ref.params)}
