@@ -32,15 +32,26 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _fail(category: str, message: str, code: int = 2) -> "CliError":
-    return CliError(category, message, code)
-
-
 def _parse_layout(s: str):
     try:
         return parse_layout(s)
     except LayoutError as e:
-        raise _fail("parse", f"layout {s!r}: {e}") from e
+        raise CliError("parse", f"layout {s!r}: {e}") from e
+
+
+def _load_config(path: Path, train: bool = False, steps: int | None = None):
+    """Model config from ``path``; with ``train`` also the settings of its ``train``
+    section, ``steps`` overriding theirs.  Any fault in the file is ``error: config:``."""
+    try:
+        d = json.loads(path.read_text())
+        if not isinstance(d, dict):
+            raise ValueError(f"{path} does not hold a JSON object")
+        train_d = d.pop("train", {}) if train else {}
+        if steps is not None:
+            train_d["steps"] = steps
+        return ModelConfig(**d), settings_from_json(train_d) if train else None
+    except (TypeError, ValueError, LayoutError) as e:
+        raise CliError("config", str(e)) from e
 
 
 def cmd_analyze(args) -> int:
@@ -70,14 +81,14 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     layouts = [_parse_layout(s) for s in args.layouts.split(",") if s]
     if not layouts:
-        raise _fail("usage", "no layouts given")
+        raise CliError("usage", "no layouts given")
     base = _parse_layout(args.baseline)
     try:
         print(costmodel.compare_report(layouts, base, seq_len=args.seq_len,
                                        mode=args.mode, vocab=args.vocab,
                                        fmt=args.format))
     except costmodel.CostModelError as e:
-        raise _fail("input", str(e)) from e
+        raise CliError("input", str(e)) from e
     return 0
 
 
@@ -106,7 +117,7 @@ def cmd_verify_attn(args) -> int:
         worst = max(worst, variant_deviation(proj_q, q_pos, k_pos, w_r, u, enc))
     print(f"max deviation {worst:.3e} over {args.trials} trials")
     if worst > 1e-8:
-        raise _fail("verify", f"attention variants deviate by {worst:.3e}", code=1)
+        raise CliError("verify", f"attention variants deviate by {worst:.3e}", code=1)
     return 0
 
 
@@ -133,31 +144,20 @@ def cmd_gradcheck(args) -> int:
                      max_coords_per_param=args.coords_per_param, seed=args.seed)
     print(f"max relative error {err:.3e}")
     if err > 1e-4:
-        raise _fail("gradcheck", f"max relative error {err:.3e} above 1e-4", code=1)
+        raise CliError("gradcheck", f"max relative error {err:.3e} above 1e-4", code=1)
     return 0
 
 
 def cmd_train_toy(args) -> int:
-    cfg_path = Path(args.config)
-    if not cfg_path.exists():
-        raise _fail("input", f"config file {cfg_path} does not exist")
-    corpus_path = Path(args.corpus)
-    if not corpus_path.exists():
-        raise _fail("input", f"corpus file {corpus_path} does not exist")
-    d = json.loads(cfg_path.read_text())
-    train_d = d.pop("train", {})
-    if args.steps is not None:
-        train_d["steps"] = args.steps
-    try:
-        config = ModelConfig(**d)
-        settings = settings_from_json(train_d)
-    except (TypeError, ValueError, LayoutError) as e:
-        raise _fail("config", str(e)) from e
-    lines = load_corpus(corpus_path)
+    for what, p in (("config", Path(args.config)), ("corpus", Path(args.corpus))):
+        if not p.exists():
+            raise CliError("input", f"{what} file {p} does not exist")
+    config, settings = _load_config(Path(args.config), train=True, steps=args.steps)
+    lines = load_corpus(args.corpus)
     try:
         trace = train_toy(config, lines, settings, out_dir=args.out)
     except TrainingDiverged as e:
-        raise _fail("diverged", str(e), code=1) from e
+        raise CliError("diverged", str(e), code=1) from e
     final = trace[-1].loss if trace else float("nan")
     print(f"trained {len(trace)} steps; final loss {final:.6f}; outputs in {args.out}")
     return 0
@@ -169,24 +169,21 @@ def cmd_encode(args) -> int:
     input_path = Path(args.input)
     for p, cat in ((cfg_path, "config"), (ckpt_path, "checkpoint"), (input_path, "input")):
         if not p.exists():
-            raise _fail(cat, f"{p} does not exist")
-    try:
-        config = ModelConfig.from_json(cfg_path.read_text())
-    except (ValueError, LayoutError) as e:
-        raise _fail("config", str(e)) from e
+            raise CliError(cat, f"{p} does not exist")
+    config, _ = _load_config(cfg_path)
     try:
         params = load(ckpt_path, expected=param_specs(config))
     except CheckpointError as e:
-        raise _fail("checkpoint", str(e)) from e
+        raise CliError("checkpoint", str(e)) from e
     model = FunnelModel(config, params)
 
     vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
     if not vocab_path.exists():
-        raise _fail("vocab", f"{vocab_path} does not exist")
+        raise CliError("vocab", f"{vocab_path} does not exist")
     vocab = Vocab.load(vocab_path)
     if len(vocab) != config.vocab_size:
-        raise _fail("vocab", f"vocabulary size {len(vocab)} does not match config "
-                             f"{config.vocab_size}")
+        raise CliError("vocab", f"vocabulary size {len(vocab)} does not match config "
+                                f"{config.vocab_size}")
 
     for line in load_corpus(input_path):
         enc = encode_line(line, vocab, args.seq_len)

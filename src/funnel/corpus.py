@@ -112,19 +112,18 @@ def encode_corpus(lines, vocab: Vocab, seq_len: int) -> list[EncodedLine]:
 
 @dataclass
 class Batch:
-    """Stacked sequences: [B, T] ids and mask, per-sequence word spans.
+    """Stacked sequences: [B, T] ids and pad mask.
 
     The model reads a batch time-major, as ``token_ids.T`` and ``pad_mask.T``.
     """
 
     token_ids: np.ndarray
     pad_mask: np.ndarray
-    word_boundaries: list[list[tuple[int, int]]]
 
     def __post_init__(self):
         b, t = self.token_ids.shape
-        if self.pad_mask.shape != (b, t) or len(self.word_boundaries) != b:
-            raise ValueError("batch fields disagree on the number of sequences")
+        if self.pad_mask.shape != (b, t):
+            raise ValueError("batch fields disagree on their shape")
         if t < 2 or t & (t - 1):
             raise ValueError(f"batch length {t} must be a power of two")
         if (self.token_ids[:, 0] != CLS).any():
@@ -136,5 +135,4 @@ class Batch:
     @classmethod
     def stack(cls, lines: list[EncodedLine]) -> "Batch":
         return cls(np.stack([ln.token_ids for ln in lines]),
-                   np.stack([ln.pad_mask for ln in lines]),
-                   [ln.word_boundaries for ln in lines])
+                   np.stack([ln.pad_mask for ln in lines]))

@@ -1,8 +1,10 @@
 """Decoder: recover full-length token representations from the funnel output.
 
-The compressed final-block states are up-sampled in one shot by repeating
-each vector 2^(M-1) times, added to the full-length block-1 states as a
-skip connection, and refined by a few standard full-length layers.  Only
+The compressed final-block states are up-sampled in one shot by index,
+out[i] = h_last[i * n // T] for n compressed and T full-length rows: each
+vector repeats T / n times where n divides T, and is stretched evenly
+otherwise.  The result is added to the full-length block-1 states as a skip
+connection and refined by a few standard full-length layers.  Only
 token-level objectives need this path; sequence-level use reads the CLS
 vector straight off the encoder.
 """
@@ -23,19 +25,19 @@ class DecoderOutput:
     hidden: Tensor  # after the decoder layers, length T
 
 
-def upsample(h_last: Tensor, rate: int) -> Tensor:
-    """Repeat each row ``rate`` times: out[i] = h_last[i // rate].
+def upsample(h_last: Tensor, t: int) -> Tensor:
+    """Stretch the n rows of ``h_last`` to ``t``: out[i] = h_last[i * n // t].
 
-    Applied literally to the whole sequence including the CLS slot, so the
-    up-sampled CLS block overlaps the first ``rate`` positions.
+    For t = r * n this is i // r, each row repeated r times.  Applied
+    literally to the whole sequence including the CLS slot, so the
+    up-sampled CLS block overlaps the first positions.
     """
-    if rate < 1:
-        raise ContractError(f"upsample rate must be >= 1, got {rate}")
-    if rate == 1:
+    n = h_last.shape[0]
+    if n > t:
+        raise ContractError(f"cannot up-sample {n} rows to the shorter length {t}")
+    if n == t:
         return h_last
-    t = h_last.shape[0] * rate
-    idx = np.arange(t, dtype=np.int64) // rate
-    return gather_rows(h_last, idx)
+    return gather_rows(h_last, np.arange(t, dtype=np.int64) * n // t)
 
 
 def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPosEncoding,
@@ -43,16 +45,12 @@ def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPos
     """Fuse skip + up-sampled states, then run the decoder layers.
 
     ``h_first`` is the full-length block-1 output; ``h_last`` the final
-    block's output, both time-major.  The up-sampling rate is inferred
-    from the length ratio, which must be exact.  ``enc`` is the encoder
-    pass's encoding, whose tables already hold the full-length positions.
-    With zero decoder layers the fused
-    representation is returned unchanged.
+    block's output, both time-major.  ``enc`` is the encoder pass's
+    encoding, whose tables already hold the full-length positions.  With
+    zero decoder layers the fused representation is returned unchanged.
     """
-    t, t_last = h_first.shape[0], h_last.shape[0]
-    if t % t_last != 0:
-        raise ContractError(f"full length {t} is not a multiple of compressed length {t_last}")
-    fused = add(h_first, upsample(h_last, t // t_last))
+    t = h_first.shape[0]
+    fused = add(h_first, upsample(h_last, t))
     if pad_mask is None:
         pad_mask = np.ones(h_first.shape[:-1], dtype=bool)
     hidden = fused

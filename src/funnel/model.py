@@ -40,21 +40,22 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.layout, str):
+        if not isinstance(self.layout, LayoutSpec):
             self.layout = parse_layout(self.layout)
-        if self.pool_op not in POOL_OPS:
-            raise ValueError(f"pool_op must be one of {POOL_OPS}, got {self.pool_op!r}")
+        for name, allowed in (("pool_op", POOL_OPS), ("attn_variant", VARIANTS),
+                              ("dtype", tuple(DTYPES))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if (self.pool_op == "top_attn" and self.pool_query_only
                 and any(b.total_layers == 1 for b in self.layout.blocks[1:-1])):
             # a lone transition's map has unpooled keys: the next pooling cannot use it
             raise ValueError("top_attn pooling with pool_query_only needs at least two "
                              "layers in every block that is followed by pooling")
-        if self.attn_variant not in VARIANTS:
-            raise ValueError(f"attn_variant must be one of {VARIANTS}, got {self.attn_variant!r}")
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {tuple(DTYPES)}, got {self.dtype!r}")
         if self.vocab_size < 5:
             raise ValueError("vocab_size must cover the five special tokens")
+        for name in ("dropout", "attn_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0,1), got {getattr(self, name)!r}")
 
     @property
     def hidden(self) -> int:

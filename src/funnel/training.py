@@ -58,6 +58,11 @@ class TrainSettings:
                               ("mask_sampler", ("single", "span"))):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        for name, low in (("steps", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.seq_len < 2 or self.seq_len & (self.seq_len - 1):
+            raise ValueError(f"seq_len must be a power of two >= 2, got {self.seq_len}")
 
 
 class AdamW:

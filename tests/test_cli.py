@@ -169,17 +169,51 @@ class TestTrainToy:
         assert code == 2
         assert "error: config: unknown training fields" in err
 
-    @pytest.mark.parametrize("field", ["objective", "mask_sampler"])
-    def test_unknown_choice_refused(self, train_setup, capsys, field):
+    @pytest.mark.parametrize("field,value,message", [
+        pytest.param("objective", "spam", "objective must be one of", id="objective"),
+        pytest.param("mask_sampler", "spam", "mask_sampler must be one of", id="mask_sampler"),
+        pytest.param("steps", -3, "steps must be >= 0", id="steps"),
+        pytest.param("batch_size", 0, "batch_size must be >= 1", id="batch_size"),
+        pytest.param("seq_len", 12, "seq_len must be a power of two", id="seq_len"),
+    ])
+    def test_unknown_choice_refused(self, train_setup, capsys, field, value, message):
         cfg, corpus, tmp = train_setup
         d = json.loads(cfg.read_text())
-        d["train"][field] = "spam"
+        d["train"][field] = value
         cfg.write_text(json.dumps(d))
         code, _, err = run(capsys, "train-toy", "--config", str(cfg),
                            "--corpus", str(corpus), "--out", str(tmp / "o"))
         assert code == 2
-        assert f"error: config: {field} must be one of" in err
+        assert f"error: config: {message}" in err
         assert not (tmp / "o").exists()
+
+    @pytest.mark.parametrize("text", [
+        '["layout", "B2-2H64D2"]',
+        '{"layout": "B2-2H64D2", "vocab_size": 20,',
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "dropout": 1.5}',
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "attn_dropout": -0.1}',
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "train": 5}',
+        '{"layout": 5, "vocab_size": 20}',
+    ], ids=["array", "bad_json", "dropout", "attn_dropout", "train_not_object", "layout_number"])
+    def test_malformed_config_refused(self, train_setup, capsys, text):
+        cfg, corpus, tmp = train_setup
+        cfg.write_text(text)
+        code, _, err = run(capsys, "train-toy", "--config", str(cfg),
+                           "--corpus", str(corpus), "--out", str(tmp / "o"))
+        assert code == 2
+        assert "error: config:" in err
+        assert not (tmp / "o").exists()
+
+    def test_untruncated_separate_cls_trains(self, train_setup, capsys):
+        # 16 pools to 9 with CLS kept apart and nothing dropped; the decoder stretches 9 to 16
+        cfg, corpus, tmp = train_setup
+        d = json.loads(cfg.read_text())
+        d.update(separate_cls=True, truncate_seq=False)
+        cfg.write_text(json.dumps(d))
+        code, out, _ = run(capsys, "train-toy", "--config", str(cfg),
+                           "--corpus", str(corpus), "--out", str(tmp / "o"))
+        assert code == 0
+        assert out.startswith("trained 3 steps")
 
     def test_top_attn_after_lone_transition_refused(self, train_setup, capsys):
         cfg, corpus, tmp = train_setup
@@ -271,6 +305,22 @@ class TestEncode:
                            "--input", str(corpus))
         assert code == 2
         assert "error: checkpoint:" in err
+
+    @pytest.mark.parametrize("fields", [
+        {"layout": "B2-2H64D2"},
+        {"layout": "B2-2H64D2", "vocab_size": "20"},
+        {"layout": "B2-2H64D2", "vocab_size": 20, "dropout": 1.5},
+    ], ids=["no_vocab_size", "string_vocab_size", "dropout"])
+    def test_malformed_config_exit_2(self, train_setup, capsys, fields):
+        # the config is refused before the checkpoint is read
+        _, corpus, tmp = train_setup
+        (tmp / "cfg_enc.json").write_text(json.dumps(fields))
+        (tmp / "model.ftnt").write_bytes(b"")
+        code, out, err = run(capsys, "encode", "--config", str(tmp / "cfg_enc.json"),
+                             "--checkpoint", str(tmp / "model.ftnt"), "--input", str(corpus))
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert out == ""
 
     def test_wrong_layout_checkpoint_exit_2(self, train_setup, capsys):
         cfg, corpus, tmp = train_setup

@@ -108,10 +108,10 @@ class TestBatch:
     def test_rejects_non_power_of_two(self):
         from funnel.corpus import Batch
         with pytest.raises(ValueError, match="power of two"):
-            Batch(np.full((1, 6), CLS), np.ones((1, 6), bool), [[]])
+            Batch(np.full((1, 6), CLS), np.ones((1, 6), bool))
 
     def test_rejects_missing_cls(self):
         from funnel.corpus import Batch
         ids = np.full((2, 8), 7)
         with pytest.raises(ValueError, match="CLS"):
-            Batch(ids, np.ones((2, 8), bool), [[], []])
+            Batch(ids, np.ones((2, 8), bool))

@@ -1,9 +1,11 @@
 """Decoder: up-sampling, skip fusion, full-length recovery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from funnel.autodiff import ContractError, Rng, Tensor
+from funnel.autodiff import ContractError, Rng, Tape, Tensor, mul, sum_all
 from funnel.decoder import decoder_forward, upsample
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
@@ -12,17 +14,40 @@ from funnel.model import FunnelModel, ModelConfig
 class TestUpsample:
     def test_rate_one_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(3, 2))
-        assert upsample(x, 1) is x
+        assert upsample(x, 3) is x
 
     def test_repeat_by_four(self):
         x = Tensor(np.array([[1.0], [2.0]]))
-        out = upsample(x, 4)
+        out = upsample(x, 8)
         np.testing.assert_allclose(out.data[:, 0], [1, 1, 1, 1, 2, 2, 2, 2])
 
     def test_pretraining_scale_arithmetic(self):
         # three blocks compress 512 to 128; one shot expands it back
         x = Tensor(np.zeros((128, 4)))
-        assert upsample(x, 512 // 128).shape == (512, 4)
+        assert upsample(x, 512).shape == (512, 4)
+
+    @pytest.mark.parametrize("n,r", [(1, 2), (2, 4), (3, 3), (4, 2), (5, 1), (9, 2)])
+    def test_multiples_equal_repeat_bit_for_bit(self, n, r):
+        gen = np.random.Generator(np.random.Philox(n * 10 + r))
+        h = Tensor(gen.standard_normal((n, 2, 3)), requires_grad=True)
+        g = gen.standard_normal((n * r, 2, 3))
+        with Tape() as tape:
+            out = upsample(h, n * r)
+            tape.backward(sum_all(mul(out, Tensor(g))))
+        np.testing.assert_array_equal(out.data, np.repeat(h.data, r, axis=0))
+        np.testing.assert_array_equal(tape.grad(h), g.reshape(n, r, 2, 3).sum(axis=1))
+
+    def test_uneven_lengths_stretch_evenly(self):
+        # out[i] = h[i * n // t]: 3 rows over 7 positions, 9 over 16
+        x = Tensor(np.arange(3.0)[:, None])
+        np.testing.assert_array_equal(upsample(x, 7).data[:, 0], [0, 0, 0, 1, 1, 2, 2])
+        counts = np.bincount(upsample(Tensor(np.arange(9.0)[:, None]), 16).data[:, 0]
+                             .astype(int))
+        assert set(counts) == {1, 2}
+
+    def test_fewer_target_rows_rejected(self):
+        with pytest.raises(ContractError, match="shorter length"):
+            upsample(Tensor(np.zeros((5, 2))), 4)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ContractError):
@@ -88,7 +113,47 @@ class TestDecoderForward:
             assert np.count_nonzero(diff) == 1
 
     def test_length_mismatch_rejected(self, funnel_model):
+        # a full length shorter than the compressed one would skip states
         _, state = encode(funnel_model)
+        t_last = state.h_last.shape[0]
         with pytest.raises(ContractError):
-            decoder_forward(Tensor(np.zeros((7, 16))), state.h_last,
+            decoder_forward(Tensor(np.zeros((t_last - 1, 16))), state.h_last,
                             funnel_model.config, funnel_model.params, state.encoding)
+
+
+GRID_LAYOUTS = ("B2-2H64D2", "B2-2-2H64D2", "B1-1-1-1H64D1")
+
+
+def grid_configs():
+    """Every layout x pool x (separate_cls, truncate_seq, pool_query_only) ModelConfig accepts."""
+    for layout in GRID_LAYOUTS:
+        for pool_op in ("mean", "max", "top_attn"):
+            for flags in itertools.product((True, False), repeat=3):
+                kw = dict(layout=layout, vocab_size=11, pool_op=pool_op,
+                          separate_cls=flags[0], truncate_seq=flags[1],
+                          pool_query_only=flags[2])
+                try:
+                    yield ModelConfig(**kw)
+                except ValueError:
+                    assert layout == "B1-1-1-1H64D1" and pool_op == "top_attn" and flags[2]
+
+
+def test_every_grid_config_decodes_at_every_length():
+    configs = list(grid_configs())
+    assert len(configs) == 68
+    cases = 0
+    for config in configs:
+        model = FunnelModel(config)
+        lengths = (2, 4, 8, 16) if config.truncate_seq else range(2, 18)
+        for t in lengths:
+            gen = np.random.Generator(np.random.Philox(t))
+            ids = gen.integers(5, 11, size=(t, 3))
+            ids[0] = 2
+            mask = np.ones((t, 3), dtype=bool)
+            mask[t // 2 + 1:, 1] = False  # one padded column
+            ids[~mask] = 0
+            hidden = model.token_hidden(ids, mask).data
+            assert hidden.shape == (t, 3, 64), (config, t)
+            assert np.isfinite(hidden).all(), (config, t)
+            cases += 1
+    assert cases == 680

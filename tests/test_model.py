@@ -28,6 +28,9 @@ class TestConfig:
         ("attn_variant", "flash"),
         ("dtype", "f16"),
         ("vocab_size", 3),
+        ("dropout", 1.5),
+        ("dropout", 1.0),
+        ("attn_dropout", -0.1),
     ])
     def test_invalid_values_rejected(self, field, value):
         kw = dict(layout="L1H64", vocab_size=10)

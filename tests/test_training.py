@@ -290,3 +290,14 @@ def test_settings_from_json_flat_keys():
 def test_settings_from_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="learning_rate"):
         settings_from_json({"learning_rate": 0.5})
+
+
+@pytest.mark.parametrize("field,value", [("steps", -3), ("batch_size", 0), ("seq_len", 12),
+                                         ("seq_len", 1)])
+def test_settings_out_of_range_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainSettings(**{field: value})
+
+
+def test_zero_steps_is_a_valid_setting():
+    assert TrainSettings(steps=0).steps == 0
