@@ -17,9 +17,9 @@ is gone, and the tape cannot be walked a second time.
 
 The engine implements exactly the operations the funnel model needs:
 matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
-permutes, window-2 pooling, fused losses and the factorized position
-term's folded products.  Binary ops and matmul broadcast as numpy does;
-their backward sums over the broadcast axes.
+permutes, row cuts and zero-padding, window-2 pooling, fused losses and
+the factorized position term's folded products.  Binary ops and matmul
+broadcast as numpy does; their backward sums over the broadcast axes.
 Some nodes fold a neighbour's work into their own pass: matmul adds a
 bias, softmax applies the attention scale and key mask, layer norm
 adds the residual.
@@ -470,6 +470,46 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         _accum(grads, x, dx)
 
     return _record(out, (x,), backward, "gather_rows")
+
+
+def _fit(a: np.ndarray, t: int, keep: np.ndarray | None) -> np.ndarray:
+    """``a`` cut or zero-padded along axis 0 to ``t`` rows, rows where ``keep`` is False zeroed."""
+    if keep is None and t <= len(a):
+        return a[:t]
+    m = min(t, len(a))
+    out = np.zeros((t,) + a.shape[1:], dtype=a.dtype)
+    if keep is None:
+        out[:m] = a[:m]
+    else:
+        keep = keep[:m].reshape((m,) + keep.shape[1:] + (1,) * (a.ndim - keep.ndim))
+        np.copyto(out[:m], a[:m], where=keep)
+    return out
+
+
+def fit_rows(x: Tensor, t: int, keep: np.ndarray | None = None) -> Tensor:
+    """The first ``t`` rows of ``x`` (axis 0), zero-filled past its end and where ``keep`` is False.
+
+    ``keep`` (bool, [t] or [t, B] over the leading axes of the result)
+    marks the rows and columns to copy; every other entry is exactly 0.0.
+    The adjoint is the same op back to ``len(x)`` rows with the same
+    ``keep``: cutting rows pads the gradient with zeros, padding cuts it.
+    Returns ``x`` itself when there is nothing to cut, pad or zero.
+    """
+    n = x.shape[0]
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape[0] != t or x.data.ndim <= keep.ndim or keep.shape[1:] != x.shape[1:keep.ndim]:
+            raise ShapeError(f"fit_rows: keep {keep.shape} does not match {t} rows of {x.shape}")
+        if t == n and keep.all():
+            keep = None
+    if t == n and keep is None:
+        return x
+    out = Tensor(_fit(x.data, t, keep))
+
+    def backward(g, grads):
+        _accum(grads, x, _fit(g, n, keep))
+
+    return _record(out, (x,), backward, "fit_rows")
 
 
 def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:

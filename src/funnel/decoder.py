@@ -4,9 +4,10 @@ The compressed final-block states are up-sampled in one shot by index,
 out[i] = h_last[i * n // T] for n compressed and T full-length rows: each
 vector repeats T / n times where n divides T, and is stretched evenly
 otherwise.  The result is added to the full-length block-1 states as a skip
-connection and refined by a few standard full-length layers.  Only
-token-level objectives need this path; sequence-level use reads the CLS
-vector straight off the encoder.
+connection and refined by a few standard full-length layers.  Like the
+encoder's, those layers stop at each column's last real row, so their
+output is exactly 0.0 past it.  Only token-level objectives need this
+path; sequence-level use reads the CLS vector straight off the encoder.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPos
     ``h_first`` is the full-length block-1 output; ``h_last`` the final
     block's output, both time-major.  ``enc`` is the encoder pass's
     encoding, whose tables already hold the full-length positions.  With
-    zero decoder layers the fused representation is returned unchanged.
+    zero decoder layers the fused representation is returned unchanged;
+    otherwise ``hidden`` is 0.0 past each column's last real row.
     """
     t = h_first.shape[0]
     fused = add(h_first, upsample(h_last, t))

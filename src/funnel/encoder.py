@@ -19,6 +19,12 @@ with pad masks [T] or [T, B]; every pooling op works along axis 0, one
 column at a time.  Positions stay 1-D while every column shares them and
 become [T, B] once top-attention pooling keeps different states per
 column.
+
+No layer computes a row past its column's last real one (see
+``relattn``): mean and max pooling skip pads and top-attention keeps real
+states first, so such rows never reach a real output.  They come out
+exactly 0.0, except in the final block, which also computes the rows the
+decoder up-samples real positions from (``encoder_forward``).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from .autodiff import (ContractError, Tensor, dropout, gather_rows, max_pool_pairs,
                        mean_pool_pairs, reshape)
-from .relattn import RelPosEncoding, attention, pffn, transformer_layer
+from .relattn import RelPosEncoding, attention, over_extent, pffn, row_extent, transformer_layer
 
 POOL_OPS = ("mean", "max", "top_attn")
 
@@ -173,17 +179,24 @@ def _is_pow2(n: int) -> bool:
 
 
 def block_transition_attention(pooled: PooledState, unpooled: PooledState, params,
-                               config, enc: RelPosEncoding, rng=None
-                               ) -> tuple[Tensor, np.ndarray]:
-    """First attention of a block: pooled queries, unpooled keys/values.
+                               config, enc: RelPosEncoding, rng=None,
+                               extent: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """First layer of a block: pooled queries, unpooled keys/values, then the FFN.
 
     The residual comes from the pooled sequence, so the output length is
     the pooled length.  With ``config.pool_query_only`` off the keys and
     values are the pooled sequence too: a standard layer over it alone.
+    Like ``transformer_layer`` it runs on query rows up to ``extent`` only,
+    by default each column's last real pooled row.
     """
     kv = unpooled if config.pool_query_only else pooled
-    return attention(pooled.hidden, kv.hidden, pooled.pos, kv.pos, kv.mask, params, config,
-                     enc, rng)
+
+    def layer(q, kv_in, q_pos, k_pos, mask):
+        hidden, maps = attention(q, kv_in, q_pos, k_pos, mask, params, config, enc, rng)
+        return pffn(hidden, params, config, rng), maps
+
+    return over_extent(layer, pooled.hidden, kv.hidden, pooled.pos, kv.pos, kv.mask,
+                       row_extent(pooled.mask) if extent is None else extent)
 
 
 def encoder_forward(config, params, token_ids: np.ndarray,
@@ -195,6 +208,12 @@ def encoder_forward(config, params, token_ids: np.ndarray,
     same shape, True at real positions.  Returns every block's final
     hidden states (block 1 is kept for the decoder's skip connection),
     [T_m, D] or [T_m, B, D].
+
+    Each layer runs up to each column's last real row only, and rows past
+    it are exactly 0.0.  The final block is the exception: the decoder
+    up-samples real position i from its row i * T_M // T, which can lie
+    past the block's real rows when truncation is off.  Its extent is
+    widened to cover that row, and the widened rows carry computed states.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     t = len(token_ids)
@@ -206,25 +225,29 @@ def encoder_forward(config, params, token_ids: np.ndarray,
     if pad_mask.shape != token_ids.shape:
         raise ContractError(f"pad mask {pad_mask.shape} does not match token ids {token_ids.shape}")
     enc: RelPosEncoding = config.encoding()
+    real = row_extent(pad_mask)
 
     hidden = dropout(gather_rows(params["embed/token"], token_ids), config.dropout, rng)
     state = PooledState(hidden, np.arange(t, dtype=np.int64), pad_mask)
 
     out = EncoderState(encoding=enc)
     last_attn = None
-    for m, block in enumerate(config.layout.blocks):
-        layer_start = 0
+    blocks = config.layout.blocks
+    for m, block in enumerate(blocks):
+        pooled = state if m == 0 else pool_step(state, config.pool_op, config.separate_cls,
+                                                config.truncate_seq, prev_attn=last_attn)
+        extent = row_extent(pooled.mask)
+        if m == len(blocks) - 1:  # cover the rows the decoder up-samples real positions from
+            extent = np.maximum(extent, (real - 1) * len(pooled.mask) // t + 1)
         if m > 0:
-            pooled = pool_step(state, config.pool_op, config.separate_cls,
-                               config.truncate_seq, prev_attn=last_attn)
             lp = config.layer_params(params, m, 0)
-            hidden, last_attn = block_transition_attention(pooled, state, lp, config, enc, rng)
-            state = PooledState(pffn(hidden, lp, config, rng), pooled.pos, pooled.mask)
-            layer_start = 1
-        for t_idx in range(layer_start, block.total_layers):
+            hidden, last_attn = block_transition_attention(pooled, state, lp, config, enc, rng,
+                                                           extent)
+            state = PooledState(hidden, pooled.pos, pooled.mask)
+        for t_idx in range(int(m > 0), block.total_layers):
             lp = config.layer_params(params, m, t_idx)
             hidden, last_attn = transformer_layer(state.hidden, state.pos, state.mask, lp,
-                                                  config, enc, rng)
+                                                  config, enc, rng, extent)
             state = PooledState(hidden, state.pos, state.mask)
         out.block_hidden.append(state.hidden)
         out.block_pos.append(state.pos)

@@ -23,6 +23,11 @@ from .relattn import VARIANTS, LayerParams, RelPosEncoding
 INIT_STD = 0.02
 
 
+# Annotation -> accepted value types; "float" fields take ints too.  The
+# layout is parsed instead.
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
 @dataclass
 class ModelConfig:
     """Everything needed to build and run one model; JSON round-trippable."""
@@ -40,6 +45,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value, allowed = getattr(self, f.name), _FIELD_TYPES.get(f.type)
+            # bool is an int subclass: only a bool field takes one
+            if allowed and (not isinstance(value, allowed)
+                            or isinstance(value, bool) != (f.type == "bool")):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
         if not isinstance(self.layout, LayoutSpec):
             self.layout = parse_layout(self.layout)
         for name, allowed in (("pool_op", POOL_OPS), ("attn_variant", VARIANTS),

@@ -24,6 +24,15 @@ batch.  Attention splits the packed projections into heads with one
 reshape, so every score term is a single broadcast matmul over
 [B, H, Tq, Tk].  Positions are 1-D when every column shares them, or
 [T, B] when they differ per column (after top-attention pooling).
+
+A layer computes no row past the last real one.  Pad keys are masked, so
+a row after a column's last real token never reaches a real output:
+``transformer_layer`` runs on the first max(extent) rows and keys only,
+where a column's extent is one past its last real row (``row_extent``),
+and pads the result back to full length.  Rows past each column's own
+extent come back exactly 0.0, and so do their rows of the attention map,
+so a batch still equals its sequences run one at a time.  With dropout
+on, fewer elements draw masks than a full-length pass would draw.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (NumericError, ShapeError, Tensor, add, dropout, einsum_id_ijd,
-                       fold_products, gelu, layer_norm, matmul, permute, reshape,
+                       fit_rows, fold_products, gelu, layer_norm, matmul, permute, reshape,
                        softmax_lastdim, take_along_last, transpose)
 
 VARIANTS = ("naive", "gather", "factorized")
@@ -306,8 +315,48 @@ def pffn(x: Tensor, params: LayerParams, config, rng=None) -> Tensor:
     return layer_norm(x, params.ln_ffn_g, params.ln_ffn_b, residual=out)
 
 
+def row_extent(mask: np.ndarray) -> np.ndarray:
+    """One past the last real row of each column of a [T] or [T, B] mask: [] or [B] ints."""
+    mask = np.asarray(mask, dtype=bool)
+    last = mask.shape[0] - np.argmax(mask[::-1], axis=0)
+    return np.where(mask.any(axis=0), last, 0)
+
+
+def over_extent(layer, q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
+                key_mask: np.ndarray, extent: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Run ``layer`` on the first max(``extent``) queries and the keys up to the last real one.
+
+    ``extent`` holds one query row count per column ([] or [B]);
+    ``layer(q, kv, q_pos, k_pos, key_mask)`` returns the hidden states and
+    attention map of the cut inputs.  Both come back at full length
+    ([Tq, ...] and [..., Tq, Tk]), exactly 0.0 past each column's extent.
+    """
+    key_mask = np.asarray(key_mask, dtype=bool)
+    extent = np.asarray(extent)
+    tq, tk = q_in.shape[0], kv_in.shape[0]
+    n, nk = int(extent.max()), int(row_extent(key_mask).max())
+    if nk == tk and (extent == tq).all():
+        return layer(q_in, kv_in, q_pos, k_pos, key_mask)
+    q = fit_rows(q_in, n)
+    kv = q if kv_in is q_in and nk == n else fit_rows(kv_in, nk)
+    hidden, maps = layer(q, kv, np.asarray(q_pos)[:n], np.asarray(k_pos)[:nk], key_mask[:nk])
+    keep = np.arange(tq).reshape((tq,) + (1,) * extent.ndim) < extent  # [Tq] or [Tq, B]
+    full = np.zeros(maps.shape[:-2] + (tq, tk), dtype=maps.dtype)
+    np.copyto(full[..., :n, :nk], maps, where=np.moveaxis(keep[:n], 0, -1)[..., None, :, None])
+    return fit_rows(hidden, tq, keep), full
+
+
 def transformer_layer(x: Tensor, pos: np.ndarray, key_mask: np.ndarray, params: LayerParams,
-                      config, enc: RelPosEncoding, rng=None) -> tuple[Tensor, np.ndarray]:
-    """Standard self-attention layer: queries, keys and values from ``x``."""
-    hidden, maps = attention(x, x, pos, pos, key_mask, params, config, enc, rng)
-    return pffn(hidden, params, config, rng), maps
+                      config, enc: RelPosEncoding, rng=None,
+                      extent: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Standard self-attention layer: queries, keys and values from ``x``.
+
+    Runs on rows up to ``extent`` only (``over_extent``), by default each
+    column's last real row (``row_extent(key_mask)``).
+    """
+    def layer(q, kv, q_pos, k_pos, mask):
+        hidden, maps = attention(q, kv, q_pos, k_pos, mask, params, config, enc, rng)
+        return pffn(hidden, params, config, rng), maps
+
+    return over_extent(layer, x, x, pos, pos, key_mask,
+                       row_extent(key_mask) if extent is None else extent)

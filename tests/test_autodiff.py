@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from funnel.autodiff import (GELU_A, GELU_C, ContractError, NumericError, Rng, ShapeError, Tape, Tensor,
                              add, bce_with_logits_mean,
-                             cross_entropy_mean, dropout, einsum_id_ijd, fold_products,
+                             cross_entropy_mean, dropout, einsum_id_ijd, fit_rows, fold_products,
                              gather_rows,
                              gelu, grad_check, layer_norm, matmul,
                              max_pool_pairs, mean_pool_pairs, mul, permute, reshape,
@@ -440,6 +440,33 @@ def test_fold_products_folds_each_product_by_halves():
         fold_products(Tensor(rand((2, 5), 25)), rand(5, 26), rand(5, 27))
 
 
+class TestFitRows:
+    def test_cut_and_pad_keep_leading_rows(self):
+        x = Tensor(rand((4, 3), 30))
+        np.testing.assert_array_equal(fit_rows(x, 2).data, x.data[:2])
+        padded = fit_rows(x, 6).data
+        np.testing.assert_array_equal(padded[:4], x.data)
+        np.testing.assert_array_equal(padded[4:], 0.0)
+
+    def test_keep_zeroes_rows_per_column_to_positive_zero(self):
+        x = Tensor(-np.abs(rand((3, 2, 4), 31)) - 1.0)  # all negative: no -0.0 may leak
+        keep = np.array([[True, True], [True, False], [False, False], [False, False]])
+        out = fit_rows(x, 4, keep).data
+        np.testing.assert_array_equal(out[keep], x.data[keep[:3]])
+        assert not np.signbit(out[~keep]).any() and (out[~keep] == 0.0).all()
+
+    def test_nothing_to_do_returns_input(self):
+        x = Tensor(rand((3, 2), 32))
+        assert fit_rows(x, 3) is x
+        assert fit_rows(x, 3, np.ones(3, bool)) is x
+
+    def test_keep_must_cover_result_rows(self):
+        with pytest.raises(ShapeError):
+            fit_rows(Tensor(np.zeros((3, 2, 4))), 5, np.ones((4, 2), bool))
+        with pytest.raises(ShapeError):
+            fit_rows(Tensor(np.zeros((3, 2, 4))), 5, np.ones((5, 3), bool))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_every_op_grad_below_1e4(seed):
     """Per-op reverse-mode correctness across seeds (spec gradient invariant)."""
@@ -491,6 +518,8 @@ def test_every_op_grad_below_1e4(seed):
     fold_a = gen.standard_normal((3, 4))
     fold_b = gen.standard_normal(4)
     fold_c = gen.standard_normal((2, 1, 4))
+    keep72 = gen.random((7, 2)) > 0.3  # a [t, B] keep mask for padding 5 rows to 7
+    w72_3 = Tensor(gen.standard_normal((7, 2, 3)))
 
     cases = {
         "matmul": (lambda: sum_all(mul(matmul(x, m), w32)), [x, m]),
@@ -529,6 +558,8 @@ def test_every_op_grad_below_1e4(seed):
         "fold_products": (lambda: sum_all(mul(fold_products(x3, fold_a, fold_b), w234)), [x3]),
         "fold_products_per_column": (lambda: sum_all(mul(fold_products(x3, fold_c, fold_a), w234)),
                                      [x3]),
+        "fit_rows_cut": (lambda: sum_all(mul(fit_rows(x52, 3), w32_3)), [x52]),
+        "fit_rows_pad_keep": (lambda: sum_all(mul(fit_rows(x52, 7, keep72), w72_3)), [x52]),
     }
     for name, (f, params) in cases.items():
         err = grad_check(f, params, seed=seed)

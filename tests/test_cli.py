@@ -194,7 +194,11 @@ class TestTrainToy:
         '{"layout": "B2-2H64D2", "vocab_size": 20, "attn_dropout": -0.1}',
         '{"layout": "B2-2H64D2", "vocab_size": 20, "train": 5}',
         '{"layout": 5, "vocab_size": 20}',
-    ], ids=["array", "bad_json", "dropout", "attn_dropout", "train_not_object", "layout_number"])
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "separate_cls": "no"}',
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "seed": "x"}',
+        '{"layout": "B2-2H64D2", "vocab_size": 20.5}',
+    ], ids=["array", "bad_json", "dropout", "attn_dropout", "train_not_object", "layout_number",
+            "bool_as_string", "seed_string", "vocab_size_float"])
     def test_malformed_config_refused(self, train_setup, capsys, text):
         cfg, corpus, tmp = train_setup
         cfg.write_text(text)
@@ -253,7 +257,12 @@ class TestEncode:
                            "--checkpoint", str(ckpt), "--input", str(corpus),
                            "--dump", "tokens", "--seq-len", "16")
         assert code == 0
-        assert json.loads(out.splitlines()[0])["tokens"] == 16
+        first = json.loads(out.splitlines()[0])
+        assert first["tokens"] == 16
+        # CLS + 8 words + SEP are real; the six pad rows are never computed
+        vectors = np.array(first["vectors"])
+        assert (vectors[10:] == 0.0).all() and not np.signbit(vectors[10:]).any()
+        assert (vectors[:10] != 0.0).any(axis=1).all()
 
     def test_explicit_vocab_flag(self, train_setup, capsys):
         cfg, corpus, tmp = train_setup

@@ -268,7 +268,7 @@ class TestBlockTransition:
         assert out.shape == (4, 16)
 
     def test_pool_query_only_off_matches_standard_layer(self, tiny_config):
-        from funnel.relattn import attention
+        from funnel.relattn import transformer_layer
         model = FunnelModel(tiny_config)
         gen = np.random.Generator(np.random.Philox(6))
         unpooled = make_state(gen.standard_normal((8, 16)))
@@ -277,14 +277,16 @@ class TestBlockTransition:
         config = replace(tiny_config, pool_query_only=False)
         out, _ = block_transition_attention(pooled, unpooled, lp, config,
                                             tiny_config.encoding())
-        ref, _ = attention(pooled.hidden, pooled.hidden, pooled.pos, pooled.pos, pooled.mask,
-                           lp, tiny_config, tiny_config.encoding())
+        ref, _ = transformer_layer(pooled.hidden, pooled.pos, pooled.mask, lp, tiny_config,
+                                   tiny_config.encoding())
         np.testing.assert_array_equal(out.data, ref.data)
 
     def test_zero_scores_average_unpooled_states(self, tiny_config):
         # identity-ish params with a zeroed score path: every query sees the
-        # uniform average of the unpooled states, plus its own residual
+        # uniform average of the unpooled states, plus its own residual; the
+        # FFN follows
         from funnel.autodiff import layer_norm
+        from funnel.relattn import pffn
         model = FunnelModel(tiny_config)
         lp = tiny_config.layer_params(model.params, 1, 0)
         d = 16
@@ -300,8 +302,8 @@ class TestBlockTransition:
         out, _ = block_transition_attention(pooled, unpooled, lp, tiny_config,
                                             tiny_config.encoding())
         mean_state = unpooled.hidden.data.mean(axis=0)
-        expected = layer_norm(Tensor(pooled.hidden.data + mean_state),
-                              lp.ln_attn_g, lp.ln_attn_b).data
+        expected = pffn(layer_norm(Tensor(pooled.hidden.data + mean_state),
+                                   lp.ln_attn_g, lp.ln_attn_b), lp, tiny_config).data
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
 

@@ -38,6 +38,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(**kw)
 
+    @pytest.mark.parametrize("field,value", [
+        ("separate_cls", "no"), ("truncate_seq", 1), ("pool_query_only", None),
+        ("seed", "x"), ("seed", True), ("vocab_size", 20.5), ("vocab_size", "20"),
+        ("dropout", "0.1"), ("attn_dropout", False), ("pool_op", 3), ("dtype", None),
+    ])
+    def test_field_types_checked(self, field, value):
+        kw = dict(layout="L1H64", vocab_size=10)
+        kw[field] = value
+        with pytest.raises(TypeError, match=f"{field} must be"):
+            ModelConfig(**kw)
+
+    def test_float_fields_take_ints(self):
+        config = ModelConfig(layout="L1H64", vocab_size=10, dropout=0, attn_dropout=0)
+        assert config.dropout == 0 and config.attn_dropout == 0
+
     @pytest.mark.parametrize("layout", ["B2-1-2H64D2", "B1-1-1H64D1", "B2-1-1-2H64D2",
                                         "B3-1-3H64D2"])
     def test_top_attn_after_lone_transition_refused(self, layout):
