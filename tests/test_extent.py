@@ -37,7 +37,7 @@ def run(model, ids, mask):
 
 
 def full_length(monkeypatch):
-    """Every layer computes every row, as before rows past the extent were skipped."""
+    """Every layer computes every row: the reference the cut layers are checked against."""
     every_row = lambda mask: np.full(np.shape(mask)[1:], len(mask))  # noqa: E731
     monkeypatch.setattr(relattn, "row_extent", every_row)
     monkeypatch.setattr(encoder, "row_extent", every_row)
