@@ -49,7 +49,7 @@ def _load_config(path: Path, train: bool = False, steps: int | None = None):
         train_d = d.pop("train", {}) if train else {}
         if steps is not None:
             train_d["steps"] = steps
-        return ModelConfig(**d), settings_from_json(train_d) if train else None
+        return ModelConfig.from_dict(d), settings_from_json(train_d) if train else None
     except (TypeError, ValueError, LayoutError) as e:
         raise CliError("config", str(e)) from e
 

@@ -26,6 +26,11 @@ class DecoderOutput:
     hidden: Tensor  # after the decoder layers, length T
 
 
+def upsample_source(i, n: int, t: int):
+    """Row of the ``n`` compressed rows that full-length row ``i`` of ``t`` reads: i * n // t."""
+    return i * n // t
+
+
 def upsample(h_last: Tensor, t: int) -> Tensor:
     """Stretch the n rows of ``h_last`` to ``t``: out[i] = h_last[i * n // t].
 
@@ -38,7 +43,7 @@ def upsample(h_last: Tensor, t: int) -> Tensor:
         raise ContractError(f"cannot up-sample {n} rows to the shorter length {t}")
     if n == t:
         return h_last
-    return gather_rows(h_last, np.arange(t, dtype=np.int64) * n // t)
+    return gather_rows(h_last, upsample_source(np.arange(t, dtype=np.int64), n, t))
 
 
 def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPosEncoding,

@@ -35,7 +35,12 @@ import numpy as np
 
 from .autodiff import (ContractError, Tensor, dropout, gather_rows, max_pool_pairs,
                        mean_pool_pairs, reshape)
-from .relattn import RelPosEncoding, attention, over_extent, pffn, row_extent, transformer_layer
+from .decoder import upsample_source
+# attention and pffn stay bound here though only relattn calls them: the
+# benchmark's tracer wraps encoder.attention and encoder.pffn by name.  Tests
+# swap encoder.row_extent, like relattn's, for a full-length stand-in.
+from .relattn import (RelPosEncoding, attention, pffn, row_extent,  # noqa: F401
+                      run_layer, transformer_layer)
 
 POOL_OPS = ("mean", "max", "top_attn")
 
@@ -190,13 +195,9 @@ def block_transition_attention(pooled: PooledState, unpooled: PooledState, param
     by default each column's last real pooled row.
     """
     kv = unpooled if config.pool_query_only else pooled
-
-    def layer(q, kv_in, q_pos, k_pos, mask):
-        hidden, maps = attention(q, kv_in, q_pos, k_pos, mask, params, config, enc, rng)
-        return pffn(hidden, params, config, rng), maps
-
-    return over_extent(layer, pooled.hidden, kv.hidden, pooled.pos, kv.pos, kv.mask,
-                       row_extent(pooled.mask) if extent is None else extent)
+    return run_layer(pooled.hidden, kv.hidden, pooled.pos, kv.pos, kv.mask,
+                     row_extent(pooled.mask) if extent is None else extent,
+                     params, config, enc, rng)
 
 
 def encoder_forward(config, params, token_ids: np.ndarray,
@@ -211,9 +212,10 @@ def encoder_forward(config, params, token_ids: np.ndarray,
 
     Each layer runs up to each column's last real row only, and rows past
     it are exactly 0.0.  The final block is the exception: the decoder
-    up-samples real position i from its row i * T_M // T, which can lie
-    past the block's real rows when truncation is off.  Its extent is
-    widened to cover that row, and the widened rows carry computed states.
+    up-samples real position i from its row ``upsample_source(i, T_M, T)``,
+    which can lie past the block's real rows when truncation is off.  Its
+    extent is widened to cover that row, and the widened rows carry
+    computed states.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     t = len(token_ids)
@@ -238,7 +240,7 @@ def encoder_forward(config, params, token_ids: np.ndarray,
                                                 config.truncate_seq, prev_attn=last_attn)
         extent = row_extent(pooled.mask)
         if m == len(blocks) - 1:  # cover the rows the decoder up-samples real positions from
-            extent = np.maximum(extent, (real - 1) * len(pooled.mask) // t + 1)
+            extent = np.maximum(extent, upsample_source(real - 1, len(pooled.mask), t) + 1)
         if m > 0:
             lp = config.layer_params(params, m, 0)
             hidden, last_attn = block_transition_attention(pooled, state, lp, config, enc, rng,

@@ -18,7 +18,7 @@ from .autodiff import DTYPES, Rng, Tensor, gather_rows, matmul
 from .decoder import DecoderOutput, decoder_forward
 from .encoder import POOL_OPS, EncoderState, encoder_forward
 from .layout import HEAD_DIM, LayoutSpec, format_layout, parse_layout
-from .relattn import VARIANTS, LayerParams, RelPosEncoding
+from .relattn import LAYER_TENSORS, VARIANTS, LayerParams, RelPosEncoding
 
 INIT_STD = 0.02
 
@@ -88,9 +88,12 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
-        d = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ModelConfig":
+        """Config from the fields of a parsed JSON object; unknown fields are refused."""
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**d)
@@ -117,24 +120,8 @@ class ParamSpec(NamedTuple):
     init: str  # "normal" (truncated, std INIT_STD), "zeros" or "ones"
 
 
-# One row per tensor of a unique layer: (LayerParams attribute, name under
-# the layer prefix, dims, init).  Dims name the hidden size "d" or the FFN
-# width "inner".  Row order is draw order.
-_LAYER_TENSORS = (
-    ("w_q", "attn/w_q", ("d", "d"), "normal"), ("b_q", "attn/b_q", ("d",), "zeros"),
-    ("w_k", "attn/w_k", ("d", "d"), "normal"), ("b_k", "attn/b_k", ("d",), "zeros"),
-    ("w_v", "attn/w_v", ("d", "d"), "normal"), ("b_v", "attn/b_v", ("d",), "zeros"),
-    ("w_o", "attn/w_o", ("d", "d"), "normal"), ("b_o", "attn/b_o", ("d",), "zeros"),
-    ("u", "attn/u", ("d",), "normal"), ("v", "attn/v", ("d",), "normal"),
-    ("ln_attn_g", "attn/ln_g", ("d",), "ones"), ("ln_attn_b", "attn/ln_b", ("d",), "zeros"),
-    ("w_ffn1", "ffn/w1", ("d", "inner"), "normal"), ("b_ffn1", "ffn/b1", ("inner",), "zeros"),
-    ("w_ffn2", "ffn/w2", ("inner", "d"), "normal"), ("b_ffn2", "ffn/b2", ("d",), "zeros"),
-    ("ln_ffn_g", "ffn/ln_g", ("d",), "ones"), ("ln_ffn_b", "ffn/ln_b", ("d",), "zeros"),
-)
-
-
 def _layer_view(params: dict, prefix: str) -> LayerParams:
-    return LayerParams(**{attr: params[f"{prefix}/{key}"] for attr, key, _, _ in _LAYER_TENSORS},
+    return LayerParams(**{attr: params[f"{prefix}/{key}"] for attr, key, _, _ in LAYER_TENSORS},
                        w_r=params["rel/w_r"])
 
 
@@ -149,7 +136,7 @@ def param_specs(config: ModelConfig) -> dict[str, ParamSpec]:
                 for s in range(block.unique_layers)]
     prefixes += [f"dec/l{i}" for i in range(config.layout.decoder_layers)]
     for prefix in prefixes:
-        for _, key, dims, init in _LAYER_TENSORS:
+        for _, key, dims, init in LAYER_TENSORS:
             specs[f"{prefix}/{key}"] = ParamSpec(tuple(size[n] for n in dims), dt, init)
     return specs
 

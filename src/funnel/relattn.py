@@ -26,18 +26,19 @@ reshape, so every score term is a single broadcast matmul over
 [T, B] when they differ per column (after top-attention pooling).
 
 A layer computes no row past the last real one.  Pad keys are masked, so
-a row after a column's last real token never reaches a real output:
-``transformer_layer`` runs on the first max(extent) rows and keys only,
-where a column's extent is one past its last real row (``row_extent``),
-and pads the result back to full length.  Rows past each column's own
-extent come back exactly 0.0, and so do their rows of the attention map,
-so a batch still equals its sequences run one at a time.  With dropout
-on, fewer elements draw masks than a full-length pass would draw.
+a row after a column's last real token never reaches a real output: every
+layer, standard or transition, runs through ``run_layer`` on the first
+max(extent) rows and the keys up to the last real one, where a column's
+extent is one past its last real row (``row_extent``), and pads the
+result back to full length.  Rows past each column's own extent come
+back exactly 0.0, and so do their rows of the attention map, so a batch
+still equals its sequences run one at a time.  With dropout on, fewer
+elements draw masks than a full-length pass would draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 import numpy as np
 
@@ -227,35 +228,27 @@ def variant_deviation(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
                for fn in (position_term_gather, position_term_factorized))
 
 
-@dataclass
-class LayerParams:
-    """Per-layer attention + FFN parameters.
+# One row per tensor of a layer: (LayerParams attribute, name under the
+# layer prefix, dims, init).  Dims name the hidden size "d" or the FFN width
+# "inner"; row order is draw order (``model.param_specs``).  Projections are
+# packed [D, D], head h owning columns h*dh..(h+1)*dh; u and v are the packed
+# per-head position and content biases.
+LAYER_TENSORS = (
+    ("w_q", "attn/w_q", ("d", "d"), "normal"), ("b_q", "attn/b_q", ("d",), "zeros"),
+    ("w_k", "attn/w_k", ("d", "d"), "normal"), ("b_k", "attn/b_k", ("d",), "zeros"),
+    ("w_v", "attn/w_v", ("d", "d"), "normal"), ("b_v", "attn/b_v", ("d",), "zeros"),
+    ("w_o", "attn/w_o", ("d", "d"), "normal"), ("b_o", "attn/b_o", ("d",), "zeros"),
+    ("u", "attn/u", ("d",), "normal"), ("v", "attn/v", ("d",), "normal"),
+    ("ln_attn_g", "attn/ln_g", ("d",), "ones"), ("ln_attn_b", "attn/ln_b", ("d",), "zeros"),
+    ("w_ffn1", "ffn/w1", ("d", "inner"), "normal"), ("b_ffn1", "ffn/b1", ("inner",), "zeros"),
+    ("w_ffn2", "ffn/w2", ("inner", "d"), "normal"), ("b_ffn2", "ffn/b2", ("d",), "zeros"),
+    ("ln_ffn_g", "ffn/ln_g", ("d",), "ones"), ("ln_ffn_b", "ffn/ln_b", ("d",), "zeros"),
+)
 
-    Projections are packed [D, D], head h owning columns h*dh..(h+1)*dh;
-    ``u``/``v`` are the packed per-head position/content biases of length
-    D.  ``w_r``, the projection of the positional encodings, is shared:
-    every layer's view holds the same tensor.
-    """
-
-    w_q: Tensor
-    b_q: Tensor
-    w_k: Tensor
-    b_k: Tensor
-    w_v: Tensor
-    b_v: Tensor
-    w_o: Tensor
-    b_o: Tensor
-    u: Tensor
-    v: Tensor
-    ln_attn_g: Tensor
-    ln_attn_b: Tensor
-    w_ffn1: Tensor
-    b_ffn1: Tensor
-    w_ffn2: Tensor
-    b_ffn2: Tensor
-    ln_ffn_g: Tensor
-    ln_ffn_b: Tensor
-    w_r: Tensor
+LayerParams = make_dataclass(
+    "LayerParams", [(attr, Tensor) for attr, *_ in LAYER_TENSORS] + [("w_r", Tensor)],
+    namespace={"__module__": __name__, "__doc__": "One layer's parameters: a ``LAYER_TENSORS`` "
+               "row each, plus ``w_r``, the encoding projection every layer shares."})
 
 
 def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
@@ -322,24 +315,25 @@ def row_extent(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=0), last, 0)
 
 
-def over_extent(layer, q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
-                key_mask: np.ndarray, extent: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Run ``layer`` on the first max(``extent``) queries and the keys up to the last real one.
+def run_layer(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
+              key_mask: np.ndarray, extent: np.ndarray, params: LayerParams, config,
+              enc: RelPosEncoding, rng=None) -> tuple[Tensor, np.ndarray]:
+    """``attention`` then ``pffn`` on the first max(``extent``) queries and the real keys.
 
-    ``extent`` holds one query row count per column ([] or [B]);
-    ``layer(q, kv, q_pos, k_pos, key_mask)`` returns the hidden states and
-    attention map of the cut inputs.  Both come back at full length
-    ([Tq, ...] and [..., Tq, Tk]), exactly 0.0 past each column's extent.
+    ``extent`` holds one query row count per column ([] or [B]).  Hidden
+    states and attention map come back at full length ([Tq, ...] and
+    [..., Tq, Tk]), exactly 0.0 past each column's extent.  With every row
+    real, ``fit_rows`` returns its inputs and only the map is copied.
     """
     key_mask = np.asarray(key_mask, dtype=bool)
     extent = np.asarray(extent)
     tq, tk = q_in.shape[0], kv_in.shape[0]
     n, nk = int(extent.max()), int(row_extent(key_mask).max())
-    if nk == tk and (extent == tq).all():
-        return layer(q_in, kv_in, q_pos, k_pos, key_mask)
     q = fit_rows(q_in, n)
     kv = q if kv_in is q_in and nk == n else fit_rows(kv_in, nk)
-    hidden, maps = layer(q, kv, np.asarray(q_pos)[:n], np.asarray(k_pos)[:nk], key_mask[:nk])
+    hidden, maps = attention(q, kv, np.asarray(q_pos)[:n], np.asarray(k_pos)[:nk],
+                             key_mask[:nk], params, config, enc, rng)
+    hidden = pffn(hidden, params, config, rng)
     keep = np.arange(tq).reshape((tq,) + (1,) * extent.ndim) < extent  # [Tq] or [Tq, B]
     full = np.zeros(maps.shape[:-2] + (tq, tk), dtype=maps.dtype)
     np.copyto(full[..., :n, :nk], maps, where=np.moveaxis(keep[:n], 0, -1)[..., None, :, None])
@@ -349,14 +343,6 @@ def over_extent(layer, q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np
 def transformer_layer(x: Tensor, pos: np.ndarray, key_mask: np.ndarray, params: LayerParams,
                       config, enc: RelPosEncoding, rng=None,
                       extent: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Standard self-attention layer: queries, keys and values from ``x``.
-
-    Runs on rows up to ``extent`` only (``over_extent``), by default each
-    column's last real row (``row_extent(key_mask)``).
-    """
-    def layer(q, kv, q_pos, k_pos, mask):
-        hidden, maps = attention(q, kv, q_pos, k_pos, mask, params, config, enc, rng)
-        return pffn(hidden, params, config, rng), maps
-
-    return over_extent(layer, x, x, pos, pos, key_mask,
-                       row_extent(key_mask) if extent is None else extent)
+    """Self-attention over ``x`` (``run_layer``), by default up to each column's last real row."""
+    extent = row_extent(key_mask) if extent is None else extent
+    return run_layer(x, x, pos, pos, key_mask, extent, params, config, enc, rng)

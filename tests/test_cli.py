@@ -169,6 +169,17 @@ class TestTrainToy:
         assert code == 2
         assert "error: config: unknown training fields" in err
 
+    def test_unknown_model_field_refused(self, train_setup, capsys):
+        cfg, corpus, tmp = train_setup
+        d = json.loads(cfg.read_text())
+        d["extra"] = 1
+        cfg.write_text(json.dumps(d))
+        code, _, err = run(capsys, "train-toy", "--config", str(cfg),
+                           "--corpus", str(corpus), "--out", str(tmp / "o"))
+        assert code == 2
+        assert err == "error: config: unknown config fields: ['extra']\n"
+        assert not (tmp / "o").exists()
+
     @pytest.mark.parametrize("field,value,message", [
         pytest.param("objective", "spam", "objective must be one of", id="objective"),
         pytest.param("mask_sampler", "spam", "mask_sampler must be one of", id="mask_sampler"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from funnel.autodiff import ContractError, Rng, Tape, Tensor, mul, sum_all
-from funnel.decoder import decoder_forward, upsample
+from funnel.decoder import decoder_forward, upsample, upsample_source
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
 
@@ -44,6 +44,14 @@ class TestUpsample:
         counts = np.bincount(upsample(Tensor(np.arange(9.0)[:, None]), 16).data[:, 0]
                              .astype(int))
         assert set(counts) == {1, 2}
+
+    def test_source_rows_of_the_ends(self):
+        # the encoder computes upsample_source(real - 1, n, t) + 1 final-block rows:
+        # none for an all-pad column, all n for a full one
+        for t in range(1, 20):
+            for n in range(1, t + 1):
+                assert upsample_source(-1, n, t) + 1 == 0
+                assert upsample_source(t - 1, n, t) + 1 == n
 
     def test_fewer_target_rows_rejected(self):
         with pytest.raises(ContractError, match="shorter length"):

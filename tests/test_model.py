@@ -1,9 +1,12 @@
 """Model assembly: config JSON, parameter tree, tying, determinism."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from funnel.model import FunnelModel, ModelConfig, build_params, generator_config, param_specs
+from funnel.relattn import LAYER_TENSORS, LayerParams
 
 
 class TestConfig:
@@ -109,6 +112,35 @@ class TestParams:
             fill = {"zeros": 0.0, "ones": 1.0}.get(spec.init)
             if fill is not None:
                 assert (params[name].data == fill).all(), name
+
+    def test_names_in_draw_order(self):
+        # spelled out: moving, renaming or dropping a table row fails here
+        names = list(param_specs(ModelConfig(layout="B2-2H64D2", vocab_size=20)))
+        assert names[:20] == [
+            "embed/token", "rel/w_r",
+            "enc/b0/l0/attn/w_q", "enc/b0/l0/attn/b_q", "enc/b0/l0/attn/w_k",
+            "enc/b0/l0/attn/b_k", "enc/b0/l0/attn/w_v", "enc/b0/l0/attn/b_v",
+            "enc/b0/l0/attn/w_o", "enc/b0/l0/attn/b_o", "enc/b0/l0/attn/u", "enc/b0/l0/attn/v",
+            "enc/b0/l0/attn/ln_g", "enc/b0/l0/attn/ln_b",
+            "enc/b0/l0/ffn/w1", "enc/b0/l0/ffn/b1", "enc/b0/l0/ffn/w2", "enc/b0/l0/ffn/b2",
+            "enc/b0/l0/ffn/ln_g", "enc/b0/l0/ffn/ln_b",
+        ]
+        assert len(names) == 2 + 6 * 18
+        assert [n.rsplit("/", 2)[0] for n in names[2::18]] == [
+            "enc/b0/l0", "enc/b0/l1", "enc/b1/l0", "enc/b1/l1", "dec/l0", "dec/l1"]
+
+    def test_layer_view_fields_follow_the_table(self):
+        attrs = [f.name for f in fields(LayerParams)]
+        assert attrs == [attr for attr, *_ in LAYER_TENSORS] + ["w_r"]
+        assert attrs == ["w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o", "u", "v",
+                         "ln_attn_g", "ln_attn_b", "w_ffn1", "b_ffn1", "w_ffn2", "b_ffn2",
+                         "ln_ffn_g", "ln_ffn_b", "w_r"]
+        cfg = ModelConfig(layout="B2-2H64D1", vocab_size=11, seed=0)
+        params = build_params(cfg)
+        lp = cfg.layer_params(params, 1, 1)
+        for attr, key, *_ in LAYER_TENSORS:
+            assert getattr(lp, attr) is params[f"enc/b1/l1/{key}"], attr
+        assert lp.w_r is params["rel/w_r"]
 
     def test_dtype_respected(self):
         cfg = ModelConfig(layout="L1H64", vocab_size=11, dtype="f32", seed=0)
