@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -61,20 +63,11 @@ def cmd_analyze(args) -> int:
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
         return 0
-    eff = report.effective_layers
-    rows = [
-        ("layout", report.layout),
-        ("mode", report.mode),
-        ("seq_len", report.seq_len),
-        ("params_total", report.params_total),
-        ("params_transformer", report.params_transformer),
-        ("params_embedding", report.params_embedding),
-        ("params_shared", report.params_shared),
-        ("effective_layers", f"{float(eff):g} ({eff.numerator}/{eff.denominator})"),
-        ("flops_exact", report.flops_exact),
-    ]
-    for label, value in rows:
-        print(f"{label:<19} {value}")
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, Fraction):
+            value = f"{float(value):g} ({value.numerator}/{value.denominator})"
+        print(f"{f.name:<19} {value}")
     return 0
 
 
@@ -83,12 +76,8 @@ def cmd_compare(args) -> int:
     if not layouts:
         raise CliError("usage", "no layouts given")
     base = _parse_layout(args.baseline)
-    try:
-        print(costmodel.compare_report(layouts, base, seq_len=args.seq_len,
-                                       mode=args.mode, vocab=args.vocab,
-                                       fmt=args.format))
-    except costmodel.CostModelError as e:
-        raise CliError("input", str(e)) from e
+    print(costmodel.compare_report(layouts, base, seq_len=args.seq_len, mode=args.mode,
+                                   vocab=args.vocab, fmt=args.format))
     return 0
 
 
@@ -195,7 +184,7 @@ def cmd_encode(args) -> int:
             print(json.dumps({"line": line,
                               "cls": [round(float(x), 6) for x in state.h_last.data[0]]}))
         else:
-            out = model.decode(state, enc.pad_mask)
+            out = model.decode(state)
             print(json.dumps({"line": line, "tokens": len(out.hidden.data),
                               "vectors": [[round(float(x), 6) for x in row]
                                           for row in out.hidden.data]}))

@@ -25,7 +25,7 @@ Exact rational values are returned by the API; rounding is display-only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
@@ -129,15 +129,11 @@ def flops_exact(layout, seq_len: int, mode: str = "finetune",
     total = 0
     for m, block in enumerate(layout.blocks):
         t_m = layout.block_length(m, seq_len)
-        for t in range(block.total_layers):
-            if m > 0 and t == 0:
-                total += layer_flops(t_m, layout.block_length(m - 1, seq_len),
-                                     layout.hidden, variant)
-            else:
-                total += layer_flops(t_m, t_m, layout.hidden, variant)
+        k_first = layout.block_length(m - 1, seq_len) if m > 0 else t_m
+        total += (layer_flops(t_m, k_first, layout.hidden, variant)
+                  + (block.total_layers - 1) * layer_flops(t_m, t_m, layout.hidden, variant))
     if mode == "pretrain":
-        for _ in range(layout.decoder_layers):
-            total += layer_flops(seq_len, seq_len, layout.hidden, variant)
+        total += layout.decoder_layers * layer_flops(seq_len, seq_len, layout.hidden, variant)
     return total
 
 
@@ -167,19 +163,16 @@ class CostReport:
     flops_exact: int
 
     def to_dict(self) -> dict:
-        return {
-            "layout": self.layout,
-            "mode": self.mode,
-            "seq_len": self.seq_len,
-            "params_total": self.params_total,
-            "params_transformer": self.params_transformer,
-            "params_embedding": self.params_embedding,
-            "params_shared": self.params_shared,
-            "effective_layers": [self.effective_layers.numerator,
-                                 self.effective_layers.denominator],
-            "effective_layers_float": float(self.effective_layers),
-            "flops_exact": self.flops_exact,
-        }
+        """Fields in order; a Fraction is [numerator, denominator] then ``<name>_float``."""
+        d = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Fraction):
+                d[f.name] = [value.numerator, value.denominator]
+                d[f"{f.name}_float"] = float(value)
+            else:
+                d[f.name] = value
+        return d
 
 
 def param_count(layout, vocab: int = DEFAULT_VOCAB, mode: str = "finetune") -> dict:
@@ -206,15 +199,11 @@ def param_count(layout, vocab: int = DEFAULT_VOCAB, mode: str = "finetune") -> d
 def cost_report(layout, seq_len: int = 512, mode: str = "finetune",
                 vocab: int = DEFAULT_VOCAB) -> CostReport:
     layout = _as_layout(layout)
-    counts = param_count(layout, vocab, mode)
     return CostReport(
         layout=format_layout(layout),
         mode=mode,
         seq_len=seq_len,
-        params_total=counts["params_total"],
-        params_transformer=counts["params_transformer"],
-        params_embedding=counts["params_embedding"],
-        params_shared=counts["params_shared"],
+        **param_count(layout, vocab, mode),
         effective_layers=effective_layers(layout, mode),
         flops_exact=flops_exact(layout, seq_len, mode),
     )
@@ -250,7 +239,7 @@ def compare_report(layouts, baseline, seq_len: int = 512, mode: str = "finetune"
                            "seq_len": seq_len, "rows": rows}, indent=2)
     if fmt != "text":
         raise CostModelError(f"format must be text or json, got {fmt!r}")
-    headers = ["layout", "flops_ratio_linear", "flops_ratio_exact", "params_ratio"]
+    headers = list(rows[0])
     widths = {h: max(len(h), *(len(r[h]) for r in rows)) for h in headers}
     lines = ["  ".join(h.ljust(widths[h]) for h in headers)]
     lines.append("  ".join("-" * widths[h] for h in headers))

@@ -86,14 +86,6 @@ class LayoutSpec:
         object.__setattr__(self, "embed_dim", self.hidden)
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def total_encoder_layers(self) -> int:
-        return sum(b.total_layers for b in self.blocks)
-
-    @property
     def unique_encoder_layers(self) -> int:
         return sum(b.unique_layers for b in self.blocks)
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import DTYPES, Rng, Tensor, gather_rows, matmul
+from .autodiff import DTYPES, ContractError, Rng, Tensor, gather_rows, matmul
 from .decoder import DecoderOutput, decoder_forward
 from .encoder import POOL_OPS, EncoderState, encoder_forward
 from .layout import HEAD_DIM, LayoutSpec, format_layout, parse_layout
@@ -180,13 +180,16 @@ class FunnelModel:
         state = self.encode(token_ids, pad_mask, rng=rng)
         if len(self.config.layout.blocks) == 1 and self.config.layout.decoder_layers == 0:
             return state.h_last
-        out = self.decode(state, pad_mask, rng=rng)
-        return out.hidden
+        return self.decode(state, rng=rng).hidden
 
     def decode(self, state: EncoderState, pad_mask: np.ndarray | None = None,
                rng: Rng | None = None) -> DecoderOutput:
+        """Decoder pass over the encoder's pad mask; a different ``pad_mask`` is refused."""
+        mask = state.block_mask[0]
+        if pad_mask is not None and not np.array_equal(pad_mask, mask):
+            raise ContractError("pad mask differs from the one the encoder ran with")
         return decoder_forward(state.h_first, state.h_last, self.config, self.params,
-                               state.encoding, pad_mask, rng=rng)
+                               state.encoding, mask, rng=rng)
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return sorted(self.params.items())

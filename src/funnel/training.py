@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import DTYPES, NumericError, Rng, Tape, Tensor, add, mul
 from .corpus import Batch, EncodedLine, Vocab, build_vocab, encode_corpus
-from .model import FunnelModel, ModelConfig, generator_config, param_specs
+from .model import INIT_STD, FunnelModel, ModelConfig, generator_config, param_specs
 from .objectives import (DISC_LOSS_WEIGHT, electra_step, mlm_loss, sample_mask_single,
                          sample_mask_span)
 
@@ -186,12 +186,9 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
     params = model_params(model, "disc/" if settings.objective == "electra" else "")
     if settings.objective == "electra":
         gen = FunnelModel(generator_config(config))
-        head_rng = Rng(config.seed + 2)
         dtype = DTYPES[config.dtype]
-        disc_head = (
-            Tensor(head_rng.truncated_normal((config.hidden,), 0.02, dtype), requires_grad=True),
-            Tensor(np.zeros((), dtype), requires_grad=True),
-        )
+        w = Rng(config.seed + 2).truncated_normal((config.hidden,), INIT_STD, dtype)
+        disc_head = (Tensor(w, requires_grad=True), Tensor(np.zeros((), dtype), requires_grad=True))
         params += model_params(gen, "gen/") + [("disc/head/w", disc_head[0], True),
                                                ("disc/head/b", disc_head[1], False)]
 

@@ -38,6 +38,42 @@ class TestAnalyze:
         d = json.loads(out)
         assert d["effective_layers"] == [25, 2]
 
+    REPORT_ARGS = ("analyze", "--layout", "B6-6-6H768D2", "--mode", "pretrain",
+                   "--seq-len", "128", "--vocab", "1000")
+
+    def test_full_text_report(self, capsys):
+        # params: 20 layers of 12 D^2 + 15 D, a 1000 x D embedding, one D x D
+        # projection; effective layers: 6 + 6/2 + 6/4 + 2 decoder layers
+        code, out, err = run(capsys, *self.REPORT_ARGS)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "layout              B6-6-6H768D2",
+            "mode                pretrain",
+            "seq_len             128",
+            "params_total        143145984",
+            "params_transformer  141788160",
+            "params_embedding    768000",
+            "params_shared       589824",
+            "effective_layers    12.5 (25/2)",
+            "flops_exact         25788678144",
+        ]
+
+    def test_full_json_report(self, capsys):
+        code, out, err = run(capsys, *self.REPORT_ARGS, "--format", "json")
+        assert (code, err) == (0, "")
+        assert list(json.loads(out).items()) == [
+            ("layout", "B6-6-6H768D2"),
+            ("mode", "pretrain"),
+            ("seq_len", 128),
+            ("params_total", 143145984),
+            ("params_transformer", 141788160),
+            ("params_embedding", 768000),
+            ("params_shared", 589824),
+            ("effective_layers", [25, 2]),
+            ("effective_layers_float", 12.5),
+            ("flops_exact", 25788678144),
+        ]
+
 
 class TestCompare:
     def test_base_group(self, capsys):

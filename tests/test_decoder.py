@@ -120,6 +120,18 @@ class TestDecoderForward:
             assert diff[i] > 0
             assert np.count_nonzero(diff) == 1
 
+    def test_decode_reads_the_encoders_pad_mask(self):
+        model = FunnelModel(ModelConfig(layout="B2-2H64D2", vocab_size=11, seed=0))
+        toks = np.concatenate([[2], Rng(0).integers(5, 11, 3), [3], [0, 0, 0]])
+        mask = np.arange(8) < 5
+        state = model.encode(toks, mask)
+        np.testing.assert_array_equal(model.decode(state).hidden.data,
+                                      model.decode(state, mask).hidden.data)
+        with pytest.raises(ContractError, match="pad mask differs"):
+            model.decode(state, np.ones(8, dtype=bool))
+        with pytest.raises(ContractError, match="pad mask differs"):
+            model.decode(state, mask[:4])
+
     def test_length_mismatch_rejected(self, funnel_model):
         # a full length shorter than the compressed one would skip states
         _, state = encode(funnel_model)

@@ -1,9 +1,11 @@
-"""The README's documented config must load with the current fields."""
+"""The README's documented config and commands must load with the current fields and flags."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
+from funnel.cli import build_parser
 from funnel.model import ModelConfig
 from funnel.training import settings_from_json
 
@@ -26,3 +28,20 @@ def test_readme_config_json_documents_every_model_field():
     d = readme_config()
     d.pop("train")
     assert set(json.loads(ModelConfig(**d).to_json())) == set(d)
+
+
+def readme_commands():
+    """Every ``funnel`` line of the "Command line" block, continuations joined."""
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = re.sub(r"\\\n\s*", "", block).splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("funnel ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 8
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -21,12 +21,12 @@ class TestParse:
         assert [(b.unique_layers, b.repeat) for b in spec.blocks] == [(6, 1), (3, 2), (3, 2)]
         assert spec.hidden == 768
         assert spec.decoder_layers == 2
-        assert spec.total_encoder_layers == 18
+        assert sum(b.total_layers for b in spec.blocks) == 18
         assert spec.unique_encoder_layers == 12
 
     def test_plain_stack(self):
         spec = parse_layout("L12H768")
-        assert spec.n_blocks == 1
+        assert len(spec.blocks) == 1
         assert not spec.pooled
         assert spec.blocks[0].total_layers == 12
         assert spec.decoder_layers == 0
@@ -110,5 +110,5 @@ def test_roundtrip_plain_form(layers, hidden):
 
 def test_total_vs_unique_layer_accounting():
     spec = parse_layout("B8-4x2-2x4H64")
-    assert spec.total_encoder_layers == 8 + 8 + 8
+    assert sum(b.total_layers for b in spec.blocks) == 8 + 8 + 8
     assert spec.unique_encoder_layers == 8 + 4 + 2
