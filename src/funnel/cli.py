@@ -82,6 +82,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify_attn(args) -> int:
+    if args.trials < 0:
+        raise CliError("usage", f"--trials must be >= 0, got {args.trials}")
     if args.trials == 0:
         print("warning: 0 trials requested; nothing verified")
         print("max deviation 0.0")

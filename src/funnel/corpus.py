@@ -67,32 +67,20 @@ def build_vocab(lines, max_size: int) -> Vocab:
 class EncodedLine:
     """One sequence ready for the model."""
 
-    token_ids: np.ndarray       # [T] int64, CLS first
-    pad_mask: np.ndarray        # [T] bool, True at real positions
-    word_boundaries: list[tuple[int, int]]  # half-open token ranges per word
+    token_ids: np.ndarray  # [T] int64, CLS first
+    pad_mask: np.ndarray   # [T] bool, True at real positions
 
 
 def encode_line(line: str, vocab: Vocab, seq_len: int) -> EncodedLine:
-    """[CLS] + tokens + [SEP], truncated/padded to ``seq_len`` (a power of two).
-
-    Word boundaries cover the content tokens only; with a whitespace
-    tokenizer every word is a single token, but spans are recorded as
-    ranges so sub-word tokenizers could slot in.
-    """
+    """[CLS] + tokens + [SEP], truncated/padded to ``seq_len`` (a power of two)."""
     if seq_len < 2 or seq_len & (seq_len - 1):
         raise ValueError(f"sequence length {seq_len} must be a power of two >= 2")
-    words = tokenize(line)[: seq_len - 2]
-    ids = [CLS]
-    boundaries = []
-    for w in words:
-        boundaries.append((len(ids), len(ids) + 1))
-        ids.append(vocab.id_of(w))
-    ids.append(SEP)
+    ids = [CLS] + [vocab.id_of(w) for w in tokenize(line)[: seq_len - 2]] + [SEP]
     real = len(ids)
     ids.extend([PAD] * (seq_len - real))
     mask = np.zeros(seq_len, dtype=bool)
     mask[:real] = True
-    return EncodedLine(np.array(ids, dtype=np.int64), mask, boundaries)
+    return EncodedLine(np.array(ids, dtype=np.int64), mask)
 
 
 def decode(token_ids, vocab: Vocab) -> list[str]:

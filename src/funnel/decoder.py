@@ -47,19 +47,18 @@ def upsample(h_last: Tensor, t: int) -> Tensor:
 
 
 def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPosEncoding,
-                    pad_mask: np.ndarray | None = None, rng=None) -> DecoderOutput:
+                    pad_mask: np.ndarray, rng=None) -> DecoderOutput:
     """Fuse skip + up-sampled states, then run the decoder layers.
 
     ``h_first`` is the full-length block-1 output; ``h_last`` the final
-    block's output, both time-major.  ``enc`` is the encoder pass's
-    encoding, whose tables already hold the full-length positions.  With
+    block's output, both time-major, and ``pad_mask`` the full-length
+    mask the encoder ran with.  ``enc`` is the encoder pass's encoding,
+    whose tables already hold the full-length positions.  With
     zero decoder layers the fused representation is returned unchanged;
     otherwise ``hidden`` is 0.0 past each column's last real row.
     """
     t = h_first.shape[0]
     fused = add(h_first, upsample(h_last, t))
-    if pad_mask is None:
-        pad_mask = np.ones(h_first.shape[:-1], dtype=bool)
     hidden = fused
     pos = np.arange(t, dtype=np.int64)
     for i in range(config.layout.decoder_layers):

@@ -23,9 +23,33 @@ from .relattn import LAYER_TENSORS, VARIANTS, LayerParams, RelPosEncoding
 INIT_STD = 0.02
 
 
-# Annotation -> accepted value types; "float" fields take ints too.  The
-# layout is parsed instead.
+# Annotation -> accepted value types; "float" fields take ints too.  Fields
+# of other types (the layout, nested settings) are not checked here.
 _FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+# Range rule -> test; the rule's text is also the error message.
+_RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+           "in [0,1)": lambda v: 0 <= v < 1, "in (0,1)": lambda v: 0 < v < 1}
+
+
+def check_fields(obj, rules: dict[str, str | tuple]) -> None:
+    """Refuse dataclass field values that do not match their annotation or ``rules``.
+
+    A rule is a ``_RANGES`` key or a tuple of the allowed values.  A wrong
+    type is a TypeError, a value its rule refuses a ValueError.
+    """
+    for f in fields(obj):
+        value, allowed = getattr(obj, f.name), _FIELD_TYPES.get(f.type)
+        # bool is an int subclass: only a bool field takes one
+        if allowed and (not isinstance(value, allowed)
+                        or isinstance(value, bool) != (f.type == "bool")):
+            raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+    for name, rule in rules.items():
+        value = getattr(obj, name)
+        if isinstance(rule, tuple) and value not in rule:
+            raise ValueError(f"{name} must be one of {rule}, got {value!r}")
+        if isinstance(rule, str) and not _RANGES[rule](value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -45,18 +69,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value, allowed = getattr(self, f.name), _FIELD_TYPES.get(f.type)
-            # bool is an int subclass: only a bool field takes one
-            if allowed and (not isinstance(value, allowed)
-                            or isinstance(value, bool) != (f.type == "bool")):
-                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        check_fields(self, {"pool_op": POOL_OPS, "attn_variant": VARIANTS,
+                            "dtype": tuple(DTYPES), "dropout": "in [0,1)",
+                            "attn_dropout": "in [0,1)"})
         if not isinstance(self.layout, LayoutSpec):
             self.layout = parse_layout(self.layout)
-        for name, allowed in (("pool_op", POOL_OPS), ("attn_variant", VARIANTS),
-                              ("dtype", tuple(DTYPES))):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if (self.pool_op == "top_attn" and self.pool_query_only
                 and any(b.total_layers == 1 for b in self.layout.blocks[1:-1])):
             # a lone transition's map has unpooled keys: the next pooling cannot use it
@@ -64,9 +81,6 @@ class ModelConfig:
                              "layers in every block that is followed by pooling")
         if self.vocab_size < 5:
             raise ValueError("vocab_size must cover the five special tokens")
-        for name in ("dropout", "attn_dropout"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0,1), got {getattr(self, name)!r}")
 
     @property
     def hidden(self) -> int:

@@ -11,6 +11,7 @@ replaced, weighted by a coefficient of 50.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .corpus import CLS, MASK, PAD, SEP, Batch
 from .model import FunnelModel
 
 DISC_LOSS_WEIGHT = 50.0
+MAX_SPAN = 5  # longest span, in positions, that sample_mask_span draws
 
 
 @dataclass
@@ -59,46 +61,26 @@ def sample_mask_single(token_ids: np.ndarray, rate: float = 0.15, *, rng: Rng) -
     return MaskPlan(chosen, np.asarray(token_ids)[chosen].astype(np.int64))
 
 
-def sample_mask_span(token_ids: np.ndarray, word_boundaries: list[tuple[int, int]],
-                     rate: float = 0.15, max_words: int = 5, *, rng: Rng) -> MaskPlan:
-    """Complete-word span sampling.
+def sample_mask_span(token_ids: np.ndarray, rate: float = 0.15, *, rng: Rng) -> MaskPlan:
+    """Span sampling over token positions.
 
-    Spans of Uniform{1..max_words} words at uniform starts are drawn until
-    floor(rate * n) masked tokens are reached.  Words are never split: the
-    final span is truncated in whole words to fit the budget when it can
-    be, and otherwise overshoots by exactly one word.
+    Spans of Uniform{1..MAX_SPAN} consecutive maskable positions at
+    uniform starts are drawn until floor(rate * n) positions are masked;
+    the last span is cut short to hit that count exactly.
     """
     if not 0.0 < rate < 1.0:
         raise ContractError(f"mask rate must be in (0,1), got {rate}")
     token_ids = np.asarray(token_ids)
-    pool = set(maskable_positions(token_ids).tolist())
-    words = [tuple(range(lo, hi)) for lo, hi in word_boundaries
-             if all(i in pool for i in range(lo, hi))]
-    budget = int(rate * len(pool))
-    if budget == 0 or not words:
-        return MaskPlan(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-
-    masked: set[int] = set()
-    while len(masked) < budget:
-        if all(set(w) <= masked for w in words):
-            break
-        span_words = int(rng.integers(1, max_words + 1))
-        start = int(rng.integers(0, len(words)))
-        added_this_span = False
-        for word in words[start: start + span_words]:
-            fresh = [i for i in word if i not in masked]
-            if not fresh:
-                continue
-            needed = budget - len(masked)
-            if len(fresh) > needed:
-                if not added_this_span:
-                    masked.update(fresh)  # no whole word fits: overshoot by this one
-                break  # otherwise truncate the span at the word boundary
-            masked.update(fresh)
-            added_this_span = True
-            if len(masked) >= budget:
-                break
-    positions = np.array(sorted(masked), dtype=np.int64)
+    pool = maskable_positions(token_ids)
+    taken = np.zeros(len(pool), dtype=bool)
+    left = int(rate * len(pool))
+    while left:
+        span = int(rng.integers(1, MAX_SPAN + 1))
+        start = int(rng.integers(0, len(pool)))
+        fresh = start + np.flatnonzero(~taken[start:start + span])[:left]
+        taken[fresh] = True
+        left -= len(fresh)
+    positions = pool[taken].astype(np.int64)
     return MaskPlan(positions, token_ids[positions].astype(np.int64))
 
 
@@ -119,10 +101,12 @@ def _masked_token_loss(hidden: Tensor, embedding: Tensor,
                        plans: list[MaskPlan]) -> tuple[Tensor, Tensor]:
     """Tied-output logits h_i . e(x') for every x' at every plan's positions, and their loss.
 
-    ``hidden`` is read as its time-major flattening [T*B, D]; rows run
-    sequence by sequence.
+    ``hidden`` is [T, D] for one plan or [T, B, D] for B plans, read as
+    its time-major flattening [T*B, D]; rows run sequence by sequence.
     """
     b = len(plans)
+    if len(hidden.shape) not in (2, 3) or math.prod(hidden.shape[1:-1]) != b:
+        raise ContractError(f"{b} mask plans for hidden states of shape {hidden.shape}")
     rows = np.concatenate([p.positions * b + i for i, p in enumerate(plans)])
     selected = gather_rows(reshape(hidden, (-1, hidden.shape[-1])), rows)
     logits = matmul(selected, transpose(embedding))

@@ -18,7 +18,8 @@ import numpy as np
 
 from .autodiff import DTYPES, NumericError, Rng, Tape, Tensor, add, mul
 from .corpus import Batch, EncodedLine, Vocab, build_vocab, encode_corpus
-from .model import INIT_STD, FunnelModel, ModelConfig, generator_config, param_specs
+from .model import (INIT_STD, FunnelModel, ModelConfig, check_fields, generator_config,
+                    param_specs)
 from .objectives import (DISC_LOSS_WEIGHT, electra_step, mlm_loss, sample_mask_single,
                          sample_mask_span)
 
@@ -40,6 +41,10 @@ class OptimizerConfig:
     weight_decay: float = 0.01
     warmup_steps: int = 20
 
+    def __post_init__(self):
+        check_fields(self, {"lr": "> 0", "beta1": "in [0,1)", "beta2": "in [0,1)", "eps": "> 0",
+                            "weight_decay": ">= 0", "warmup_steps": ">= 0"})
+
 
 @dataclass
 class TrainSettings:
@@ -54,13 +59,8 @@ class TrainSettings:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
-        for name, allowed in (("objective", ("mlm", "electra")),
-                              ("mask_sampler", ("single", "span"))):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
-        for name, low in (("steps", 0), ("batch_size", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_fields(self, {"steps": ">= 0", "batch_size": ">= 1", "mask_rate": "in (0,1)",
+                            "objective": ("mlm", "electra"), "mask_sampler": ("single", "span")})
         if self.seq_len < 2 or self.seq_len & (self.seq_len - 1):
             raise ValueError(f"seq_len must be a power of two >= 2, got {self.seq_len}")
 
@@ -158,8 +158,7 @@ class TraceRow:
 
 def _sample_plan(settings: TrainSettings, line: EncodedLine, rng: Rng):
     if settings.mask_sampler == "span":
-        return sample_mask_span(line.token_ids, line.word_boundaries,
-                                rate=settings.mask_rate, rng=rng)
+        return sample_mask_span(line.token_ids, rate=settings.mask_rate, rng=rng)
     return sample_mask_single(line.token_ids, rate=settings.mask_rate, rng=rng)
 
 

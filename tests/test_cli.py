@@ -123,6 +123,12 @@ class TestVerifyAttn:
         assert code == 0
         assert "warning" in out
 
+    def test_negative_trials_refused(self, capsys):
+        code, out, err = run(capsys, "verify-attn", "--trials", "-1")
+        assert code == 2
+        assert err.startswith("error: usage: --trials must be >= 0")
+        assert "max deviation" not in out
+
 
 class TestGradcheck:
     def test_funnel_passes(self, capsys):
@@ -244,8 +250,16 @@ class TestTrainToy:
         '{"layout": "B2-2H64D2", "vocab_size": 20, "separate_cls": "no"}',
         '{"layout": "B2-2H64D2", "vocab_size": 20, "seed": "x"}',
         '{"layout": "B2-2H64D2", "vocab_size": 20.5}',
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "train": {"batch_size": 2.5}}',
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "train": {"batch_size": true}}',
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "train": {"warmup_steps": 2.5}}',
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "train": {"steps": "2"}}',
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "train": {"lr": -1}}',
+        '{"layout": "B2-2H64D2", "vocab_size": 20, "train": {"mask_rate": 1.5}}',
     ], ids=["array", "bad_json", "dropout", "attn_dropout", "train_not_object", "layout_number",
-            "bool_as_string", "seed_string", "vocab_size_float"])
+            "bool_as_string", "seed_string", "vocab_size_float", "batch_size_float",
+            "batch_size_bool", "warmup_steps_float", "steps_string", "lr_negative",
+            "mask_rate_above_one"])
     def test_malformed_config_refused(self, train_setup, capsys, text):
         cfg, corpus, tmp = train_setup
         cfg.write_text(text)

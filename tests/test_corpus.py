@@ -57,7 +57,7 @@ class TestEncodeLine:
         enc = encode_line("a b c d e f g h i j", v, 8)
         assert len(enc.token_ids) == 8
         assert enc.token_ids[-1] == SEP
-        assert len(enc.word_boundaries) == 6
+        assert decode(enc.token_ids, v) == list("abcdef")
 
     def test_cls_first_and_power_of_two(self):
         v = build_vocab(["x y"], 10)
@@ -65,11 +65,6 @@ class TestEncodeLine:
             encode_line("x", v, 6)
         enc = encode_line("x y", v, 8)
         assert enc.token_ids[0] == CLS
-
-    def test_word_boundaries_cover_content(self):
-        v = build_vocab(["one two three"], 10)
-        enc = encode_line("one two three", v, 8)
-        assert enc.word_boundaries == [(1, 2), (2, 3), (3, 4)]
 
 
 def test_decode_roundtrip():

@@ -79,7 +79,7 @@ class TestDecoderForward:
         _, state = encode(funnel_model)
         zero_last = Tensor(np.zeros_like(state.h_last.data))
         out = decoder_forward(state.h_first, zero_last, funnel_model.config,
-                              funnel_model.params, state.encoding)
+                              funnel_model.params, state.encoding, state.block_mask[0])
         np.testing.assert_array_equal(out.fused.data, state.h_first.data)
 
     def test_zero_decoder_layers_returns_fusion(self):
@@ -100,9 +100,10 @@ class TestDecoderForward:
         delta = np.zeros_like(state.h_first.data)
         delta[3] = 1.25
         base = decoder_forward(state.h_first, state.h_last, funnel_model.config,
-                               funnel_model.params, state.encoding)
+                               funnel_model.params, state.encoding, state.block_mask[0])
         shifted = decoder_forward(Tensor(state.h_first.data + delta), state.h_last,
-                                  funnel_model.config, funnel_model.params, state.encoding)
+                                  funnel_model.config, funnel_model.params, state.encoding,
+                                  state.block_mask[0])
         np.testing.assert_allclose(shifted.fused.data - base.fused.data, delta,
                                    atol=1e-12)
 
@@ -113,9 +114,9 @@ class TestDecoderForward:
             bumped = state.h_first.data.copy()
             bumped[i] += 0.5
             out = decoder_forward(Tensor(bumped), state.h_last, funnel_model.config,
-                                  funnel_model.params, state.encoding)
+                                  funnel_model.params, state.encoding, state.block_mask[0])
             base = decoder_forward(state.h_first, state.h_last, funnel_model.config,
-                                   funnel_model.params, state.encoding)
+                                   funnel_model.params, state.encoding, state.block_mask[0])
             diff = np.abs(out.fused.data - base.fused.data).sum(axis=1)
             assert diff[i] > 0
             assert np.count_nonzero(diff) == 1
@@ -132,13 +133,21 @@ class TestDecoderForward:
         with pytest.raises(ContractError, match="pad mask differs"):
             model.decode(state, mask[:4])
 
+    def test_pad_mask_required(self, funnel_model):
+        # no default that would treat every row as real
+        _, state = encode(funnel_model)
+        with pytest.raises(TypeError, match="pad_mask"):
+            decoder_forward(state.h_first, state.h_last, funnel_model.config,
+                            funnel_model.params, state.encoding)
+
     def test_length_mismatch_rejected(self, funnel_model):
         # a full length shorter than the compressed one would skip states
         _, state = encode(funnel_model)
         t_last = state.h_last.shape[0]
         with pytest.raises(ContractError):
             decoder_forward(Tensor(np.zeros((t_last - 1, 16))), state.h_last,
-                            funnel_model.config, funnel_model.params, state.encoding)
+                            funnel_model.config, funnel_model.params, state.encoding,
+                            state.block_mask[0])
 
 
 GRID_LAYOUTS = ("B2-2H64D2", "B2-2-2H64D2", "B1-1-1-1H64D1")

@@ -9,7 +9,7 @@ from funnel.autodiff import ContractError, Rng, Tape, Tensor, bce_with_logits_me
 from funnel.corpus import CLS, MASK, PAD, SEP, Batch, build_vocab, encode_line
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig, generator_config
-from funnel.objectives import (MaskPlan, build_electra_batch, electra_step,
+from funnel.objectives import (MAX_SPAN, MaskPlan, build_electra_batch, electra_step,
                                maskable_positions, mlm_loss, sample_mask_single,
                                sample_mask_span)
 
@@ -52,52 +52,67 @@ class TestSingleTokenSampler:
         np.testing.assert_array_equal(corrupted[untouched], toks[untouched])
 
 
-def words_of(n_words, tokens_per_word=1):
-    """Token array plus whole-word boundaries starting after CLS."""
-    toks = [CLS]
-    bounds = []
-    gen = Rng(11)
-    for _ in range(n_words):
-        bounds.append((len(toks), len(toks) + tokens_per_word))
-        toks.extend(gen.integers(5, 30, tokens_per_word))
-    toks.append(SEP)
-    return np.array(toks), bounds
+def span_plan_loop(token_ids, rate, rng):
+    """Reference: add each drawn span's unmasked positions one by one until the budget."""
+    pool = maskable_positions(token_ids).tolist()
+    budget = int(rate * len(pool))
+    masked = set()
+    while len(masked) < budget:
+        span = int(rng.integers(1, MAX_SPAN + 1))
+        start = int(rng.integers(0, len(pool)))
+        for i in pool[start:start + span]:
+            if len(masked) < budget:
+                masked.add(i)
+    return sorted(masked)
 
 
 class TestSpanSampler:
+    def test_matches_loop_reference(self):
+        for n in range(0, 63, 3):
+            toks = toy_tokens(n, seed=n)
+            for seed in range(5):
+                plan = sample_mask_span(toks, rate=0.4, rng=Rng(seed))
+                assert plan.positions.tolist() == span_plan_loop(toks, 0.4, Rng(seed))
+
     def test_single_token_words_hit_exact_budget(self):
-        toks, bounds = words_of(40)
-        plan = sample_mask_span(toks, bounds, rate=0.15, rng=Rng(5))
-        assert len(plan) == int(0.15 * 40)
+        for n in range(63):
+            for rate in (0.15, 0.5):
+                plan = sample_mask_span(toy_tokens(n), rate=rate, rng=Rng(n))
+                assert len(plan) == int(rate * n)
+                assert len(np.unique(plan.positions)) == len(plan)
 
     def test_budget_truncates_long_span(self):
-        toks, bounds = words_of(20)
-        plan = sample_mask_span(toks, bounds, rate=0.15, max_words=5, rng=Rng(6))
+        plan = sample_mask_span(toy_tokens(20), rate=0.15, rng=Rng(6))
         assert len(plan) == 3
-
-    def test_never_splits_words(self):
-        toks, bounds = words_of(12, tokens_per_word=3)
-        for seed in range(30):
-            plan = sample_mask_span(toks, bounds, rate=0.3, max_words=5, rng=Rng(seed))
-            chosen = set(plan.positions.tolist())
-            for lo, hi in bounds:
-                word = set(range(lo, hi))
-                assert not word & chosen or word <= chosen
-
-    def test_overshoot_at_most_one_word(self):
-        toks, bounds = words_of(10, tokens_per_word=4)
-        budget = int(0.15 * 40)
-        for seed in range(30):
-            plan = sample_mask_span(toks, bounds, rate=0.15, max_words=3, rng=Rng(seed))
-            assert budget <= len(plan) < budget + 4
 
     def test_no_words_empty_plan(self):
         toks = np.array([CLS, SEP])
-        plan = sample_mask_span(toks, [], rate=0.5, rng=Rng(7))
+        plan = sample_mask_span(toks, rate=0.5, rng=Rng(7))
         assert len(plan) == 0
+
+    def test_draws_pinned(self):
+        # spans of 1..MAX_SPAN positions at uniform starts, in this draw order
+        toks = toy_tokens(40)
+        plan = sample_mask_span(toks, rate=0.3, rng=Rng(3))
+        assert plan.positions.tolist() == [2, 3, 4, 5, 6, 7, 9, 10, 11, 30, 39, 40]
+        np.testing.assert_array_equal(plan.originals, toks[plan.positions])
+
+    def test_never_touches_specials(self):
+        toks = toy_tokens(30)
+        toks[[5, 6, 7]] = PAD
+        for seed in range(25):
+            plan = sample_mask_span(toks, rate=0.5, rng=Rng(seed))
+            assert not np.isin(toks[plan.positions], [PAD, CLS, SEP, MASK]).any()
 
 
 class TestMlmLoss:
+    @pytest.mark.parametrize("shape,n_plans", [((8, 4, 6), 3), ((8,), 2), ((8, 6), 2)],
+                             ids=["four_columns_three_plans", "one_dim", "no_column_axis"])
+    def test_plan_count_must_match_columns(self, shape, n_plans):
+        plan = MaskPlan(np.array([1]), np.array([2]))
+        with pytest.raises(ContractError, match="mask plans for hidden states"):
+            mlm_loss(Tensor(np.ones(shape)), Tensor(np.ones((5, 6))), [plan] * n_plans)
+
     def test_uniform_logits_log_v(self):
         v, d, n = 10, 4, 3
         hidden = Tensor(np.zeros((8, d)))

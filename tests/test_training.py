@@ -292,11 +292,21 @@ def test_settings_from_json_rejects_unknown_keys():
         settings_from_json({"learning_rate": 0.5})
 
 
-@pytest.mark.parametrize("field,value", [("steps", -3), ("batch_size", 0), ("seq_len", 12),
-                                         ("seq_len", 1)])
+@pytest.mark.parametrize("field,value", [
+    ("steps", -3), ("batch_size", 0), ("seq_len", 12), ("seq_len", 1),
+    ("lr", 0), ("lr", -1e-3), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("eps", 0.0),
+    ("weight_decay", -0.01), ("warmup_steps", -1), ("mask_rate", 0.0), ("mask_rate", 1.0),
+    ("mask_rate", 1.5), ("lr", float("nan"))])
 def test_settings_out_of_range_rejected(field, value):
     with pytest.raises(ValueError, match=field):
-        TrainSettings(**{field: value})
+        settings_from_json({field: value})
+
+
+@pytest.mark.parametrize("field,value", [("steps", "2"), ("batch_size", 2.5), ("batch_size", True),
+                                         ("warmup_steps", 2.5), ("lr", "1e-3"), ("mask_rate", None)])
+def test_settings_wrong_type_rejected(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be"):
+        settings_from_json({field: value})
 
 
 def test_zero_steps_is_a_valid_setting():
