@@ -719,13 +719,13 @@ class Rng:
         self.generator = np.random.Generator(np.random.Philox(self.seed))
 
     def truncated_normal(self, shape, std: float, dtype=np.float64) -> np.ndarray:
-        """Normal(0, std) with draws outside two std redrawn."""
+        """Normal(0, std) with draws beyond two std redrawn, in ascending flat order."""
         out = self.generator.normal(0.0, std, size=shape)
-        bad = np.abs(out) > 2.0 * std
-        while bad.any():
-            out[bad] = self.generator.normal(0.0, std, size=int(bad.sum()))
-            bad = np.abs(out) > 2.0 * std
-        return out.astype(dtype)
+        idx = np.flatnonzero(np.abs(out) > 2.0 * std)
+        while idx.size:
+            out.flat[idx] = redraw = self.generator.normal(0.0, std, size=idx.size)
+            idx = idx[np.abs(redraw) > 2.0 * std]
+        return out.astype(dtype, copy=False)
 
     def integers(self, low: int, high: int, size=None):
         return self.generator.integers(low, high, size=size)

@@ -34,6 +34,9 @@ class CliError(Exception):
         super().__init__(message)
 
 
+FLAG_MINIMUMS = {"--trials": 0, "--max-t": 2, "--max-d": 4, "--coords-per-param": 1}
+
+
 def _parse_layout(s: str):
     try:
         return parse_layout(s)
@@ -82,12 +85,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify_attn(args) -> int:
-    if args.trials < 0:
-        raise CliError("usage", f"--trials must be >= 0, got {args.trials}")
     if args.trials == 0:
         print("warning: 0 trials requested; nothing verified")
-        print("max deviation 0.0")
-        return 0
     rng = Rng(args.seed)
     gen = rng.generator
     worst = 0.0
@@ -255,6 +254,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        for flag, low in FLAG_MINIMUMS.items():
+            value = getattr(args, flag[2:].replace("-", "_"), low)
+            if value < low:
+                raise CliError("usage", f"{flag} must be >= {low}, got {value}")
         return args.fn(args)
     except CliError as e:
         print(f"error: {e.category}: {e}", file=sys.stderr)

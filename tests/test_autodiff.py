@@ -590,6 +590,30 @@ class TestDeterminismAndRng:
         draws = Rng(4).truncated_normal((10000,), 0.02)
         assert np.abs(draws).max() <= 0.04
 
+    @staticmethod
+    def _rescan_truncated_normal(generator, shape, std, dtype):
+        """Reference: the full-rescan redraw loop the init stream was defined by."""
+        out = generator.normal(0.0, std, size=shape)
+        bad = np.abs(out) > 2.0 * std
+        while bad.any():
+            out[bad] = generator.normal(0.0, std, size=int(bad.sum()))
+            bad = np.abs(out) > 2.0 * std
+        return out.astype(dtype)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (5,), (7, 3), (256, 1024)])
+    @pytest.mark.parametrize("std", [0.02, 1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_truncated_normal_matches_rescan_stream(self, shape, std, dtype):
+        for seed in range(5):
+            ref_gen = np.random.Generator(np.random.Philox(seed))
+            want = self._rescan_truncated_normal(ref_gen, shape, std, dtype)
+            rng = Rng(seed)
+            got = rng.truncated_normal(shape, std, dtype)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), seed
+            # same number of draws consumed: the streams stay in step
+            assert rng.generator.random() == ref_gen.random(), seed
+
     def test_dropout_off_is_identity(self):
         x = Tensor(rand((3, 3), 11))
         assert dropout(x, 0.0, None) is x

@@ -149,6 +149,25 @@ class TestGradcheck:
         assert "unrecognized arguments: --dropout" in err
 
 
+class TestFlagMinimums:
+    @pytest.mark.parametrize("argv,flag,low", [
+        (("gradcheck", "--layout", "B2-2H64", "--coords-per-param", "0"), "--coords-per-param", 1),
+        (("gradcheck", "--layout", "B2-2H64", "--coords-per-param", "-2"), "--coords-per-param", 1),
+        (("verify-attn", "--max-t", "1"), "--max-t", 2),
+        (("verify-attn", "--max-d", "3"), "--max-d", 4),
+    ])
+    def test_below_minimum_refused(self, capsys, argv, flag, low):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: usage: {flag} must be >= {low}")
+        assert out == ""
+
+    def test_minimums_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify-attn", "--trials", "5", "--max-t", "2", "--max-d", "4")
+        assert code == 0
+        assert "over 5 trials" in out
+
+
 @pytest.fixture
 def train_setup(tmp_path):
     corpus = tmp_path / "corpus.txt"

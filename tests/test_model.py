@@ -1,10 +1,12 @@
 """Model assembly: config JSON, parameter tree, tying, determinism."""
 
+import hashlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from funnel import checkpoint
 from funnel.model import FunnelModel, ModelConfig, build_params, generator_config, param_specs
 from funnel.relattn import LAYER_TENSORS, LayerParams
 
@@ -141,6 +143,23 @@ class TestParams:
         for attr, key, *_ in LAYER_TENSORS:
             assert getattr(lp, attr) is params[f"enc/b1/l1/{key}"], attr
         assert lp.w_r is params["rel/w_r"]
+
+    @pytest.mark.parametrize("layout,dtype,vocab,seed,sha256", [
+        ("B4-4-4H256D2", "f64", 1000, 0,
+         "99a6da41e53671a7f47823e1dfade83b7b79dcce1e1c9f84c8091c8543c822f6"),
+        ("B2-2H128D2", "f32", 64, 3,
+         "5d6f23c1e43cf6313f2f05380b49a3089f3f08c1abb0e550a3fe063caf1717a8"),
+        ("B2-2H64D2", "f64", 20, 0,
+         "ef1985aa1aaaba0ea24956106438723ec879e773335152055c18f901733d86e2"),
+        ("L2H64", "f32", 11, 9,
+         "13430fa7ec2710ca0f0296c61ecd01a417b05266d57498fa49bb6ece2efc07bf"),
+    ])
+    def test_init_bytes_pinned(self, tmp_path, layout, dtype, vocab, seed, sha256):
+        # a changed init stream, draw order or dtype cast changes these digests
+        cfg = ModelConfig(layout=layout, vocab_size=vocab, dtype=dtype, seed=seed)
+        path = tmp_path / "init.ftnt"
+        checkpoint.save(build_params(cfg), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_dtype_respected(self):
         cfg = ModelConfig(layout="L1H64", vocab_size=11, dtype="f32", seed=0)
