@@ -382,10 +382,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
         raise ShapeError(f"layer_norm: gamma/beta must be ({d},), got {gamma.shape}/{beta.shape}")
     if residual is not None and residual.shape != x.shape:
         raise ShapeError(f"layer_norm: residual {residual.shape} does not match {x.shape}")
+    # means as add.reduce / d: np.mean's own arithmetic without its Python overhead
     xd = x.data if residual is None else x.data + residual.data
-    xc = xd - xd.mean(axis=-1, keepdims=True)
+    mu = np.add.reduce(xd, axis=-1, keepdims=True) / d
+    xc = np.subtract(xd, mu, out=None if residual is None else xd)  # centre a fresh sum in place
     sq = xc * xc
-    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(sq, axis=-1, keepdims=True) / d + eps)
     xhat = np.multiply(xc, inv, out=xc)
     y = np.multiply(xhat, gamma.data, out=sq)
     y += beta.data
@@ -394,8 +396,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
     def backward(g, grads):
         dx = g * gamma.data
         t = dx * xhat
-        m2 = t.mean(axis=-1, keepdims=True)
-        m1 = dx.mean(axis=-1, keepdims=True)
+        m2 = np.add.reduce(t, axis=-1, keepdims=True) / d
+        m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d
         np.multiply(xhat, m2, out=t)
         dx -= m1
         dx -= t
@@ -416,16 +418,38 @@ def gelu(x: Tensor) -> Tensor:
     """GeLU, tanh approximation (constants GELU_C, GELU_A above).
 
     The cubic is formed by multiplication, c*x*(1 + a*x*x), not ``x ** 3``:
-    numpy sends a cube to libm ``pow`` element by element.
+    numpy sends a cube to libm ``pow`` element by element.  Both passes
+    work in two or three buffers in place, and every step rounds as in the
+    one-expression form, since IEEE products and sums commute.
     """
     xd = x.data
-    t = np.tanh(GELU_C * xd * (1.0 + GELU_A * (xd * xd)))
-    out = Tensor(0.5 * xd * (1.0 + t))
+    t, scaled = np.empty_like(xd), np.empty_like(xd)  # arrays even for a 0-d input
+    np.multiply(xd, xd, out=t)
+    t *= GELU_A
+    t += 1.0
+    t *= np.multiply(xd, GELU_C, out=scaled)
+    np.tanh(t, out=t)                                  # tanh(c x (1 + a x^2))
+    y = np.add(t, 1.0, out=np.empty_like(xd))
+    y *= np.multiply(xd, 0.5, out=scaled)              # 0.5 x (1 + t)
+    out = Tensor(y)
 
     def backward(g, grads):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * (xd * xd))
-        _accum(grads, x, g * d)
+        # d = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
+        d, rest = np.empty_like(t), np.empty_like(t)
+        np.multiply(t, t, out=d)
+        np.subtract(1.0, d, out=d)
+        np.multiply(xd, 0.5, out=rest)
+        rest *= d
+        rest *= GELU_C
+        np.multiply(xd, xd, out=d)
+        d *= 3.0 * GELU_A
+        d += 1.0
+        rest *= d
+        np.add(t, 1.0, out=d)
+        d *= 0.5
+        d += rest
+        d *= g
+        _accum(grads, x, d)
 
     return _record(out, (x,), backward, "gelu")
 

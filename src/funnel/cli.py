@@ -34,7 +34,12 @@ class CliError(Exception):
         super().__init__(message)
 
 
-FLAG_MINIMUMS = {"--trials": 0, "--max-t": 2, "--max-d": 4, "--coords-per-param": 1}
+# lower bounds of integer flags, by command: a flag such as --seq-len means
+# different things to different commands
+FLAG_MINIMUMS = {
+    "verify-attn": {"--trials": 0, "--max-t": 2, "--max-d": 4},
+    "gradcheck": {"--coords-per-param": 1, "--seq-len": 8, "--vocab": 6},
+}
 
 
 def _parse_layout(s: str):
@@ -254,8 +259,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        for flag, low in FLAG_MINIMUMS.items():
-            value = getattr(args, flag[2:].replace("-", "_"), low)
+        for flag, low in FLAG_MINIMUMS.get(args.command, {}).items():
+            value = getattr(args, flag[2:].replace("-", "_"))
             if value < low:
                 raise CliError("usage", f"{flag} must be >= {low}, got {value}")
         return args.fn(args)

@@ -68,13 +68,15 @@ class TrainSettings:
 class AdamW:
     """Adam with decoupled weight decay over ``(name, tensor, decays)`` triples.
 
-    Parameters, gradients and both moments live in one [4, N] buffer of
-    the parameters' shared dtype, decaying tensors first (``params`` is
-    kept in that order).  Each tensor's ``.data`` becomes a view into the
-    parameter row, so ``step`` updates the model in place.  The update
-    runs one chunk of ``CHUNK`` elements at a time through two scratch
-    rows, which keeps its temporaries in cache; every element sees the
-    same operations in the same order as the textbook per-tensor formula.
+    Parameters and both moments live in one [3, N] buffer of the
+    parameters' shared dtype, decaying tensors first (``params`` is kept in
+    that order).  Each tensor's ``.data`` becomes a view into the parameter
+    row, so ``step`` updates the model in place.  The update runs one chunk
+    of ``CHUNK`` elements at a time: the tape's gradient slices for the
+    chunk are copied into the first of three chunk-sized scratch rows and
+    the other two hold the temporaries, so no whole-length gradient array
+    is ever formed and the temporaries stay in cache.  Every element sees
+    the same operations in the same order as the textbook per-tensor formula.
     """
 
     CHUNK = 1 << 15
@@ -85,8 +87,8 @@ class AdamW:
         if len(dtypes) != 1:
             raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
         sizes = [t.data.size for _, t, _ in self.params]
-        self.buffer = np.zeros((4, sum(sizes)), dtype=dtypes.pop())
-        self.flat, self.grad, self.m, self.v = self.buffer
+        self.buffer = np.zeros((3, sum(sizes)), dtype=dtypes.pop())
+        self.flat, self.m, self.v = self.buffer
         self.n_decay = sum(n for n, (_, _, decays) in zip(sizes, self.params) if decays)
         ofs = 0
         for n, (_, t, _) in zip(sizes, self.params):
@@ -94,7 +96,7 @@ class AdamW:
             view[...] = t.data
             t.data = view
             ofs += n
-        self._scratch = np.empty((2, min(self.CHUNK, self.flat.size)), dtype=self.flat.dtype)
+        self._scratch = np.empty((3, min(self.CHUNK, self.flat.size)), dtype=self.flat.dtype)
         self.cfg = cfg
         self.t = 0
 
@@ -103,11 +105,20 @@ class AdamW:
         c = self.cfg
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        np.concatenate([tape.grad(t).reshape(-1) for _, t, _ in self.params], out=self.grad)
+        grads = [tape.grad(t).reshape(-1) for _, t, _ in self.params]
         n_decay = self.n_decay if c.weight_decay else 0
+        i = at = 0  # the next gradient element to copy is grads[i][at]
         for lo in range(0, self.flat.size, self.CHUNK):
-            p, g, m, v = self.buffer[:, lo:lo + self.CHUNK]
-            s, u = self._scratch[:, :len(p)]
+            p, m, v = self.buffer[:, lo:lo + self.CHUNK]
+            g, s, u = self._scratch[:, :len(p)]
+            filled = 0
+            while filled < len(p):
+                piece = grads[i][at:at + len(p) - filled]
+                g[filled:filled + len(piece)] = piece
+                filled += len(piece)
+                at += len(piece)
+                if at == len(grads[i]):
+                    i, at = i + 1, 0
             # m = beta1 m + (1 - beta1) g
             m *= c.beta1
             np.multiply(g, 1.0 - c.beta1, out=s)

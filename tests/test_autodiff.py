@@ -202,6 +202,22 @@ class TestGelu:
         # the same 1 + tanh cancellation as the forward sweep bounds it by |x|
         assert (np.abs(tape.grad(x) - ref) <= 1e-14 * np.abs(g) * np.maximum(np.abs(xd), 1.0)).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4, 33)])
+    def test_bit_identical_to_expression_form(self, dtype, shape):
+        xd = (np.random.Generator(np.random.Philox(4)).standard_normal(shape) * 4).astype(dtype)
+        g = np.full(shape, 0.75, dtype)
+        x = Tensor(xd, requires_grad=True)
+        with Tape() as tape:
+            y = gelu(x)
+            tape.backward(sum_all(mul(y, Tensor(g))))
+        # the one-expression form the in-place passes must round exactly like
+        t = np.tanh(GELU_C * xd * (1.0 + GELU_A * (xd * xd)))
+        d = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * (xd * xd))
+        assert y.data.shape == shape and y.data.dtype == dtype
+        assert y.data.tobytes() == np.asarray(0.5 * xd * (1.0 + t)).tobytes()
+        assert tape.grad(x).tobytes() == np.asarray(g * d).tobytes()
+
     def test_f32_stays_f32(self):
         x = np.linspace(-4.0, 4.0, 9, dtype=np.float32)
         out = gelu(Tensor(x)).data

@@ -155,6 +155,9 @@ class TestFlagMinimums:
         (("gradcheck", "--layout", "B2-2H64", "--coords-per-param", "-2"), "--coords-per-param", 1),
         (("verify-attn", "--max-t", "1"), "--max-t", 2),
         (("verify-attn", "--max-d", "3"), "--max-d", 4),
+        (("gradcheck", "--layout", "B2-2H64", "--seq-len", "4"), "--seq-len", 8),
+        (("gradcheck", "--layout", "B2-2H64", "--seq-len", "1"), "--seq-len", 8),
+        (("gradcheck", "--layout", "B2-2H64", "--vocab", "5"), "--vocab", 6),
     ])
     def test_below_minimum_refused(self, capsys, argv, flag, low):
         code, out, err = run(capsys, *argv)
@@ -166,6 +169,15 @@ class TestFlagMinimums:
         code, out, _ = run(capsys, "verify-attn", "--trials", "5", "--max-t", "2", "--max-d", "4")
         assert code == 0
         assert "over 5 trials" in out
+        code, out, _ = run(capsys, "gradcheck", "--layout", "B2-2H64", "--seq-len", "8",
+                           "--vocab", "6", "--coords-per-param", "1")
+        assert code == 0
+        assert float(out.split()[-1]) < 1e-4
+
+    def test_bounds_belong_to_their_command(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--layout", "B2-2H64", "--seq-len", "4")
+        assert code == 0  # gradcheck's --seq-len bound does not reach analyze
+        assert "seq_len             4" in out
 
 
 @pytest.fixture

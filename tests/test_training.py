@@ -4,6 +4,7 @@ import csv
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestFlatAdamW:
                 for name, shape, d in self.SHAPES]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("chunk", [AdamW.CHUNK, 7])
+    @pytest.mark.parametrize("chunk", [AdamW.CHUNK, 7, 1])  # at 1 every edge is a chunk edge
     @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
     def test_bit_identical_to_reference(self, dtype, chunk, weight_decay, monkeypatch):
         monkeypatch.setattr(AdamW, "CHUNK", chunk)  # 7 splits tensors and the decay prefix
@@ -158,6 +159,26 @@ class TestFlatAdamW:
             np.testing.assert_array_equal(flat.m[ofs:ofs + n].reshape(p.shape), ref.m[i])
             np.testing.assert_array_equal(flat.v[ofs:ofs + n].reshape(p.shape), ref.v[i])
             ofs += n
+
+    def test_memory_is_three_rows_and_chunk_scratch(self):
+        chunk = AdamW.CHUNK
+        shapes = [(5 * chunk + 3,), (7,), (2 * chunk - 1, 3), (8 * chunk + 11,)]
+        gen = np.random.Generator(np.random.Philox(2))
+        triples = [(str(i), Tensor(gen.standard_normal(shape), requires_grad=True), i % 2 == 0)
+                   for i, shape in enumerate(shapes)]
+        n = sum(t.data.size for _, t, _ in triples)
+        with Tape() as tape:
+            tape.backward(functools.reduce(add, [
+                sum_all(mul(t, Tensor(gen.standard_normal(t.shape)))) for _, t, _ in triples]))
+        tracemalloc.start()
+        try:
+            opt = AdamW(triples, OptimizerConfig())
+            opt.step(tape, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3 * n + 4 * chunk) * 8  # no whole-length gradient row
+        assert opt.buffer.shape == (3, n)
 
     def test_parameters_alias_the_buffer_decaying_first(self):
         triples = self.triples(np.float64)
