@@ -739,8 +739,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.generator = np.random.Generator(np.random.Philox(self.seed))
+        self.generator = np.random.Generator(np.random.Philox(int(seed)))
 
     def truncated_normal(self, shape, std: float, dtype=np.float64) -> np.ndarray:
         """Normal(0, std) with draws beyond two std redrawn, in ascending flat order."""
@@ -753,12 +752,6 @@ class Rng:
 
     def integers(self, low: int, high: int, size=None):
         return self.generator.integers(low, high, size=size)
-
-    def choice_without_replacement(self, pool: np.ndarray, k: int) -> np.ndarray:
-        return self.generator.choice(pool, size=k, replace=False)
-
-    def categorical(self, probs: np.ndarray) -> int:
-        return int(self.generator.choice(len(probs), p=probs))
 
 
 # ---------------------------------------------------------------------------

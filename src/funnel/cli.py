@@ -19,7 +19,7 @@ import numpy as np
 from . import costmodel
 from .autodiff import ContractError, Rng, Tensor, grad_check
 from .checkpoint import CheckpointError, load
-from .corpus import Vocab, encode_line, load_corpus
+from .corpus import CLS, SEP, SPECIALS, Vocab, encode_line, load_corpus
 from .layout import LayoutError, parse_layout
 from .model import FunnelModel, ModelConfig, param_specs
 from .objectives import mlm_loss, sample_mask_single
@@ -35,10 +35,11 @@ class CliError(Exception):
 
 
 # lower bounds of integer flags, by command: a flag such as --seq-len means
-# different things to different commands
+# different things to different commands.  gradcheck draws its content ids
+# from above the special tokens, so its vocabulary needs one more.
 FLAG_MINIMUMS = {
     "verify-attn": {"--trials": 0, "--max-t": 2, "--max-d": 4},
-    "gradcheck": {"--coords-per-param": 1, "--seq-len": 8, "--vocab": 6},
+    "gradcheck": {"--coords-per-param": 1, "--seq-len": 8, "--vocab": len(SPECIALS) + 1},
 }
 
 
@@ -123,7 +124,8 @@ def cmd_gradcheck(args) -> int:
     model = FunnelModel(config)
     t = args.seq_len
     rng = Rng(args.seed + 1)
-    token_ids = np.concatenate([[2], rng.integers(5, config.vocab_size, t - 2), [3]])
+    token_ids = np.concatenate([[CLS], rng.integers(len(SPECIALS), config.vocab_size, t - 2),
+                                [SEP]])
     # rate 0.3 keeps the plan non-empty at the short gradcheck lengths
     plan = sample_mask_single(token_ids, rate=0.3, rng=Rng(args.seed + 2))
     corrupted = plan.apply(token_ids)
@@ -144,9 +146,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    for what, p in (("config", Path(args.config)), ("corpus", Path(args.corpus))):
-        if not p.exists():
-            raise CliError("input", f"{what} file {p} does not exist")
     config, settings = _load_config(Path(args.config), train=True, steps=args.steps)
     lines = load_corpus(args.corpus)
     try:
@@ -175,7 +174,10 @@ def cmd_encode(args) -> int:
     vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
     if not vocab_path.exists():
         raise CliError("vocab", f"{vocab_path} does not exist")
-    vocab = Vocab.load(vocab_path)
+    try:
+        vocab = Vocab.load(vocab_path)
+    except ValueError as e:
+        raise CliError("vocab", str(e)) from e
     if len(vocab) != config.vocab_size:
         raise CliError("vocab", f"vocabulary size {len(vocab)} does not match config "
                                 f"{config.vocab_size}")
@@ -267,7 +269,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e.category}: {e}", file=sys.stderr)
         return e.code
-    except (ContractError, ValueError) as e:
+    except (ContractError, ValueError, OSError) as e:
         print(f"error: input: {e}", file=sys.stderr)
         return 2
 

@@ -43,8 +43,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
+        """Inverse of ``save``; a blank line would shift every later id, so it is refused."""
         with open(path, encoding="utf-8") as f:
-            toks = [line.rstrip("\n") for line in f if line.rstrip("\n")]
+            toks = [line.rstrip("\n") for line in f]
+        if "" in toks:
+            raise ValueError(f"vocabulary file {path}: line {toks.index('') + 1} is blank")
         if toks[:5] != list(SPECIALS):
             raise ValueError(f"vocabulary file {path} does not start with the special tokens")
         return cls(toks[5:])

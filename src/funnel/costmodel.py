@@ -70,13 +70,10 @@ def flops_ratio(layout_a, layout_b, mode: str = "finetune") -> Fraction:
     return effective_layers(a, mode) / effective_layers(b, mode)
 
 
-def display_ratio(value: Fraction | float, mode: str = "finetune") -> str:
+def display_ratio(value: Fraction, mode: str = "finetune") -> str:
     """Publication-convention 2-decimal display (see module docstring)."""
     _check_mode(mode)
-    if isinstance(value, Fraction):
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-    else:
-        d = Decimal(repr(float(value)))
+    d = Decimal(value.numerator) / Decimal(value.denominator)
     rounding = ROUND_HALF_UP if mode == "finetune" else ROUND_DOWN
     return str(d.quantize(Decimal("0.01"), rounding=rounding))
 
@@ -186,7 +183,7 @@ def param_count(layout, vocab: int = DEFAULT_VOCAB, mode: str = "finetune") -> d
     if mode == "pretrain":
         n_layers += layout.decoder_layers
     transformer = n_layers * per_layer
-    embedding = vocab * layout.embed_dim
+    embedding = vocab * layout.hidden
     shared = layout.hidden * layout.hidden  # positional-encoding projection
     return {
         "params_transformer": transformer,

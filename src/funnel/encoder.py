@@ -205,10 +205,11 @@ def encoder_forward(config, params, token_ids: np.ndarray,
     """Run the full encoder: embedding lookup then per-block processing.
 
     ``token_ids`` is one sequence [T] or a time-major batch [T, B]; T must
-    be a power of two when truncation is enabled.  ``pad_mask`` has the
-    same shape, True at real positions.  Returns every block's final
-    hidden states (block 1 is kept for the decoder's skip connection),
-    [T_m, D] or [T_m, B, D].
+    be a power of two when truncation is enabled, and every id must lie in
+    [0, vocab_size): a negative id would wrap to the end of the embedding
+    table.  ``pad_mask`` has the same shape, True at real positions.
+    Returns every block's final hidden states (block 1 is kept for the
+    decoder's skip connection), [T_m, D] or [T_m, B, D].
 
     Each layer runs up to each column's last real row only, and rows past
     it are exactly 0.0.  The final block is the exception: the decoder
@@ -221,6 +222,9 @@ def encoder_forward(config, params, token_ids: np.ndarray,
     t = len(token_ids)
     if config.truncate_seq and not _is_pow2(t):
         raise ContractError(f"sequence length {t} must be a power of two with truncation on")
+    if token_ids.min() < 0 or token_ids.max() >= config.vocab_size:
+        raise ContractError(f"token ids must lie in [0, {config.vocab_size}), got "
+                            f"{token_ids.min()}..{token_ids.max()}")
     if pad_mask is None:
         pad_mask = np.ones(token_ids.shape, dtype=bool)
     pad_mask = np.asarray(pad_mask, dtype=bool)

@@ -72,7 +72,6 @@ class LayoutSpec:
     # derived
     heads: int = field(init=False)
     ffn_inner: int = field(init=False)
-    embed_dim: int = field(init=False)
 
     def __post_init__(self):
         if not self.blocks:
@@ -83,15 +82,17 @@ class LayoutSpec:
             raise LayoutError("decoder layer count must be >= 0")
         object.__setattr__(self, "heads", self.hidden // self.head_dim)
         object.__setattr__(self, "ffn_inner", FFN_MULTIPLIER * self.hidden)
-        object.__setattr__(self, "embed_dim", self.hidden)
 
     @property
     def unique_encoder_layers(self) -> int:
         return sum(b.unique_layers for b in self.blocks)
 
     def block_length(self, m: int, seq_len: int) -> int:
-        """Sequence length inside block ``m`` (0-based) for input length ``seq_len``."""
-        return seq_len // (2 ** m)
+        """Sequence length inside block ``m`` (0-based) for input length ``seq_len``.
+
+        Pooling never empties a sequence: a length-1 state passes through.
+        """
+        return max(1, seq_len // (2 ** m))
 
 
 _INT_RE = re.compile(r"\d+")

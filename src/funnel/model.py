@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import DTYPES, ContractError, Rng, Tensor, gather_rows, matmul
+from .corpus import SPECIALS
 from .decoder import DecoderOutput, decoder_forward
 from .encoder import POOL_OPS, EncoderState, encoder_forward
 from .layout import HEAD_DIM, LayoutSpec, format_layout, parse_layout
@@ -79,8 +80,8 @@ class ModelConfig:
             # a lone transition's map has unpooled keys: the next pooling cannot use it
             raise ValueError("top_attn pooling with pool_query_only needs at least two "
                              "layers in every block that is followed by pooling")
-        if self.vocab_size < 5:
-            raise ValueError("vocab_size must cover the five special tokens")
+        if self.vocab_size < len(SPECIALS):
+            raise ValueError(f"vocab_size must cover the {len(SPECIALS)} special tokens")
 
     @property
     def hidden(self) -> int:

@@ -57,7 +57,7 @@ def sample_mask_single(token_ids: np.ndarray, rate: float = 0.15, *, rng: Rng) -
     count = int(rate * len(pool))
     if count == 0:
         return MaskPlan(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-    chosen = np.sort(rng.choice_without_replacement(pool, count))
+    chosen = np.sort(rng.generator.choice(pool, size=count, replace=False))
     return MaskPlan(chosen, np.asarray(token_ids)[chosen].astype(np.int64))
 
 
@@ -143,7 +143,7 @@ def build_electra_batch(token_ids: np.ndarray, plan: MaskPlan,
     token_ids = np.asarray(token_ids, dtype=np.int64)
     sampled = token_ids.copy()
     for row, pos in enumerate(plan.positions):
-        sampled[pos] = rng.categorical(gen_probs[row])
+        sampled[pos] = rng.generator.choice(len(gen_probs[row]), p=gen_probs[row])
     labels = (sampled != token_ids).astype(np.float64)
     return ElectraBatch(sampled, labels)
 

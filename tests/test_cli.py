@@ -218,6 +218,18 @@ class TestTrainToy:
         assert code == 2
         assert "error: input:" in err
 
+    @pytest.mark.parametrize("flag,bad", [("--config", "."), ("--corpus", "."),
+                                          ("--config", "none.json"), ("--out", "corpus.txt/o")])
+    def test_file_system_error_exit_2(self, train_setup, capsys, flag, bad):
+        # a directory where a file belongs, a missing file, or an --out below a plain file
+        cfg, corpus, tmp = train_setup
+        paths = {"--config": str(cfg), "--corpus": str(corpus), "--out": str(tmp / "o")}
+        paths[flag] = str(tmp / bad)
+        code, out, err = run(capsys, "train-toy", "--steps", "1",
+                             *(x for kv in paths.items() for x in kv))
+        assert code == 2
+        assert err.startswith("error: input: ") and err.count("\n") == 1
+
     def test_nothing_to_mask_exit_2(self, train_setup, capsys):
         # floor(0.15 * 4) = 0: no line of four words has a token to mask
         cfg, _, tmp = train_setup
@@ -397,6 +409,19 @@ class TestEncode:
                              "--input", str(corpus))
         assert code == 2
         assert "error: vocab:" in err
+        assert out == ""
+
+    def test_blank_vocab_line_exit_2(self, train_setup, capsys):
+        cfg, corpus, tmp = train_setup
+        run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
+            "--out", str(tmp / "run"))
+        vocab = tmp / "run" / "vocab.txt"
+        vocab.write_text(vocab.read_text().replace("[MASK]\n", "[MASK]\n\n"))
+        code, out, err = run(capsys, "encode", "--config", str(tmp / "run" / "config.json"),
+                             "--checkpoint", str(tmp / "run" / "model.ftnt"),
+                             "--input", str(corpus))
+        assert code == 2
+        assert err.startswith("error: vocab: ") and "line 6 is blank" in err
         assert out == ""
 
     def test_missing_checkpoint_exit_2(self, train_setup, capsys):

@@ -36,6 +36,13 @@ class TestVocab:
         w = Vocab.load(tmp_path / "vocab.txt")
         assert w.id_to_token == v.id_to_token
 
+    def test_blank_line_refused(self, tmp_path):
+        # skipping it would give every later token the id of the line above
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(SPECIALS) + "\nalpha\n\nbeta\n")
+        with pytest.raises(ValueError, match="line 7 is blank"):
+            Vocab.load(path)
+
 
 class TestEncodeLine:
     def test_empty_line(self):

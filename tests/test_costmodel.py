@@ -10,7 +10,7 @@ from funnel.costmodel import (CostModelError, compare_report, cost_report,
                               display_ratio, effective_layers, flops_exact,
                               flops_ratio, layer_flops, param_count, params_per_layer)
 from funnel.layout import BlockSpec, LayoutSpec
-from funnel.model import ModelConfig, build_params
+from funnel.model import FunnelModel, ModelConfig, build_params
 
 
 class TestEffectiveLayers:
@@ -104,6 +104,18 @@ class TestFlopsExact:
         all_short = layer_flops(64, 64, 64) + layer_flops(32, 32, 64)
         assert funnel == layer_flops(64, 64, 64) + layer_flops(32, 64, 64)
         assert funnel > all_short
+
+    @pytest.mark.parametrize("layout", ["B1-1H64", "B2-1-1H64"])
+    @pytest.mark.parametrize("t", [1, 2, 4, 8])
+    def test_block_lengths_are_the_encoders(self, layout, t):
+        # pooling passes a length-1 state through, so no block runs empty
+        config = ModelConfig(layout=layout, vocab_size=11)
+        state = FunnelModel(config).encode(np.full(t, 5))
+        lengths = [h.shape[0] for h in state.block_hidden]
+        keys = lengths[:1] + lengths[:-1]
+        expected = sum(layer_flops(q, k, 64) + (b.total_layers - 1) * layer_flops(q, q, 64)
+                       for q, k, b in zip(lengths, keys, config.layout.blocks))
+        assert flops_exact(layout, t) == expected
 
 
 class TestParams:

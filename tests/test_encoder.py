@@ -335,6 +335,15 @@ class TestEncoderForward:
         with pytest.raises(ContractError):
             model.encode(np.arange(6) % 5)
 
+    def test_negative_token_id_rejected(self, tiny_config):
+        # numpy indexing would wrap -6 to id 5 of the 11-row embedding
+        with pytest.raises(ContractError, match=r"token ids must lie in \[0, 11\)"):
+            FunnelModel(tiny_config).encode(np.array([2, -6, 6, 3]))
+
+    def test_token_id_at_vocab_size_rejected(self, tiny_config):
+        with pytest.raises(ContractError, match=r"token ids must lie in \[0, 11\)"):
+            FunnelModel(tiny_config).encode(np.array([[2, 2], [5, 11], [6, 6], [3, 3]]))
+
     def test_cls_row_propagates_through_pooling(self, tiny_config):
         # position 0 keeps pos id 0 and real mask in every block
         model = FunnelModel(tiny_config)

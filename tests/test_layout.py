@@ -13,7 +13,6 @@ class TestParse:
         assert spec.hidden == 768
         assert spec.heads == 12
         assert spec.ffn_inner == 3072
-        assert spec.embed_dim == 768
         assert spec.decoder_layers == 0
 
     def test_tied_blocks_with_decoder(self):
@@ -63,6 +62,7 @@ class TestDerived:
     def test_block_lengths_halve(self):
         spec = parse_layout("B2-2-2H64")
         assert [spec.block_length(m, 16) for m in range(3)] == [16, 8, 4]
+        assert [spec.block_length(m, 2) for m in range(3)] == [2, 1, 1]
 
     def test_consecutive_tying_assignment(self):
         block = BlockSpec(3, 2)
