@@ -17,7 +17,8 @@ is gone, and the tape cannot be walked a second time.
 
 The engine implements exactly the operations the funnel model needs:
 matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
-permutes, row cuts and zero-padding, window-2 pooling, fused losses and
+moves (reshape, transpose and the attention head split and merge, one
+node kind), row cuts and zero-padding, window-2 pooling, fused losses and
 the factorized position term's folded products.  Binary ops and matmul
 broadcast as numpy does; their backward sums over the broadcast axes.
 Some nodes fold a neighbour's work into their own pass: matmul adds a
@@ -298,16 +299,17 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     return _record(out, (a, b) if bias is None else (a, b, bias), backward, "matmul")
 
 
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    """Reorder axes: out.shape[i] == a.shape[axes[i]]."""
-    axes = tuple(axes)
-    out = Tensor(np.transpose(a.data, axes))
-    inverse = tuple(np.argsort(axes))
+def _move(a: Tensor, before: tuple, axes: tuple, name: str, after: tuple | None = None) -> Tensor:
+    """The one axis-move node: ``a`` reshaped to ``before``, axes reordered (out axis i is
+    ``axes[i]`` >= 0), reshaped to ``after`` (default: as reordered); backward inverts all three."""
+    moved = np.transpose(a.data.reshape(before), axes)
+    mid, inverse = moved.shape, tuple(np.argsort(axes))
+    out = Tensor(moved.reshape(mid if after is None else after))
 
     def backward(g, grads):
-        _accum(grads, a, np.transpose(g, inverse))
+        _accum(grads, a, np.transpose(g.reshape(mid), inverse).reshape(a.shape))
 
-    return _record(out, (a,), backward, "permute")
+    return _record(out, (a,), backward, name)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -315,16 +317,28 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError(f"transpose expects rank >= 2, got {a.shape}")
     n = a.data.ndim
-    return permute(a, tuple(range(n - 2)) + (n - 1, n - 2))
+    return _move(a, a.shape, tuple(range(n - 2)) + (n - 1, n - 2), "transpose")
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
+    return _move(a, a.shape, tuple(range(a.data.ndim)), "reshape", shape)
 
-    def backward(g, grads):
-        _accum(grads, a, g.reshape(a.shape))
 
-    return _record(out, (a,), backward, "reshape")
+def split_heads(x: Tensor, n_heads: int, keys: bool = False) -> Tensor:
+    """[T, *cols, H * dh] -> [*cols, H, T, dh], head h owning columns h*dh..(h+1)*dh.
+
+    ``keys`` puts time last, [*cols, H, dh, T], ready to right-multiply the queries.
+    """
+    n = x.data.ndim - 1                                      # T and the column axes
+    return _move(x, x.shape[:-1] + (n_heads, x.shape[-1] // n_heads),
+                 tuple(range(1, n)) + ((n, n + 1, 0) if keys else (n, 0, n + 1)), "split_heads")
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """Inverse of ``split_heads`` in the query layout: [*cols, H, T, dh] -> [T, *cols, H * dh]."""
+    *cols, h, t, dh = x.shape
+    n = len(cols)                                            # axes: cols, then H = n, T, dh
+    return _move(x, x.shape, (n + 1, *range(n + 1), n + 2), "merge_heads", (t, *cols, h * dh))
 
 
 def sum_all(a: Tensor) -> Tensor:

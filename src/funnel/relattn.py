@@ -20,8 +20,8 @@ attend to unpooled keys.  Scores are scaled by 1/sqrt(head_dim); applied
 uniformly, the scaling does not affect cross-variant agreement.
 
 Activations are time-major: [T, D] for one sequence or [T, B, D] for a
-batch.  Attention splits the packed projections into heads with one
-reshape, so every score term is a single broadcast matmul over
+batch.  Attention splits each projection into heads in one node and merges
+them back in one, so every score term is one broadcast matmul over
 [B, H, Tq, Tk].  Positions are 1-D when every column shares them, or
 [T, B] when they differ per column (after top-attention pooling).
 
@@ -43,8 +43,8 @@ from dataclasses import make_dataclass
 import numpy as np
 
 from .autodiff import (NumericError, ShapeError, Tensor, add, dropout, einsum_id_ijd,
-                       fit_rows, fold_products, gelu, layer_norm, matmul, permute, reshape,
-                       softmax_lastdim, take_along_last, transpose)
+                       fit_rows, fold_products, gelu, layer_norm, matmul, merge_heads, reshape,
+                       softmax_lastdim, split_heads, take_along_last, transpose)
 
 VARIANTS = ("naive", "gather", "factorized")
 
@@ -184,8 +184,7 @@ def position_term_gather(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     idx, span = gather_index_matrix(q_pos, k_pos)
     table = Tensor(enc.encode(np.arange(-span, span + 1)))  # ascending distances
     table_w = matmul(table, w_r)                             # [..., 2L-1, dh]
-    qu = add(proj_q, u)
-    full = matmul(qu, transpose(table_w))                    # [..., tq, 2L-1]
+    full = matmul(add(proj_q, u), transpose(table_w))        # [..., tq, 2L-1]
     return take_along_last(full, idx)
 
 
@@ -202,8 +201,7 @@ def position_term_factorized(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarra
     """
     q_pos = np.asarray(q_pos, dtype=np.int64)
     k_pos = np.asarray(k_pos, dtype=np.int64)
-    qu = add(proj_q, u)
-    qr = matmul(qu, transpose(w_r))                          # [..., tq, D]
+    qr = matmul(add(proj_q, u), transpose(w_r))              # [..., tq, D]
     rotated = fold_products(qr, _by_column(enc.phi(q_pos), q_pos),
                             _by_column(enc.pi(q_pos), q_pos))
     h = enc.width // 2
@@ -266,36 +264,24 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     top-attention pooling): [heads, Tq, Tk] for one sequence,
     [B, heads, Tq, Tk] for a batch.
     """
-    n_heads, d = config.heads, q_in.shape[-1]
-    dh = d // n_heads
+    n_heads, dh = config.heads, q_in.shape[-1] // config.heads
     scale = 1.0 / np.sqrt(dh)
     key_mask = np.asarray(key_mask, dtype=bool)
     if not key_mask.any(axis=0).all():
         raise NumericError("attention with every key masked")
 
-    # [T, *cols, D] -> [T, *cols, H, dh] -> [*cols, H, T, dh] (keys: [*cols, H, dh, T])
-    n = q_in.data.ndim
-    to_heads = tuple(range(1, n)) + (0, n)
-    to_keys = tuple(range(1, n)) + (n, 0)
+    q = split_heads(matmul(q_in, params.w_q, params.b_q), n_heads)             # [*cols, H, T, dh]
+    k_t = split_heads(matmul(kv_in, params.w_k, params.b_k), n_heads, keys=True)
+    val = split_heads(matmul(kv_in, params.w_v, params.b_v), n_heads)
 
-    def heads(x, w, b, axes):
-        y = matmul(x, w, b)
-        return permute(reshape(y, y.shape[:-1] + (n_heads, dh)), axes)
-
-    q = heads(q_in, params.w_q, params.b_q, to_heads)
-    k_t = heads(kv_in, params.w_k, params.b_k, to_keys)
-    val = heads(kv_in, params.w_v, params.b_v, to_heads)
-    bias_shape = (n_heads, 1, dh)
-    w_r_heads = permute(reshape(params.w_r, (d, n_heads, dh)), (1, 0, 2))  # [H, D, dh]
-
-    content = matmul(add(q, reshape(params.v, bias_shape)), k_t)
-    position = _POSITION_TERMS[config.attn_variant](q, q_pos, k_pos, w_r_heads,
-                                                    reshape(params.u, bias_shape), enc)
+    content = matmul(add(q, reshape(params.v, (n_heads, 1, dh))), k_t)
+    position = _POSITION_TERMS[config.attn_variant](  # w_r's head view: [H, D, dh]
+        q, q_pos, k_pos, split_heads(params.w_r, n_heads), reshape(params.u, (n_heads, 1, dh)), enc)
     weights = softmax_lastdim(add(content, position), scale,
                               np.moveaxis(key_mask, 0, -1)[..., None, None, :])
     maps = weights.data
     weights = dropout(weights, config.attn_dropout, rng)
-    merged = reshape(permute(matmul(weights, val), np.argsort(to_heads)), q_in.shape)
+    merged = merge_heads(matmul(weights, val))
     out = dropout(matmul(merged, params.w_o, params.b_o), config.dropout, rng)
     hidden = layer_norm(q_in, params.ln_attn_g, params.ln_attn_b, residual=out)
     return hidden, maps

@@ -12,8 +12,8 @@ from funnel.autodiff import (GELU_A, GELU_C, ContractError, NumericError, Rng, S
                              cross_entropy_mean, dropout, einsum_id_ijd, fit_rows, fold_products,
                              gather_rows,
                              gelu, grad_check, layer_norm, matmul,
-                             max_pool_pairs, mean_pool_pairs, mul, permute, reshape,
-                             softmax_lastdim, sum_all, take_along_last, transpose)
+                             max_pool_pairs, mean_pool_pairs, merge_heads, mul, reshape,
+                             softmax_lastdim, split_heads, sum_all, take_along_last, transpose)
 from funnel.model import ModelConfig
 from funnel.training import TrainSettings, train_toy
 
@@ -300,6 +300,32 @@ def train_one_step(objective, dtype, on_backward):
         train_toy(config, corpus, settings)
 
 
+@pytest.mark.parametrize("model, train, most", [
+    (dict(layout="B2-2H64D2", vocab_size=20, pool_op="mean", attn_variant="factorized"),
+     dict(batch_size=8, seq_len=16, objective="mlm"), 179),
+    (dict(layout="B2-2H128D2", vocab_size=64, pool_op="max", attn_variant="gather"),
+     dict(batch_size=4, seq_len=32, objective="electra", mask_sampler="span"), 360),
+])
+def test_training_step_tape_census(model, train, most):
+    """One training step's tape: each attention sub-layer moves axes in five nodes (three
+    head splits, one merge, the shared ``w_r``'s head view), and no generic permute is left."""
+    gen = Rng(5)
+    corpus = [" ".join(f"w{int(gen.integers(0, 40))}" for _ in range(10 + 3 * i))
+              for i in range(8)]
+    names, real = [], Tape.backward
+
+    def census(tape, root):
+        names.extend(node.name for node in tape.nodes)
+        real(tape, root)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tape, "backward", census)
+        train_toy(ModelConfig(dtype="f64", seed=0, **model), corpus, TrainSettings(steps=1, **train))
+    assert "permute" not in names
+    assert names.count("split_heads") == 4 * names.count("merge_heads") > 0
+    assert len(names) <= most
+
+
 class TestBackwardFrees:
     """``backward`` releases each node once its pull-back has run and keeps leaf gradients only."""
 
@@ -519,7 +545,7 @@ def test_every_op_grad_below_1e4(seed):
     keep = gen.random((3, 4)) > 0.3
     w2232 = Tensor(gen.standard_normal((2, 2, 3, 2)))
     w232 = Tensor(gen.standard_normal((2, 3, 2)))
-    w423 = Tensor(gen.standard_normal((4, 2, 3)))
+    gen.standard_normal((4, 2, 3))  # a removed case's weights: later tables keep their values
     w234 = Tensor(gen.standard_normal((2, 3, 4)))
     w235 = Tensor(gen.standard_normal((2, 3, 5)))
     real2 = gen.random((5, 2)) > 0.3
@@ -536,6 +562,13 @@ def test_every_op_grad_below_1e4(seed):
     fold_c = gen.standard_normal((2, 1, 4))
     keep72 = gen.random((7, 2)) > 0.3  # a [t, B] keep mask for padding 5 rows to 7
     w72_3 = Tensor(gen.standard_normal((7, 2, 3)))
+    w223 = Tensor(gen.standard_normal((2, 2, 3)))
+    w243 = Tensor(gen.standard_normal((2, 4, 3)))
+    x328 = Tensor(gen.standard_normal((3, 2, 8)), requires_grad=True)  # [T, B, D], 2 heads of 4
+    w2234 = Tensor(gen.standard_normal((2, 2, 3, 4)))
+    w2243 = Tensor(gen.standard_normal((2, 2, 4, 3)))
+    heads = Tensor(gen.standard_normal((2, 2, 3, 4)), requires_grad=True)  # [B, H, T, dh]
+    w328 = Tensor(gen.standard_normal((3, 2, 8)))
 
     cases = {
         "matmul": (lambda: sum_all(mul(matmul(x, m), w32)), [x, m]),
@@ -558,7 +591,6 @@ def test_every_op_grad_below_1e4(seed):
         "take_along_last": (lambda: sum_all(mul(take_along_last(x, idx), w32)), [x]),
         "batched_matmul": (lambda: sum_all(mul(matmul(x3, b4), w2232)), [x3, b4]),
         "shared_weight_matmul": (lambda: sum_all(mul(matmul(x3, m), w232)), [x3, m]),
-        "permute": (lambda: sum_all(mul(permute(x3, (2, 0, 1)), w423)), [x3]),
         "broadcast_add": (lambda: sum_all(mul(add(x3, col3), w234)), [x3, col3]),
         "broadcast_mul": (lambda: sum_all(mul(mul(x3, row4), w234)), [x3, row4]),
         "take_along_last_broadcast": (lambda: sum_all(mul(take_along_last(x3, rows5), w235)), [x3]),
@@ -570,6 +602,13 @@ def test_every_op_grad_below_1e4(seed):
         "cross_entropy": (lambda: cross_entropy_mean(x, targets, row_w), [x]),
         "bce": (lambda: bce_with_logits_mean(matmul(x, col4), labels, row_w[:, None]), [x]),
         "transpose": (lambda: sum_all(mul(transpose(x), w43)), [x]),
+        "transpose_rank3": (lambda: sum_all(mul(transpose(x3), w243)), [x3]),
+        "split_heads": (lambda: sum_all(mul(split_heads(x, 2), w232)), [x]),
+        "split_heads_keys": (lambda: sum_all(mul(split_heads(x, 2, keys=True), w223)), [x]),
+        "split_heads_batch": (lambda: sum_all(mul(split_heads(x328, 2), w2234)), [x328]),
+        "split_heads_batch_keys": (lambda: sum_all(mul(split_heads(x328, 2, keys=True), w2243)),
+                                   [x328]),
+        "merge_heads": (lambda: sum_all(mul(merge_heads(heads), w328)), [heads]),
         "reshape": (lambda: sum_all(mul(reshape(x, (2, 6)), w26)), [x]),
         "fold_products": (lambda: sum_all(mul(fold_products(x3, fold_a, fold_b), w234)), [x3]),
         "fold_products_per_column": (lambda: sum_all(mul(fold_products(x3, fold_c, fold_a), w234)),
@@ -580,6 +619,31 @@ def test_every_op_grad_below_1e4(seed):
     for name, (f, params) in cases.items():
         err = grad_check(f, params, seed=seed)
         assert err < 1e-4, f"{name} grad error {err:.3e} at seed {seed}"
+
+
+@pytest.mark.parametrize("shape", [(5, 12), (5, 3, 12)])
+def test_head_split_and_merge_only_move_values(shape):
+    """``split_heads`` is numpy's reshape + transpose and ``merge_heads`` its inverse, forward
+    and backward, to the byte: [T, *cols, 12] in 3 heads of 4."""
+    x = Tensor(rand(shape, 40), requires_grad=True)
+    n = len(shape) - 1
+    heads = x.data.reshape(shape[:-1] + (3, 4))
+    query, keys = (*range(1, n), n, 0, n + 1), (*range(1, n), n, n + 1, 0)
+    for axes in (query, keys):
+        ref = heads.transpose(axes)
+        up = rand(ref.shape, 41)
+        with Tape() as tape:
+            y = split_heads(x, 3, keys=axes == keys)
+            tape.backward(sum_all(mul(y, Tensor(up))))
+        assert y.shape == ref.shape and y.data.tobytes() == ref.tobytes()
+        assert tape.grad(x).tobytes() == up.transpose(np.argsort(axes)).reshape(shape).tobytes()
+    q = Tensor(split_heads(x, 3).data, requires_grad=True)
+    up = rand(shape, 42)
+    with Tape() as tape:
+        y = merge_heads(q)
+        tape.backward(sum_all(mul(y, Tensor(up))))
+    assert y.shape == shape and y.data.tobytes() == x.data.tobytes()
+    assert tape.grad(q).tobytes() == up.reshape(heads.shape).transpose(query).tobytes()
 
 
 class TestDeterminismAndRng:
