@@ -8,12 +8,15 @@ appends a node holding a backward closure; ``Tape.backward`` walks the
 node list in reverse, which is a valid reverse topological order because
 inputs are always recorded before the ops that consume them.
 
-The walk frees as it goes: a node's output gradient is final when the
-walk reaches it (every consumer comes later on the tape), so once its
-pull-back has run the gradient is dropped and the node lets go of its
-closure, inputs and output.  After ``backward`` only the gradients of
-leaf tensors that require grad remain; an intermediate tensor's gradient
-is gone, and the tape cannot be walked a second time.
+The tape holds keys, not tensors: a node names its output and inputs by
+``Tensor.key``, and each pull-back keeps only the arrays it reads, so an
+intermediate array no pull-back reads is freed during the forward pass
+once the caller drops it.  The walk frees as it goes: a node's output
+gradient is final when the walk reaches it (every consumer comes later
+on the tape), so once its pull-back has run the gradient is dropped and
+the node lets go of its pull-back.  After ``backward`` only the gradients
+of leaf tensors that require grad remain, and the tape cannot be walked
+a second time.
 
 The engine implements exactly the operations the funnel model needs:
 matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
@@ -28,6 +31,7 @@ adds the residual.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -38,6 +42,8 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 # tanh-approximation GeLU constants: gelu(x) = 0.5x(1 + tanh(c*(x + a*x^3)))
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
+
+_KEYS = itertools.count()
 
 
 class ShapeError(ValueError):
@@ -56,10 +62,11 @@ class Tensor:
     """Dense numeric array with shape metadata, optionally tracked for grads.
 
     ``recorded`` is True for the output of an op recorded on a tape: not a
-    leaf, so no gradient of it outlives ``Tape.backward``.
+    leaf, so no gradient of it outlives ``Tape.backward``.  ``key`` names
+    it on a tape for the process's lifetime, as a reusable ``id()`` cannot.
     """
 
-    __slots__ = ("data", "requires_grad", "recorded")
+    __slots__ = ("data", "requires_grad", "recorded", "key")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -70,6 +77,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.recorded = False
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple:
@@ -87,15 +95,17 @@ class Tensor:
 
 
 class Node:
-    """One executed op on the tape: output, inputs, and a pull-back closure.
+    """One executed op on the tape: output and input keys, and a pull-back.
 
-    ``Tape.backward`` sets all three to None once it has run the pull-back.
+    An input's key is None when it requires no grad.  The pull-back maps the
+    output gradient to one gradient per input (an optional input's comes
+    last, ignored when the op got none) and keeps only the arrays it reads.
+    ``Tape.backward`` sets all three to None once it has run it.
     """
 
     __slots__ = ("out", "inputs", "backward", "name")
 
-    def __init__(self, out: Tensor, inputs: Sequence[Tensor],
-                 backward: Callable, name: str):
+    def __init__(self, out: int, inputs: tuple, backward: Callable, name: str):
         self.out = out
         self.inputs = inputs
         self.backward = backward
@@ -136,25 +146,28 @@ class Tape:
         """Accumulate gradients of ``root`` into ``grads`` for every leaf that requires grad.
 
         ``root`` must be a scalar recorded on this tape.  Deterministic:
-        nodes are replayed in strict reverse execution order.  Each node's
-        output gradient, closure, inputs and output are released once its
-        pull-back has run, so afterwards ``grads`` holds leaf gradients
-        only and the tape cannot be walked again (``nodes`` keeps its
-        length).
+        nodes are replayed in strict reverse execution order, and each input
+        gradient is stored by key, or added out of place to the one stored.
+        Each node's output gradient and pull-back are released once it has
+        run, so afterwards ``grads`` holds leaf gradients only and the tape
+        cannot be walked again (``nodes`` keeps its length).
         """
         if root.data.ndim != 0:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
         if self.walked:
             raise ContractError("backward already ran on this tape; record a new one")
-        if not any(node.out is root for node in reversed(self.nodes)):
+        if not any(node.out == root.key for node in reversed(self.nodes)):
             raise ContractError("backward root was not recorded on this tape; "
                                 "compute it inside the tape from a tensor that requires grad")
         self.walked = True
-        self.grads = {id(root): np.ones((), dtype=root.data.dtype)}
+        grads = self.grads = {root.key: np.ones((), dtype=root.data.dtype)}
         for node in reversed(self.nodes):
-            g = self.grads.pop(id(node.out), None)
+            g = grads.pop(node.out, None)
             if g is not None:
-                node.backward(g, self.grads)
+                for key, gi in zip(node.inputs, node.backward(g)):
+                    if key is not None:
+                        prev = grads.get(key)
+                        grads[key] = gi if prev is None else prev + gi
             node.out = node.inputs = node.backward = None
 
     def grad(self, t: Tensor) -> np.ndarray:
@@ -173,7 +186,7 @@ class Tape:
         if t.recorded:
             raise ContractError("grad of a tensor a recorded op produced; "
                                 "only leaf gradients outlive backward")
-        g = self.grads.get(id(t))
+        g = self.grads.get(t.key)
         if g is None:
             return np.zeros_like(t.data)  # a disconnected parameter
         return g
@@ -183,18 +196,9 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable, name: str
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = out.recorded = True
-        tape.nodes.append(Node(out, inputs, backward, name))
+        keys = tuple(t.key if t.requires_grad else None for t in inputs)
+        tape.nodes.append(Node(out.key, keys, backward, name))
     return out
-
-
-def _accum(grads: dict, t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return  # a constant: nothing reads its gradient
-    key = id(t)
-    if key in grads:
-        grads[key] = grads[key] + g
-    else:
-        grads[key] = g
 
 
 def _as_tensor(x, like: Tensor) -> Tensor:
@@ -210,14 +214,14 @@ def _as_tensor(x, like: Tensor) -> Tensor:
 def add(a: Tensor, b) -> Tensor:
     """Elementwise a + b with numpy broadcasting (e.g. a [D] bias or an [H,1,dh] one)."""
     b = _as_tensor(b, a)
-    _check_binary_shapes(a, b, "add")
-    out = Tensor(a.data + b.data)
+    try:
+        out = Tensor(a.data + b.data)
+    except ValueError:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
+    shapes = [t.shape if t.requires_grad else None for t in (a, b)]
 
-    def backward(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(grads, b, _unbroadcast(g, b.shape))
+    def backward(g):
+        return [None if shape is None else _unbroadcast(g, shape) for shape in shapes]
 
     return _record(out, (a, b), backward, "add")
 
@@ -225,23 +229,18 @@ def add(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     b = _as_tensor(b, a)
-    _check_binary_shapes(a, b, "mul")
-    out = Tensor(a.data * b.data)
+    try:
+        out = Tensor(a.data * b.data)
+    except ValueError:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
+    a_shape, b_shape = a.shape, b.shape
+    ad, bd = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
 
-    def backward(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(grads, b, _unbroadcast(g * a.data, b.shape))
+    def backward(g):
+        return (None if bd is None else _unbroadcast(g * bd, a_shape),
+                None if ad is None else _unbroadcast(g * ad, b_shape))
 
     return _record(out, (a, b), backward, "mul")
-
-
-def _check_binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -269,8 +268,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
     Both operands have rank 2 or more; their batch axes broadcast.  The
     optional ``bias`` (e.g. [n]) broadcasts against the product and is
-    added in place, one node for ``a @ b + bias``.  Gradients are formed
-    only for operands that require them.
+    added in place, one node for ``a @ b + bias``.  An operand is kept for
+    the backward pass only when the other one requires grad.
     """
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
@@ -281,20 +280,22 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         except ValueError:
             raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to {y.shape}") from None
     out = Tensor(y)
+    a_shape, b_shape = a.shape, b.shape
+    bias_shape = bias.shape if bias is not None and bias.requires_grad else None
+    ad, bd = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
 
-    def backward(g, grads):
-        if a.requires_grad:
-            _accum(grads, a, _unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if b.requires_grad:
-            if b.data.ndim == 2:
+    def backward(g):
+        ga = gb = None
+        if bd is not None:
+            ga = _unbroadcast(_mm(g, np.swapaxes(bd, -1, -2)), a_shape)
+        if ad is not None:
+            if len(b_shape) == 2:
                 # a shared weight: one product over every row of the batch
-                k, n = b.shape
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+                k, n = b_shape
+                gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
             else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-            _accum(grads, b, gb)
-        if bias is not None and bias.requires_grad:
-            _accum(grads, bias, _unbroadcast(g, bias.shape))
+                gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape)
+        return ga, gb, None if bias_shape is None else _unbroadcast(g, bias_shape)
 
     return _record(out, (a, b) if bias is None else (a, b, bias), backward, "matmul")
 
@@ -303,11 +304,12 @@ def _move(a: Tensor, before: tuple, axes: tuple, name: str, after: tuple | None 
     """The one axis-move node: ``a`` reshaped to ``before``, axes reordered (out axis i is
     ``axes[i]`` >= 0), reshaped to ``after`` (default: as reordered); backward inverts all three."""
     moved = np.transpose(a.data.reshape(before), axes)
-    mid, inverse = moved.shape, tuple(np.argsort(axes))
+    mid, shape = moved.shape, a.shape
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
     out = Tensor(moved.reshape(mid if after is None else after))
 
-    def backward(g, grads):
-        _accum(grads, a, np.transpose(g.reshape(mid), inverse).reshape(a.shape))
+    def backward(g):
+        return (np.transpose(g.reshape(mid), inverse).reshape(shape),)
 
     return _record(out, (a,), backward, name)
 
@@ -343,9 +345,10 @@ def merge_heads(x: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
+    shape, dtype = a.shape, a.dtype
 
-    def backward(g, grads):
-        _accum(grads, a, np.full_like(a.data, g))
+    def backward(g):
+        return (np.full(shape, g, dtype=dtype),)
 
     return _record(out, (a,), backward, "sum_all")
 
@@ -373,13 +376,13 @@ def softmax_lastdim(x: Tensor, scale: float = 1.0, keep: np.ndarray | None = Non
     y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
-    def backward(g, grads):
+    def backward(g):
         d = g * y
         dot = np.sum(d, axis=-1, keepdims=True)
         np.subtract(g, dot, out=d)
         d *= y
         d *= d.dtype.type(scale)
-        _accum(grads, x, d)
+        return (d,)
 
     return _record(out, (x,), backward, "softmax")
 
@@ -406,9 +409,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
     y = np.multiply(xhat, gamma.data, out=sq)
     y += beta.data
     out = Tensor(y)
+    gd = gamma.data
 
-    def backward(g, grads):
-        dx = g * gamma.data
+    def backward(g):
+        dx = g * gd
         t = dx * xhat
         m2 = np.add.reduce(t, axis=-1, keepdims=True) / d
         m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d
@@ -416,13 +420,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
         dx -= m1
         dx -= t
         dx *= inv
-        _accum(grads, x, dx)
-        if residual is not None:
-            _accum(grads, residual, dx)
         axes = tuple(range(g.ndim - 1))
         np.multiply(g, xhat, out=t)
-        _accum(grads, gamma, t.sum(axis=axes))
-        _accum(grads, beta, g.sum(axis=axes))
+        return dx, t.sum(axis=axes), g.sum(axis=axes), dx  # the last for a residual
 
     inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
     return _record(out, inputs, backward, "layer_norm")
@@ -447,7 +447,7 @@ def gelu(x: Tensor) -> Tensor:
     y *= np.multiply(xd, 0.5, out=scaled)              # 0.5 x (1 + t)
     out = Tensor(y)
 
-    def backward(g, grads):
+    def backward(g):
         # d = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
         d, rest = np.empty_like(t), np.empty_like(t)
         np.multiply(t, t, out=d)
@@ -463,7 +463,7 @@ def gelu(x: Tensor) -> Tensor:
         d *= 0.5
         d += rest
         d *= g
-        _accum(grads, x, d)
+        return (d,)
 
     return _record(out, (x,), backward, "gelu")
 
@@ -482,8 +482,8 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
     scale = 1.0 / (1.0 - rate)
     out = Tensor(np.where(keep, x.data * scale, 0.0))
 
-    def backward(g, grads):
-        _accum(grads, x, np.where(keep, g * scale, 0.0))
+    def backward(g):
+        return (np.where(keep, g * scale, 0.0),)
 
     return _record(out, (x,), backward, "dropout")
 
@@ -498,14 +498,14 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(x.data[idx])
+    shape, dtype = x.shape, x.dtype
 
-    def backward(g, grads):
-        flat = idx.reshape(-1) % len(x.data)  # -1 and n-1 name the same row
-        width = math.prod(x.shape[1:])
+    def backward(g):
+        flat = idx.reshape(-1) % shape[0]  # -1 and n-1 name the same row
+        width = math.prod(shape[1:])
         cells = (flat[:, None] * width + np.arange(width)).reshape(-1)
-        dx = np.bincount(cells, weights=g.reshape(-1), minlength=x.data.size)
-        dx = dx.reshape(x.shape).astype(x.dtype, copy=False)
-        _accum(grads, x, dx)
+        dx = np.bincount(cells, weights=g.reshape(-1), minlength=shape[0] * width)
+        return (dx.reshape(shape).astype(dtype, copy=False),)
 
     return _record(out, (x,), backward, "gather_rows")
 
@@ -544,8 +544,8 @@ def fit_rows(x: Tensor, t: int, keep: np.ndarray | None = None) -> Tensor:
         return x
     out = Tensor(_fit(x.data, t, keep))
 
-    def backward(g, grads):
-        _accum(grads, x, _fit(g, n, keep))
+    def backward(g):
+        return (_fit(g, n, keep),)
 
     return _record(out, (x,), backward, "fit_rows")
 
@@ -562,12 +562,13 @@ def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
         raise ShapeError(
             f"take_along_last: index range [{idx.min()}, {idx.max()}] outside 0..{n - 1}")
     out = Tensor(np.take_along_axis(x.data, idx, axis=-1))
+    shape, dtype, size = x.shape, x.dtype, x.data.size
 
-    def backward(g, grads):
-        rows = np.arange(x.data.size // n).reshape(x.shape[:-1] + (1,))
+    def backward(g):
+        rows = np.arange(size // n).reshape(shape[:-1] + (1,))
         flat = (idx + n * rows).ravel()
-        dx = np.bincount(flat, weights=g.ravel(), minlength=x.data.size)
-        _accum(grads, x, dx.reshape(x.shape).astype(x.dtype, copy=False))
+        dx = np.bincount(flat, weights=g.ravel(), minlength=size)
+        return (dx.reshape(shape).astype(dtype, copy=False),)
 
     return _record(out, (x,), backward, "take_along_last")
 
@@ -582,9 +583,10 @@ def einsum_id_ijd(q: Tensor, r: np.ndarray) -> Tensor:
     if q.data.ndim < 2 or r.ndim < 3 or q.shape[-2] != r.shape[-3] or q.shape[-1] != r.shape[-1]:
         raise ShapeError(f"einsum_id_ijd: got {q.shape} and {r.shape}")
     out = Tensor(np.einsum("...id,...ijd->...ij", q.data, r))
+    shape = q.shape
 
-    def backward(g, grads):
-        _accum(grads, q, _unbroadcast(np.einsum("...ij,...ijd->...id", g, r), q.shape))
+    def backward(g):
+        return (_unbroadcast(np.einsum("...ij,...ijd->...id", g, r), shape),)
 
     return _record(out, (q,), backward, "einsum_id_ijd")
 
@@ -626,10 +628,10 @@ def fold_products(x: Tensor, a: np.ndarray, b: np.ndarray) -> Tensor:
     y += rotated
     out = Tensor(y)
 
-    def backward(g, grads):
+    def backward(g):
         dx = g * p
         dx += swap(g * q)
-        _accum(grads, x, dx)
+        return (dx,)
 
     return _record(out, (x,), backward, "fold_products")
 
@@ -669,8 +671,8 @@ def mean_pool_pairs(x: Tensor, real: np.ndarray) -> Tensor:
     members = np.where(rr, xr, x.dtype.type(-0.0))
     out = Tensor(np.where(counts > 0, (members[:, 0] + members[:, 1]) / divisor, 0.0))
 
-    def backward(g, grads):
-        _accum(grads, x, _unpair(np.where(rr, (g / divisor)[:, None], 0.0), t))
+    def backward(g):
+        return (_unpair(np.where(rr, (g / divisor)[:, None], 0.0), t),)
 
     return _record(out, (x,), backward, "mean_pool_pairs")
 
@@ -688,10 +690,9 @@ def max_pool_pairs(x: Tensor, real: np.ndarray) -> Tensor:
     picked = np.take_along_axis(xr, sel[:, None], axis=1)[:, 0]
     out = Tensor(np.where(has_real, picked, 0.0))
 
-    def backward(g, grads):
-        member = np.arange(2).reshape((1, 2) + (1,) * (x.data.ndim - 1))
-        route = (member == sel[:, None]) & has_real[:, None]
-        _accum(grads, x, _unpair(np.where(route, g[:, None], 0.0), t))
+    def backward(g):
+        route = np.stack([sel == 0, sel == 1], axis=1) & has_real[:, None]
+        return (_unpair(np.where(route, g[:, None], 0.0), t),)
 
     return _record(out, (x,), backward, "max_pool_pairs")
 
@@ -713,10 +714,10 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray, weights: np.ndarray)
     out = Tensor((w[:, 0] * nll).sum())
     probs = np.exp(logits.data - lse[:, None])
 
-    def backward(g, grads):
+    def backward(g):
         d = probs.copy()
         d[np.arange(n), targets] -= 1.0
-        _accum(grads, logits, g * d * w)
+        return (g * d * w,)
 
     return _record(out, (logits,), backward, "cross_entropy_mean")
 
@@ -735,8 +736,8 @@ def bce_with_logits_mean(logits: Tensor, labels: np.ndarray, weights: np.ndarray
     out = Tensor((w * loss).sum())
     sig = 1.0 / (1.0 + np.exp(-x))
 
-    def backward(g, grads):
-        _accum(grads, logits, g * (sig - labels) * w)
+    def backward(g):
+        return (g * (sig - labels) * w,)
 
     return _record(out, (logits,), backward, "bce_with_logits_mean")
 

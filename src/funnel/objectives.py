@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import (ContractError, Rng, Tensor, bce_with_logits_mean,
                        cross_entropy_mean, gather_rows, matmul, reshape, softmax_lastdim,
                        transpose)
-from .corpus import CLS, MASK, PAD, SEP, Batch
+from .corpus import MASK, UNK, Batch
 from .model import FunnelModel
 
 DISC_LOSS_WEIGHT = 50.0
@@ -43,10 +43,9 @@ class MaskPlan:
 
 
 def maskable_positions(token_ids: np.ndarray) -> np.ndarray:
-    """Indices eligible for masking: real content only, never CLS/SEP/PAD."""
+    """Indices eligible for masking: UNK or an id past the specials, never CLS/SEP/PAD/MASK."""
     token_ids = np.asarray(token_ids)
-    ok = ~np.isin(token_ids, (PAD, CLS, SEP, MASK))
-    return np.flatnonzero(ok)
+    return np.flatnonzero((token_ids == UNK) | (token_ids > MASK))
 
 
 def sample_mask_single(token_ids: np.ndarray, rate: float = 0.15, *, rng: Rng) -> MaskPlan:

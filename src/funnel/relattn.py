@@ -277,8 +277,7 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     content = matmul(add(q, reshape(params.v, (n_heads, 1, dh))), k_t)
     position = _POSITION_TERMS[config.attn_variant](  # w_r's head view: [H, D, dh]
         q, q_pos, k_pos, split_heads(params.w_r, n_heads), reshape(params.u, (n_heads, 1, dh)), enc)
-    weights = softmax_lastdim(add(content, position), scale,
-                              np.moveaxis(key_mask, 0, -1)[..., None, None, :])
+    weights = softmax_lastdim(add(content, position), scale, key_mask.T[..., None, None, :])
     maps = weights.data
     weights = dropout(weights, config.attn_dropout, rng)
     merged = merge_heads(matmul(weights, val))

@@ -143,12 +143,10 @@ def concat_rows(parts):
     """Row concatenation with a pull-back that slices the gradient per part."""
     parts = list(parts)
     out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+    ends = np.cumsum([p.shape[0] for p in parts])[:-1]
 
-    def backward(g, grads):
-        ofs = 0
-        for p in parts:
-            autodiff._accum(grads, p, g[ofs:ofs + p.shape[0]])
-            ofs += p.shape[0]
+    def backward(g):
+        return np.split(g, ends)
 
     return autodiff._record(out, tuple(parts), backward, "concat_rows")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from funnel.autodiff import ContractError, Rng, Tape, Tensor, bce_with_logits_mean
-from funnel.corpus import CLS, MASK, PAD, SEP, Batch, build_vocab, encode_line
+from funnel.corpus import CLS, MASK, PAD, SEP, UNK, Batch, build_vocab, encode_line
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig, generator_config
 from funnel.objectives import (MAX_SPAN, MaskPlan, build_electra_batch, electra_step,
@@ -250,3 +250,12 @@ class TestElectra:
 def test_maskable_excludes_all_specials():
     toks = np.array([CLS, 5, MASK, PAD, 6, SEP])
     np.testing.assert_array_equal(maskable_positions(toks), [1, 4])
+
+
+def test_maskable_matches_set_exclusion_for_every_id():
+    """The range test picks what excluding the four unmaskable specials picks, UNK included."""
+    ids = np.arange(64)
+    for toks in (ids, ids[::-1], np.random.Generator(np.random.Philox(3)).integers(0, 64, 200)):
+        np.testing.assert_array_equal(maskable_positions(toks),
+                                      np.flatnonzero(~np.isin(toks, (PAD, CLS, SEP, MASK))))
+    assert UNK in maskable_positions(ids)                # position i holds id i
