@@ -18,6 +18,14 @@ the node lets go of its pull-back.  After ``backward`` only the gradients
 of leaf tensors that require grad remain, and the tape cannot be walked
 a second time.
 
+One array is rebuilt rather than kept: a recorded GeLU output carries a
+``rebuild`` that reruns GeLU's forward on the input its pull-back keeps.
+``matmul``, which would keep that output for its weight gradient, keeps
+the rebuild and calls it during the walk, and leaves the tanh it
+recomputed for GeLU's pull-back, reached later in the walk.  Each
+feed-forward sub-layer so keeps one inner activation, not three, for one
+more GeLU forward during ``backward``.
+
 The engine implements exactly the operations the funnel model needs:
 matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
 moves (reshape, transpose and the attention head split and merge, one
@@ -64,9 +72,11 @@ class Tensor:
     ``recorded`` is True for the output of an op recorded on a tape: not a
     leaf, so no gradient of it outlives ``Tape.backward``.  ``key`` names
     it on a tape for the process's lifetime, as a reusable ``id()`` cannot.
+    ``rebuild``, set only on a recorded ``gelu`` output, recomputes ``data``
+    from the op's kept input, so a pull-back can keep it instead of ``data``.
     """
 
-    __slots__ = ("data", "requires_grad", "recorded", "key")
+    __slots__ = ("data", "requires_grad", "recorded", "key", "rebuild")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -78,6 +88,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.recorded = False
         self.key = next(_KEYS)
+        self.rebuild = None
 
     @property
     def shape(self) -> tuple:
@@ -269,7 +280,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     Both operands have rank 2 or more; their batch axes broadcast.  The
     optional ``bias`` (e.g. [n]) broadcasts against the product and is
     added in place, one node for ``a @ b + bias``.  An operand is kept for
-    the backward pass only when the other one requires grad.
+    the backward pass only when the other one requires grad, and ``a`` as
+    its ``rebuild`` when it has one: the pull-back recomputes it.
     """
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
@@ -282,13 +294,15 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     out = Tensor(y)
     a_shape, b_shape = a.shape, b.shape
     bias_shape = bias.shape if bias is not None and bias.requires_grad else None
-    ad, bd = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
+    kept_a = (a.rebuild or a.data) if b.requires_grad else None  # an array or a function
+    bd = b.data if a.requires_grad else None
 
     def backward(g):
         ga = gb = None
         if bd is not None:
             ga = _unbroadcast(_mm(g, np.swapaxes(bd, -1, -2)), a_shape)
-        if ad is not None:
+        if kept_a is not None:
+            ad = kept_a() if callable(kept_a) else kept_a
             if len(b_shape) == 2:
                 # a shared weight: one product over every row of the batch
                 k, n = b_shape
@@ -428,15 +442,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
     return _record(out, inputs, backward, "layer_norm")
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GeLU, tanh approximation (constants GELU_C, GELU_A above).
+def _gelu(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh(c x (1 + a x^2)) and GeLU's output 0.5 x (1 + tanh), each in a fresh array.
 
     The cubic is formed by multiplication, c*x*(1 + a*x*x), not ``x ** 3``:
-    numpy sends a cube to libm ``pow`` element by element.  Both passes
-    work in two or three buffers in place, and every step rounds as in the
-    one-expression form, since IEEE products and sums commute.
+    numpy sends a cube to libm ``pow`` element by element.  Every step
+    rounds as in the one-expression form, since IEEE products and sums
+    commute.  ``gelu``'s forward, rebuild and fallback all run these same
+    steps, so they see the same bytes.
     """
-    xd = x.data
     t, scaled = np.empty_like(xd), np.empty_like(xd)  # arrays even for a 0-d input
     np.multiply(xd, xd, out=t)
     t *= GELU_A
@@ -445,10 +459,29 @@ def gelu(x: Tensor) -> Tensor:
     np.tanh(t, out=t)                                  # tanh(c x (1 + a x^2))
     y = np.add(t, 1.0, out=np.empty_like(xd))
     y *= np.multiply(xd, 0.5, out=scaled)              # 0.5 x (1 + t)
-    out = Tensor(y)
+    return t, y
+
+
+def gelu(x: Tensor) -> Tensor:
+    """GeLU, tanh approximation (constants GELU_C, GELU_A above).
+
+    The pull-back works in place and keeps ``x`` only.  A recorded output
+    gets a ``rebuild`` that reruns the forward on ``x``: ``matmul`` keeps
+    it in place of the output and leaves the tanh it recomputes for this
+    pull-back, which recomputes the tanh itself when no rebuild ran.
+    """
+    xd = x.data
+    out = Tensor(_gelu(xd)[1])
+    rebuilt = []                                       # the tanh of the latest rebuild
+
+    def rebuild():
+        t, y = _gelu(xd)
+        rebuilt[:] = [t]
+        return y
 
     def backward(g):
         # d = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
+        t = rebuilt.pop() if rebuilt else _gelu(xd)[0]
         d, rest = np.empty_like(t), np.empty_like(t)
         np.multiply(t, t, out=d)
         np.subtract(1.0, d, out=d)
@@ -459,13 +492,15 @@ def gelu(x: Tensor) -> Tensor:
         d *= 3.0 * GELU_A
         d += 1.0
         rest *= d
-        np.add(t, 1.0, out=d)
-        d *= 0.5
-        d += rest
-        d *= g
-        return (d,)
+        np.add(t, 1.0, out=t)
+        t *= 0.5
+        t += rest
+        t *= g
+        return (t,)
 
-    return _record(out, (x,), backward, "gelu")
+    if _record(out, (x,), backward, "gelu").recorded:
+        out.rebuild = rebuild
+    return out
 
 
 def dropout(x: Tensor, rate: float, rng) -> Tensor:

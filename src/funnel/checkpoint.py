@@ -59,11 +59,15 @@ def save(params: dict[str, Tensor], path: str | Path) -> None:
     """Write the parameter tree; deterministic byte-for-byte.
 
     Entry names are the dict keys, so duplicates are impossible by
-    construction; ``load`` still rejects archives that contain them.
+    construction; ``load`` still rejects archives that contain them.  The
+    archive is written to a temporary file beside ``path`` and moved over
+    it only once complete, so a save that fails leaves an earlier archive
+    at ``path`` intact and no temporary file behind.
     """
     names = sorted(params)
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with open(path, "wb") as f:
+        with open(tmp, "wb") as f:
             f.write(MAGIC)
             f.write(struct.pack("<II", VERSION, len(names)))
             for name in names:
@@ -77,8 +81,11 @@ def save(params: dict[str, Tensor], path: str | Path) -> None:
                 f.write(struct.pack("<BB", code, data.ndim))
                 f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
                 f.write(memoryview(np.ascontiguousarray(data, dtype=_CODE_DTYPES[code])))
+        os.replace(tmp, path)
     except OSError as e:
         raise CheckpointError(f"cannot write {path}: {e}") from e
+    finally:
+        tmp.unlink(missing_ok=True)                    # gone already after a replace
 
 
 def load(path: str | Path, expected: Mapping | None = None) -> dict[str, Tensor]:

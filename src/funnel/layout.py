@@ -76,6 +76,9 @@ class LayoutSpec:
     def __post_init__(self):
         if not self.blocks:
             raise LayoutError("layout needs at least one block")
+        if not 1 <= self.head_dim <= self.hidden:
+            raise LayoutError(
+                f"hidden size {self.hidden} holds no {self.head_dim}-wide attention head")
         if self.hidden % self.head_dim != 0:
             raise LayoutError(f"hidden size {self.hidden} not divisible by {self.head_dim}")
         if self.decoder_layers < 0:

@@ -144,6 +144,20 @@ class TestErrors:
         with pytest.raises(CheckpointError):
             load(tmp_path / "nope.ftnt")
 
+    def test_failed_save_keeps_the_earlier_archive(self, tmp_path):
+        """A save that raises part-way leaves the archive it would replace byte-identical and
+        no temporary file in the directory."""
+        path = tmp_path / "m.ftnt"
+        save({"x": Tensor(np.arange(3.0))}, path)
+        good = path.read_bytes()
+        bad = Tensor(np.zeros(2))
+        bad.data = np.zeros(2, dtype=np.float16)
+        with pytest.raises(CheckpointError, match="unsupported dtype"):
+            save({"a": Tensor(np.ones(4)), "b": bad}, path)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ftnt"]
+        np.testing.assert_array_equal(load(path)["x"].data, np.arange(3.0))
+
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "dup.ftnt"
         save({"x": Tensor(np.zeros(2))}, path)

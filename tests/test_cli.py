@@ -31,6 +31,11 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: parse:")
 
+    def test_layout_with_no_attention_head_exit_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--layout", "L1H0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parse: layout 'L1H0': hidden size 0 holds no")
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "analyze", "--layout", "B6-6-6H768D2",
                            "--mode", "pretrain", "--format", "json")

@@ -57,6 +57,15 @@ class TestParse:
         with pytest.raises(LayoutError):
             parse_layout("B0H64")
 
+    @pytest.mark.parametrize("text", ["L1H0", "B2-2H0D1"])
+    def test_no_attention_head_rejected(self, text):
+        with pytest.raises(LayoutError, match="hidden size 0 holds no 64-wide attention head"):
+            parse_layout(text)
+
+    def test_hidden_narrower_than_a_head_rejected(self):
+        with pytest.raises(LayoutError, match="hidden size 4 holds no 8-wide"):
+            LayoutSpec(blocks=(BlockSpec(1),), hidden=4, head_dim=8)
+
 
 class TestDerived:
     def test_block_lengths_halve(self):
