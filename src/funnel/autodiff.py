@@ -30,7 +30,7 @@ The engine implements exactly the operations the funnel model needs:
 matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
 moves (reshape, transpose and the attention head split and merge, one
 node kind), row cuts and zero-padding, window-2 pooling, fused losses and
-the factorized position term's folded products.  Binary ops and matmul
+the factorized position term's rotation.  Binary ops and matmul
 broadcast as numpy does; their backward sums over the broadcast axes.
 Some nodes fold a neighbour's work into their own pass: matmul adds a
 bias, softmax applies the attention scale and key mask, layer norm
@@ -46,6 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
+MAX_RANK = 4
 
 # tanh-approximation GeLU constants: gelu(x) = 0.5x(1 + tanh(c*(x + a*x^3)))
 GELU_C = math.sqrt(2.0 / math.pi)
@@ -82,8 +83,8 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        if arr.ndim > 4:
-            raise ShapeError(f"rank {arr.ndim} > 4 not supported")
+        if arr.ndim > MAX_RANK:
+            raise ShapeError(f"rank {arr.ndim} > {MAX_RANK} not supported")
         self.data = arr
         self.requires_grad = requires_grad
         self.recorded = False
@@ -626,37 +627,36 @@ def einsum_id_ijd(q: Tensor, r: np.ndarray) -> Tensor:
     return _record(out, (q,), backward, "einsum_id_ijd")
 
 
-def fold_products(x: Tensor, a: np.ndarray, b: np.ndarray) -> Tensor:
-    """cat(fold(x * a), fold(x * b)) with fold(y) = y[..., :h] + y[..., h:], h = width / 2.
+def rotate(x: Tensor, r: np.ndarray) -> Tensor:
+    """x * cat(s, s) + swap(x) * cat(c, -c) for the table r = cat(s, c).
 
-    ``a`` and ``b`` are constant tables that broadcast to the shape of
-    ``x``, which the result keeps; no gradient flows to them.  It turns
-    two products against tables whose halves repeat into one:
-    (x * a) cat(k, k)' + (x * b) cat(l, l)' = fold_products(x, a, b) cat(k, l)'
-    (the factorized position term).
-
-    Evaluated in the rotary form x * p + swap(x) * q, with swap(v) =
-    cat(v[..., h:], v[..., :h]), p = cat(a[..., :h], b[..., h:]) and
-    q = cat(a[..., h:], b[..., :h]): the same products summed in the same
-    pairs, so the same result to the bit, from whole-width passes only
-    (half-width strided passes cost more than the arithmetic here).
+    swap(v) = cat(v[..., h:], v[..., :h]), h = width / 2, so each pair
+    (x[k], x[k + h]) is rotated by the angle whose sine and cosine are
+    ``r``'s halves.  ``r`` broadcasts to the shape of ``x``, which the
+    result keeps; no gradient flows to it.  With phi = r and
+    pi = cat(-c, s), the result is cat(fold(x * phi), fold(x * pi)),
+    fold(y) = y[..., :h] + y[..., h:], so two products against tables
+    whose halves repeat become one (the factorized position term):
+    (x * phi) cat(k, k)' + (x * pi) cat(l, l)' = rotate(x, r) cat(k, l)'.
+    Whole-width passes only: half-width strided passes cost more than the
+    arithmetic here.
     """
-    a, b = np.asarray(a), np.asarray(b)
+    r = np.asarray(r)
     width = x.shape[-1]
     try:
-        fits = np.broadcast_shapes(x.shape, a.shape, b.shape) == x.shape
+        fits = np.broadcast_shapes(x.shape, r.shape) == x.shape
     except ValueError:
         fits = False
-    if not fits or width % 2 or a.shape[-1:] != (width,) or b.shape[-1:] != (width,):
-        raise ShapeError(f"fold_products: got {x.shape}, {a.shape} and {b.shape}")
+    if not fits or width % 2 or r.shape[-1:] != (width,):
+        raise ShapeError(f"rotate: got {x.shape} and {r.shape}")
     h = width // 2
 
     def swap(v):
         return np.concatenate([v[..., h:], v[..., :h]], axis=-1)
 
-    a, b = np.broadcast_arrays(a, b)
-    p = np.concatenate([a[..., :h], b[..., h:]], axis=-1)
-    q = np.concatenate([a[..., h:], b[..., :h]], axis=-1)
+    s, c = r[..., :h], r[..., h:]
+    p = np.concatenate([s, s], axis=-1)
+    q = np.concatenate([c, -c], axis=-1)
     y = x.data * p
     rotated = swap(x.data)
     rotated *= q
@@ -668,7 +668,7 @@ def fold_products(x: Tensor, a: np.ndarray, b: np.ndarray) -> Tensor:
         dx += swap(g * q)
         return (dx,)
 
-    return _record(out, (x,), backward, "fold_products")
+    return _record(out, (x,), backward, "rotate")
 
 
 def _pairs(x: np.ndarray, real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ Layout, all little endian:
     version u32      (currently 1)
     count   u32      number of entries
     entry   name_len u32, name bytes (UTF-8), dtype u8 (0=f32, 1=f64),
-            rank u8, dims u64 each, raw row-major payload
+            rank u8 (at most 4), dims u64 each, raw row-major payload
 
 Entries are written sorted by name, so saving the same parameters twice
 produces byte-identical files.
@@ -23,7 +23,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import MAX_RANK, Tensor
 
 MAGIC = b"FTNT"
 VERSION = 1
@@ -150,6 +150,8 @@ def _read_entries(f: BinaryIO, path) -> dict[str, Tensor]:
         except UnicodeDecodeError as e:
             raise CorruptHeader(f"{path}: {e}") from e
         code, rank = fields("<BB")
+        if rank > MAX_RANK:
+            raise CorruptHeader(f"{path}: {name!r} has rank {rank} > {MAX_RANK}")
         dims = fields(f"<{rank}Q")
         if code not in _CODE_DTYPES:
             raise CorruptHeader(f"{path}: unknown dtype code {code}")

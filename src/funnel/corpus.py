@@ -32,9 +32,6 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK)
 
-    def token_of(self, i: int) -> str:
-        return self.id_to_token[i]
-
     def save(self, path) -> None:
         """One token per line; the line number is the id."""
         with open(path, "w", encoding="utf-8") as f:
@@ -84,12 +81,6 @@ def encode_line(line: str, vocab: Vocab, seq_len: int) -> EncodedLine:
     mask = np.zeros(seq_len, dtype=bool)
     mask[:real] = True
     return EncodedLine(np.array(ids, dtype=np.int64), mask)
-
-
-def decode(token_ids, vocab: Vocab) -> list[str]:
-    """Tokens for the content positions, specials and padding skipped."""
-    return [vocab.token_of(int(i)) for i in token_ids
-            if int(i) not in (PAD, CLS, SEP, MASK)]
 
 
 def load_corpus(path) -> list[str]:

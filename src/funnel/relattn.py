@@ -13,7 +13,8 @@ interchangeable implementations of the position term are provided:
                     per-(i,j) gather (the classic shift trick).
 * ``factorized`` -- the two outer products against position encodings
                     phi/psi/pi/omega derived from the angle-difference
-                    identities, folded into one product; no gather at all.
+                    identities, run as one product of rotated queries
+                    and key encodings; no gather at all.
 
 All three accept arbitrary integer position ids so pooled queries can
 attend to unpooled keys.  Scores are scaled by 1/sqrt(head_dim); applied
@@ -43,37 +44,38 @@ from dataclasses import make_dataclass
 import numpy as np
 
 from .autodiff import (NumericError, ShapeError, Tensor, add, dropout, einsum_id_ijd,
-                       fit_rows, fold_products, gelu, layer_norm, matmul, merge_heads, reshape,
+                       fit_rows, gelu, layer_norm, matmul, merge_heads, reshape, rotate,
                        softmax_lastdim, split_heads, take_along_last, transpose)
 
 VARIANTS = ("naive", "gather", "factorized")
 
 
 class RelPosEncoding:
-    """Sinusoidal distance encoding tables of width D (even).
+    """Sinusoidal encoding tables of width D (even), one kind for distances and positions.
 
-    r_t = cat(sin_t, cos_t) where component i (1-based, i = 1..D/2) of
-    sin_t is sin(t / 10000^(2i/D)) and likewise for cos_t.  phi/psi/pi/
-    omega are the four per-position concatenations used by the factorized
-    form:
+    ``encode(t)`` = r_t = cat(sin_t, cos_t), where component i (1-based,
+    i = 1..D/2) of sin_t is sin(t / 10000^(2i/D)) and likewise for cos_t.
+    The paper's factorized form splits r_{i-j} into four per-position
+    tables, all made of r's halves:
 
-        phi_i   = cat(sin_i,  cos_i)
+        phi_i   = cat(sin_i,  cos_i) = r_i
         psi_j   = cat(cos_j,  cos_j)
         pi_i    = cat(-cos_i, sin_i)
         omega_j = cat(sin_j,  sin_j)
 
-    psi and omega repeat their halves, so the factorized term folds each
-    product's halves and keeps only the first halves of psi and omega,
-    cat(cos_j, sin_j), on the key side (see ``position_term_factorized``).
+    psi and omega repeat their halves, so the factorized term rotates the
+    query by r_i (``autodiff.rotate``) and takes cat(cos_j, sin_j) from
+    r_j's halves on the key side (see ``position_term_factorized``); it
+    reads ``encode`` only.  ``psi``, ``pi`` and ``omega`` keep the
+    definitions for reference.
 
     Positions may be any integer array; tables gain a trailing axis of
-    width D.  Tables are memoised on the instance, keyed by the position
-    array's dtype, shape and bytes; phi/psi/pi/omega are built together
-    from one angle computation per distinct array.  The memo lives as
-    long as the instance, which the encoder builds once per forward call
-    and hands on to the decoder, so every head and layer of a model pass
-    shares its tables and nothing outlives the pass.  Returned tables are
-    read-only.
+    width D.  Tables are memoised on the instance, keyed by kind and the
+    position array's dtype, shape and bytes, so each distinct array's
+    angles are computed once.  The memo lives as long as the instance,
+    which the encoder builds once per forward call and hands on to the
+    decoder, so every head and layer of a model pass shares its tables and
+    nothing outlives the pass.  Returned tables are read-only.
     """
 
     def __init__(self, width: int, dtype=np.float64):
@@ -102,33 +104,30 @@ class RelPosEncoding:
         table.setflags(write=False)
         return table
 
-    def encode(self, distances: np.ndarray) -> np.ndarray:
-        """r_d rows for an array of signed distances: [..., D]."""
-        def build(d):
-            a = self._angles(d)
+    def encode(self, t: np.ndarray) -> np.ndarray:
+        """r_t rows for an array of signed distances or positions: [..., D]."""
+        def build(t):
+            a = self._angles(t)
             return self._frozen([np.sin(a), np.cos(a)])
-        return self._memoised("encode", distances, build)
+        return self._memoised("encode", t, build)
 
-    def _factors(self, pos: np.ndarray) -> tuple[np.ndarray, ...]:
-        # all four from one angle computation: every position vector of a
-        # pass serves as both queries and keys, so each table gets used
+    def _halves(self, kind: str, pos: np.ndarray, pick) -> np.ndarray:
         def build(p):
-            a = self._angles(p)
-            s, c = np.sin(a), np.cos(a)
-            return tuple(self._frozen(h) for h in ((s, c), (c, c), (-c, s), (s, s)))
-        return self._memoised("factors", pos, build)
+            r, h = self.encode(p), self.width // 2
+            return self._frozen(pick(r[..., :h], r[..., h:]))
+        return self._memoised(kind, pos, build)
 
     def phi(self, pos: np.ndarray) -> np.ndarray:
-        return self._factors(pos)[0]
+        return self.encode(pos)
 
     def psi(self, pos: np.ndarray) -> np.ndarray:
-        return self._factors(pos)[1]
+        return self._halves("psi", pos, lambda s, c: (c, c))
 
     def pi(self, pos: np.ndarray) -> np.ndarray:
-        return self._factors(pos)[2]
+        return self._halves("pi", pos, lambda s, c: (-c, s))
 
     def omega(self, pos: np.ndarray) -> np.ndarray:
-        return self._factors(pos)[3]
+        return self._halves("omega", pos, lambda s, c: (s, s))
 
 
 def _by_column(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -193,21 +192,20 @@ def position_term_factorized(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarra
     """Gather-free form: [(q+u) w_r' (.) phi] psi' + [(q+u) w_r' (.) pi] omega', as one product.
 
     psi = cat(cos, cos) and omega = cat(sin, sin) repeat their halves, so
-    each outer product's halves are folded first (``fold_products``):
-    the query side becomes cat(fold(qr (.) phi), fold(qr (.) pi)), the
-    query rotated by its position angle, and the key side cat(cos, sin),
-    the first halves of psi and omega.  One [..., Tq, D] @ [..., D, Tk]
-    product replaces two.
+    each outer product's halves fold into one: the query side becomes
+    cat(fold(qr (.) phi), fold(qr (.) pi)), the query rotated by its
+    position angle (``rotate`` by r_i), and the key side cat(cos, sin),
+    the halves of r_j swapped.  One [..., Tq, D] @ [..., D, Tk] product
+    replaces two.
     """
     q_pos = np.asarray(q_pos, dtype=np.int64)
     k_pos = np.asarray(k_pos, dtype=np.int64)
     qr = matmul(add(proj_q, u), transpose(w_r))              # [..., tq, D]
-    rotated = fold_products(qr, _by_column(enc.phi(q_pos), q_pos),
-                            _by_column(enc.pi(q_pos), q_pos))
-    h = enc.width // 2
+    rotated = rotate(qr, _by_column(enc.encode(q_pos), q_pos))
+    r_k, h = _by_column(enc.encode(k_pos), k_pos), enc.width // 2
     # cat(cos, sin)', laid out contiguously as [..., D, tk] for the product
-    keys = np.concatenate([np.swapaxes(_by_column(t, k_pos)[..., :h], -1, -2)
-                           for t in (enc.psi(k_pos), enc.omega(k_pos))], axis=-2)
+    keys = np.concatenate([np.swapaxes(half, -1, -2) for half in (r_k[..., h:], r_k[..., :h])],
+                          axis=-2)
     return matmul(rotated, Tensor(keys))
 
 

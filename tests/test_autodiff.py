@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from funnel import autodiff
 from funnel.autodiff import (GELU_A, GELU_C, ContractError, NumericError, Rng, ShapeError, Tape, Tensor,
                              add, bce_with_logits_mean,
-                             cross_entropy_mean, dropout, einsum_id_ijd, fit_rows, fold_products,
+                             cross_entropy_mean, dropout, einsum_id_ijd, fit_rows,
                              gather_rows,
                              gelu, grad_check, layer_norm, matmul,
-                             max_pool_pairs, mean_pool_pairs, merge_heads, mul, reshape,
+                             max_pool_pairs, mean_pool_pairs, merge_heads, mul, reshape, rotate,
                              softmax_lastdim, split_heads, sum_all, take_along_last, transpose)
 from funnel.model import ModelConfig
 from funnel.training import TrainSettings, train_toy
@@ -310,7 +310,8 @@ def train_one_step(objective, dtype, on_backward):
 ])
 def test_training_step_tape_census(model, train, most):
     """One training step's tape: each attention sub-layer moves axes in five nodes (three
-    head splits, one merge, the shared ``w_r``'s head view), and no generic permute is left."""
+    head splits, one merge, the shared ``w_r``'s head view), and no generic permute is left;
+    a factorized sub-layer rotates its query in one node."""
     gen = Rng(5)
     corpus = [" ".join(f"w{int(gen.integers(0, 40))}" for _ in range(10 + 3 * i))
               for i in range(8)]
@@ -323,8 +324,10 @@ def test_training_step_tape_census(model, train, most):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Tape, "backward", census)
         train_toy(ModelConfig(dtype="f64", seed=0, **model), corpus, TrainSettings(steps=1, **train))
-    assert "permute" not in names
+    assert "permute" not in names and "fold_products" not in names
     assert names.count("split_heads") == 4 * names.count("merge_heads") > 0
+    if model["attn_variant"] == "factorized":
+        assert names.count("rotate") == names.count("merge_heads")
     assert len(names) <= most
 
 
@@ -594,18 +597,20 @@ class TestGradCheck:
             grad_check(lambda: sum_all(mul(x, np.inf)), [x])
 
 
-def test_fold_products_folds_each_product_by_halves():
+def test_rotate_folds_each_product_by_halves():
+    """rotate(x, r) is the paper's cat(fold(x * phi), fold(x * pi)), phi = r, pi = cat(-c, s)."""
     x = Tensor(rand((2, 3, 6), 20))
-    a, b = rand((3, 6), 21), rand(6, 22)
-    pa, pb = x.data * a, x.data * b
+    r = rand((3, 6), 21)
+    phi, pi = r, np.concatenate([-r[..., 3:], r[..., :3]], axis=-1)
+    pa, pb = x.data * phi, x.data * pi
     expected = np.concatenate([pa[..., :3] + pa[..., 3:], pb[..., :3] + pb[..., 3:]], axis=-1)
-    np.testing.assert_array_equal(fold_products(x, a, b).data, expected)
+    assert rotate(x, r).data.tobytes() == expected.tobytes()
     for bad in (rand((3, 4), 23), rand((2, 2, 6), 24), rand((4, 2, 3, 6), 28)):
         # wrong width; no broadcast; would grow the result
-        with pytest.raises(ShapeError, match="fold_products"):
-            fold_products(x, bad, b)
-    with pytest.raises(ShapeError, match="fold_products"):   # odd width
-        fold_products(Tensor(rand((2, 5), 25)), rand(5, 26), rand(5, 27))
+        with pytest.raises(ShapeError, match="rotate"):
+            rotate(x, bad)
+    with pytest.raises(ShapeError, match="rotate"):   # odd width
+        rotate(Tensor(rand((2, 5), 25)), rand(5, 26))
 
 
 class TestFitRows:
@@ -684,7 +689,7 @@ def test_every_op_grad_below_1e4(seed):
     keep[:, 0] = True
     # drawn after every table above, so the earlier cases keep their values
     fold_a = gen.standard_normal((3, 4))
-    fold_b = gen.standard_normal(4)
+    gen.standard_normal(4)  # a removed table: later tables keep their values
     fold_c = gen.standard_normal((2, 1, 4))
     keep72 = gen.random((7, 2)) > 0.3  # a [t, B] keep mask for padding 5 rows to 7
     w72_3 = Tensor(gen.standard_normal((7, 2, 3)))
@@ -736,9 +741,8 @@ def test_every_op_grad_below_1e4(seed):
                                    [x328]),
         "merge_heads": (lambda: sum_all(mul(merge_heads(heads), w328)), [heads]),
         "reshape": (lambda: sum_all(mul(reshape(x, (2, 6)), w26)), [x]),
-        "fold_products": (lambda: sum_all(mul(fold_products(x3, fold_a, fold_b), w234)), [x3]),
-        "fold_products_per_column": (lambda: sum_all(mul(fold_products(x3, fold_c, fold_a), w234)),
-                                     [x3]),
+        "rotate": (lambda: sum_all(mul(rotate(x3, fold_a), w234)), [x3]),
+        "rotate_per_column": (lambda: sum_all(mul(rotate(x3, fold_c), w234)), [x3]),
         "fit_rows_cut": (lambda: sum_all(mul(fit_rows(x52, 3), w32_3)), [x52]),
         "fit_rows_pad_keep": (lambda: sum_all(mul(fit_rows(x52, 7, keep72), w72_3)), [x52]),
     }

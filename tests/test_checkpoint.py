@@ -175,6 +175,7 @@ class TestErrors:
         archive(b"\x01\x00\x00\x00\xff\x01\x01" + bytes(8) + bytes(8)),  # name not UTF-8
         archive(entry("x", (1,), code=7) + bytes(8)),              # unknown dtype
         archive(entry("x", (2, 3))[:-4]),                          # dims cut short
+        archive(entry("x", (1,) * 5) + bytes(8)),                  # rank above 4
         archive(entry("x", (1,)) + bytes(8) + b"extra"),           # trailing bytes
     ])
     def test_corrupt_headers(self, blob, tmp_path):

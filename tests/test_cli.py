@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -436,6 +437,17 @@ class TestEncode:
                            "--input", str(corpus))
         assert code == 2
         assert "error: checkpoint:" in err
+
+    def test_rank_above_four_checkpoint_exit_2(self, train_setup, capsys):
+        _, corpus, tmp = train_setup
+        (tmp / "cfg_enc.json").write_text(json.dumps({"layout": "B2-2H64D2", "vocab_size": 20}))
+        rank5 = struct.pack("<III", 1, 1, 1) + b"x" + struct.pack("<BB5Q", 1, 5, *(1,) * 5)
+        (tmp / "rank5.ftnt").write_bytes(b"FTNT" + rank5 + bytes(8))
+        code, out, err = run(capsys, "encode", "--config", str(tmp / "cfg_enc.json"),
+                             "--checkpoint", str(tmp / "rank5.ftnt"), "--input", str(corpus))
+        assert code == 2
+        assert err.startswith("error: checkpoint:") and "rank 5" in err
+        assert out == ""
 
     @pytest.mark.parametrize("fields", [
         {"layout": "B2-2H64D2"},

@@ -118,6 +118,15 @@ class TestEncodingMemo:
         assert {owner for owner, _ in calls} == {state.encoding}
         assert sorted(key for _, key in calls) == sorted({p.tobytes() for p in state.block_pos})
 
+    def test_factorized_pass_memoises_one_encode_table_per_position_vector(self):
+        model = FunnelModel(ModelConfig(layout="B4-4-4H256D2", vocab_size=30, seed=0,
+                                        attn_variant="factorized"))
+        ids = np.random.Generator(np.random.Philox(0)).integers(5, 30, size=128)
+        state = model.encode(ids)
+        model.decode(state)
+        memo = state.encoding._memo
+        assert {kind for kind, *_ in memo} == {"encode"}
+        assert sorted(key[-1] for key in memo) == sorted({p.tobytes() for p in state.block_pos})
 
     def test_naive_memo_holds_no_more_than_twice_the_gather_tables(self):
         # the naive form picks its pairwise rows out of the gather form's
