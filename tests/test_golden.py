@@ -1,0 +1,161 @@
+"""Pinned outputs: a refactor that claims "same results" must reproduce these.
+
+``golden.json`` holds, for each case, the sha256 of its output bytes and a
+few values: the loss trace itself, or the sum, sum of squares, max and sum
+of absolute values of each output array.  Bytes hold only on one numpy,
+BLAS and CPU (the SIMD paths of ``tanh`` and ``exp`` differ between CPUs),
+so the file also stores the fingerprint of the host that wrote it.  On
+that fingerprint a case must match its digest; on any host its values
+must match within a relative tolerance of the case's largest stored
+magnitude: 1e-10 for f64 cases.  f32 cases use 1e-5, since f32 rounds
+at 6e-8 and 1e-10 would pin their bytes on every host.  A change that
+moves results on purpose rewrites the pins in the same commit
+(``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py``)
+and states old and new values and the reason.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from funnel.autodiff import Rng
+from funnel.model import FunnelModel, ModelConfig
+from funnel.training import OptimizerConfig, TrainSettings, train_toy
+
+PINS = Path(__file__).with_name("golden.json")
+TOLERANCE = {"f64": 1e-10, "f32": 1e-5}
+ENCODE_T, ENCODE_LENGTHS = 32, (32, 17, 3)
+CHECKPOINT_STEPS = 30
+
+
+def fingerprint() -> dict:
+    """numpy version, its BLAS build, and the CPU's architecture and feature flags."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    flags = ""
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = next((line for line in f if line.startswith("flags")), "")
+    except OSError:
+        pass
+    flags = " ".join(sorted(flags.partition(":")[2].split())) or platform.processor()
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "blas": f"{blas.get('name')} {blas.get('version')} "
+                    f"{blas.get('openblas configuration', '')}".strip(),
+            "cpu_flags_sha256": hashlib.sha256(flags.encode()).hexdigest()}
+
+
+def corpus() -> list[str]:
+    gen = Rng(11)
+    return [" ".join(f"w{int(gen.integers(0, 50))}" for _ in range(6 + 3 * i))
+            for i in range(12)]
+
+
+def trace_case(name: str, dtype: str):
+    """The 15-step loss trace of one benchmark training config: ``mlm_toy`` or ``electra_span``."""
+    if name == "mlm_toy":
+        config = ModelConfig(layout="B2-2H64D2", vocab_size=20, pool_op="mean",
+                             attn_variant="factorized", dtype=dtype, seed=0)
+        settings = TrainSettings(steps=15, batch_size=8, seq_len=16, objective="mlm",
+                                 mask_sampler="single")
+    else:
+        config = ModelConfig(layout="B2-2H128D2", vocab_size=64, pool_op="max",
+                             attn_variant="gather", dtype=dtype, seed=0)
+        settings = TrainSettings(steps=15, batch_size=4, seq_len=32, objective="electra",
+                                 mask_sampler="span")
+    trace = np.array([row.loss for row in train_toy(config, corpus(), settings)])
+    return trace.tobytes(), [trace]
+
+
+def checkpoint_case():
+    """``model.ftnt`` written by ``train_toy`` under README's config, for fewer steps.
+
+    The digest covers the file's bytes; the values are those of its tensors
+    in name order.
+    """
+    from funnel.checkpoint import load
+
+    config = ModelConfig(layout="B2-2H64D2", vocab_size=20, pool_op="mean",
+                         attn_variant="factorized", dtype="f64", seed=0)
+    settings = TrainSettings(steps=CHECKPOINT_STEPS, batch_size=8, seq_len=16,
+                             objective="mlm", mask_sampler="single",
+                             optimizer=OptimizerConfig(lr=1e-3, warmup_steps=20))
+    with tempfile.TemporaryDirectory() as out:
+        train_toy(config, corpus(), settings, out_dir=out)
+        path = Path(out) / "model.ftnt"
+        params = load(path)
+        return path.read_bytes(), [params[name].data for name in sorted(params)]
+
+
+def encode_case(pool_op: str, truncate: bool):
+    """Encoder top block and decoder output of a padded [32, 3] batch on a small funnel."""
+    config = ModelConfig(layout="B2-1x2-2H128D2", vocab_size=40, pool_op=pool_op,
+                         truncate_seq=truncate, seed=3)
+    gen = np.random.Generator(np.random.Philox(12))
+    ids = gen.integers(5, config.vocab_size, size=(ENCODE_T, len(ENCODE_LENGTHS)))
+    mask = np.arange(ENCODE_T)[:, None] < np.array(ENCODE_LENGTHS)
+    model = FunnelModel(config)
+    state = model.encode(ids, mask)
+    arrays = [state.h_last.data, model.decode(state, mask).hidden.data]
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays), arrays
+
+
+CASES = {
+    **{f"trace/{name}/{dtype}": (dtype, lambda name=name, dtype=dtype: trace_case(name, dtype))
+       for name in ("mlm_toy", "electra_span") for dtype in ("f64", "f32")},
+    "checkpoint/readme_mlm/f64": ("f64", checkpoint_case),
+    **{f"encode/{op}/truncate_{'on' if t else 'off'}":
+       ("f64", lambda op=op, t=t: encode_case(op, t))
+       for op in ("mean", "top_attn") for t in (True, False)},
+}
+
+
+def summarise(case) -> dict:
+    """sha256 of a case's bytes, and the values compared off the fingerprint."""
+    raw, arrays = case
+    if len(arrays) == 1 and arrays[0].ndim == 1:
+        values = arrays[0].tolist()                       # a loss trace
+    else:
+        values = [float(s) for a in arrays for s in
+                  (a.sum(), (a * a).sum(), a.max(), np.abs(a).sum())]
+    return {"sha256": hashlib.sha256(raw).hexdigest(), "values": values}
+
+
+@pytest.fixture(scope="module")
+def pins() -> dict:
+    return json.loads(PINS.read_text())
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_pinned_output(case, pins):
+    dtype, run = CASES[case]
+    got, want = summarise(run()), pins["cases"][case]
+    same_host = pins["fingerprint"] == fingerprint()
+    tol = TOLERANCE[dtype]
+    scale = max(abs(v) for v in want["values"])
+    np.testing.assert_allclose(got["values"], want["values"], rtol=tol, atol=tol * scale,
+                               err_msg=f"{case}: values off the pins beyond relative {tol:g} "
+                                       f"(on {'the' if same_host else 'another'} host)")
+    if same_host:
+        assert got["sha256"] == want["sha256"], (
+            f"{case}: bytes differ from the pins on the host that wrote them")
+
+
+def test_pins_cover_every_case(pins):
+    assert set(pins["cases"]) == set(CASES)
+    assert set(pins["fingerprint"]) == set(fingerprint())
+
+
+if __name__ == "__main__":
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        sys.exit("run with OPENBLAS_NUM_THREADS=1, as the test session does")
+    out = {"fingerprint": fingerprint(),
+           "cases": {case: summarise(run()) for case, (_, run) in CASES.items()}}
+    PINS.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"wrote {len(out['cases'])} cases to {PINS}")
