@@ -2,11 +2,12 @@
 
 Tensors wrap numpy arrays (f32 or f64, rank <= 4) and are treated as
 immutable values once created.  Parameters are the one exception: the
-optimizer (``training.AdamW``) updates their buffers in place between
-tapes, never while one is recording.  While a Tape is active, every operation
-appends a node holding a backward closure; ``Tape.backward`` walks the
-node list in reverse, which is a valid reverse topological order because
-inputs are always recorded before the ops that consume them.
+optimizer (``training.AdamW``) updates their buffers in place after a
+step's walks, never while a tape records or walks.  While a Tape is
+active, every operation appends a node holding a backward closure;
+``Tape.backward`` walks the node list in reverse, which is a valid
+reverse topological order because inputs are always recorded before the
+ops that consume them.
 
 The tape holds keys, not tensors: a node names its output and inputs by
 ``Tensor.key``, and each pull-back keeps only the arrays it reads, so an
@@ -14,9 +15,11 @@ intermediate array no pull-back reads is freed during the forward pass
 once the caller drops it.  The walk frees as it goes: a node's output
 gradient is final when the walk reaches it (every consumer comes later
 on the tape), so once its pull-back has run the gradient is dropped and
-the node lets go of its pull-back.  After ``backward`` only the gradients
-of leaf tensors that require grad remain, and the tape cannot be walked
-a second time.
+the node lets go of its pull-back.  A caller may run a callback after
+each node's pull-back: a leaf's gradient is final once the earliest node
+reading it has run, and ``Tape.take`` removes it then (``training.AdamW``
+folds it into its moments).  After ``backward`` only the leaf gradients
+not taken remain, and the tape cannot be walked a second time.
 
 One array is rebuilt rather than kept: a recorded GeLU output carries a
 ``rebuild`` that reruns GeLU's forward on the input its pull-back keeps.
@@ -130,14 +133,16 @@ _ACTIVE_TAPE: "Tape | None" = None
 class Tape:
     """Ordered record of executed ops for one reverse-mode pass.
 
-    A tape is single threaded: use one tape per training step.  Entering
-    the context makes it the active tape; ops executed while it is active
-    are recorded in execution order.
+    A tape is single threaded: use one tape per loss (an ELECTRA step
+    records two, and walks the generator's first).  Entering the context
+    makes it the active tape; ops executed while it is active are
+    recorded in execution order.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
         self.grads: dict[int, np.ndarray] = {}
+        self.taken: set[int] = set()
         self.walked = False
 
     def __enter__(self):
@@ -154,15 +159,16 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def backward(self, root: Tensor) -> None:
+    def backward(self, root: Tensor, after: Callable[[int], None] | None = None) -> None:
         """Accumulate gradients of ``root`` into ``grads`` for every leaf that requires grad.
 
         ``root`` must be a scalar recorded on this tape.  Deterministic:
         nodes are replayed in strict reverse execution order, and each input
         gradient is stored by key, or added out of place to the one stored.
         Each node's output gradient and pull-back are released once it has
-        run, so afterwards ``grads`` holds leaf gradients only and the tape
-        cannot be walked again (``nodes`` keeps its length).
+        run, and then ``after(i)``, if given, runs with the node's index in
+        ``nodes``.  Afterwards ``grads`` holds the leaf gradients not taken
+        and the tape cannot be walked again (``nodes`` keeps its length).
         """
         if root.data.ndim != 0:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
@@ -173,7 +179,8 @@ class Tape:
                                 "compute it inside the tape from a tensor that requires grad")
         self.walked = True
         grads = self.grads = {root.key: np.ones((), dtype=root.data.dtype)}
-        for node in reversed(self.nodes):
+        for i in reversed(range(len(self.nodes))):
+            node = self.nodes[i]
             g = grads.pop(node.out, None)
             if g is not None:
                 for key, gi in zip(node.inputs, node.backward(g)):
@@ -181,15 +188,28 @@ class Tape:
                         prev = grads.get(key)
                         grads[key] = gi if prev is None else prev + gi
             node.out = node.inputs = node.backward = None
+            if after is not None:
+                after(i)
+
+    def take(self, t: Tensor) -> np.ndarray | None:
+        """Remove and return leaf ``t``'s gradient; None if the walk has not reached it.
+
+        Meant for a callback of ``backward`` once every node reading ``t``
+        has run.  ``grad(t)`` raises afterwards.
+        """
+        g = self.grads.pop(t.key, None)
+        if g is not None:
+            self.taken.add(t.key)
+        return g
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient for leaf ``t``; zeros if the walk never reached it.
 
         Only leaves that require grad have one, and only once ``backward``
         has run.  Asking before the walk, for a tensor that does not require
-        grad, or for the output of a recorded op (its gradient was freed
-        during the walk, or it belongs to another tape) raises ContractError
-        rather than reading as zeros.
+        grad, for the output of a recorded op (its gradient was freed
+        during the walk, or it belongs to another tape) or for a leaf whose
+        gradient was taken raises ContractError rather than reading as zeros.
         """
         if not self.walked:
             raise ContractError("grad before backward has run on this tape")
@@ -198,6 +218,8 @@ class Tape:
         if t.recorded:
             raise ContractError("grad of a tensor a recorded op produced; "
                                 "only leaf gradients outlive backward")
+        if t.key in self.taken:
+            raise ContractError("grad of a leaf whose gradient was taken during the walk")
         g = self.grads.get(t.key)
         if g is None:
             return np.zeros_like(t.data)  # a disconnected parameter

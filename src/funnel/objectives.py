@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .autodiff import (ContractError, Rng, Tensor, bce_with_logits_mean,
-                       cross_entropy_mean, gather_rows, matmul, reshape, softmax_lastdim,
-                       transpose)
+from .autodiff import (ContractError, NumericError, Rng, Tape, Tensor, add,
+                       bce_with_logits_mean, cross_entropy_mean, gather_rows, matmul, mul,
+                       reshape, softmax_lastdim, transpose)
 from .corpus import MASK, UNK, Batch
 from .model import FunnelModel
 
@@ -149,36 +150,45 @@ def build_electra_batch(token_ids: np.ndarray, plan: MaskPlan,
 
 def electra_step(gen: FunnelModel, disc: FunnelModel, disc_head: tuple[Tensor, Tensor],
                  batch: Batch, plans: list[MaskPlan], rng: Rng,
-                 ) -> tuple[Tensor, Tensor, ElectraBatch]:
-    """One replaced-token-detection step on a batch of sequences.
+                 walk: Callable[[Tape, Tensor], None]) -> tuple[Tape, Tensor, ElectraBatch]:
+    """One replaced-token-detection step on a batch of sequences, on two tapes.
 
     ``batch`` holds [B, T] ids and mask, with one plan per sequence.  The
     generator is trained by its reconstruction loss on the masked
-    positions.  Its tokens are drawn sequence by sequence, in batch order,
-    after one generator pass; the sampled sequences are rebuilt from raw
-    token ids, so no gradient can flow from the discriminator loss into
-    the generator.  The discriminator's binary loss averages over each
-    sequence's non-pad positions.  Both losses are means over sequences.
-    Returns (generator loss, discriminator loss, sampled [B, T] batch);
-    the training objective combines them as gen + DISC_LOSS_WEIGHT * disc.
+    positions; its tape is recorded, loss-checked (NumericError) and
+    walked by ``walk(tape, root)`` before the discriminator runs.  Its
+    tokens are drawn sequence by sequence, in batch order; the sampled
+    sequences are rebuilt from raw token ids, so no gradient can flow from
+    the discriminator loss into the generator.  The discriminator's binary
+    loss averages over each sequence's non-pad positions.  Both losses are
+    means over sequences.  Returns the discriminator's tape, not yet
+    walked, its root gen + DISC_LOSS_WEIGHT * disc (the generator's term a
+    constant) and the sampled [B, T] batch.
     """
     plans = _plan_list(plans)
     ids, mask = batch.token_ids, batch.pad_mask              # [B, T]
     corrupted = np.stack([p.apply(row) for p, row in zip(plans, ids)])
-    gen_hidden = gen.token_hidden(corrupted.T, mask.T, rng=rng)
-    logits, gen_loss = _masked_token_loss(gen_hidden, gen.params["embed/token"], plans)
-
+    with Tape() as gen_tape:
+        gen_hidden = gen.token_hidden(corrupted.T, mask.T, rng=rng)
+        logits, gen_loss = _masked_token_loss(gen_hidden, gen.params["embed/token"], plans)
+    if not math.isfinite(gen_loss.item()):
+        raise NumericError("generator loss is not finite")
     probs = softmax_lastdim(Tensor(logits.data)).data
+    walk(gen_tape, gen_loss)
+
     per_seq = np.split(probs, np.cumsum([len(p) for p in plans])[:-1])
     sampled = [build_electra_batch(row, p, pr, rng) for row, p, pr in zip(ids, plans, per_seq)]
     sampled_ids = np.stack([s.sampled_ids for s in sampled])
     labels = np.stack([s.labels for s in sampled])
 
     w, b = disc_head
-    disc_hidden = disc.token_hidden(sampled_ids.T, mask.T, rng=rng)
-    seq, pos = np.nonzero(mask)                              # real slots, sequence by sequence
-    sel = gather_rows(reshape(disc_hidden, (-1, disc_hidden.shape[-1])), pos * len(plans) + seq)
-    disc_logits = matmul(sel, reshape(w, (sel.shape[1], 1)), b)
-    disc_loss = bce_with_logits_mean(disc_logits, labels[mask][:, None],
-                                     _sequence_weights(mask.sum(axis=1))[:, None])
-    return gen_loss, disc_loss, ElectraBatch(sampled_ids, labels)
+    with Tape() as tape:
+        disc_hidden = disc.token_hidden(sampled_ids.T, mask.T, rng=rng)
+        seq, pos = np.nonzero(mask)                          # real slots, sequence by sequence
+        sel = gather_rows(reshape(disc_hidden, (-1, disc_hidden.shape[-1])),
+                          pos * len(plans) + seq)
+        disc_logits = matmul(sel, reshape(w, (sel.shape[1], 1)), b)
+        disc_loss = bce_with_logits_mean(disc_logits, labels[mask][:, None],
+                                         _sequence_weights(mask.sum(axis=1))[:, None])
+        total = add(Tensor(gen_loss.data), mul(disc_loss, DISC_LOSS_WEIGHT))
+    return tape, total, ElectraBatch(sampled_ids, labels)

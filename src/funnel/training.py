@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import DTYPES, NumericError, Rng, Tape, Tensor, add, mul
+from .autodiff import DTYPES, ContractError, NumericError, Rng, Tape, Tensor
 from .corpus import Batch, EncodedLine, Vocab, build_vocab, encode_corpus
 from .model import (INIT_STD, FunnelModel, ModelConfig, check_fields, generator_config,
                     param_specs)
-from .objectives import (DISC_LOSS_WEIGHT, electra_step, mlm_loss, sample_mask_single,
-                         sample_mask_span)
+from .objectives import electra_step, mlm_loss, sample_mask_single, sample_mask_span
 
 
 class TrainingDiverged(ArithmeticError):
@@ -69,20 +68,27 @@ class AdamW:
     """Adam with decoupled weight decay over ``(name, tensor, decays)`` triples.
 
     Parameters and both moments live in one [3, N] buffer of the
-    parameters' shared dtype, decaying tensors first (``params`` is kept in
-    that order).  Each tensor's ``.data`` becomes a view into the parameter
-    row, so ``step`` updates the model in place.  The update runs one chunk
-    of ``CHUNK`` elements at a time: the tape's gradient slices for the
-    chunk are copied into the first of three chunk-sized scratch rows and
-    the other two hold the temporaries, so no whole-length gradient array
-    is ever formed and the temporaries stay in cache.  Every element sees
-    the same operations in the same order as the textbook per-tensor formula.
+    parameters' shared dtype, decaying tensors first and the tensors of at
+    most ``SMALL`` elements together (``params`` is kept in that order).
+    Each tensor's ``.data`` becomes a view into the parameter row.
+    ``walk`` runs a tape's backward and folds each gradient into ``m`` and
+    ``v`` as soon as it is final, so no gradient outlives its fold.  The
+    small tensors' gradients wait for ``step`` and are folded together in
+    one pass, not one call each.  ``step`` first folds what no walk folded
+    (from ``tape.grad``: zeros for a tensor no walk reached), then moves
+    the parameters: they change only there, so no pull-back reads an
+    updated weight.  Both run ``CHUNK`` elements at a time through two
+    chunk-sized scratch rows, and every element sees the same operations
+    in the same order as the textbook per-tensor formula.
     """
 
     CHUNK = 1 << 15
+    SMALL = 512
 
     def __init__(self, params: list[tuple[str, Tensor, bool]], cfg: OptimizerConfig):
-        self.params = sorted(params, key=lambda p: not p[2])  # stable: decaying first
+        # decaying first; small ones end the decaying and start the rest, so they sit together
+        self.params = sorted(params, key=lambda p: (not p[2],
+                                                     (p[1].data.size <= self.SMALL) == p[2]))
         dtypes = {t.data.dtype for _, t, _ in self.params}
         if len(dtypes) != 1:
             raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
@@ -90,45 +96,83 @@ class AdamW:
         self.buffer = np.zeros((3, sum(sizes)), dtype=dtypes.pop())
         self.flat, self.m, self.v = self.buffer
         self.n_decay = sum(n for n, (_, _, decays) in zip(sizes, self.params) if decays)
-        ofs = 0
-        for n, (_, t, _) in zip(sizes, self.params):
-            view = self.flat[ofs:ofs + n].reshape(t.shape)
+        self._offsets = np.cumsum([0] + sizes[:-1]).tolist()
+        self._index = {t.key: i for i, (_, t, _) in enumerate(self.params)}
+        for (_, t, _), ofs in zip(self.params, self._offsets):
+            view = self.flat[ofs:ofs + t.data.size].reshape(t.shape)
             view[...] = t.data
             t.data = view
-            ofs += n
-        self._scratch = np.empty((3, min(self.CHUNK, self.flat.size)), dtype=self.flat.dtype)
+        small = [i for i, n in enumerate(sizes) if n <= self.SMALL]
+        self._small = range(small[0], small[-1] + 1) if small else range(0)
+        self._folded: dict[int, np.ndarray | None] = {}  # this step's; a small one's gradient
+        self._scratch = np.empty((2, min(self.CHUNK, self.flat.size)), dtype=self.flat.dtype)
         self.cfg = cfg
         self.t = 0
 
+    def walk(self, tape: Tape, root: Tensor) -> None:
+        """``tape.backward(root)``, folding each gradient once the earliest node reading it
+        has run: every reader has added its share by then."""
+        due: dict[int, list[int]] = {}  # node index -> the tensors it is the earliest reader of
+        seen: set[int] = set()
+        for n, node in enumerate(tape.nodes):
+            for i in map(self._index.get, node.inputs):
+                if i is not None and i not in seen:
+                    seen.add(i)
+                    due.setdefault(n, []).append(i)
+
+        def after(n: int) -> None:
+            for i in due.get(n, ()):
+                g = tape.take(self.params[i][1])
+                if g is not None:
+                    self._fold_once(i, g)
+
+        tape.backward(root, after)
+
     def step(self, tape: Tape, lr: float) -> None:
+        """Fold what no walk folded from ``tape``, then move the parameters."""
         self.t += 1
+        for i, (_, t, _) in enumerate(self.params):
+            if i not in self._folded:
+                self._fold_once(i, tape.grad(t))
+        if self._small:
+            self._fold(np.concatenate([self._folded[i].reshape(-1) for i in self._small]),
+                       self._offsets[self._small.start])
+        self._folded.clear()
+        self._move(lr)
+
+    def _fold_once(self, i: int, g: np.ndarray) -> None:
+        """Fold tensor ``i``'s gradient, or hold a small one's for ``step``."""
+        if i in self._folded:
+            raise ContractError(f"{self.params[i][0]} was folded twice in one step")
+        self._folded[i] = g if i in self._small else None
+        if i not in self._small:
+            self._fold(g, self._offsets[i])
+
+    def _fold(self, g: np.ndarray, lo: int) -> None:
+        """m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g on [lo, lo + g.size)."""
+        c = self.cfg
+        g = g.reshape(-1).astype(self.flat.dtype, copy=False)
+        for at in range(0, len(g), self.CHUNK):
+            gc = g[at:at + self.CHUNK]
+            m, v = self.buffer[1:, lo + at:lo + at + len(gc)]
+            s = self._scratch[0, :len(gc)]
+            m *= c.beta1
+            np.multiply(gc, 1.0 - c.beta1, out=s)
+            m += s
+            v *= c.beta2
+            np.multiply(gc, 1.0 - c.beta2, out=s)
+            s *= gc
+            v += s
+
+    def _move(self, lr: float) -> None:
+        """p = p - lr ((m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay p]) over the buffer."""
         c = self.cfg
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        grads = [tape.grad(t).reshape(-1) for _, t, _ in self.params]
         n_decay = self.n_decay if c.weight_decay else 0
-        i = at = 0  # the next gradient element to copy is grads[i][at]
         for lo in range(0, self.flat.size, self.CHUNK):
             p, m, v = self.buffer[:, lo:lo + self.CHUNK]
-            g, s, u = self._scratch[:, :len(p)]
-            filled = 0
-            while filled < len(p):
-                piece = grads[i][at:at + len(p) - filled]
-                g[filled:filled + len(piece)] = piece
-                filled += len(piece)
-                at += len(piece)
-                if at == len(grads[i]):
-                    i, at = i + 1, 0
-            # m = beta1 m + (1 - beta1) g
-            m *= c.beta1
-            np.multiply(g, 1.0 - c.beta1, out=s)
-            m += s
-            # v = beta2 v + (1 - beta2) g g
-            v *= c.beta2
-            np.multiply(g, 1.0 - c.beta2, out=s)
-            s *= g
-            v += s
-            # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay p]
+            s, u = self._scratch[:, :len(p)]
             np.divide(v, bc2, out=u)
             np.sqrt(u, out=u)
             u += c.eps
@@ -138,7 +182,6 @@ class AdamW:
             if k:
                 np.multiply(p[:k], c.weight_decay, out=u[:k])
                 s[:k] += u[:k]
-            # p = p - lr update
             s *= lr
             p -= s
 
@@ -214,20 +257,19 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
             continue
         batch = Batch.stack([rows[i] for i in used])
         plans = [plans[i] for i in used]
-        with Tape() as tape:
-            try:
-                if settings.objective == "electra":
-                    gen_loss, disc_loss, _ = electra_step(gen, model, disc_head, batch, plans, rng)
-                    total = add(gen_loss, mul(disc_loss, DISC_LOSS_WEIGHT))
-                else:
+        try:
+            if settings.objective == "electra":  # walks the generator's tape first
+                tape, total, _ = electra_step(gen, model, disc_head, batch, plans, rng, opt.walk)
+            else:
+                with Tape() as tape:
                     corrupted = np.stack([p.apply(ids) for p, ids in zip(plans, batch.token_ids)])
                     hidden = model.token_hidden(corrupted.T, batch.pad_mask.T, rng=rng)
                     total = mlm_loss(hidden, model.params["embed/token"], plans)
-            except NumericError as e:
-                raise TrainingDiverged(step) from e
-            if not math.isfinite(total.item()):
-                raise TrainingDiverged(step)
-            tape.backward(total)
+        except NumericError as e:
+            raise TrainingDiverged(step) from e
+        if not math.isfinite(total.item()):
+            raise TrainingDiverged(step)
+        opt.walk(tape, total)
         lr = linear_schedule(step, settings.steps, settings.optimizer.warmup_steps,
                              settings.optimizer.lr)
         opt.step(tape, lr)

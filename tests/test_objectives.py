@@ -185,7 +185,7 @@ class TestElectra:
         plan = sample_mask_single(toks, rate=0.3, rng=Rng(13))
         for seed in range(10):
             _, _, batch = electra_step(gen_model, disc, head, Batch.stack([line]), [plan],
-                                       Rng(seed))
+                                       Rng(seed), Tape.backward)
             np.testing.assert_array_equal(batch.labels[0] == 1.0,
                                           batch.sampled_ids[0] != toks)
             unmasked = np.setdiff1d(np.arange(8), plan.positions)
@@ -207,8 +207,10 @@ class TestElectra:
         assert (batch.labels == 0).all()
 
     def test_no_gradient_flows_from_disc_loss_to_generator(self, electra_pair):
-        from funnel.autodiff import add, mul
-        from funnel.objectives import DISC_LOSS_WEIGHT
+        """The generator's tape is walked inside ``electra_step``, before the discriminator
+        runs; the discriminator's tape reaches no generator tensor, and the generator's
+        gradients equal those of its loss walked on a tape of its own."""
+        from funnel.objectives import mlm_loss
         gen_model, disc, head = electra_pair
         toks = np.concatenate([[CLS], Rng(14).integers(5, 16, 6), [SEP]])
         line = encode_line(" ", build_vocab([], 16), 8)
@@ -217,20 +219,25 @@ class TestElectra:
         plan = sample_mask_single(toks, rate=0.3, rng=Rng(15))
         for _, p in gen_model.trainable() + disc.trainable():
             p.requires_grad = True
-        with Tape() as tape:
-            gen_loss, disc_loss, _ = electra_step(gen_model, disc, head, Batch.stack([line]),
-                                                  [plan], Rng(16))
-            combined = add(gen_loss, mul(disc_loss, DISC_LOSS_WEIGHT))
-            tape.backward(combined)
-        grads_combined = {n: tape.grad(p).copy() for n, p in gen_model.trainable()}
-        disc_grad = tape.grad(head[0])
-        assert np.abs(disc_grad).sum() > 0  # the weighted term does train the head
-        with Tape() as tape2:
-            gen_loss2, _, _ = electra_step(gen_model, disc, head, Batch.stack([line]), [plan],
-                                           Rng(16))
-            tape2.backward(gen_loss2)
-        for n, p in gen_model.trainable():
-            np.testing.assert_array_equal(grads_combined[n], tape2.grad(p))
+        walked = []
+
+        def walk(tape, root):
+            tape.backward(root)
+            walked.append(tape)
+
+        tape, total, _ = electra_step(gen_model, disc, head, Batch.stack([line]), [plan],
+                                      Rng(16), walk)
+        (gen_tape,) = walked
+        assert not tape.walked                               # the discriminator's is left
+        tape.backward(total)
+        assert not set(tape.grads) & {p.key for _, p in gen_model.trainable()}
+        assert np.abs(tape.grad(head[0])).sum() > 0         # the weighted term trains the head
+        with Tape() as alone:
+            hidden = gen_model.token_hidden(plan.apply(toks)[:, None], line.pad_mask[:, None],
+                                            rng=Rng(16))
+            alone.backward(mlm_loss(hidden, gen_model.params["embed/token"], [plan]))
+        for _, p in gen_model.trainable():
+            np.testing.assert_array_equal(gen_tape.grad(p), alone.grad(p))
 
     def test_quarter_width_generator_heads(self):
         config = ModelConfig(layout="B6-6-6H768D2", vocab_size=100, seed=0)
@@ -244,7 +251,8 @@ class TestElectra:
         line = encode_line("", build_vocab([], 16), 8)
         empty = MaskPlan(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         with pytest.raises(ContractError):
-            electra_step(gen_model, disc, head, Batch.stack([line]), [empty], Rng(0))
+            electra_step(gen_model, disc, head, Batch.stack([line]), [empty], Rng(0),
+                         Tape.backward)
 
 
 def test_maskable_excludes_all_specials():

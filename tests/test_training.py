@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from funnel import training
-from funnel.autodiff import Rng, Tape, Tensor, add, mul, sum_all
+from funnel.autodiff import ContractError, Rng, Tape, Tensor, add, mul, sum_all
 from funnel.checkpoint import load
 from funnel.model import ModelConfig, param_specs
 from funnel.training import (AdamW, OptimizerConfig, TrainSettings, linear_schedule,
@@ -177,8 +177,59 @@ class TestFlatAdamW:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (3 * n + 4 * chunk) * 8  # no whole-length gradient row
+        assert peak <= (3 * n + 3 * chunk) * 8  # two scratch rows, no whole-length gradient row
         assert opt.buffer.shape == (3, n)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk, small", [(AdamW.CHUNK, AdamW.SMALL), (7, 7), (1, 1)])
+    def test_walk_folds_like_the_reference(self, dtype, chunk, small, monkeypatch):
+        """Folding each gradient while ``walk`` runs gives the reference's bytes.  No walk
+        reaches "unused", so ``step`` folds zeros for it; ``tape.grad`` of a folded tensor
+        raises rather than reading as zeros.  Tensors above ``small`` elements are folded
+        during the walk, the others together at ``step``."""
+        monkeypatch.setattr(AdamW, "CHUNK", chunk)
+        monkeypatch.setattr(AdamW, "SMALL", small)
+        cfg = OptimizerConfig()
+        flat, ref = AdamW(self.triples(dtype), cfg), ReferenceAdamW(self.triples(dtype), cfg)
+        gen = np.random.Generator(np.random.Philox(7))
+        ref_tensor = {name: t for name, t, _ in ref.params}
+        for step in range(20):
+            with Tape() as tape:
+                terms = []
+                for name, p, _ in flat.params:
+                    if name != "unused":
+                        g = Tensor(gen.standard_normal(p.shape).astype(dtype))
+                        terms += [sum_all(mul(p, g)), sum_all(mul(ref_tensor[name], g))]
+                root = functools.reduce(add, terms)
+            flat.walk(tape, root)
+            for name, p, _ in flat.params:
+                if name != "unused":
+                    with pytest.raises(ContractError, match="taken during the walk"):
+                        tape.grad(p)
+            np.testing.assert_array_equal(tape.grad(ref_tensor["unused"]), 0.0)
+            flat.step(tape, 1e-2 * (step + 1))
+            ref.step(tape, 1e-2 * (step + 1))
+        by_name = {name: i for i, (name, _, _) in enumerate(ref.params)}
+        for (name, p, _), ofs in zip(flat.params, flat._offsets):
+            i, n = by_name[name], p.data.size
+            assert p.data.tobytes() == ref.params[i][1].data.tobytes()
+            assert flat.m[ofs:ofs + n].tobytes() == ref.m[i].tobytes()
+            assert flat.v[ofs:ofs + n].tobytes() == ref.v[i].tobytes()
+
+    def test_folding_one_tensor_twice_in_a_step_raises(self, monkeypatch):
+        """A parameter read on two tapes of one step (as if the ELECTRA generator and
+        discriminator shared one) would have its moments folded twice."""
+        monkeypatch.setattr(AdamW, "SMALL", 7)  # "a" is folded in the walk, "d" held for step
+        for name in ("a", "d"):
+            opt = AdamW(self.triples(np.float64), OptimizerConfig())
+            p = next(t for n, t, _ in opt.params if n == name)
+            walks = []
+            for _ in range(2):
+                with Tape() as tape:
+                    walks.append((tape, sum_all(mul(p, p))))
+            opt.walk(*walks[0])
+            with pytest.raises(ContractError, match=f"{name} was folded twice"):
+                opt.walk(*walks[1])
 
     def test_parameters_alias_the_buffer_decaying_first(self):
         triples = self.triples(np.float64)
@@ -222,6 +273,77 @@ class TestFlatAdamW:
         assert set(loaded) == set(trained)
         for name, t in loaded.items():
             np.testing.assert_array_equal(t.data, trained[name])
+
+
+@pytest.mark.parametrize("objective, shared", [
+    ("mlm", ["rel/w_r", "embed/token"]),
+    ("electra", ["gen/rel/w_r", "disc/rel/w_r", "gen/embed/token"]),
+])
+def test_shared_leaves_fold_once_after_their_earliest_reader(objective, shared):
+    """``rel/w_r`` is read by every attention layer, and the MLM head reads ``embed/token``
+    in the lookup and the tied output.  Each is taken from its tape once per step, right
+    after the earliest node reading it has run, with the gradient a walk that frees
+    nothing gives."""
+    opts, seen = [], []
+    real_backward = Tape.backward
+
+    class Spy(AdamW):
+        def __init__(self, params, cfg):
+            super().__init__(params, cfg)
+            opts.append(self)
+
+    def backward(tape, root, after=None):
+        readers, ref = {}, {root.key: np.ones((), dtype=root.data.dtype)}
+        for i, node in enumerate(tape.nodes):
+            for key in node.inputs:
+                readers.setdefault(key, []).append(i)
+        for node in reversed(tape.nodes):
+            g = ref.get(node.out)
+            if g is not None:
+                for key, gi in zip(node.inputs, node.backward(g)):
+                    if key is not None:
+                        ref[key] = gi if key not in ref else ref[key] + gi
+        ran, take = [None], tape.take
+
+        def capture(t):
+            g = take(t)
+            seen.append((t.key, ran[0], readers[t.key], g.tobytes() == ref[t.key].tobytes()))
+            return g
+
+        def track(i):
+            ran[0] = i
+            after(i)
+
+        tape.take = capture
+        real_backward(tape, root, track)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "AdamW", Spy)
+        mp.setattr(Tape, "backward", backward)
+        train_toy(*_benchmark_config(objective, "f64", steps=1))
+    keys = {name: t.key for name, t, _ in opts[0].params}
+    for name in shared:
+        (folded,) = [(i, readers, final) for key, i, readers, final in seen if key == keys[name]]
+        i, readers, final = folded
+        assert len(readers) > 1 and i == min(readers) and final, name
+    assert all(final for *_, final in seen)
+
+
+def _benchmark_config(objective, dtype, steps):
+    """(config, corpus, settings) of the benchmark's ``mlm_toy`` or ``electra_span`` model."""
+    if objective == "mlm":
+        config = ModelConfig(layout="B2-2H64D2", vocab_size=20, pool_op="mean",
+                             attn_variant="factorized", dtype=dtype, seed=0)
+        settings = TrainSettings(steps=steps, batch_size=8, seq_len=16, objective="mlm")
+    else:
+        config = ModelConfig(layout="B2-2H128D2", vocab_size=64, pool_op="max",
+                             attn_variant="gather", dtype=dtype, seed=0)
+        settings = TrainSettings(steps=steps, batch_size=4, seq_len=32, objective="electra",
+                                 mask_sampler="span")
+    gen = Rng(5)
+    corpus = [" ".join(f"w{int(gen.integers(0, 40))}" for _ in range(10 + 3 * i))
+              for i in range(8)]
+    return config, corpus, settings
 
 
 class TestTrainToy:
@@ -297,6 +419,37 @@ class TestTrainToy:
                 train_toy(tiny_config(), tiny_corpus(), settings)
         assert e.value.step > 0
         assert "step" in str(e.value)
+
+    def test_non_finite_generator_loss_stops_before_the_discriminator(self, monkeypatch):
+        """The generator's loss goes non-finite at step 1: ``TrainingDiverged`` names the
+        step, the generator's tape is not walked and the discriminator never runs."""
+        from funnel import objectives
+        from funnel.model import FunnelModel
+        from funnel.training import TrainingDiverged
+        runs, walks = [], []
+        real_loss, real_hidden = objectives.cross_entropy_mean, FunnelModel.token_hidden
+        real_backward = Tape.backward
+
+        def loss(*args):  # only the generator's reconstruction loss calls it
+            out = real_loss(*args)
+            return Tensor(out.data * np.nan) if len(runs) == 3 else out
+
+        def hidden(model, *args, **kw):
+            runs.append(model)
+            return real_hidden(model, *args, **kw)
+
+        def backward(tape, root, after=None):
+            walks.append(len(runs))
+            real_backward(tape, root, after)
+
+        monkeypatch.setattr(objectives, "cross_entropy_mean", loss)
+        monkeypatch.setattr(FunnelModel, "token_hidden", hidden)
+        monkeypatch.setattr(Tape, "backward", backward)
+        with pytest.raises(TrainingDiverged, match="step 1") as e:
+            train_toy(tiny_config(), tiny_corpus(), tiny_settings(objective="electra"))
+        assert e.value.step == 1
+        gen, disc = runs[:2]
+        assert runs == [gen, disc, gen] and walks == [1, 2]
 
 
 def test_settings_from_json_flat_keys():
