@@ -68,27 +68,22 @@ class AdamW:
     """Adam with decoupled weight decay over ``(name, tensor, decays)`` triples.
 
     Parameters and both moments live in one [3, N] buffer of the
-    parameters' shared dtype, decaying tensors first and the tensors of at
-    most ``SMALL`` elements together (``params`` is kept in that order).
-    Each tensor's ``.data`` becomes a view into the parameter row.
-    ``walk`` runs a tape's backward and folds each gradient into ``m`` and
-    ``v`` as soon as it is final, so no gradient outlives its fold.  The
-    small tensors' gradients wait for ``step`` and are folded together in
-    one pass, not one call each.  ``step`` first folds what no walk folded
-    (from ``tape.grad``: zeros for a tensor no walk reached), then moves
-    the parameters: they change only there, so no pull-back reads an
-    updated weight.  Both run ``CHUNK`` elements at a time through two
-    chunk-sized scratch rows, and every element sees the same operations
-    in the same order as the textbook per-tensor formula.
+    parameters' shared dtype, decaying tensors first (``params`` is kept in
+    that order).  Each tensor's ``.data`` becomes a view into the parameter
+    row.  ``walk`` runs a tape's backward and folds each gradient into ``m``
+    and ``v`` as soon as it is final, so no gradient outlives its fold.
+    ``step`` first folds what no walk folded (from ``tape.grad``: zeros for
+    a tensor no walk reached), then moves the parameters: they change only
+    there, so no pull-back reads an updated weight.  Both run ``CHUNK``
+    elements at a time through two chunk-sized scratch rows, and every
+    element sees the same operations in the same order as the textbook
+    per-tensor formula.
     """
 
     CHUNK = 1 << 15
-    SMALL = 512
 
     def __init__(self, params: list[tuple[str, Tensor, bool]], cfg: OptimizerConfig):
-        # decaying first; small ones end the decaying and start the rest, so they sit together
-        self.params = sorted(params, key=lambda p: (not p[2],
-                                                     (p[1].data.size <= self.SMALL) == p[2]))
+        self.params = sorted(params, key=lambda p: not p[2])  # stable: decaying first
         dtypes = {t.data.dtype for _, t, _ in self.params}
         if len(dtypes) != 1:
             raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
@@ -102,9 +97,7 @@ class AdamW:
             view = self.flat[ofs:ofs + t.data.size].reshape(t.shape)
             view[...] = t.data
             t.data = view
-        small = [i for i, n in enumerate(sizes) if n <= self.SMALL]
-        self._small = range(small[0], small[-1] + 1) if small else range(0)
-        self._folded: dict[int, np.ndarray | None] = {}  # this step's; a small one's gradient
+        self._folded: set[int] = set()  # the tensors folded this step
         self._scratch = np.empty((2, min(self.CHUNK, self.flat.size)), dtype=self.flat.dtype)
         self.cfg = cfg
         self.t = 0
@@ -134,19 +127,15 @@ class AdamW:
         for i, (_, t, _) in enumerate(self.params):
             if i not in self._folded:
                 self._fold_once(i, tape.grad(t))
-        if self._small:
-            self._fold(np.concatenate([self._folded[i].reshape(-1) for i in self._small]),
-                       self._offsets[self._small.start])
         self._folded.clear()
         self._move(lr)
 
     def _fold_once(self, i: int, g: np.ndarray) -> None:
-        """Fold tensor ``i``'s gradient, or hold a small one's for ``step``."""
+        """Fold tensor ``i``'s gradient; a second fold in one step raises."""
         if i in self._folded:
             raise ContractError(f"{self.params[i][0]} was folded twice in one step")
-        self._folded[i] = g if i in self._small else None
-        if i not in self._small:
-            self._fold(g, self._offsets[i])
+        self._folded.add(i)
+        self._fold(g, self._offsets[i])
 
     def _fold(self, g: np.ndarray, lo: int) -> None:
         """m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g on [lo, lo + g.size)."""

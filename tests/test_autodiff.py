@@ -472,7 +472,7 @@ class TestBackwardFrees:
         Holding every leaf gradient until ``AdamW.step``, on one tape that keeps the
         generator's activations through the discriminator's pass, peaks 3.56 MiB above;
         folding each gradient into the moments once the walk has finished it, on two tapes
-        walked one after the other, 2.57 MiB.  The bound is 10% above that.
+        walked one after the other, 2.50 MiB.  The bound is 10% above that.
         """
         from funnel.training import AdamW
 
@@ -498,25 +498,25 @@ class TestBackwardFrees:
         finally:
             tracemalloc.stop()
         peak = (marks["peak"] - marks["start"]) / 2**20
-        assert peak < 2.82, f"one ELECTRA step peaked {peak:.2f} MiB above its start"
+        assert peak < 2.75, f"one ELECTRA step peaked {peak:.2f} MiB above its start"
 
 
 class TestTapeKeeps:
     """The tape holds keys, and each pull-back keeps only the arrays it reads."""
 
-    @pytest.mark.parametrize("objective, bound", [("electra", 2.97), ("mlm", 5.02)],
+    @pytest.mark.parametrize("objective, bounds", [("electra", [0.72, 2.22]), ("mlm", [5.02])],
                              ids=["electra", "mlm"])
-    def test_forward_memory_growth_is_bounded(self, objective, bound):
+    def test_forward_memory_growth_is_bounded(self, objective, bounds):
         """One f64 training step: traced memory at the start of each tape's ``backward`` over
         its value on entering that tape, bounded 10% above what the engine keeps.  The
-        bound holds for each of the ELECTRA step's two tapes.
+        ELECTRA step has one bound per tape: the generator's, then the discriminator's.
 
         A tape that holds every op's output and inputs keeps 5.02 MiB on the
         ELECTRA step.  Pull-backs that keep only the arrays they read keep
         3.99 MiB (ELECTRA) and 7.06 MiB (MLM); with GeLU keeping its input
         only, and its output rebuilt for the second FFN projection, 2.70 and
         4.56 MiB.  The ELECTRA step's 2.70 MiB now splits over its two tapes:
-        0.63 MiB on the generator's and 2.01 MiB on the discriminator's.
+        0.66 MiB on the generator's and 2.01 MiB on the discriminator's.
         """
         start, growth = [], []
         real_enter = Tape.__enter__
@@ -536,8 +536,9 @@ class TestTapeKeeps:
                 train_one_step(objective, "f64", measure)
         finally:
             tracemalloc.stop()
-        assert len(start) == len(growth) == (2 if objective == "electra" else 1)
-        assert max(growth) < bound, f"a forward pass kept {max(growth):.2f} MiB for backward"
+        assert len(start) == len(growth) == len(bounds)
+        for kept, bound in zip(growth, bounds):
+            assert kept < bound, f"a forward pass kept {kept:.2f} MiB for backward"
 
     def test_tape_keeps_only_what_pull_backs_read(self):
         """An intermediate array dies with the caller's last reference when no pull-back reads

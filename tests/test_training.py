@@ -181,14 +181,12 @@ class TestFlatAdamW:
         assert opt.buffer.shape == (3, n)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("chunk, small", [(AdamW.CHUNK, AdamW.SMALL), (7, 7), (1, 1)])
-    def test_walk_folds_like_the_reference(self, dtype, chunk, small, monkeypatch):
+    @pytest.mark.parametrize("chunk", [AdamW.CHUNK, 7, 1])
+    def test_walk_folds_like_the_reference(self, dtype, chunk, monkeypatch):
         """Folding each gradient while ``walk`` runs gives the reference's bytes.  No walk
         reaches "unused", so ``step`` folds zeros for it; ``tape.grad`` of a folded tensor
-        raises rather than reading as zeros.  Tensors above ``small`` elements are folded
-        during the walk, the others together at ``step``."""
+        raises rather than reading as zeros."""
         monkeypatch.setattr(AdamW, "CHUNK", chunk)
-        monkeypatch.setattr(AdamW, "SMALL", small)
         cfg = OptimizerConfig()
         flat, ref = AdamW(self.triples(dtype), cfg), ReferenceAdamW(self.triples(dtype), cfg)
         gen = np.random.Generator(np.random.Philox(7))
@@ -216,10 +214,9 @@ class TestFlatAdamW:
             assert flat.m[ofs:ofs + n].tobytes() == ref.m[i].tobytes()
             assert flat.v[ofs:ofs + n].tobytes() == ref.v[i].tobytes()
 
-    def test_folding_one_tensor_twice_in_a_step_raises(self, monkeypatch):
+    def test_folding_one_tensor_twice_in_a_step_raises(self):
         """A parameter read on two tapes of one step (as if the ELECTRA generator and
         discriminator shared one) would have its moments folded twice."""
-        monkeypatch.setattr(AdamW, "SMALL", 7)  # "a" is folded in the walk, "d" held for step
         for name in ("a", "d"):
             opt = AdamW(self.triples(np.float64), OptimizerConfig())
             p = next(t for n, t, _ in opt.params if n == name)
