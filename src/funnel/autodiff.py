@@ -32,9 +32,10 @@ more GeLU forward during ``backward``.
 The engine implements exactly the operations the funnel model needs:
 matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
 moves (reshape, transpose and the attention head split and merge, one
-node kind), row cuts and zero-padding, window-2 pooling, fused losses and
-the factorized position term's rotation.  Binary ops and matmul
-broadcast as numpy does; their backward sums over the broadcast axes.
+node kind), row cuts and zero-padding, pooling over windows of two row
+indices, fused losses and the factorized position term's rotation.
+Binary ops and matmul broadcast as numpy does; their backward sums over
+the broadcast axes.
 Some nodes fold a neighbour's work into their own pass: matmul adds a
 bias, softmax applies the attention scale and key mask, layer norm
 adds the residual.
@@ -693,63 +694,68 @@ def rotate(x: Tensor, r: np.ndarray) -> Tensor:
     return _record(out, (x,), backward, "rotate")
 
 
-def _pairs(x: np.ndarray, real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reshape [T, ...] rows to [ceil(T/2), 2, ...] windows, plus a broadcastable real mask.
+def _windows(x: np.ndarray, real: np.ndarray, windows: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Members of each window, [n, 2, ...], with a broadcastable real mask and the index.
 
-    ``real`` covers the leading axes of ``x``: [T] for one sequence, or
-    [T, B] for a time-major batch, one mask per column.  An odd tail is
-    padded with one row that is never real, so it forms a singleton window.
+    ``windows`` is [n, 2] row indices into axis 0 of ``x``; a window may
+    name one row twice, but each column names a row at most once.
+    ``real`` covers the leading axes of ``x``: [T], or [T, B] for a
+    time-major batch, one mask per column.
     """
-    real = np.asarray(real, dtype=bool)
-    if x.shape[0] % 2:
-        x = np.concatenate([x, np.zeros((1,) + x.shape[1:], dtype=x.dtype)])
-        real = np.concatenate([real, np.zeros((1,) + real.shape[1:], dtype=bool)])
-    n_win = x.shape[0] // 2
-    return (x.reshape((n_win, 2) + x.shape[1:]),
-            real.reshape((n_win, 2) + real.shape[1:] + (1,) * (x.ndim - real.ndim)))
+    windows = np.asarray(windows, dtype=np.int64)
+    if windows.ndim != 2 or windows.shape[1] != 2:
+        raise ShapeError(f"pooling windows must be [n, 2], got {windows.shape}")
+    xr, real = x[windows], np.asarray(real, dtype=bool)[windows]
+    return xr, real.reshape(real.shape + (1,) * (xr.ndim - real.ndim)), windows
 
 
-def _unpair(pairs: np.ndarray, t: int) -> np.ndarray:
-    """Inverse of ``_pairs`` for a [ceil(T/2), 2, ...] array: back to [T, ...]."""
-    return pairs.reshape((-1,) + pairs.shape[2:])[:t]
+def _unwindow(gw: np.ndarray, windows: np.ndarray, shape: tuple) -> np.ndarray:
+    """Adjoint of the windowed read: each member's [n, 2, ...] gradient added back to its row."""
+    dx = np.zeros(shape, dtype=gw.dtype)
+    dx[windows[:, 0]] += gw[:, 0]
+    dx[windows[:, 1]] += gw[:, 1]
+    return dx
 
 
-def mean_pool_pairs(x: Tensor, real: np.ndarray) -> Tensor:
-    """Window-2 stride-2 mean over axis 0; only rows flagged real contribute.
+def mean_pool_pairs(x: Tensor, real: np.ndarray, windows: np.ndarray) -> Tensor:
+    """Mean of each window's members (``_windows``); only rows flagged real contribute.
 
-    ``real`` is [T] or, for a time-major batch, [T, B].  An odd tail forms
-    a singleton window.  All-pad windows yield zeros.
+    A window naming one real row twice yields that row, (x + x) / 2 == x,
+    and sends g/2 + g/2 back to it, exact except for subnormal g.
+    All-pad windows yield zeros.
     """
-    t = x.shape[0]
-    xr, rr = _pairs(x.data, real)
+    xr, rr, windows = _windows(x.data, real, windows)
     counts = rr.sum(axis=1)
     divisor = np.maximum(counts, 1).astype(x.dtype)
     # -0.0 is the exact additive identity, so a lone member passes unchanged
     members = np.where(rr, xr, x.dtype.type(-0.0))
     out = Tensor(np.where(counts > 0, (members[:, 0] + members[:, 1]) / divisor, 0.0))
+    shape = x.shape
 
     def backward(g):
-        return (_unpair(np.where(rr, (g / divisor)[:, None], 0.0), t),)
+        return (_unwindow(np.where(rr, (g / divisor)[:, None], 0.0), windows, shape),)
 
     return _record(out, (x,), backward, "mean_pool_pairs")
 
 
-def max_pool_pairs(x: Tensor, real: np.ndarray) -> Tensor:
-    """Window-2 stride-2 elementwise max over axis 0, padded rows excluded.
+def max_pool_pairs(x: Tensor, real: np.ndarray, windows: np.ndarray) -> Tensor:
+    """Elementwise max of each window's members (``_windows``), padded rows excluded.
 
-    Ties go to the first member; all-pad windows yield zeros and pass no
-    gradient.
+    Ties go to the first member, so a window naming one row twice yields
+    it and routes its whole gradient back once.  All-pad windows yield
+    zeros and pass no gradient.
     """
-    t = x.shape[0]
-    xr, rr = _pairs(x.data, real)
+    xr, rr, windows = _windows(x.data, real, windows)
     has_real = rr.any(axis=1)
     sel = np.where(~rr[:, 0], 1, np.where(~rr[:, 1], 0, np.argmax(xr, axis=1)))
     picked = np.take_along_axis(xr, sel[:, None], axis=1)[:, 0]
     out = Tensor(np.where(has_real, picked, 0.0))
+    shape = x.shape
 
     def backward(g):
         route = np.stack([sel == 0, sel == 1], axis=1) & has_real[:, None]
-        return (_unpair(np.where(route, g[:, None], 0.0), t),)
+        return (_unwindow(np.where(route, g[:, None], 0.0), windows, shape),)
 
     return _record(out, (x,), backward, "max_pool_pairs")
 

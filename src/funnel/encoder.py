@@ -1,18 +1,20 @@
 """Compressing encoder: blocks of transformer layers with inter-block pooling.
 
 Block 1 runs full-length layers.  Every later block starts by pooling the
-previous block's output (window 2, stride 2) and then attends with the
-pooled sequence as queries against the unpooled sequence as keys/values
-(pool-query-only attention), after which standard layers continue at the
-reduced length.
+previous block's output (windows of two rows, stride 2) and then attends
+with the pooled sequence as queries against the unpooled sequence as
+keys/values (pool-query-only attention), after which standard layers
+continue at the reduced length.
 
-The classification token at index 0 can be kept out of the other
-tokens' pooling windows (``separate_cls``): pooling reads it twice, so it
-shares a window only with itself.  To keep lengths at powers of two
-afterwards, the same row index leaves out the final pooled state
-(``truncate_seq``).  Pooled states keep the position id of the first
-token of their window so relative distances against unpooled keys stay
-meaningful.
+A mean or max pooling window is a pair of row indices that may name one
+row twice, and that one rule covers both uneven cases: the
+classification token at index 0 can be kept out of the other tokens'
+windows (``separate_cls``) by pairing it with itself, and an odd tail
+pairs with itself.  To keep
+lengths at powers of two afterwards, the same row index leaves out the
+final pooled state (``truncate_seq``).  Pooled states keep the position
+id of the first token of their window so relative distances against
+unpooled keys stay meaningful.
 
 States are time-major, [T, D] for one sequence or [T, B, D] for a batch,
 with pad masks [T] or [T, B]; every pooling op works along axis 0, one
@@ -74,24 +76,6 @@ class EncoderState:
         return self.block_hidden[-1]
 
 
-def pool_pair(h: Tensor, pos: np.ndarray, mask: np.ndarray, op: str
-              ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Window-2 stride-2 pooling of states, positions and mask.
-
-    An odd tail forms a singleton window.  The pooled position is the
-    first position of the window; the pooled mask is True iff any member
-    is real; mean pooling averages only real members (an all-pad window
-    stays pad with value 0).
-    """
-    if op not in ("mean", "max"):
-        raise ValueError(f"pool_pair op must be mean or max, got {op!r}")
-    pooled = mean_pool_pairs(h, mask) if op == "mean" else max_pool_pairs(h, mask)
-    mask = np.asarray(mask, dtype=bool)
-    new_mask = mask[0::2].copy()
-    new_mask[:len(mask) // 2] |= mask[1::2]
-    return pooled, np.asarray(pos)[0::2].copy(), new_mask
-
-
 def _column_pos(pos: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Positions broadcast to the mask's shape: one position id per state and column."""
     pos = np.asarray(pos)
@@ -133,29 +117,21 @@ def gather_column_rows(h: Tensor, pos: np.ndarray, mask: np.ndarray, rows: np.nd
             np.take_along_axis(mask, rows, axis=0))
 
 
-def pool_top_attn(h: Tensor, pos: np.ndarray, mask: np.ndarray,
-                  prev_attn: np.ndarray | None) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Keep the half of the states that drew the most attention (``top_attn_rows``).
-
-    ``h`` is [n, D] with a [heads, Tq, n] map, or [n, B, D] with a
-    [B, heads, Tq, n] map; survivors keep their position ids.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    return gather_column_rows(h, pos, mask, top_attn_rows(mask, prev_attn))
-
-
 def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
               prev_attn: np.ndarray | None = None) -> PooledState:
     """One inter-block compression step: one row index, then one pooling op.
 
-    With ``separate_cls`` mean and max pool the rows [0, 0, 1, 2, ...]: the
-    index-0 state shares a window only with itself and comes through
-    unchanged (``(x + x) / 2 == x``; max ties go to the first member), so a
-    pad index 0 pools to zero like any all-pad window.  Top-attention keeps
-    row 0 ahead of its choice among the rest.  The result then has one state
-    too many for a power-of-two input, so with ``truncate`` the index leaves
-    out the final pooled state's rows.  Without ``separate_cls`` the whole
-    sequence is pooled stride-2 (already a power of two; no drop).
+    Mean and max pool windows of two row indices (``mean_pool_pairs``),
+    taken in order from the rows 0, 1, ..., t-1, or with ``separate_cls``
+    from 0, 0, 1, ..., t-1: the index-0 state shares a window only with
+    itself and comes through unchanged (``(x + x) / 2 == x``; max ties go
+    to the first member), so a pad index 0 pools to zero like any all-pad
+    window.  An odd tail pairs with itself the same way.  A pooled state
+    keeps its window's first position and is real iff any member is.
+    Top-attention keeps row 0 ahead of its choice among the rest.  With
+    ``separate_cls`` a power-of-two input leaves one state too many, so
+    with ``truncate`` the index leaves out the final state's rows.
+    Without ``separate_cls`` nothing is dropped (a power of two halves).
     Top-attention scores count only real queries: a pad query's attention
     row depends on the ids at pad positions.
     """
@@ -173,10 +149,11 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
         chosen = top_attn_rows(mask[cls:], prev_attn) + cls
         rows = np.concatenate([np.zeros_like(chosen[:cls]), chosen])
         return PooledState(*gather_column_rows(hidden, pos, mask, rows[:len(rows) - drop]))
-    if separate_cls:
-        rows = np.maximum(np.arange(-1, t - drop), 0)
-        hidden, pos, mask = gather_rows(hidden, rows), pos[rows], mask[rows]
-    return PooledState(*pool_pair(hidden, pos, mask, op))
+    n = t - drop + cls  # rows read, CLS twice; an odd count repeats the last
+    windows = np.clip(np.arange(-cls, n + n % 2 - cls), 0, t - drop - 1).reshape(-1, 2)
+    pool = mean_pool_pairs if op == "mean" else max_pool_pairs
+    return PooledState(pool(hidden, mask, windows), pos[windows[:, 0]],
+                       mask[windows].any(axis=1))
 
 
 def _is_pow2(n: int) -> bool:

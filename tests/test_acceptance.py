@@ -15,7 +15,7 @@ from funnel.autodiff import Rng, Tape, Tensor, bce_with_logits_mean, grad_check
 from funnel.checkpoint import (BadMagic, ShapeMismatch, TruncatedPayload, load, save)
 from funnel.corpus import CLS, SEP, Batch, build_vocab, encode_line
 from funnel.costmodel import display_ratio, flops_ratio, param_count
-from funnel.encoder import PooledState, pool_pair, pool_step, pool_top_attn
+from funnel.encoder import PooledState, gather_column_rows, pool_step, top_attn_rows
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig, build_params, generator_config
 from funnel.objectives import electra_step, mlm_loss, sample_mask_single
@@ -143,7 +143,8 @@ def test_criterion_5_gradient_correctness():
                 (lambda: sum_all(mul(softmax_lastdim(x), w)), [x]),
                 (lambda: sum_all(mul(layer_norm(x, gam, bet), w)), [x, gam, bet]),
                 (lambda: sum_all(mul(gelu(x), w)), [x]),
-                (lambda: sum_all(mul(mean_pool_pairs(x, np.ones(3, bool)), w2)), [x]),
+                (lambda: sum_all(mul(mean_pool_pairs(x, np.ones(3, bool), [[0, 1], [2, 2]]),
+                                     w2)), [x]),
                 (lambda: cross_entropy_mean(x, tgt, np.full(3, 1 / 3)), [x]),
                 (lambda: sum_all(mul(add(x, bet), w)), [x, bet]),
             ]
@@ -183,12 +184,11 @@ def test_criterion_7_pooling_semantics():
                 assert (out.hidden.data[0] == vals[0]).all()
                 assert out.pos[0] == 0
 
-                # no separate-CLS: exactly plain stride-2 pooling
+                # no separate-CLS: exactly plain stride-2 pooling, an odd tail kept as is
                 out_plain = pool_step(state, "mean", separate_cls=False, truncate=True)
-                ref, ref_pos, _ = pool_pair(Tensor(vals), np.arange(t),
-                                            np.ones(t, bool), "mean")
-                np.testing.assert_array_equal(out_plain.hidden.data, ref.data)
-                np.testing.assert_array_equal(out_plain.pos, ref_pos)
+                ref = np.concatenate([(vals[0:t - 1:2] + vals[1::2]) / 2, vals[t - t % 2:]])
+                np.testing.assert_array_equal(out_plain.hidden.data, ref)
+                np.testing.assert_array_equal(out_plain.pos, np.arange(0, t, 2))
 
                 # top-attention keeps exactly ceil(n/2), original order,
                 # ties toward the lower index (checked against a brute force)
@@ -198,8 +198,9 @@ def test_criterion_7_pooling_semantics():
                 scores = attn.sum(axis=(0, 1))
                 keep = (t + 1) // 2
                 expected = sorted(sorted(range(t), key=lambda i: (-scores[i], i))[:keep])
-                got, got_pos, _ = pool_top_attn(Tensor(vals), np.arange(t),
-                                                np.ones(t, bool), attn)
+                mask = np.ones(t, bool)
+                got, got_pos, _ = gather_column_rows(Tensor(vals), np.arange(t), mask,
+                                                     top_attn_rows(mask, attn))
                 np.testing.assert_array_equal(got_pos, expected)
                 np.testing.assert_array_equal(got.data, vals[expected])
                 assert got.shape[0] == keep

@@ -307,9 +307,9 @@ def train_one_step(objective, dtype, on_backward):
 
 @pytest.mark.parametrize("model, train, most", [
     (dict(layout="B2-2H64D2", vocab_size=20, pool_op="mean", attn_variant="factorized"),
-     dict(batch_size=8, seq_len=16, objective="mlm"), 179),
+     dict(batch_size=8, seq_len=16, objective="mlm"), 171),
     (dict(layout="B2-2H128D2", vocab_size=64, pool_op="max", attn_variant="gather"),
-     dict(batch_size=4, seq_len=32, objective="electra", mask_sampler="span"), 360),
+     dict(batch_size=4, seq_len=32, objective="electra", mask_sampler="span"), 358),
 ])
 def test_training_step_tape_census(model, train, most):
     """One training step's tapes, counted together (an ELECTRA step records the generator's
@@ -738,6 +738,8 @@ def test_every_op_grad_below_1e4(seed):
     real2 = gen.random((5, 2)) > 0.3
     x52 = Tensor(gen.standard_normal((5, 2, 3)), requires_grad=True)
     w32_3 = Tensor(gen.standard_normal((3, 2, 3)))
+    tail = np.array([[0, 1], [2, 3], [4, 4]])  # stride 2, the odd tail paired with itself
+    cls = np.array([[0, 0], [1, 2], [3, 4]])   # row 0 in a window of its own
     bias2 = Tensor(gen.standard_normal(2), requires_grad=True)
     bias_b = Tensor(gen.standard_normal((2, 1, 2)), requires_grad=True)
     keep3 = gen.random((2, 1, 4)) > 0.4
@@ -781,11 +783,14 @@ def test_every_op_grad_below_1e4(seed):
         "broadcast_add": (lambda: sum_all(mul(add(x3, col3), w234)), [x3, col3]),
         "broadcast_mul": (lambda: sum_all(mul(mul(x3, row4), w234)), [x3, row4]),
         "take_along_last_broadcast": (lambda: sum_all(mul(take_along_last(x3, rows5), w235)), [x3]),
-        "per_column_pools": (lambda: sum_all(mul(add(mean_pool_pairs(x52, real2),
-                                                     max_pool_pairs(x52, real2)), w32_3)), [x52]),
+        "per_column_pools": (lambda: sum_all(mul(add(mean_pool_pairs(x52, real2, tail),
+                                                     max_pool_pairs(x52, real2, cls)), w32_3)),
+                             [x52]),
         "einsum_id_ijd": (lambda: sum_all(mul(einsum_id_ijd(x, r3), w35)), [x]),
-        "mean_pool": (lambda: sum_all(mul(mean_pool_pairs(x5, real), w3)), [x5]),
-        "max_pool": (lambda: sum_all(mul(max_pool_pairs(x5, real), w3)), [x5]),
+        "mean_pool": (lambda: sum_all(mul(mean_pool_pairs(x5, real, tail), w3)), [x5]),
+        "max_pool": (lambda: sum_all(mul(max_pool_pairs(x5, real, tail), w3)), [x5]),
+        "mean_pool_cls": (lambda: sum_all(mul(mean_pool_pairs(x5, real, cls), w3)), [x5]),
+        "max_pool_cls": (lambda: sum_all(mul(max_pool_pairs(x5, real, cls), w3)), [x5]),
         "cross_entropy": (lambda: cross_entropy_mean(x, targets, row_w), [x]),
         "bce": (lambda: bce_with_logits_mean(matmul(x, col4), labels, row_w[:, None]), [x]),
         "transpose": (lambda: sum_all(mul(transpose(x), w43)), [x]),
@@ -891,36 +896,51 @@ class TestDeterminismAndRng:
         assert set(np.round(vals, 6)) <= {0.0, np.round(1 / 0.75, 6)}
 
 
+STRIDE2 = np.array([[0, 1], [2, 3]])
+
+
 class TestPoolingOps:
     def test_mean_even(self):
-        out = mean_pool_pairs(Tensor([[1.0], [3.0], [5.0], [7.0]]), np.ones(4, bool))
+        out = mean_pool_pairs(Tensor([[1.0], [3.0], [5.0], [7.0]]), np.ones(4, bool), STRIDE2)
         np.testing.assert_allclose(out.data, [[2.0], [6.0]])
 
     def test_mean_singleton_tail(self):
-        out = mean_pool_pairs(Tensor([[1.0], [3.0], [5.0]]), np.ones(3, bool))
+        out = mean_pool_pairs(Tensor([[1.0], [3.0], [5.0]]), np.ones(3, bool),
+                              [[0, 1], [2, 2]])
         np.testing.assert_allclose(out.data, [[2.0], [5.0]])
 
     def test_max(self):
-        out = max_pool_pairs(Tensor([[1.0], [3.0], [5.0], [7.0]]), np.ones(4, bool))
+        out = max_pool_pairs(Tensor([[1.0], [3.0], [5.0], [7.0]]), np.ones(4, bool), STRIDE2)
         np.testing.assert_allclose(out.data, [[3.0], [7.0]])
 
     def test_mean_skips_padding(self):
-        out = mean_pool_pairs(Tensor([[2.0], [100.0]]), np.array([True, False]))
+        out = mean_pool_pairs(Tensor([[2.0], [100.0]]), np.array([True, False]), [[0, 1]])
         np.testing.assert_allclose(out.data, [[2.0]])
 
     def test_all_pad_window_is_zero(self):
-        out = mean_pool_pairs(Tensor([[5.0], [7.0]]), np.array([False, False]))
+        out = mean_pool_pairs(Tensor([[5.0], [7.0]]), np.array([False, False]), [[0, 1]])
         np.testing.assert_allclose(out.data, [[0.0]])
 
+    def test_row_named_twice_passes_through(self):
+        x = Tensor([[1.5], [3.0], [5.0]], requires_grad=True)
+        for op in (mean_pool_pairs, max_pool_pairs):
+            with Tape() as tape:
+                out = op(x, np.ones(3, bool), [[0, 0], [1, 2]])
+                tape.backward(sum_all(mul(out, Tensor([[0.7], [1.0]]))))
+            assert out.data[0, 0] == 1.5
+            assert tape.grad(x)[0, 0] == 0.7
 
-def loop_mean_pool(x, real):
+    def test_windows_must_be_pairs(self):
+        with pytest.raises(ShapeError):
+            mean_pool_pairs(Tensor(np.zeros((4, 1))), np.ones(4, bool), [0, 1, 2, 3])
+
+
+def loop_mean_pool(x, real, windows):
     """Per-window reference: (pooled, dpooled -> dx) for mean_pool_pairs."""
-    t = x.shape[0]
-    n_win = (t + 1) // 2
-    pooled = np.zeros((n_win,) + x.shape[1:])
+    pooled = np.zeros((len(windows),) + x.shape[1:])
     groups = []
-    for w in range(n_win):
-        members = [i for i in range(2 * w, min(2 * w + 2, t)) if real[i]]
+    for w, window in enumerate(windows):
+        members = [i for i in window if real[i]]
         groups.append(members)
         if members:
             pooled[w] = x[members].sum(axis=0) / len(members)
@@ -929,21 +949,20 @@ def loop_mean_pool(x, real):
         dx = np.zeros_like(x)
         for w, members in enumerate(groups):
             for i in members:
-                dx[i] = g[w] / len(members)
+                dx[i] += g[w] / len(members)
         return dx
 
     return pooled, backward
 
 
-def loop_max_pool(x, real):
+def loop_max_pool(x, real, windows):
     """Per-window, per-feature reference for max_pool_pairs (ties to the first)."""
-    t = x.shape[0]
-    n_win = (t + 1) // 2
-    flat = x.reshape(t, -1)
+    n_win = len(windows)
+    flat = x.reshape(x.shape[0], -1)
     pooled = np.zeros((n_win, flat.shape[1]))
     src = np.full((n_win, flat.shape[1]), -1)
-    for w in range(n_win):
-        members = [i for i in range(2 * w, min(2 * w + 2, t)) if real[i]]
+    for w, window in enumerate(windows):
+        members = [i for i in window if real[i]]
         for d in range(flat.shape[1]):
             best = None
             for i in members:
@@ -968,24 +987,40 @@ POOL_REFERENCES = {"mean": (mean_pool_pairs, loop_mean_pool),
                    "max": (max_pool_pairs, loop_max_pool)}
 
 
+def draw_windows(gen, t, kind):
+    """[n, 2] pooling windows over t rows; no column names a row twice.
+
+    ``stride2`` pairs rows in order, ``cls`` reads row 0 twice first, and
+    both pair an odd tail with itself; ``shuffled`` pairs two random
+    selections of rows, so a window may name one row twice anywhere.
+    """
+    if kind == "shuffled":
+        n = int(gen.integers(1, t + 1))
+        return np.stack([gen.permutation(t)[:n], gen.permutation(t)[:n]], axis=1)
+    rows = np.maximum(np.arange(-int(kind == "cls"), t), 0)
+    return np.append(rows, rows[-1:] if len(rows) % 2 else []).astype(np.int64).reshape(-1, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(op=st.sampled_from(sorted(POOL_REFERENCES)), t=st.integers(1, 11),
        width=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1),
-       pad_rate=st.sampled_from([0.0, 0.3, 0.7, 1.0]), ties=st.booleans())
-def test_pooling_matches_loop_reference_bitwise(op, t, width, seed, pad_rate, ties):
+       pad_rate=st.sampled_from([0.0, 0.3, 0.7, 1.0]), ties=st.booleans(),
+       kind=st.sampled_from(["stride2", "cls", "shuffled"]))
+def test_pooling_matches_loop_reference_bitwise(op, t, width, seed, pad_rate, ties, kind):
     gen = np.random.Generator(np.random.Philox(seed))
     shape = (t,) if width is None else (t, width)
     x = gen.standard_normal(shape)
     if ties:  # few distinct values, so windows often hold equal members
         x = np.round(x)
     real = gen.random(t) >= pad_rate
-    g = gen.standard_normal(((t + 1) // 2,) + shape[1:])
+    windows = draw_windows(gen, t, kind)
+    g = gen.standard_normal((len(windows),) + shape[1:])
     op_fn, reference = POOL_REFERENCES[op]
-    ref_out, ref_backward = reference(x, real)
+    ref_out, ref_backward = reference(x, real, windows)
 
     xt = Tensor(x.copy(), requires_grad=True)
     with Tape() as tape:
-        out = op_fn(xt, real)
+        out = op_fn(xt, real, windows)
         tape.backward(sum_all(mul(out, Tensor(g))))
     np.testing.assert_array_equal(out.data, ref_out)
     np.testing.assert_array_equal(tape.grad(xt), ref_backward(g))
@@ -993,6 +1028,6 @@ def test_pooling_matches_loop_reference_bitwise(op, t, width, seed, pad_rate, ti
 
 def test_max_pool_excludes_pad_rows_and_keeps_f32():
     x = Tensor(np.array([[1.0, 9.0], [5.0, 2.0], [100.0, 100.0]], dtype=np.float32))
-    out = max_pool_pairs(x, np.array([True, True, False]))
+    out = max_pool_pairs(x, np.array([True, True, False]), [[0, 1], [2, 2]])
     assert out.dtype == np.float32
     np.testing.assert_array_equal(out.data, [[5.0, 9.0], [0.0, 0.0]])

@@ -9,7 +9,7 @@ from funnel import autodiff
 from funnel.autodiff import (ContractError, Rng, Tape, Tensor, gather_rows, grad_check, mul,
                              sum_all)
 from funnel.encoder import (PooledState, _column_pos, _is_pow2, block_transition_attention,
-                            pool_pair, pool_step, pool_top_attn)
+                            gather_column_rows, pool_step, top_attn_rows)
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
 
@@ -24,35 +24,41 @@ def make_state(values, pos=None, mask=None):
                        np.ones(t, bool) if mask is None else np.asarray(mask))
 
 
+def stride2(values, pos=None, mask=None, op="mean"):
+    """Plain window-2 stride-2 pooling: ``pool_step`` without separate CLS."""
+    out = pool_step(make_state(values, pos, mask), op, separate_cls=False, truncate=True)
+    return out.hidden, out.pos, out.mask
+
+
+def top_attn(h, pos, mask, attn):
+    """Top-attention pooling over all rows: the rows ``top_attn_rows`` keeps, gathered."""
+    return gather_column_rows(h, pos, mask, top_attn_rows(mask, attn))
+
+
 class TestPoolPair:
     def test_mean_even_length(self):
-        out, pos, mask = pool_pair(Tensor([[1.0], [3.0], [5.0], [7.0]]),
-                                   np.arange(4), np.ones(4, bool), "mean")
+        out, pos, mask = stride2([[1.0], [3.0], [5.0], [7.0]])
         np.testing.assert_allclose(out.data, [[2.0], [6.0]])
         np.testing.assert_array_equal(pos, [0, 2])
         assert mask.all()
 
     def test_mean_singleton_tail(self):
-        out, pos, _ = pool_pair(Tensor([[1.0], [3.0], [5.0]]),
-                                np.arange(3), np.ones(3, bool), "mean")
+        out, pos, _ = stride2([[1.0], [3.0], [5.0]])
         np.testing.assert_allclose(out.data, [[2.0], [5.0]])
         np.testing.assert_array_equal(pos, [0, 2])
 
     def test_max(self):
-        out, _, _ = pool_pair(Tensor([[1.0], [3.0], [5.0], [7.0]]),
-                              np.arange(4), np.ones(4, bool), "max")
+        out, _, _ = stride2([[1.0], [3.0], [5.0], [7.0]], op="max")
         np.testing.assert_allclose(out.data, [[3.0], [7.0]])
 
     def test_pad_window_semantics(self):
         mask = np.array([True, True, False, False])
-        out, _, pooled_mask = pool_pair(Tensor([[1.0], [3.0], [9.0], [9.0]]),
-                                        np.arange(4), mask, "mean")
+        out, _, pooled_mask = stride2([[1.0], [3.0], [9.0], [9.0]], mask=mask)
         np.testing.assert_allclose(out.data, [[2.0], [0.0]])
         np.testing.assert_array_equal(pooled_mask, [True, False])
 
     def test_pooled_position_is_first_of_window(self):
-        _, pos, _ = pool_pair(Tensor(np.zeros((6, 2))), np.array([3, 4, 7, 8, 11, 12]),
-                              np.ones(6, bool), "mean")
+        _, pos, _ = stride2(np.zeros((6, 2)), pos=[3, 4, 7, 8, 11, 12])
         np.testing.assert_array_equal(pos, [3, 7, 11])
 
 
@@ -61,14 +67,14 @@ class TestPoolTopAttn:
         h = Tensor(np.arange(8.0).reshape(4, 2))
         attn = np.zeros((1, 1, 4))
         attn[0, 0] = [0.1, 0.9, 0.5, 0.3]
-        out, pos, mask = pool_top_attn(h, np.arange(4), np.ones(4, bool), attn)
+        out, pos, mask = top_attn(h, np.arange(4), np.ones(4, bool), attn)
         np.testing.assert_array_equal(pos, [1, 2])
         np.testing.assert_allclose(out.data, [[2.0, 3.0], [4.0, 5.0]])
 
     def test_tie_break_toward_lower_index(self):
         h = Tensor(np.arange(8.0).reshape(4, 2))
         attn = np.full((2, 3, 4), 0.25)
-        out, pos, _ = pool_top_attn(h, np.arange(4), np.ones(4, bool), attn)
+        out, pos, _ = top_attn(h, np.arange(4), np.ones(4, bool), attn)
         np.testing.assert_array_equal(pos, [0, 1])
 
     def test_uniform_attention_column_sums(self):
@@ -77,22 +83,22 @@ class TestPoolTopAttn:
         attn = np.full((2, tq, t), 1.0 / t)
         scores = attn.sum(axis=(0, 1))
         np.testing.assert_allclose(scores, np.full(t, 2 * tq / t))
-        out, pos, _ = pool_top_attn(Tensor(np.arange(8.0).reshape(4, 2)),
-                                    np.arange(4), np.ones(4, bool), attn)
+        out, pos, _ = top_attn(Tensor(np.arange(8.0).reshape(4, 2)),
+                               np.arange(4), np.ones(4, bool), attn)
         np.testing.assert_array_equal(pos, [0, 1])
 
     def test_keeps_exactly_ceil_half(self):
         for t in range(1, 9):
             gen = np.random.Generator(np.random.Philox(t))
             attn = gen.random((2, t, t))
-            out, pos, _ = pool_top_attn(Tensor(gen.standard_normal((t, 3))),
-                                        np.arange(t), np.ones(t, bool), attn)
+            out, pos, _ = top_attn(Tensor(gen.standard_normal((t, 3))),
+                                   np.arange(t), np.ones(t, bool), attn)
             assert out.shape[0] == (t + 1) // 2
             assert (np.diff(pos) > 0).all()
 
     def test_missing_map_is_contract_error(self):
         with pytest.raises(ContractError):
-            pool_top_attn(Tensor(np.zeros((4, 2))), np.arange(4), np.ones(4, bool), None)
+            top_attn_rows(np.ones(4, bool), None)
 
 
 class TestPoolStep:
@@ -165,10 +171,12 @@ def split_concat_drop(state, op, separate_cls, truncate, prev_attn=None):
     rest = slice(1, None) if separate_cls else slice(None)
     hidden = gather_rows(state.hidden, np.arange(1, t)) if separate_cls else state.hidden
     if op == "top_attn":
-        pooled, ppos, pmask = pool_top_attn(hidden, pos[rest], state.mask[rest],
-                                            None if prev_attn is None else prev_attn[..., rest])
+        pooled, ppos, pmask = top_attn(hidden, pos[rest], state.mask[rest],
+                                       None if prev_attn is None else prev_attn[..., rest])
     else:
-        pooled, ppos, pmask = pool_pair(hidden, pos[rest], state.mask[rest], op)
+        plain = pool_step(PooledState(hidden, pos[rest], state.mask[rest]), op,
+                          separate_cls=False, truncate=truncate)
+        pooled, ppos, pmask = plain.hidden, plain.pos, plain.mask
     if not separate_cls:
         return PooledState(pooled, ppos, pmask)
     hidden = concat_rows([gather_rows(state.hidden, np.arange(1)), pooled])
@@ -181,13 +189,13 @@ def split_concat_drop(state, op, separate_cls, truncate, prev_attn=None):
 
 
 def pooled_with_grad(pool, state, op, separate_cls, truncate, prev_attn, weights_seed):
-    """Pooled state plus d(sum(pooled * w))/d(hidden) from one tape walk."""
+    """Pooled state, d(sum(pooled * w))/d(hidden) from one tape walk, and the tape's node names."""
     h = Tensor(state.hidden.data, requires_grad=True)
     with Tape() as tape:
         out = pool(PooledState(h, state.pos, state.mask), op, separate_cls, truncate, prev_attn)
         gen = np.random.Generator(np.random.Philox(weights_seed))
         tape.backward(sum_all(mul(out.hidden, Tensor(gen.standard_normal(out.hidden.shape)))))
-    return out, tape.grad(h), len(tape.nodes)
+    return out, tape.grad(h), [node.name for node in tape.nodes]
 
 
 class TestPoolStepMatchesSplitConcatDrop:
@@ -221,7 +229,7 @@ class TestPoolStepMatchesSplitConcatDrop:
                     np.testing.assert_array_equal(got.mask, ref.mask, err_msg=where)
                     assert dgot.tobytes() == dref.tobytes(), where
 
-    @pytest.mark.parametrize("op,cols,nodes", [("mean", None, 2), ("max", 3, 2),
+    @pytest.mark.parametrize("op,cols,nodes", [("mean", None, 1), ("max", 3, 1),
                                                ("top_attn", None, 1), ("top_attn", 3, 2)])
     def test_tape_nodes(self, op, cols, nodes):
         # the three-step composition records 5 (mean, max) or 6 (top_attn) nodes
@@ -230,9 +238,10 @@ class TestPoolStepMatchesSplitConcatDrop:
         attn = gen.random(((cols,) if cols else ()) + (2, 8, 8))
         state = PooledState(Tensor(gen.standard_normal(shape + (4,))), np.arange(8),
                             np.ones(shape, bool))
-        out, _, n = pooled_with_grad(pool_step, state, op, True, True, attn, 2)
+        out, _, names = pooled_with_grad(pool_step, state, op, True, True, attn, 2)
         assert out.hidden.shape[0] == 4
-        assert n == nodes + 2                              # plus mul and sum_all
+        assert len(names) == nodes + 2                     # plus mul and sum_all
+        assert op == "top_attn" or "gather_rows" not in names
 
     @pytest.mark.parametrize("op", ["mean", "max"])
     def test_pad_cls_pools_like_an_all_pad_window(self, op):
