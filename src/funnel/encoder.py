@@ -8,13 +8,12 @@ continue at the reduced length.
 
 A mean or max pooling window is a pair of row indices that may name one
 row twice, and that one rule covers both uneven cases: the
-classification token at index 0 can be kept out of the other tokens'
+classification token at index 0 is kept out of the other tokens'
 windows (``separate_cls``) by pairing it with itself, and an odd tail
-pairs with itself.  To keep
-lengths at powers of two afterwards, the same row index leaves out the
-final pooled state (``truncate_seq``).  Pooled states keep the position
-id of the first token of their window so relative distances against
-unpooled keys stay meaningful.
+pairs with itself.  To keep lengths at powers of two afterwards, the
+same row index leaves out the final pooled state (``truncate_seq``).
+Pooled states keep the position id of the first token of their window
+so relative distances against unpooled keys stay meaningful.
 
 States are time-major, [T, D] for one sequence or [T, B, D] for a batch,
 with pad masks [T] or [T, B]; every pooling op works along axis 0, one

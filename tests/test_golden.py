@@ -12,10 +12,10 @@ at 6e-8 and 1e-10 would pin their bytes on every host.  A command's
 printed line holds a rounding-level error (three digits of a finite
 difference or of a variant deviation) that another CPU moves freely, so
 off that fingerprint its number must only stay within the bound the
-command itself enforces.  A change that
-moves results on purpose rewrites the pins in the same commit
-(``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py``)
-and states old and new values and the reason.
+command itself enforces.  A change that moves results on purpose
+rewrites the pins in the same commit (``OPENBLAS_NUM_THREADS=1
+PYTHONPATH=src python tests/test_golden.py``) and states old and new
+values and the reason.
 """
 
 import contextlib
@@ -155,14 +155,14 @@ def pins() -> dict:
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_pinned_output(case, pins):
-    dtype, run = CASES[case]
+    kind, run = CASES[case]  # a dtype, or the command whose line is pinned
     got, want = summarise(run()), pins["cases"][case]
     same_host = pins["fingerprint"] == fingerprint()
-    if dtype in LINES:
-        bound = LINES[dtype][1]
+    if kind in LINES:
+        bound = LINES[kind][1]
         assert got["values"][0] <= bound, f"{case}: {got['values'][0]:.3e} above {bound:g}"
     else:
-        tol = TOLERANCE[dtype]
+        tol = TOLERANCE[kind]
         scale = max(abs(v) for v in want["values"])
         np.testing.assert_allclose(got["values"], want["values"], rtol=tol, atol=tol * scale,
                                    err_msg=f"{case}: values off the pins beyond relative "
