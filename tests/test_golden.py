@@ -27,6 +27,7 @@ import platform
 import re
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,19 +68,27 @@ def corpus() -> list[str]:
             for i in range(12)]
 
 
-def trace_case(name: str, dtype: str):
-    """The 15-step loss trace of one benchmark training config: ``mlm_toy`` or ``electra_span``."""
+def train_trace(name: str, dtype: str, steps: int = 15, variant: str = "") -> np.ndarray:
+    """The loss trace of one benchmark training config, ``mlm_toy`` or ``electra_span``,
+    with the config's own position term (``mlm_toy``'s is ``factorized``) or ``variant``."""
     if name == "mlm_toy":
         config = ModelConfig(layout="B2-2H64D2", vocab_size=20, pool_op="mean",
                              attn_variant="factorized", dtype=dtype, seed=0)
-        settings = TrainSettings(steps=15, batch_size=8, seq_len=16, objective="mlm",
+        settings = TrainSettings(steps=steps, batch_size=8, seq_len=16, objective="mlm",
                                  mask_sampler="single")
     else:
         config = ModelConfig(layout="B2-2H128D2", vocab_size=64, pool_op="max",
                              attn_variant="gather", dtype=dtype, seed=0)
-        settings = TrainSettings(steps=15, batch_size=4, seq_len=32, objective="electra",
+        settings = TrainSettings(steps=steps, batch_size=4, seq_len=32, objective="electra",
                                  mask_sampler="span")
-    trace = np.array([row.loss for row in train_toy(config, corpus(), settings)])
+    if variant:
+        config = replace(config, attn_variant=variant)
+    return np.array([row.loss for row in train_toy(config, corpus(), settings)])
+
+
+def trace_case(name: str, dtype: str, variant: str = ""):
+    """The 15-step loss trace of ``train_trace``."""
+    trace = train_trace(name, dtype, variant=variant)
     return trace.tobytes(), [trace]
 
 
@@ -128,6 +137,9 @@ def line_case(command: str):
 CASES = {
     **{f"trace/{name}/{dtype}": (dtype, lambda name=name, dtype=dtype: trace_case(name, dtype))
        for name in ("mlm_toy", "electra_span") for dtype in ("f64", "f32")},
+    **{f"trace/electra_span_factorized/{dtype}":
+       (dtype, lambda dtype=dtype: trace_case("electra_span", dtype, "factorized"))
+       for dtype in ("f64", "f32")},
     "checkpoint/readme_mlm/f64": ("f64", checkpoint_case),
     **{f"encode/{op}/truncate_{'on' if t else 'off'}":
        ("f64", lambda op=op, t=t: encode_case(op, t))
@@ -170,6 +182,13 @@ def test_pinned_output(case, pins):
     if same_host:
         assert got["sha256"] == want["sha256"], (
             f"{case}: bytes differ from the pins on the host that wrote them")
+
+
+def test_f32_trace_tracks_f64():
+    """Over 100 ``mlm_toy`` steps the f32 loss trace stays within 1e-5 relative of the f64
+    trace; a property of the arithmetic, so it holds on any host."""
+    f64, f32 = (train_trace("mlm_toy", dtype, steps=100) for dtype in ("f64", "f32"))
+    np.testing.assert_allclose(f32, f64, rtol=1e-5, atol=0)
 
 
 def test_pins_cover_every_case(pins):
