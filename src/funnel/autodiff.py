@@ -15,11 +15,11 @@ intermediate array no pull-back reads is freed during the forward pass
 once the caller drops it.  The walk frees as it goes: a node's output
 gradient is final when the walk reaches it (every consumer comes later
 on the tape), so once its pull-back has run the gradient is dropped and
-the node lets go of its pull-back.  A caller may run a callback after
-each node's pull-back: a leaf's gradient is final once the earliest node
-reading it has run, and ``Tape.take`` removes it then (``training.AdamW``
-folds it into its moments).  After ``backward`` only the leaf gradients
-not taken remain, and the tape cannot be walked a second time.
+the node lets go of its pull-back.  A leaf's gradient is final once the
+earliest node reading it has run; given a sink, ``backward`` hands it
+over then (``training.AdamW.fold`` folds it into the moments).  After
+``backward`` only the leaf gradients not handed over remain, and the
+tape cannot be walked a second time.
 
 One array is rebuilt rather than kept: a recorded GeLU output carries a
 ``rebuild`` that reruns GeLU's forward on the input its pull-back keeps.
@@ -137,7 +137,8 @@ class Tape:
     A tape is single threaded: use one tape per loss (an ELECTRA step
     records two, and walks the generator's first).  Entering the context
     makes it the active tape; ops executed while it is active are
-    recorded in execution order.
+    recorded in execution order.  ``taken`` holds the keys of the leaf
+    gradients ``backward`` handed to a sink.
     """
 
     def __init__(self):
@@ -160,16 +161,19 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def backward(self, root: Tensor, after: Callable[[int], None] | None = None) -> None:
+    def backward(self, root: Tensor,
+                 sink: Callable[[int, np.ndarray], None] | None = None) -> None:
         """Accumulate gradients of ``root`` into ``grads`` for every leaf that requires grad.
 
         ``root`` must be a scalar recorded on this tape.  Deterministic:
         nodes are replayed in strict reverse execution order, and each input
         gradient is stored by key, or added out of place to the one stored.
         Each node's output gradient and pull-back are released once it has
-        run, and then ``after(i)``, if given, runs with the node's index in
-        ``nodes``.  Afterwards ``grads`` holds the leaf gradients not taken
-        and the tape cannot be walked again (``nodes`` keeps its length).
+        run.  Given a ``sink``, each leaf's gradient (a leaf is an input no
+        node here outputs) leaves ``grads`` for ``sink(key, g)``, its key for
+        ``taken``, once the earliest node reading it has run.  Afterwards
+        ``grads`` holds the leaf gradients not taken and the tape cannot be
+        walked again (``nodes`` keeps its length).
         """
         if root.data.ndim != 0:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
@@ -179,6 +183,15 @@ class Tape:
             raise ContractError("backward root was not recorded on this tape; "
                                 "compute it inside the tape from a tensor that requires grad")
         self.walked = True
+        due: dict[int, list[int]] = {}  # node index -> the leaves it is the earliest reader of
+        if sink is not None:
+            seen: set[int] = set()  # an output enters before any node reads it
+            for i, node in enumerate(self.nodes):
+                for key in node.inputs:
+                    if key is not None and key not in seen:
+                        seen.add(key)
+                        due.setdefault(i, []).append(key)
+                seen.add(node.out)
         grads = self.grads = {root.key: np.ones((), dtype=root.data.dtype)}
         for i in reversed(range(len(self.nodes))):
             node = self.nodes[i]
@@ -189,19 +202,11 @@ class Tape:
                         prev = grads.get(key)
                         grads[key] = gi if prev is None else prev + gi
             node.out = node.inputs = node.backward = None
-            if after is not None:
-                after(i)
-
-    def take(self, t: Tensor) -> np.ndarray | None:
-        """Remove and return leaf ``t``'s gradient; None if the walk has not reached it.
-
-        Meant for a callback of ``backward`` once every node reading ``t``
-        has run.  ``grad(t)`` raises afterwards.
-        """
-        g = self.grads.pop(t.key, None)
-        if g is not None:
-            self.taken.add(t.key)
-        return g
+            for key in due.get(i, ()):
+                g = grads.pop(key, None)
+                if g is not None:
+                    self.taken.add(key)
+                    sink(key, g)
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient for leaf ``t``; zeros if the walk never reached it.
@@ -210,7 +215,7 @@ class Tape:
         has run.  Asking before the walk, for a tensor that does not require
         grad, for the output of a recorded op (its gradient was freed
         during the walk, or it belongs to another tape) or for a leaf whose
-        gradient was taken raises ContractError rather than reading as zeros.
+        gradient went to a sink raises ContractError rather than reading as zeros.
         """
         if not self.walked:
             raise ContractError("grad before backward has run on this tape")

@@ -150,13 +150,14 @@ def build_electra_batch(token_ids: np.ndarray, plan: MaskPlan,
 
 def electra_step(gen: FunnelModel, disc: FunnelModel, disc_head: tuple[Tensor, Tensor],
                  batch: Batch, plans: list[MaskPlan], rng: Rng,
-                 walk: Callable[[Tape, Tensor], None]) -> tuple[Tape, Tensor, ElectraBatch]:
+                 sink: Callable[[int, np.ndarray], None]) -> tuple[Tape, Tensor, ElectraBatch]:
     """One replaced-token-detection step on a batch of sequences, on two tapes.
 
     ``batch`` holds [B, T] ids and mask, with one plan per sequence.  The
     generator is trained by its reconstruction loss on the masked
     positions; its tape is recorded, loss-checked (NumericError) and
-    walked by ``walk(tape, root)`` before the discriminator runs.  Its
+    walked before the discriminator runs, each of its leaf gradients
+    handed to ``sink(key, g)`` (``Tape.backward``) once final.  Its
     tokens are drawn sequence by sequence, in batch order; the sampled
     sequences are rebuilt from raw token ids, so no gradient can flow from
     the discriminator loss into the generator.  The discriminator's binary
@@ -174,7 +175,7 @@ def electra_step(gen: FunnelModel, disc: FunnelModel, disc_head: tuple[Tensor, T
     if not math.isfinite(gen_loss.item()):
         raise NumericError("generator loss is not finite")
     probs = softmax_lastdim(Tensor(logits.data)).data
-    walk(gen_tape, gen_loss)
+    gen_tape.backward(gen_loss, sink)
 
     per_seq = np.split(probs, np.cumsum([len(p) for p in plans])[:-1])
     sampled = [build_electra_batch(row, p, pr, rng) for row, p, pr in zip(ids, plans, per_seq)]

@@ -70,11 +70,12 @@ class AdamW:
     Parameters and both moments live in one [3, N] buffer of the
     parameters' shared dtype, decaying tensors first (``params`` is kept in
     that order).  Each tensor's ``.data`` becomes a view into the parameter
-    row.  ``walk`` runs a tape's backward and folds each gradient into ``m``
-    and ``v`` as soon as it is final, so no gradient outlives its fold.
-    ``step`` first folds what no walk folded (from ``tape.grad``: zeros for
-    a tensor no walk reached), then moves the parameters: they change only
-    there, so no pull-back reads an updated weight.  Both run ``CHUNK``
+    row.  ``fold`` is a sink for ``Tape.backward``: it folds each gradient
+    into ``m`` and ``v`` as soon as the walk has finished it, so no
+    gradient outlives its fold.  ``step`` first folds what no sink received
+    (from ``tape.grad``: zeros for a tensor no walk reached), then moves
+    the parameters: they change only there, so no pull-back reads an
+    updated weight.  Both run ``CHUNK``
     elements at a time through two chunk-sized scratch rows, and every
     element sees the same operations in the same order as the textbook
     per-tensor formula.
@@ -97,44 +98,32 @@ class AdamW:
             view = self.flat[ofs:ofs + t.data.size].reshape(t.shape)
             view[...] = t.data
             t.data = view
-        self._folded: set[int] = set()  # the tensors folded this step
+        self._folded: set[int] = set()  # the keys of the tensors folded this step
         self._scratch = np.empty((2, min(self.CHUNK, self.flat.size)), dtype=self.flat.dtype)
         self.cfg = cfg
         self.t = 0
 
-    def walk(self, tape: Tape, root: Tensor) -> None:
-        """``tape.backward(root)``, folding each gradient once the earliest node reading it
-        has run: every reader has added its share by then."""
-        due: dict[int, list[int]] = {}  # node index -> the tensors it is the earliest reader of
-        seen: set[int] = set()
-        for n, node in enumerate(tape.nodes):
-            for i in map(self._index.get, node.inputs):
-                if i is not None and i not in seen:
-                    seen.add(i)
-                    due.setdefault(n, []).append(i)
-
-        def after(n: int) -> None:
-            for i in due.get(n, ()):
-                g = tape.take(self.params[i][1])
-                if g is not None:
-                    self._fold_once(i, g)
-
-        tape.backward(root, after)
-
     def step(self, tape: Tape, lr: float) -> None:
-        """Fold what no walk folded from ``tape``, then move the parameters."""
+        """Fold what no sink received from ``tape``, then move the parameters."""
         self.t += 1
-        for i, (_, t, _) in enumerate(self.params):
-            if i not in self._folded:
-                self._fold_once(i, tape.grad(t))
+        for _, t, _ in self.params:
+            if t.key not in self._folded:
+                self.fold(t.key, tape.grad(t))
         self._folded.clear()
         self._move(lr)
 
-    def _fold_once(self, i: int, g: np.ndarray) -> None:
-        """Fold tensor ``i``'s gradient; a second fold in one step raises."""
-        if i in self._folded:
+    def fold(self, key: int, g: np.ndarray) -> None:
+        """A ``Tape.backward`` sink: fold the gradient of the tensor with ``key`` into m and v.
+
+        A key this optimizer does not hold, or a second fold of one tensor
+        in one step, raises ContractError.
+        """
+        i = self._index.get(key)
+        if i is None:
+            raise ContractError(f"no parameter with tensor key {key} in this optimizer")
+        if key in self._folded:
             raise ContractError(f"{self.params[i][0]} was folded twice in one step")
-        self._folded.add(i)
+        self._folded.add(key)
         self._fold(g, self._offsets[i])
 
     def _fold(self, g: np.ndarray, lo: int) -> None:
@@ -248,7 +237,7 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
         plans = [plans[i] for i in used]
         try:
             if settings.objective == "electra":  # walks the generator's tape first
-                tape, total, _ = electra_step(gen, model, disc_head, batch, plans, rng, opt.walk)
+                tape, total, _ = electra_step(gen, model, disc_head, batch, plans, rng, opt.fold)
             else:
                 with Tape() as tape:
                     corrupted = np.stack([p.apply(ids) for p, ids in zip(plans, batch.token_ids)])
@@ -258,7 +247,7 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
             raise TrainingDiverged(step) from e
         if not math.isfinite(total.item()):
             raise TrainingDiverged(step)
-        opt.walk(tape, total)
+        tape.backward(total, opt.fold)
         lr = linear_schedule(step, settings.steps, settings.optimizer.warmup_steps,
                              settings.optimizer.lr)
         opt.step(tape, lr)

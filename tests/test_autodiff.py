@@ -283,10 +283,10 @@ class TestBackward:
 
 
 def train_one_step(objective, dtype, on_backward):
-    """One ``train_toy`` step on a small config, with ``on_backward(real, tape, root)``
-    standing in for ``Tape.backward``; ``real(tape, root)`` is the engine's own walk, with
-    the optimizer's callback.  It runs once per tape: once on an MLM step, twice on an
-    ELECTRA step (generator, then discriminator)."""
+    """One ``train_toy`` step on a small config, with ``on_backward(real, tape, root, sink)``
+    standing in for ``Tape.backward``; ``real(tape, root, sink)`` is the engine's own walk,
+    and ``sink`` the optimizer's fold.  It runs once per tape: once on an MLM step, twice on
+    an ELECTRA step (generator, then discriminator)."""
     if objective == "mlm":
         config = ModelConfig(layout="B2-2H64D2", vocab_size=20, pool_op="mean",
                              attn_variant="factorized", dtype=dtype, seed=0)
@@ -300,8 +300,8 @@ def train_one_step(objective, dtype, on_backward):
     corpus = [" ".join(f"w{int(gen.integers(0, 15))}" for _ in range(8 + i)) for i in range(8)]
     real = Tape.backward
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Tape, "backward", lambda tape, root, after=None: on_backward(
-            lambda t, r: real(t, r, after), tape, root))
+        mp.setattr(Tape, "backward", lambda tape, root, sink=None: on_backward(
+            real, tape, root, sink))
         train_toy(config, corpus, settings)
 
 
@@ -321,10 +321,10 @@ def test_training_step_tape_census(model, train, most):
               for i in range(8)]
     names, walks, real = [], [], Tape.backward
 
-    def census(tape, root, after=None):
+    def census(tape, root, sink=None):
         names.extend(node.name for node in tape.nodes)
         walks.append(len(tape.nodes))
-        real(tape, root, after)
+        real(tape, root, sink)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Tape, "backward", census)
@@ -354,26 +354,24 @@ class TestBackwardFrees:
 
     @pytest.mark.parametrize("objective, dtype", [("mlm", "f64"), ("electra", "f32")])
     def test_train_step_grads_equal_reference_walk(self, objective, dtype):
-        """Each leaf gradient the optimizer takes during the walk is already final: its bytes
-        equal the full reference walk's, and nothing is left on the tape afterwards."""
+        """Each leaf gradient the optimizer's sink receives during the walk is already final:
+        its bytes equal the full reference walk's, and nothing is left on the tape afterwards."""
         walks = []
 
-        def check(real, tape, root):
+        def check(real, tape, root, sink):
             ref = self.reference_walk(tape, root)
             outputs = {n.out for n in tape.nodes}
             leaves = {key for n in tape.nodes for key in n.inputs
                       if key is not None and key not in outputs}
             n_nodes = len(tape.nodes)
-            taken, take = {}, tape.take
+            taken = {}
 
-            def capture(t):
-                g = take(t)
-                assert g is not None and t.key not in taken
-                taken[t.key] = g.copy()
-                return g
+            def capture(key, g):
+                assert key not in taken
+                taken[key] = g.copy()
+                sink(key, g)
 
-            tape.take = capture
-            real(tape, root)
+            real(tape, root, capture)
             assert len(tape.nodes) == n_nodes
             assert not tape.grads and tape.taken == set(taken)  # train_toy takes every one
             assert set(taken) == set(ref) - outputs
@@ -387,6 +385,47 @@ class TestBackwardFrees:
 
         train_one_step(objective, dtype, check)
         assert len(walks) == (2 if objective == "electra" else 1) and min(walks) > 10
+
+    @staticmethod
+    def small_tape():
+        """Six nodes over five leaves.  ``x``, ``w`` and ``b`` are first read by node 0 (``x``
+        and ``w`` again later), ``u`` by node 1, whose output nothing reads, and ``v`` by
+        node 3."""
+        x, w, b, u, v = (Tensor(rand(shape, seed), requires_grad=True) for seed, shape in
+                         enumerate([(3, 2), (2, 2), (2,), (3, 2), (3, 2)], start=20))
+        with Tape() as tape:
+            h = matmul(x, w, b)
+            mul(u, u)
+            z = mul(matmul(h, w), v)
+            out = sum_all(mul(z, x))
+        return tape, out, dict(x=x, w=w, b=b, u=u, v=v)
+
+    def test_sink_receives_each_leaf_once_right_after_its_earliest_reader(self):
+        tape, out, leaves = self.small_tape()
+        ref = self.reference_walk(tape, out)
+        got = []
+
+        def sink(key, g):  # the node just run is the earliest one released
+            ran = next(i for i, node in enumerate(tape.nodes) if node.backward is None)
+            got.append((key, ran, g.tobytes() == ref[key].tobytes()))
+
+        tape.backward(out, sink)
+        name = {t.key: n for n, t in leaves.items()}
+        assert sorted((name[key], ran, final) for key, ran, final in got) == [
+            ("b", 0, True), ("v", 3, True), ("w", 0, True), ("x", 0, True)]
+        assert not tape.grads and tape.taken == {leaves[n].key for n in "bvwx"}
+        np.testing.assert_array_equal(tape.grad(leaves["u"]), 0.0)  # reached by no gradient
+        with pytest.raises(ContractError, match="taken during the walk"):
+            tape.grad(leaves["x"])
+
+    def test_backward_without_sink_keeps_every_leaf_gradient(self):
+        tape, out, leaves = self.small_tape()
+        ref = self.reference_walk(tape, out)
+        tape.backward(out)
+        assert not tape.taken and set(tape.grads) == {leaves[n].key for n in "bvwx"}
+        for n in "bvwx":
+            assert tape.grad(leaves[n]).tobytes() == ref[leaves[n].key].tobytes()
+        np.testing.assert_array_equal(tape.grad(leaves["u"]), 0.0)
 
     def test_only_leaf_grads_remain(self):
         x = Tensor(rand((3, 2), 12), requires_grad=True)
@@ -451,10 +490,10 @@ class TestBackwardFrees:
         """
         growth = []
 
-        def measure(real, tape, root):
+        def measure(real, tape, root, sink):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            real(tape, root)
+            real(tape, root, sink)
             growth.append((tracemalloc.get_traced_memory()[1] - start) / 2**20)
 
         tracemalloc.start()
@@ -494,7 +533,8 @@ class TestBackwardFrees:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(Tape, "__enter__", enter)
                 mp.setattr(AdamW, "step", step)
-                train_one_step("electra", "f64", lambda real, tape, root: real(tape, root))
+                train_one_step("electra", "f64",
+                               lambda real, tape, root, sink: real(tape, root, sink))
         finally:
             tracemalloc.stop()
         peak = (marks["peak"] - marks["start"]) / 2**20
@@ -525,9 +565,9 @@ class TestTapeKeeps:
             start.append(tracemalloc.get_traced_memory()[0])
             return real_enter(tape)
 
-        def measure(real, tape, root):
+        def measure(real, tape, root, sink):
             growth.append((tracemalloc.get_traced_memory()[0] - start[-1]) / 2**20)
-            real(tape, root)
+            real(tape, root, sink)
 
         tracemalloc.start()
         try:

@@ -71,9 +71,9 @@ def test_step_clock_fires_once_per_step_and_tape_nodes_sum_both_tapes():
         tr = bench_tracer.Tracer()
         walks, steps = [], []
 
-        def backward(tape, root, after=None):
+        def backward(tape, root, sink=None):
             walks.append((tr.installed, tr.request, len(tape.nodes)))
-            real_backward(tape, root, after)
+            real_backward(tape, root, sink)
 
         def schedule(*args):  # train_toy asks for one learning rate per step
             steps.append(args[0])

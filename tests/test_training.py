@@ -183,30 +183,33 @@ class TestFlatAdamW:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("chunk", [AdamW.CHUNK, 7, 1])
     def test_walk_folds_like_the_reference(self, dtype, chunk, monkeypatch):
-        """Folding each gradient while ``walk`` runs gives the reference's bytes.  No walk
-        reaches "unused", so ``step`` folds zeros for it; ``tape.grad`` of a folded tensor
-        raises rather than reading as zeros."""
+        """Folding each gradient as the walk hands it to ``fold`` gives the reference's bytes.
+        No walk reaches "unused", so ``step`` folds zeros for it; ``tape.grad`` of a folded
+        tensor raises rather than reading as zeros.  The reference's tensors are walked on a
+        tape of their own, since every leaf of a tape with a sink goes to the sink."""
         monkeypatch.setattr(AdamW, "CHUNK", chunk)
         cfg = OptimizerConfig()
         flat, ref = AdamW(self.triples(dtype), cfg), ReferenceAdamW(self.triples(dtype), cfg)
         gen = np.random.Generator(np.random.Philox(7))
         ref_tensor = {name: t for name, t, _ in ref.params}
         for step in range(20):
+            drawn = {name: Tensor(gen.standard_normal(p.shape).astype(dtype))
+                     for name, p, _ in flat.params if name != "unused"}
             with Tape() as tape:
-                terms = []
-                for name, p, _ in flat.params:
-                    if name != "unused":
-                        g = Tensor(gen.standard_normal(p.shape).astype(dtype))
-                        terms += [sum_all(mul(p, g)), sum_all(mul(ref_tensor[name], g))]
-                root = functools.reduce(add, terms)
-            flat.walk(tape, root)
+                root = functools.reduce(add, [sum_all(mul(p, drawn[name]))
+                                              for name, p, _ in flat.params if name in drawn])
+            with Tape() as ref_tape:
+                ref_root = functools.reduce(add, [sum_all(mul(ref_tensor[name], g))
+                                                  for name, g in drawn.items()])
+            tape.backward(root, flat.fold)
+            ref_tape.backward(ref_root)
             for name, p, _ in flat.params:
                 if name != "unused":
                     with pytest.raises(ContractError, match="taken during the walk"):
                         tape.grad(p)
-            np.testing.assert_array_equal(tape.grad(ref_tensor["unused"]), 0.0)
+            np.testing.assert_array_equal(ref_tape.grad(ref_tensor["unused"]), 0.0)
             flat.step(tape, 1e-2 * (step + 1))
-            ref.step(tape, 1e-2 * (step + 1))
+            ref.step(ref_tape, 1e-2 * (step + 1))
         by_name = {name: i for i, (name, _, _) in enumerate(ref.params)}
         for (name, p, _), ofs in zip(flat.params, flat._offsets):
             i, n = by_name[name], p.data.size
@@ -224,9 +227,22 @@ class TestFlatAdamW:
             for _ in range(2):
                 with Tape() as tape:
                     walks.append((tape, sum_all(mul(p, p))))
-            opt.walk(*walks[0])
+            walks[0][0].backward(walks[0][1], opt.fold)
             with pytest.raises(ContractError, match=f"{name} was folded twice"):
-                opt.walk(*walks[1])
+                walks[1][0].backward(walks[1][1], opt.fold)
+
+    def test_folding_a_tensor_it_does_not_hold_raises(self):
+        """A sink for a tape that also reads a tensor outside the optimizer refuses it rather
+        than dropping its gradient."""
+        opt = AdamW(self.triples(np.float64), OptimizerConfig())
+        p = next(t for n, t, _ in opt.params if n == "a")
+        stranger = Tensor(np.ones(p.shape), requires_grad=True)
+        with Tape() as tape:
+            root = sum_all(mul(p, stranger))
+        with pytest.raises(ContractError, match="no parameter"):
+            tape.backward(root, opt.fold)
+        with pytest.raises(ContractError, match="no parameter"):
+            opt.fold(stranger.key, np.ones(p.shape))
 
     def test_parameters_alias_the_buffer_decaying_first(self):
         triples = self.triples(np.float64)
@@ -278,9 +294,9 @@ class TestFlatAdamW:
 ])
 def test_shared_leaves_fold_once_after_their_earliest_reader(objective, shared):
     """``rel/w_r`` is read by every attention layer, and the MLM head reads ``embed/token``
-    in the lookup and the tied output.  Each is taken from its tape once per step, right
-    after the earliest node reading it has run, with the gradient a walk that frees
-    nothing gives."""
+    in the lookup and the tied output.  Each goes from its tape to the optimizer's sink once
+    per step, right after the earliest node reading it has run, with the gradient a walk
+    that frees nothing gives."""
     opts, seen = [], []
     real_backward = Tape.backward
 
@@ -289,7 +305,7 @@ def test_shared_leaves_fold_once_after_their_earliest_reader(objective, shared):
             super().__init__(params, cfg)
             opts.append(self)
 
-    def backward(tape, root, after=None):
+    def backward(tape, root, sink=None):
         readers, ref = {}, {root.key: np.ones((), dtype=root.data.dtype)}
         for i, node in enumerate(tape.nodes):
             for key in node.inputs:
@@ -300,19 +316,12 @@ def test_shared_leaves_fold_once_after_their_earliest_reader(objective, shared):
                 for key, gi in zip(node.inputs, node.backward(g)):
                     if key is not None:
                         ref[key] = gi if key not in ref else ref[key] + gi
-        ran, take = [None], tape.take
+        def capture(key, g):  # the node just run is the earliest one released
+            ran = next(i for i, node in enumerate(tape.nodes) if node.backward is None)
+            seen.append((key, ran, readers[key], g.tobytes() == ref[key].tobytes()))
+            sink(key, g)
 
-        def capture(t):
-            g = take(t)
-            seen.append((t.key, ran[0], readers[t.key], g.tobytes() == ref[t.key].tobytes()))
-            return g
-
-        def track(i):
-            ran[0] = i
-            after(i)
-
-        tape.take = capture
-        real_backward(tape, root, track)
+        real_backward(tape, root, capture)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "AdamW", Spy)
@@ -435,9 +444,9 @@ class TestTrainToy:
             runs.append(model)
             return real_hidden(model, *args, **kw)
 
-        def backward(tape, root, after=None):
+        def backward(tape, root, sink=None):
             walks.append(len(runs))
-            real_backward(tape, root, after)
+            real_backward(tape, root, sink)
 
         monkeypatch.setattr(objectives, "cross_entropy_mean", loss)
         monkeypatch.setattr(FunnelModel, "token_hidden", hidden)
