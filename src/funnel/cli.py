@@ -190,12 +190,12 @@ def cmd_encode(args) -> int:
             print(json.dumps({"line": line, "block_shapes": shapes}))
         elif args.dump == "cls":
             print(json.dumps({"line": line,
-                              "cls": [round(float(x), 6) for x in state.h_last.data[0]]}))
+                              "cls": [round(x, 6) for x in state.h_last.data[0].tolist()]}))
         else:
             out = model.decode(state)
             print(json.dumps({"line": line, "tokens": len(out.hidden.data),
-                              "vectors": [[round(float(x), 6) for x in row]
-                                          for row in out.hidden.data]}))
+                              "vectors": [[round(x, 6) for x in row]
+                                          for row in out.hidden.data.tolist()]}))
     return 0
 
 

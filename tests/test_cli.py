@@ -341,6 +341,31 @@ class TestTrainToy:
         assert not (tmp / "o").exists()
 
 
+def dump_by_numpy_scalars(cfg, ckpt, corpus, dump):
+    """``encode --dump cls|tokens --seq-len 16`` stdout, each value written as
+    ``round(float(x), 6)`` of a numpy scalar of the output rows."""
+    from funnel.checkpoint import load
+    from funnel.cli import _load_config
+    from funnel.corpus import Vocab, encode_line, load_corpus
+    from funnel.model import FunnelModel, param_specs
+
+    config, _ = _load_config(cfg)
+    model = FunnelModel(config, load(ckpt, expected=param_specs(config)))
+    vocab = Vocab.load(ckpt.parent / "vocab.txt")
+    out = []
+    for line in load_corpus(corpus):
+        enc = encode_line(line, vocab, 16)
+        state = model.encode(enc.token_ids, enc.pad_mask)
+        if dump == "cls":
+            record = {"line": line, "cls": [round(float(x), 6) for x in state.h_last.data[0]]}
+        else:
+            hidden = model.decode(state).hidden.data
+            record = {"line": line, "tokens": len(hidden),
+                      "vectors": [[round(float(x), 6) for x in row] for row in hidden]}
+        out.append(json.dumps(record) + "\n")
+    return "".join(out)
+
+
 class TestEncode:
     def test_shapes_cls_tokens(self, train_setup, capsys):
         cfg, corpus, tmp = train_setup
@@ -362,6 +387,7 @@ class TestEncode:
                            "--dump", "cls", "--seq-len", "16")
         assert code == 0
         assert len(json.loads(out.splitlines()[0])["cls"]) == 64
+        assert out == dump_by_numpy_scalars(trained_cfg, ckpt, corpus, "cls")
 
         code, out, _ = run(capsys, "encode", "--config", str(trained_cfg),
                            "--checkpoint", str(ckpt), "--input", str(corpus),
@@ -373,6 +399,7 @@ class TestEncode:
         vectors = np.array(first["vectors"])
         assert (vectors[10:] == 0.0).all() and not np.signbit(vectors[10:]).any()
         assert (vectors[:10] != 0.0).any(axis=1).all()
+        assert out == dump_by_numpy_scalars(trained_cfg, ckpt, corpus, "tokens")
 
     def test_explicit_vocab_flag(self, train_setup, capsys):
         cfg, corpus, tmp = train_setup
