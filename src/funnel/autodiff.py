@@ -716,12 +716,9 @@ def _windows(x: np.ndarray, real: np.ndarray, windows: np.ndarray
 
 
 def _unwindow(gw: np.ndarray, windows: np.ndarray, shape: tuple) -> np.ndarray:
-    """Adjoint of the windowed read: each member's [n, 2, ...] gradient added back to its row.
-
-    A column names a row at most once, so the first is stored and only the second added.
-    """
+    """Adjoint of the windowed read: each member's [n, 2, ...] gradient added back to its row."""
     dx = np.zeros(shape, dtype=gw.dtype)
-    dx[windows[:, 0]] = gw[:, 0]
+    dx[windows[:, 0]] = gw[:, 0]  # a column names a row at most once, so store the first
     dx[windows[:, 1]] += gw[:, 1]
     return dx
 
