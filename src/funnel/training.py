@@ -75,10 +75,9 @@ class AdamW:
     gradient outlives its fold.  ``step`` first folds what no sink received
     (from ``tape.grad``: zeros for a tensor no walk reached), then moves
     the parameters: they change only there, so no pull-back reads an
-    updated weight.  Both run ``CHUNK``
-    elements at a time through two chunk-sized scratch rows, and every
-    element sees the same operations in the same order as the textbook
-    per-tensor formula.
+    updated weight.  Both run ``CHUNK`` elements at a time through two
+    chunk-sized scratch rows, and every element sees the same operations
+    in the same order as the textbook per-tensor formula.
     """
 
     CHUNK = 1 << 15
