@@ -3,18 +3,20 @@
 Layout, all little endian:
 
     magic   4 bytes  "FTNT"
-    version u32      (currently 1)
+    version u32      (currently 2)
     count   u32      number of entries
     entry   name_len u32, name bytes (UTF-8), dtype u8 (0=f32, 1=f64),
-            rank u8 (at most 4), dims u64 each, raw row-major payload
+            rank u8 (at most 4), dims u64 each, zero bytes up to the
+            next 64-byte boundary of the file, raw row-major payload
 
 Entries are written sorted by name, so saving the same parameters twice
-produces byte-identical files.
+produces byte-identical files.  The padding lets ``load`` map the file.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 from collections.abc import Mapping
@@ -26,7 +28,8 @@ import numpy as np
 from .autodiff import MAX_RANK, Tensor
 
 MAGIC = b"FTNT"
-VERSION = 1
+VERSION = 2
+ALIGN = 64
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
@@ -76,10 +79,9 @@ def save(params: dict[str, Tensor], path: str | Path) -> None:
                 if code is None:
                     raise CheckpointError(f"{name}: unsupported dtype {data.dtype}")
                 raw = name.encode("utf-8")
-                f.write(struct.pack("<I", len(raw)))
-                f.write(raw)
-                f.write(struct.pack("<BB", code, data.ndim))
-                f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+                f.write(struct.pack(f"<I{len(raw)}sBB{data.ndim}Q", len(raw), raw, code,
+                                    data.ndim, *data.shape))
+                f.write(bytes(-f.tell() % ALIGN))
                 f.write(memoryview(np.ascontiguousarray(data, dtype=_CODE_DTYPES[code])))
         os.replace(tmp, path)
     except OSError as e:
@@ -89,13 +91,13 @@ def save(params: dict[str, Tensor], path: str | Path) -> None:
 
 
 def load(path: str | Path, expected: Mapping | None = None) -> dict[str, Tensor]:
-    """Read an archive back into a name -> Tensor mapping; every tensor requires grad.
+    """Map an archive into a name -> Tensor mapping; every tensor requires grad.
 
-    The file is streamed: each payload is read straight into its own
-    freshly allocated array, so loading holds no second copy of the
-    archive.  An entry's byte count is checked against the bytes left in
-    the file before its array is allocated, so a corrupt size raises
-    ``TruncatedPayload`` instead of attempting a huge allocation.
+    Headers are read first, so a corrupt size raises ``TruncatedPayload``
+    before anything is mapped.  The file is then mapped once, copy-on-write:
+    each tensor is a 64-byte aligned view, and writes to it stay private to
+    the process.  Do not truncate the archive in place while a loaded tree
+    lives; ``save`` writes a temporary file and renames it.
 
     With ``expected`` (name -> template with ``.shape`` and ``.dtype``,
     e.g. ``model.param_specs(config)`` or a built tree) missing or extra
@@ -103,9 +105,12 @@ def load(path: str | Path, expected: Mapping | None = None) -> dict[str, Tensor]
     """
     try:
         with open(path, "rb") as f:
-            out = _read_entries(f, path)
+            index = _read_index(f, path)
+            view = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
     except OSError as e:
         raise CheckpointError(f"cannot read {path}: {e}") from e
+    out = {name: Tensor(np.ndarray(dims, dt, view, offset), requires_grad=True)
+           for name, (dt, dims, offset) in index.items()}
 
     if expected is not None:
         missing = sorted(set(expected) - set(out))
@@ -121,32 +126,27 @@ def load(path: str | Path, expected: Mapping | None = None) -> dict[str, Tensor]
     return out
 
 
-def _read_entries(f: BinaryIO, path) -> dict[str, Tensor]:
-    """Parse an open archive, reading each payload straight into its array."""
+def _read_index(f: BinaryIO, path) -> dict[str, tuple[np.dtype, tuple, int]]:
+    """Parse an open archive's headers into name -> (dtype, dims, payload offset)."""
     size = os.fstat(f.fileno()).st_size
-    head = f.read(12)
-    if len(head) < 12:
-        raise CorruptHeader(f"{path}: file shorter than the fixed header")
-    if head[:4] != MAGIC:
-        raise BadMagic(f"{path}: bad magic {head[:4]!r}")
-    version, count = struct.unpack_from("<II", head, 4)
-    if version != VERSION:
-        raise BadVersion(f"{path}: unsupported version {version}")
 
     def fields(fmt: str) -> tuple:
         n = struct.calcsize(fmt)
-        raw = f.read(n)
-        if len(raw) < n:
-            raise CorruptHeader(f"{path}: entry header runs past end of file")
-        return struct.unpack(fmt, raw)
+        if n > size - f.tell():
+            raise CorruptHeader(f"{path}: header runs past end of file")
+        return struct.unpack(fmt, f.read(n))
 
-    out: dict[str, Tensor] = {}
+    magic, version, count = fields("<4sII")
+    if magic != MAGIC:
+        raise BadMagic(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise BadVersion(f"{path}: unsupported version {version}")
+
+    index: dict[str, tuple[np.dtype, tuple, int]] = {}
     for _ in range(count):
         (name_len,) = fields("<I")
-        if name_len > size - f.tell():
-            raise CorruptHeader(f"{path}: entry name runs past end of file")
         try:
-            name = f.read(name_len).decode("utf-8")
+            name = fields(f"{name_len}s")[0].decode("utf-8")
         except UnicodeDecodeError as e:
             raise CorruptHeader(f"{path}: {e}") from e
         code, rank = fields("<BB")
@@ -155,17 +155,16 @@ def _read_entries(f: BinaryIO, path) -> dict[str, Tensor]:
         dims = fields(f"<{rank}Q")
         if code not in _CODE_DTYPES:
             raise CorruptHeader(f"{path}: unknown dtype code {code}")
-        if name in out:
+        if name in index:
             raise CorruptHeader(f"{path}: duplicate entry {name!r}")
+        if any(fields(f"{-f.tell() % ALIGN}s")[0]):
+            raise CorruptHeader(f"{path}: non-zero padding before {name!r}")
         dt = _CODE_DTYPES[code]
         n_bytes = math.prod(dims) * dt.itemsize
         if n_bytes > size - f.tell():
             raise TruncatedPayload(f"{path}: payload of {name!r} is truncated")
-        arr = np.empty(dims, dtype=dt)
-        # a flat byte view of the array itself, valid for rank 0 and size 0 alike
-        if f.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
-            raise TruncatedPayload(f"{path}: payload of {name!r} is truncated")
-        out[name] = Tensor(arr, requires_grad=True)
+        index[name] = dt, dims, f.tell()
+        f.seek(n_bytes, os.SEEK_CUR)
     if f.tell() != size:
         raise CorruptHeader(f"{path}: {size - f.tell()} trailing bytes")
-    return out
+    return index

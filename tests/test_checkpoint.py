@@ -1,4 +1,4 @@
-"""FTNT archives: byte determinism, round-trips, the error taxonomy, loading memory."""
+"""FTNT archives: byte determinism, round-trips, the error taxonomy, the mapped load."""
 
 import struct
 import tracemalloc
@@ -63,18 +63,51 @@ class TestRoundTrip:
         # the layout in the module docstring, written out independently
         tensors = {"b": Tensor(np.arange(6.0).reshape(3, 2).T),   # not contiguous
                    "a": Tensor(np.float32(1.5)), "c": Tensor(np.zeros((0, 4)))}
-        expected = b"FTNT" + struct.pack("<II", 1, 3)
+        expected = b"FTNT" + struct.pack("<II", 2, 3)
         for name in sorted(tensors):
             data = tensors[name].data
             expected += struct.pack("<I", len(name)) + name.encode()
             expected += struct.pack("<BB", int(data.dtype == np.float64), data.ndim)
-            expected += struct.pack(f"<{data.ndim}Q", *data.shape) + data.tobytes()
+            expected += struct.pack(f"<{data.ndim}Q", *data.shape)
+            expected += bytes(-len(expected) % 64) + data.tobytes()
         path = tmp_path / "m.ftnt"
         save(tensors, path)
         assert path.read_bytes() == expected
         for name, t in load(path).items():
             assert t.data.dtype == tensors[name].dtype
             np.testing.assert_array_equal(t.data, tensors[name].data)
+
+
+class TestMappedLoad:
+    def test_arrays_are_aligned_and_writable(self, params, tmp_path):
+        path = tmp_path / "m.ftnt"
+        save({**params, "f32": Tensor(np.ones(3, np.float32)), "scalar": Tensor(np.float64(2.0)),
+              "void": Tensor(np.zeros((0, 5)))}, path)
+        for name, t in load(path).items():
+            assert t.data.ctypes.data % 64 == 0, name
+            assert t.data.flags.writeable, name
+
+    def test_writes_stay_private_to_the_process(self, params, tmp_path):
+        path = tmp_path / "m.ftnt"
+        save(params, path)
+        before = path.read_bytes()
+        loaded = load(path)
+        for t in loaded.values():
+            t.data[...] = 7.0
+        assert path.read_bytes() == before
+        for name, t in load(path).items():
+            np.testing.assert_array_equal(t.data, params[name].data)
+
+    def test_save_over_a_loaded_archive_leaves_the_loaded_tree(self, params, tmp_path):
+        # save renames a new file over the path; the loaded tree keeps mapping the old one
+        path = tmp_path / "m.ftnt"
+        save(params, path)
+        loaded = load(path)
+        save({name: Tensor(t.data + 1.0) for name, t in params.items()}, path)
+        for name, t in loaded.items():
+            np.testing.assert_array_equal(t.data, params[name].data)
+        for name, t in load(path).items():
+            np.testing.assert_array_equal(t.data, params[name].data + 1.0)
 
 
 def entry(name: str, dims: tuple, code: int = 1) -> bytes:
@@ -84,8 +117,17 @@ def entry(name: str, dims: tuple, code: int = 1) -> bytes:
             + struct.pack(f"<{len(dims)}Q", *dims))
 
 
-def archive(*entries: bytes, count: int | None = None) -> bytes:
-    return b"FTNT" + struct.pack("<II", 1, len(entries) if count is None else count) + b"".join(entries)
+def archive(*entries: bytes | tuple[bytes, bytes], count: int | None = None,
+            version: int = 2) -> bytes:
+    """An archive of ``entries``: bytes go in as they are; a (header, payload) pair gets the
+    zero padding that starts its payload on a 64-byte boundary of the file."""
+    blob = b"FTNT" + struct.pack("<II", version, len(entries) if count is None else count)
+    for e in entries:
+        if isinstance(e, tuple):
+            blob += e[0] + bytes(-(len(blob) + len(e[0])) % 64) + e[1]
+        else:
+            blob += e
+    return blob
 
 
 class TestErrors:
@@ -105,6 +147,15 @@ class TestErrors:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(BadVersion):
+            load(path)
+
+    def test_version_1_archive_rejected(self, params, tmp_path):
+        # version 1's layout: no padding before the payloads
+        blob = b"".join(entry(name, t.shape) + t.data.tobytes()
+                        for name, t in sorted(params.items()))
+        path = tmp_path / "v1.ftnt"
+        path.write_bytes(archive(blob, count=len(params), version=1))
+        with pytest.raises(BadVersion, match="version 1"):
             load(path)
 
     def test_truncated_payload(self, params, tmp_path):
@@ -160,23 +211,29 @@ class TestErrors:
 
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "dup.ftnt"
-        save({"x": Tensor(np.zeros(2))}, path)
-        blob = path.read_bytes()
-        entry = blob[12:]
-        doubled = blob[:4] + struct.pack("<II", 1, 2) + entry + entry
-        path.write_bytes(doubled)
+        x = (entry("x", (2,)), bytes(16))
+        path.write_bytes(archive(x, x))
         with pytest.raises(CheckpointError, match="duplicate"):
             load(path)
 
+    def test_non_zero_padding_rejected(self, tmp_path):
+        path = tmp_path / "pad.ftnt"
+        blob = bytearray(archive((entry("x", (1,)), bytes(8))))
+        blob[-9] = 1                                   # the last pad byte before the payload
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptHeader, match="non-zero padding"):
+            load(path)
+
     @pytest.mark.parametrize("blob", [
-        b"FTNT\x01\x00",                                         # shorter than the fixed header
+        b"FTNT\x02\x00",                                         # shorter than the fixed header
         archive(count=1),                                          # entry header missing
         archive(struct.pack("<I", 50) + b"x"),                     # name runs past end of file
         archive(b"\x01\x00\x00\x00\xff\x01\x01" + bytes(8) + bytes(8)),  # name not UTF-8
-        archive(entry("x", (1,), code=7) + bytes(8)),              # unknown dtype
+        archive((entry("x", (1,), code=7), bytes(8))),             # unknown dtype
         archive(entry("x", (2, 3))[:-4]),                          # dims cut short
-        archive(entry("x", (1,) * 5) + bytes(8)),                  # rank above 4
-        archive(entry("x", (1,)) + bytes(8) + b"extra"),           # trailing bytes
+        archive((entry("x", (1,) * 5), bytes(8))),                 # rank above 4
+        archive(entry("x", (1,)) + bytes(8)),                      # padding runs past end of file
+        archive((entry("x", (1,)), bytes(8) + b"extra")),          # trailing bytes
     ])
     def test_corrupt_headers(self, blob, tmp_path):
         path = tmp_path / "bad.ftnt"
@@ -188,13 +245,13 @@ class TestErrors:
     def test_oversized_entry_is_truncated_before_allocation(self, dims, tmp_path):
         # 2^40 elements would be an 8 TiB array; 2^66 overflows a 64-bit product
         path = tmp_path / "huge.ftnt"
-        path.write_bytes(archive(entry("x", dims) + bytes(64)))
+        path.write_bytes(archive((entry("x", dims), bytes(64))))
         with pytest.raises(TruncatedPayload, match="'x'"):
             load(path)
 
 
 def test_load_holds_no_second_copy_of_the_archive(tmp_path):
-    """Payloads stream into their arrays: the traced peak stays near the payload bytes."""
+    """Tensors are views of the mapped file: loading allocates next to nothing."""
     config = ModelConfig(layout="B2-2H128D2", vocab_size=64, seed=0)
     params = build_params(config)
     payload = sum(t.data.nbytes for t in params.values())
@@ -210,4 +267,4 @@ def test_load_holds_no_second_copy_of_the_archive(tmp_path):
     finally:
         tracemalloc.stop()
     assert sum(t.data.nbytes for t in loaded.values()) == payload
-    assert peak <= 1.1 * payload, f"peak {peak / payload:.3f}x the payload bytes"
+    assert peak < 0.05 * payload, f"peak {peak / payload:.3f}x the payload bytes"

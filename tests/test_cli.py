@@ -468,12 +468,25 @@ class TestEncode:
     def test_rank_above_four_checkpoint_exit_2(self, train_setup, capsys):
         _, corpus, tmp = train_setup
         (tmp / "cfg_enc.json").write_text(json.dumps({"layout": "B2-2H64D2", "vocab_size": 20}))
-        rank5 = struct.pack("<III", 1, 1, 1) + b"x" + struct.pack("<BB5Q", 1, 5, *(1,) * 5)
-        (tmp / "rank5.ftnt").write_bytes(b"FTNT" + rank5 + bytes(8))
+        rank5 = (b"FTNT" + struct.pack("<III", 2, 1, 1) + b"x"
+                 + struct.pack("<BB5Q", 1, 5, *(1,) * 5))
+        (tmp / "rank5.ftnt").write_bytes(rank5 + bytes(-len(rank5) % 64) + bytes(8))
         code, out, err = run(capsys, "encode", "--config", str(tmp / "cfg_enc.json"),
                              "--checkpoint", str(tmp / "rank5.ftnt"), "--input", str(corpus))
         assert code == 2
         assert err.startswith("error: checkpoint:") and "rank 5" in err
+        assert out == ""
+
+    def test_version_1_checkpoint_exit_2(self, train_setup, capsys):
+        _, corpus, tmp = train_setup
+        (tmp / "cfg_enc.json").write_text(json.dumps({"layout": "B2-2H64D2", "vocab_size": 20}))
+        # a well-formed version 1 archive: one f64 [1] entry, no padding
+        v1 = b"FTNT" + struct.pack("<III", 1, 1, 1) + b"x" + struct.pack("<BBQ", 1, 1, 1)
+        (tmp / "v1.ftnt").write_bytes(v1 + bytes(8))
+        code, out, err = run(capsys, "encode", "--config", str(tmp / "cfg_enc.json"),
+                             "--checkpoint", str(tmp / "v1.ftnt"), "--input", str(corpus))
+        assert code == 2
+        assert err.startswith("error: checkpoint:") and "unsupported version 1" in err
         assert out == ""
 
     @pytest.mark.parametrize("fields", [

@@ -95,8 +95,8 @@ def trace_case(name: str, dtype: str, variant: str = ""):
 def checkpoint_case():
     """``model.ftnt`` written by ``train_toy`` under README's config, for fewer steps.
 
-    The digest covers the file's bytes; the values are those of its tensors
-    in name order.
+    The digest covers its tensors' payload bytes in name order, not the
+    archive's layout; the values are those of the same tensors.
     """
     from funnel.checkpoint import load
 
@@ -109,7 +109,8 @@ def checkpoint_case():
         train_toy(config, corpus(), settings, out_dir=out)
         path = Path(out) / "model.ftnt"
         params = load(path)
-        return path.read_bytes(), [params[name].data for name in sorted(params)]
+        arrays = [params[name].data for name in sorted(params)]
+        return b"".join(a.tobytes() for a in arrays), arrays
 
 
 def encode_case(pool_op: str, truncate: bool):

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from funnel import checkpoint
+from funnel.autodiff import Rng, grad_check
+from funnel.corpus import CLS, SEP
+from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig, build_params, generator_config, param_specs
+from funnel.objectives import mlm_loss, sample_mask_single
 from funnel.relattn import LAYER_TENSORS, LayerParams
 
 
@@ -146,20 +150,23 @@ class TestParams:
 
     @pytest.mark.parametrize("layout,dtype,vocab,seed,sha256", [
         ("B4-4-4H256D2", "f64", 1000, 0,
-         "99a6da41e53671a7f47823e1dfade83b7b79dcce1e1c9f84c8091c8543c822f6"),
+         "d77aff33ce113b55aa9b8f6b35343b8c1d445dcb3ce0b95678aa429233fd4157"),
         ("B2-2H128D2", "f32", 64, 3,
-         "5d6f23c1e43cf6313f2f05380b49a3089f3f08c1abb0e550a3fe063caf1717a8"),
+         "4c8e8fe7daa1ab7eb90656113f5639129840038f627bcad9ab631952a91c3a44"),
         ("B2-2H64D2", "f64", 20, 0,
-         "ef1985aa1aaaba0ea24956106438723ec879e773335152055c18f901733d86e2"),
+         "b3d5be28ae47e04652ac8ca1f62d0bae986f2fa8f3b794955b67045e4af35987"),
         ("L2H64", "f32", 11, 9,
-         "13430fa7ec2710ca0f0296c61ecd01a417b05266d57498fa49bb6ece2efc07bf"),
+         "8acbecef756e6510bf3789c6c60e4484b98fb0a76cc5d0a83e074686ba22a4ed"),
     ])
     def test_init_bytes_pinned(self, tmp_path, layout, dtype, vocab, seed, sha256):
-        # a changed init stream, draw order or dtype cast changes these digests
+        # a changed init stream, draw order or dtype cast changes these digests; they
+        # hash the saved and reloaded payloads in spec order, not the archive's layout
         cfg = ModelConfig(layout=layout, vocab_size=vocab, dtype=dtype, seed=seed)
         path = tmp_path / "init.ftnt"
         checkpoint.save(build_params(cfg), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+        loaded = checkpoint.load(path)
+        payload = b"".join(loaded[name].data.tobytes() for name in param_specs(cfg))
+        assert hashlib.sha256(payload).hexdigest() == sha256
 
     def test_dtype_respected(self):
         cfg = ModelConfig(layout="L1H64", vocab_size=11, dtype="f32", seed=0)
@@ -182,6 +189,14 @@ class TestGeneratorConfig:
         assert gen.hidden == 192
         assert gen.layout.head_dim == 64
 
+    def test_odd_quarter_rounds_up_to_an_even_width(self):
+        # 20 // 4 is 5, but the sinusoidal position tables need an even width
+        layout = LayoutSpec(blocks=(BlockSpec(1), BlockSpec(1)), hidden=20, decoder_layers=1,
+                            head_dim=20)
+        gen = generator_config(ModelConfig(layout=layout, vocab_size=11, seed=0))
+        assert gen.hidden == 6 and gen.layout.head_dim == 6
+        assert FunnelModel(gen).token_hidden(np.arange(8) % 5 + 5).shape == (8, 6)
+
 
 class TestTokenHidden:
     def test_plain_stack_skips_decoder(self):
@@ -197,6 +212,27 @@ class TestTokenHidden:
         model = FunnelModel(cfg)
         toks = np.arange(16) % 5 + 5
         assert model.token_hidden(toks).shape == (16, 64)
+
+
+def test_grad_check_through_dropout():
+    """The whole-model check of ``funnel gradcheck`` with both dropouts on; a fresh ``Rng``
+    per call draws the same masks on every probe, so the loss is a smooth function."""
+    config = ModelConfig(layout="B2-2H64D2", vocab_size=11, dropout=0.2, attn_dropout=0.2,
+                         seed=0)
+    model = FunnelModel(config)
+    toks = np.concatenate([[CLS], Rng(7).integers(5, 11, 6), [SEP]])
+    plan = sample_mask_single(toks, rate=0.3, rng=Rng(3))
+    corrupted = plan.apply(toks)
+
+    def loss():
+        hidden = model.token_hidden(corrupted, rng=Rng(5))
+        return mlm_loss(hidden, model.params["embed/token"], plan)
+
+    dropped = model.token_hidden(corrupted, rng=Rng(5)).data
+    assert not np.array_equal(dropped, model.token_hidden(corrupted).data)  # dropout is on
+    err = grad_check(loss, [p for _, p in model.trainable()], max_coords_per_param=4, seed=0,
+                     denominator_floor=1e-6)
+    assert err < 1e-4, f"gradient error through dropout {err:.3e}"
 
 
 class TestSequenceHead:

@@ -45,6 +45,12 @@ class TestSchedule:
     def test_no_warmup(self):
         assert linear_schedule(0, 10, 0, 2.0) == 2.0
 
+    def test_no_decay_span_returns_the_base_rate(self):
+        # total <= 0 means no schedule at all; total == warmup leaves no steps to decay over
+        assert [linear_schedule(s, 0, 3, 2.0) for s in range(5)] == [2.0] * 5
+        assert linear_schedule(0, -1, 0, 2.0) == 2.0
+        assert [linear_schedule(s, 4, 4, 2.0) for s in range(6)] == [0.5, 1.0, 1.5, 2.0, 2.0, 2.0]
+
 
 def optimizer_decays(config, objective):
     """name -> decays flag of every tensor ``train_toy`` hands to AdamW."""
