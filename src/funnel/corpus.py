@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layout import is_pow2
+
 PAD, UNK, CLS, SEP, MASK = 0, 1, 2, 3, 4
 SPECIALS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 
@@ -73,7 +75,7 @@ class EncodedLine:
 
 def encode_line(line: str, vocab: Vocab, seq_len: int) -> EncodedLine:
     """[CLS] + tokens + [SEP], truncated/padded to ``seq_len`` (a power of two)."""
-    if seq_len < 2 or seq_len & (seq_len - 1):
+    if seq_len < 2 or not is_pow2(seq_len):
         raise ValueError(f"sequence length {seq_len} must be a power of two >= 2")
     ids = [CLS] + [vocab.id_of(w) for w in tokenize(line)[: seq_len - 2]] + [SEP]
     real = len(ids)
@@ -106,7 +108,7 @@ class Batch:
         b, t = self.token_ids.shape
         if self.pad_mask.shape != (b, t):
             raise ValueError("batch fields disagree on their shape")
-        if t < 2 or t & (t - 1):
+        if t < 2 or not is_pow2(t):
             raise ValueError(f"batch length {t} must be a power of two")
         if (self.token_ids[:, 0] != CLS).any():
             raise ValueError("every sequence must start with [CLS]")

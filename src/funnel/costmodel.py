@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .layout import LayoutSpec, format_layout, parse_layout
+from .layout import LayoutSpec, format_layout, is_pow2, layer_plan, parse_layout
 
 MODES = ("finetune", "pretrain")
 DEFAULT_VOCAB = 30522  # uncased wordpiece vocabulary size ("about 30K")
@@ -115,23 +115,17 @@ def flops_exact(layout, seq_len: int, mode: str = "finetune",
                 variant: str = "factorized") -> int:
     """Exact FLOPs for one forward pass at length ``seq_len``.
 
-    Block-transition layers use the pooled length for queries and the
-    previous block's length for keys.  Embedding lookups and the output
-    softmax are excluded: the count covers the transformer stack only.
+    ``layer_flops`` summed over the layer plan at the encoder's defaults,
+    separate CLS and truncation on (block lengths halve, never below 1);
+    decoder layers in pretrain mode only, no embedding or softmax.
     """
     _check_mode(mode)
     layout = _as_layout(layout)
-    if seq_len < 1 or seq_len & (seq_len - 1):
+    if not is_pow2(seq_len):
         raise CostModelError(f"sequence length {seq_len} must be a power of two")
-    total = 0
-    for m, block in enumerate(layout.blocks):
-        t_m = layout.block_length(m, seq_len)
-        k_first = layout.block_length(m - 1, seq_len) if m > 0 else t_m
-        total += (layer_flops(t_m, k_first, layout.hidden, variant)
-                  + (block.total_layers - 1) * layer_flops(t_m, t_m, layout.hidden, variant))
-    if mode == "pretrain":
-        total += layout.decoder_layers * layer_flops(seq_len, seq_len, layout.hidden, variant)
-    return total
+    return sum(layer_flops(run.q_len, run.k_len, layout.hidden, variant)
+               for run in layer_plan(layout, seq_len, True, True)
+               if mode == "pretrain" or run.kind != "decoder")
 
 
 def params_per_layer(hidden: int, ffn_inner: int | None = None) -> int:
@@ -178,11 +172,9 @@ def param_count(layout, vocab: int = DEFAULT_VOCAB, mode: str = "finetune") -> d
     layout = _as_layout(layout)
     if vocab <= 0:
         raise CostModelError(f"vocab must be positive, got {vocab}")
-    per_layer = params_per_layer(layout.hidden, layout.ffn_inner)
-    n_layers = layout.unique_encoder_layers
-    if mode == "pretrain":
-        n_layers += layout.decoder_layers
-    transformer = n_layers * per_layer
+    sets = {run.prefix for run in layer_plan(layout, 1, False, False)
+            if mode == "pretrain" or run.kind != "decoder"}
+    transformer = len(sets) * params_per_layer(layout.hidden, layout.ffn_inner)
     embedding = vocab * layout.hidden
     shared = layout.hidden * layout.hidden  # positional-encoding projection
     return {

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, Tensor, add, gather_rows
-from .relattn import RelPosEncoding, transformer_layer
+from .layout import layer_plan
+from .relattn import RelPosEncoding, layer_view, transformer_layer
 
 
 @dataclass
@@ -58,10 +59,10 @@ def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPos
     otherwise ``hidden`` is 0.0 past each column's last real row.
     """
     t = h_first.shape[0]
-    fused = add(h_first, upsample(h_last, t))
-    hidden = fused
+    fused = hidden = add(h_first, upsample(h_last, t))
     pos = np.arange(t, dtype=np.int64)
-    for i in range(config.layout.decoder_layers):
-        lp = config.decoder_layer_params(params, i)
-        hidden, _ = transformer_layer(hidden, pos, pad_mask, lp, config, enc, rng)
+    for run in layer_plan(config.layout, t, config.separate_cls, config.truncate_seq):
+        if run.kind == "decoder":
+            hidden, _ = transformer_layer(hidden, pos, pad_mask, layer_view(params, run.prefix),
+                                          config, enc, rng)
     return DecoderOutput(fused=fused, hidden=hidden)

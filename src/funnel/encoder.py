@@ -30,18 +30,19 @@ decoder up-samples real positions from (``encoder_forward``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (ContractError, Tensor, dropout, gather_rows, max_pool_pairs,
                        mean_pool_pairs, reshape)
 from .decoder import upsample_source
+from .layout import is_pow2, layer_plan, pooled_length
 # attention and pffn stay bound here though only relattn calls them: the
 # benchmark's tracer wraps encoder.attention and encoder.pffn by name.  Tests
 # swap encoder.row_extent, like relattn's, for a full-length stand-in.
-from .relattn import (RelPosEncoding, attention, pffn, row_extent,  # noqa: F401
-                      run_layer, transformer_layer)
+from .relattn import (RelPosEncoding, attention, layer_view, pffn,  # noqa: F401
+                      row_extent, run_layer, transformer_layer)
 
 POOL_OPS = ("mean", "max", "top_attn")
 
@@ -60,10 +61,10 @@ class EncoderState:
     """Per-block outputs of one encoder pass."""
 
     encoding: RelPosEncoding  # the pass's tables, reused by the decoder
-    block_hidden: list[Tensor] = field(default_factory=list)
-    block_pos: list[np.ndarray] = field(default_factory=list)
-    block_mask: list[np.ndarray] = field(default_factory=list)
-    last_attn: np.ndarray | None = None  # attention map of the final layer run
+    block_hidden: list[Tensor]
+    block_pos: list[np.ndarray]
+    block_mask: list[np.ndarray]
+    last_attn: np.ndarray | None  # attention map of the final layer run
 
     @property
     def h_first(self) -> Tensor:
@@ -127,10 +128,9 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     to the first member), so a pad index 0 pools to zero like any all-pad
     window.  An odd tail pairs with itself the same way.  A pooled state
     keeps its window's first position and is real iff any member is.
-    Top-attention keeps row 0 ahead of its choice among the rest.  With
-    ``separate_cls`` a power-of-two input leaves one state too many, so
-    with ``truncate`` the index leaves out the final state's rows.
-    Without ``separate_cls`` nothing is dropped (a power of two halves).
+    Top-attention keeps row 0 ahead of its choice among the rest.  The
+    index stops at ``layout.pooled_length`` states: with ``separate_cls`` and
+    ``truncate`` it leaves out the final state of a power-of-two input.
     Top-attention scores count only real queries: a pad query's attention
     row depends on the ids at pad positions.
     """
@@ -139,24 +139,19 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     t = state.hidden.shape[0]
     if separate_cls and t <= 1:
         return state
-    cls = int(separate_cls)
-    drop = int(separate_cls and truncate and _is_pow2(t))
+    cls, n = int(separate_cls), pooled_length(t, separate_cls, truncate)
     hidden, pos, mask = state.hidden, np.asarray(state.pos), np.asarray(state.mask, dtype=bool)
     if op == "top_attn":
         if prev_attn is not None:
             prev_attn = (prev_attn * np.moveaxis(mask, 0, -1)[..., None, :, None])[..., cls:]
         chosen = top_attn_rows(mask[cls:], prev_attn) + cls
         rows = np.concatenate([np.zeros_like(chosen[:cls]), chosen])
-        return PooledState(*gather_column_rows(hidden, pos, mask, rows[:len(rows) - drop]))
-    n = t - drop + cls  # rows read, CLS twice; an odd count repeats the last
-    windows = np.clip(np.arange(-cls, n + n % 2 - cls), 0, t - drop - 1).reshape(-1, 2)
+        return PooledState(*gather_column_rows(hidden, pos, mask, rows[:n]))
+    # rows 0, 0, 1, ... with separate CLS; a last window past row t - 1 repeats it
+    windows = np.clip(np.arange(-cls, 2 * n - cls), 0, t - 1).reshape(-1, 2)
     pool = mean_pool_pairs if op == "mean" else max_pool_pairs
     return PooledState(pool(hidden, mask, windows), pos[windows[:, 0]],
                        mask[windows].any(axis=1))
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def block_transition_attention(pooled: PooledState, unpooled: PooledState, params,
@@ -196,7 +191,7 @@ def encoder_forward(config, params, token_ids: np.ndarray,
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     t = len(token_ids)
-    if config.truncate_seq and not _is_pow2(t):
+    if config.truncate_seq and not is_pow2(t):
         raise ContractError(f"sequence length {t} must be a power of two with truncation on")
     if token_ids.min() < 0 or token_ids.max() >= config.vocab_size:
         raise ContractError(f"token ids must lie in [0, {config.vocab_size}), got "
@@ -212,27 +207,25 @@ def encoder_forward(config, params, token_ids: np.ndarray,
     hidden = dropout(gather_rows(params["embed/token"], token_ids), config.dropout, rng)
     state = PooledState(hidden, np.arange(t, dtype=np.int64), pad_mask)
 
-    out = EncoderState(encoding=enc)
-    last_attn = None
-    blocks = config.layout.blocks
-    for m, block in enumerate(blocks):
-        pooled = state if m == 0 else pool_step(state, config.pool_op, config.separate_cls,
-                                                config.truncate_seq, prev_attn=last_attn)
-        extent = row_extent(pooled.mask)
-        if m == len(blocks) - 1:  # cover the rows the decoder up-samples real positions from
-            extent = np.maximum(extent, upsample_source(real - 1, len(pooled.mask), t) + 1)
-        if m > 0:
-            lp = config.layer_params(params, m, 0)
+    kept, extent, last_attn = [], real, None  # kept: each finished block's final state
+    for run in layer_plan(config.layout, t, config.separate_cls, config.truncate_seq):
+        if run.kind == "decoder":
+            break
+        lp = layer_view(params, run.prefix)
+        if run.kind == "transition":
+            kept.append(state)
+            pooled = pool_step(state, config.pool_op, config.separate_cls, config.truncate_seq,
+                               prev_attn=last_attn)
+            extent = row_extent(pooled.mask)
+            if len(kept) == len(config.layout.blocks) - 1:  # final block: rows the decoder reads
+                extent = np.maximum(extent, upsample_source(real - 1, len(pooled.mask), t) + 1)
             hidden, last_attn = block_transition_attention(pooled, state, lp, config, enc, rng,
                                                            extent)
             state = PooledState(hidden, pooled.pos, pooled.mask)
-        for t_idx in range(int(m > 0), block.total_layers):
-            lp = config.layer_params(params, m, t_idx)
+        else:
             hidden, last_attn = transformer_layer(state.hidden, state.pos, state.mask, lp,
                                                   config, enc, rng, extent)
             state = PooledState(hidden, state.pos, state.mask)
-        out.block_hidden.append(state.hidden)
-        out.block_pos.append(state.pos)
-        out.block_mask.append(state.mask)
-    out.last_attn = last_attn
-    return out
+    kept.append(state)
+    return EncoderState(enc, [s.hidden for s in kept], [s.pos for s in kept],
+                        [s.mask for s in kept], last_attn)

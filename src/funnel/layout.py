@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 HEAD_DIM = 64
 FFN_MULTIPLIER = 4
@@ -46,13 +47,6 @@ class BlockSpec:
     @property
     def total_layers(self) -> int:
         return self.unique_layers * self.repeat
-
-    def param_set_for_layer(self, t: int) -> int:
-        """Layer ``t`` (0-based within the block) uses parameter set t // repeat.
-
-        Consecutive grouping: a 3x2 block runs sets 0,0,1,1,2,2.
-        """
-        return t // self.repeat
 
 
 @dataclass(frozen=True)
@@ -86,16 +80,46 @@ class LayoutSpec:
         object.__setattr__(self, "heads", self.hidden // self.head_dim)
         object.__setattr__(self, "ffn_inner", FFN_MULTIPLIER * self.hidden)
 
-    @property
-    def unique_encoder_layers(self) -> int:
-        return sum(b.unique_layers for b in self.blocks)
 
-    def block_length(self, m: int, seq_len: int) -> int:
-        """Sequence length inside block ``m`` (0-based) for input length ``seq_len``.
+def is_pow2(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
 
-        Pooling never empties a sequence: a length-1 state passes through.
-        """
-        return max(1, seq_len // (2 ** m))
+
+def pooled_length(t: int, separate_cls: bool, truncate: bool) -> int:
+    """Rows one pooling step leaves of ``t`` rows: one per window of two.
+
+    With ``separate_cls`` CLS is a window alone (one row passes through), so
+    2^p rows pool to 2^(p-1)+1 unless ``truncate`` drops the last."""
+    if separate_cls and t <= 1:
+        return t
+    cls, drop = int(separate_cls), int(separate_cls and truncate and is_pow2(t))
+    return (t + cls - drop + 1) // 2
+
+
+class LayerRun(NamedTuple):
+    """One layer of a forward pass: its weights, its role and its padded lengths."""
+
+    prefix: str  # parameter-name prefix, shared by the runs of a tied set
+    kind: str    # "layer", "transition" (pooled queries) or "decoder"
+    q_len: int
+    k_len: int
+
+
+def layer_plan(layout: LayoutSpec, seq_len: int, separate_cls: bool,
+               truncate: bool) -> list[LayerRun]:
+    """Every layer a forward pass over ``seq_len`` rows runs, in order.
+
+    Block m > 0 opens with a transition: pooled queries, the previous block's
+    keys (pooled ones with ``pool_query_only`` off).  A tied block runs its
+    sets in turn, 3x2 as 0, 0, 1, 1, 2, 2; decoder layers run at full length."""
+    runs, t = [], seq_len
+    for m, block in enumerate(layout.blocks):
+        k, t = t, pooled_length(t, separate_cls, truncate) if m else t
+        runs.append(LayerRun(f"enc/b{m}/l0", "transition" if m else "layer", t, k))
+        runs += [LayerRun(f"enc/b{m}/l{i // block.repeat}", "layer", t, t)
+                 for i in range(1, block.total_layers)]
+    return runs + [LayerRun(f"dec/l{i}", "decoder", seq_len, seq_len)
+                   for i in range(layout.decoder_layers)]
 
 
 _INT_RE = re.compile(r"\d+")
@@ -153,9 +177,8 @@ def format_layout(spec: LayoutSpec) -> str:
     """Inverse of parse_layout: parse(format(x)) == x for every valid spec."""
     if not spec.pooled:
         return f"L{spec.blocks[0].unique_layers}H{spec.hidden}"
-    parts = []
-    for b in spec.blocks:
-        parts.append(str(b.unique_layers) if b.repeat == 1 else f"{b.unique_layers}x{b.repeat}")
+    parts = [str(b.unique_layers) if b.repeat == 1 else f"{b.unique_layers}x{b.repeat}"
+             for b in spec.blocks]
     s = "B" + "-".join(parts) + f"H{spec.hidden}"
     if spec.decoder_layers:
         s += f"D{spec.decoder_layers}"

@@ -18,8 +18,8 @@ from .autodiff import DTYPES, ContractError, Rng, Tensor, gather_rows, matmul
 from .corpus import SPECIALS
 from .decoder import DecoderOutput, decoder_forward
 from .encoder import POOL_OPS, EncoderState, encoder_forward
-from .layout import HEAD_DIM, LayoutSpec, format_layout, parse_layout
-from .relattn import LAYER_TENSORS, VARIANTS, LayerParams, RelPosEncoding
+from .layout import HEAD_DIM, LayoutSpec, format_layout, layer_plan, parse_layout
+from .relattn import LAYER_TENSORS, VARIANTS, RelPosEncoding
 
 INIT_STD = 0.02
 
@@ -113,19 +113,6 @@ class ModelConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**d)
 
-    # -- parameter tree -----------------------------------------------------
-
-    def layer_params(self, params: dict, m: int, t: int) -> LayerParams:
-        """Parameter set for layer ``t`` (0-based) of encoder block ``m``.
-
-        Tied blocks reuse sets consecutively: set index is t // repeat.
-        """
-        s = self.layout.blocks[m].param_set_for_layer(t)
-        return _layer_view(params, f"enc/b{m}/l{s}")
-
-    def decoder_layer_params(self, params: dict, i: int) -> LayerParams:
-        return _layer_view(params, f"dec/l{i}")
-
 
 class ParamSpec(NamedTuple):
     """What ``build_params`` makes for one name, without drawing it."""
@@ -135,11 +122,6 @@ class ParamSpec(NamedTuple):
     init: str  # "normal" (truncated, std INIT_STD), "zeros" or "ones"
 
 
-def _layer_view(params: dict, prefix: str) -> LayerParams:
-    return LayerParams(**{attr: params[f"{prefix}/{key}"] for attr, key, _, _ in LAYER_TENSORS},
-                       w_r=params["rel/w_r"])
-
-
 def param_specs(config: ModelConfig) -> dict[str, ParamSpec]:
     """Every parameter's shape, dtype and init by name, in ``build_params`` draw order."""
     dt = np.dtype(DTYPES[config.dtype])
@@ -147,10 +129,8 @@ def param_specs(config: ModelConfig) -> dict[str, ParamSpec]:
     size = {"d": d, "inner": config.layout.ffn_inner}
     specs = {"embed/token": ParamSpec((config.vocab_size, d), dt, "normal"),
              "rel/w_r": ParamSpec((d, d), dt, "normal")}
-    prefixes = [f"enc/b{m}/l{s}" for m, block in enumerate(config.layout.blocks)
-                for s in range(block.unique_layers)]
-    prefixes += [f"dec/l{i}" for i in range(config.layout.decoder_layers)]
-    for prefix in prefixes:
+    # a prefix's first run sets its place; lengths play no part
+    for prefix in dict.fromkeys(run.prefix for run in layer_plan(config.layout, 1, False, False)):
         for _, key, dims, init in LAYER_TENSORS:
             specs[f"{prefix}/{key}"] = ParamSpec(tuple(size[n] for n in dims), dt, init)
     return specs

@@ -247,6 +247,12 @@ LayerParams = make_dataclass(
                "row each, plus ``w_r``, the encoding projection every layer shares."})
 
 
+def layer_view(params: dict, prefix: str) -> LayerParams:
+    """The layer whose tensors are named ``<prefix>/<key>`` in the flat ``params`` tree."""
+    return LayerParams(**{attr: params[f"{prefix}/{key}"] for attr, key, _, _ in LAYER_TENSORS},
+                       w_r=params["rel/w_r"])
+
+
 def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
               key_mask: np.ndarray, params: LayerParams, config, enc: RelPosEncoding,
               rng=None) -> tuple[Tensor, np.ndarray]:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .autodiff import DTYPES, ContractError, NumericError, Rng, Tape, Tensor
 from .corpus import Batch, EncodedLine, Vocab, build_vocab, encode_corpus
+from .layout import is_pow2
 from .model import (INIT_STD, FunnelModel, ModelConfig, check_fields, generator_config,
                     param_specs)
 from .objectives import electra_step, mlm_loss, sample_mask_single, sample_mask_span
@@ -60,7 +61,7 @@ class TrainSettings:
     def __post_init__(self):
         check_fields(self, {"steps": ">= 0", "batch_size": ">= 1", "mask_rate": "in (0,1)",
                             "objective": ("mlm", "electra"), "mask_sampler": ("single", "span")})
-        if self.seq_len < 2 or self.seq_len & (self.seq_len - 1):
+        if self.seq_len < 2 or not is_pow2(self.seq_len):
             raise ValueError(f"seq_len must be a power of two >= 2, got {self.seq_len}")
 
 

@@ -9,7 +9,7 @@ import pytest
 from funnel.costmodel import (CostModelError, compare_report, cost_report,
                               display_ratio, effective_layers, flops_exact,
                               flops_ratio, layer_flops, param_count, params_per_layer)
-from funnel.layout import BlockSpec, LayoutSpec
+from funnel.layout import BlockSpec, LayoutSpec, layer_plan, parse_layout
 from funnel.model import FunnelModel, ModelConfig, build_params
 
 
@@ -116,6 +116,19 @@ class TestFlopsExact:
         expected = sum(layer_flops(q, k, 64) + (b.total_layers - 1) * layer_flops(q, q, 64)
                        for q, k, b in zip(lengths, keys, config.layout.blocks))
         assert flops_exact(layout, t) == expected
+
+    def test_separate_cls_ratio_summed_over_the_plan(self):
+        # README's separate-CLS paragraph quotes these pretrain-mode ratios:
+        # truncation off (blocks of T, T/2+1, T/4+1) against on
+        spec = parse_layout("B4-4-4H256D2")
+
+        def flops(t, truncate):
+            return sum(layer_flops(run.q_len, run.k_len, 256)
+                       for run in layer_plan(spec, t, True, truncate))
+
+        assert flops(128, True) == flops_exact(spec, 128, "pretrain")
+        assert round(flops(128, False) / flops(128, True), 4) == 1.0067
+        assert round(flops(512, False) / flops(512, True), 4) == 1.0017
 
 
 class TestParams:

@@ -45,3 +45,14 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_package_layout_names_every_module():
+    text = README.read_text()
+    block = re.search(r"```\n(src/funnel/\n.*?)```", text[text.index("## Package layout"):],
+                      re.S).group(1)
+    listed = re.findall(r"^  (\w+\.py) ", block, re.M)
+    modules = sorted(p.name for p in (README.parent / "src" / "funnel").glob("*.py")
+                     if p.name != "__init__.py")
+    assert sorted(listed) == modules
+    assert len(listed) == len(set(listed))

@@ -8,10 +8,11 @@ import pytest
 from funnel import autodiff
 from funnel.autodiff import (ContractError, Rng, Tape, Tensor, gather_rows, grad_check, mul,
                              sum_all)
-from funnel.encoder import (PooledState, _column_pos, _is_pow2, block_transition_attention,
+from funnel.encoder import (PooledState, _column_pos, block_transition_attention,
                             gather_column_rows, pool_step, top_attn_rows)
-from funnel.layout import BlockSpec, LayoutSpec
+from funnel.layout import BlockSpec, LayoutSpec, is_pow2
 from funnel.model import FunnelModel, ModelConfig
+from funnel.relattn import layer_view
 
 
 def make_state(values, pos=None, mask=None):
@@ -182,7 +183,7 @@ def split_concat_drop(state, op, separate_cls, truncate, prev_attn=None):
     hidden = concat_rows([gather_rows(state.hidden, np.arange(1)), pooled])
     pos = np.concatenate([pos[:1], ppos])
     mask = np.concatenate([state.mask[:1], pmask])
-    if truncate and _is_pow2(t) and hidden.shape[0] > 1:
+    if truncate and is_pow2(t) and hidden.shape[0] > 1:
         hidden = gather_rows(hidden, np.arange(hidden.shape[0] - 1))
         pos, mask = pos[:-1], mask[:-1]
     return PooledState(hidden, pos, mask)
@@ -269,7 +270,7 @@ class TestBlockTransition:
         gen = np.random.Generator(np.random.Philox(5))
         unpooled = make_state(gen.standard_normal((8, 16)))
         pooled = pool_step(unpooled, "mean", True, True)
-        lp = tiny_config.layer_params(model.params, 1, 0)
+        lp = layer_view(model.params, "enc/b1/l0")
         out, _ = block_transition_attention(pooled, unpooled, lp, tiny_config,
                                             tiny_config.encoding())
         assert out.shape == (4, 16)
@@ -280,7 +281,7 @@ class TestBlockTransition:
         gen = np.random.Generator(np.random.Philox(6))
         unpooled = make_state(gen.standard_normal((8, 16)))
         pooled = pool_step(unpooled, "mean", True, True)
-        lp = tiny_config.layer_params(model.params, 1, 0)
+        lp = layer_view(model.params, "enc/b1/l0")
         config = replace(tiny_config, pool_query_only=False)
         out, _ = block_transition_attention(pooled, unpooled, lp, config,
                                             tiny_config.encoding())
@@ -295,7 +296,7 @@ class TestBlockTransition:
         from funnel.autodiff import layer_norm
         from funnel.relattn import pffn
         model = FunnelModel(tiny_config)
-        lp = tiny_config.layer_params(model.params, 1, 0)
+        lp = layer_view(model.params, "enc/b1/l0")
         d = 16
         for t, v in [(lp.w_q, 0.0), (lp.w_k, 0.0), (lp.b_q, 0.0), (lp.b_k, 0.0),
                      (lp.u, 0.0), (lp.v, 0.0), (lp.b_v, 0.0), (lp.b_o, 0.0)]:
@@ -400,3 +401,43 @@ class TestEncoderForward:
         err = grad_check(f, [model.params[k] for k in keys], eps=1e-4,
                          denominator_floor=1e-6, max_coords_per_param=6, seed=8)
         assert err < 1e-4
+
+
+PLAN_CASES = [(sep, trunc, t) for sep in (True, False) for trunc in (True, False)
+              for t in (1, 2, 4, 8, 16)] + [(sep, False, 12) for sep in (True, False)]
+
+
+# top_attn is refused for B1-1-1H64D1: its middle block's lone transition has
+# no same-length map for the next pooling
+@pytest.mark.parametrize("layout,op", [
+    (layout, op) for layout in ("B2-1x2-2H64D2", "B1-1-1H64D1", "L3H64")
+    for op in ("mean", "max", "top_attn") if (layout, op) != ("B1-1-1H64D1", "top_attn")])
+def test_layer_plan_describes_what_runs(layout, op, monkeypatch):
+    # every run_layer call of encode + decode, in order: its padded query and
+    # key rows and its weights are the plan entry's.  Transitions look
+    # run_layer up in encoder, other layers in relattn.
+    from funnel import encoder, relattn
+    from funnel.layout import layer_plan
+    calls = []
+
+    def record(q_in, kv_in, q_pos, k_pos, key_mask, extent, params, *args):
+        calls.append((q_in.shape[0], kv_in.shape[0], params))
+        return relattn_run_layer(q_in, kv_in, q_pos, k_pos, key_mask, extent, params, *args)
+
+    relattn_run_layer = relattn.run_layer
+    monkeypatch.setattr(relattn, "run_layer", record)
+    monkeypatch.setattr(encoder, "run_layer", record)
+    params = FunnelModel(ModelConfig(layout=layout, vocab_size=11, seed=0)).params
+    for sep, trunc, t in PLAN_CASES:
+        config = ModelConfig(layout=layout, vocab_size=11, pool_op=op, separate_cls=sep,
+                             truncate_seq=trunc, seed=0)
+        model = FunnelModel(config, params)
+        ids = Rng(t).integers(5, 11, (t, 2))
+        mask = np.arange(t)[:, None] < np.array([t, (t + 1) // 2])  # column 1 padded
+        calls.clear()
+        model.decode(model.encode(ids, mask))
+        plan = layer_plan(config.layout, t, sep, trunc)
+        case = f"{op} separate_cls={sep} truncate={trunc} T={t}"
+        assert [(q, k) for q, k, _ in calls] == [(run.q_len, run.k_len) for run in plan], case
+        # LayerParams compare field by field, and a Tensor equals only itself
+        assert [lp for _, _, lp in calls] == [layer_view(params, run.prefix) for run in plan], case

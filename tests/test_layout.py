@@ -3,7 +3,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from funnel.layout import BlockSpec, LayoutError, LayoutSpec, format_layout, parse_layout
+from funnel.layout import (BlockSpec, LayoutError, LayoutSpec, format_layout, layer_plan,
+                           parse_layout, pooled_length)
+
+
+def unique_encoder_sets(spec):
+    """Parameter sets the encoder's runs use: one per distinct prefix."""
+    return len({run.prefix for run in layer_plan(spec, 1, False, False) if run.kind != "decoder"})
+
+
+def block_lengths(spec, t, separate_cls=True, truncate=True):
+    """Each encoder block's length: the query length of its first run."""
+    runs = layer_plan(spec, t, separate_cls, truncate)
+    return [runs[0].q_len] + [run.q_len for run in runs if run.kind == "transition"]
 
 
 class TestParse:
@@ -21,7 +33,7 @@ class TestParse:
         assert spec.hidden == 768
         assert spec.decoder_layers == 2
         assert sum(b.total_layers for b in spec.blocks) == 18
-        assert spec.unique_encoder_layers == 12
+        assert unique_encoder_sets(spec) == 12
 
     def test_plain_stack(self):
         spec = parse_layout("L12H768")
@@ -70,12 +82,13 @@ class TestParse:
 class TestDerived:
     def test_block_lengths_halve(self):
         spec = parse_layout("B2-2-2H64")
-        assert [spec.block_length(m, 16) for m in range(3)] == [16, 8, 4]
-        assert [spec.block_length(m, 2) for m in range(3)] == [2, 1, 1]
+        assert block_lengths(spec, 16) == [16, 8, 4]
+        assert block_lengths(spec, 2) == [2, 1, 1]
 
     def test_consecutive_tying_assignment(self):
-        block = BlockSpec(3, 2)
-        assert [block.param_set_for_layer(t) for t in range(6)] == [0, 0, 1, 1, 2, 2]
+        spec = LayoutSpec(blocks=(BlockSpec(3, 2),), hidden=64)
+        assert [run.prefix for run in layer_plan(spec, 8, True, True)] == [
+            f"enc/b0/l{s}" for s in (0, 0, 1, 1, 2, 2)]
 
     def test_head_dim_override_for_programmatic_specs(self):
         spec = LayoutSpec(blocks=(BlockSpec(2),), hidden=16, head_dim=8)
@@ -120,4 +133,34 @@ def test_roundtrip_plain_form(layers, hidden):
 def test_total_vs_unique_layer_accounting():
     spec = parse_layout("B8-4x2-2x4H64")
     assert sum(b.total_layers for b in spec.blocks) == 8 + 8 + 8
-    assert spec.unique_encoder_layers == 8 + 4 + 2
+    assert unique_encoder_sets(spec) == 8 + 4 + 2
+
+
+class TestLayerPlan:
+    def test_runs_in_order(self):
+        runs = layer_plan(parse_layout("B2-1x2H64D2"), 16, True, True)
+        assert runs == [("enc/b0/l0", "layer", 16, 16), ("enc/b0/l1", "layer", 16, 16),
+                        ("enc/b1/l0", "transition", 8, 16), ("enc/b1/l0", "layer", 8, 8),
+                        ("dec/l0", "decoder", 16, 16), ("dec/l1", "decoder", 16, 16)]
+
+    def test_plain_stack_has_no_transition(self):
+        runs = layer_plan(parse_layout("L3H64"), 12, True, False)
+        assert [run.kind for run in runs] == ["layer"] * 3
+        assert {(run.q_len, run.k_len) for run in runs} == {(12, 12)}
+
+    @pytest.mark.parametrize("t,separate_cls,truncate,rows", [
+        (512, True, False, 257), (512, True, True, 256), (512, False, False, 256),
+        (257, True, True, 129), (257, False, True, 129), (12, True, True, 7),
+        (2, True, False, 2), (2, True, True, 1), (1, True, True, 1), (1, False, False, 1),
+    ])
+    def test_pooled_length(self, t, separate_cls, truncate, rows):
+        assert pooled_length(t, separate_cls, truncate) == rows
+
+    def test_paper_separate_cls_lengths(self):
+        # CLS out of pooling, no truncation: 2^p rows pool to 2^(p-1)+1
+        spec = parse_layout("B4-4-4H256D2")
+        transitions = [(run.q_len, run.k_len) for run in layer_plan(spec, 512, True, False)
+                       if run.kind == "transition"]
+        assert transitions == [(257, 512), (129, 257)]
+        assert block_lengths(spec, 128, truncate=False) == [128, 65, 33]
+        assert block_lengths(spec, 128) == [128, 64, 32]

@@ -9,10 +9,10 @@ import pytest
 from funnel import checkpoint
 from funnel.autodiff import Rng, grad_check
 from funnel.corpus import CLS, SEP
-from funnel.layout import BlockSpec, LayoutSpec
+from funnel.layout import BlockSpec, LayoutSpec, layer_plan
 from funnel.model import FunnelModel, ModelConfig, build_params, generator_config, param_specs
 from funnel.objectives import mlm_loss, sample_mask_single
-from funnel.relattn import LAYER_TENSORS, LayerParams
+from funnel.relattn import LAYER_TENSORS, LayerParams, layer_view
 
 
 class TestConfig:
@@ -90,14 +90,17 @@ class TestParams:
     def test_tied_block_reuses_tensor_objects(self):
         cfg = ModelConfig(layout="B2-1x2H64", vocab_size=11, seed=0)
         params = build_params(cfg)
-        first = cfg.layer_params(params, 1, 0)
-        second = cfg.layer_params(params, 1, 1)
+        # block 1's transition and the layer after it run the one tied set
+        first, second = (layer_view(params, run.prefix)
+                         for run in layer_plan(cfg.layout, 16, True, True)[2:4])
         assert first.w_q is second.w_q
 
     def test_untied_layers_differ(self):
         cfg = ModelConfig(layout="B2-2H64", vocab_size=11, seed=0)
         params = build_params(cfg)
-        assert cfg.layer_params(params, 0, 0).w_q is not cfg.layer_params(params, 0, 1).w_q
+        first, second = (layer_view(params, run.prefix)
+                         for run in layer_plan(cfg.layout, 16, True, True)[:2])
+        assert first.w_q is not second.w_q
 
     def test_decoder_params_never_tied_to_encoder(self):
         cfg = ModelConfig(layout="B1-1H64D2", vocab_size=11, seed=0)
@@ -143,7 +146,7 @@ class TestParams:
                          "ln_ffn_g", "ln_ffn_b", "w_r"]
         cfg = ModelConfig(layout="B2-2H64D1", vocab_size=11, seed=0)
         params = build_params(cfg)
-        lp = cfg.layer_params(params, 1, 1)
+        lp = layer_view(params, "enc/b1/l1")
         for attr, key, *_ in LAYER_TENSORS:
             assert getattr(lp, attr) is params[f"enc/b1/l1/{key}"], attr
         assert lp.w_r is params["rel/w_r"]

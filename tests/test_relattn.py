@@ -10,7 +10,7 @@ from funnel.autodiff import NumericError, Tensor, grad_check, mul, sum_all
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
 from funnel import relattn
-from funnel.relattn import (RelPosEncoding, attention, gather_index_matrix, pffn,
+from funnel.relattn import (RelPosEncoding, attention, gather_index_matrix, layer_view, pffn,
                             position_term_factorized, position_term_gather,
                             position_term_naive, transformer_layer, variant_deviation)
 
@@ -324,7 +324,7 @@ def tiny_layer():
     layout = LayoutSpec(blocks=(BlockSpec(1),), hidden=8, head_dim=4)
     config = ModelConfig(layout=layout, vocab_size=11, seed=0)
     model = FunnelModel(config)
-    lp = config.layer_params(model.params, 0, 0)
+    lp = layer_view(model.params, "enc/b0/l0")
     return config, model, lp
 
 
@@ -423,7 +423,7 @@ def test_full_layer_grad_check(tiny_layer_factory=None):
     layout = LayoutSpec(blocks=(BlockSpec(1),), hidden=8, head_dim=4)
     config = ModelConfig(layout=layout, vocab_size=11, seed=3)
     model = FunnelModel(config)
-    lp = config.layer_params(model.params, 0, 0)
+    lp = layer_view(model.params, "enc/b0/l0")
     gen = np.random.Generator(np.random.Philox(12))
     x = Tensor(gen.standard_normal((4, 8)), requires_grad=True)
     w = Tensor(gen.standard_normal((4, 8)))
