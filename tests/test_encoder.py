@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from funnel import autodiff
+from funnel import autodiff, encoder, relattn
 from funnel.autodiff import (ContractError, Rng, Tape, Tensor, gather_rows, grad_check, mul,
                              sum_all)
 from funnel.encoder import (PooledState, _column_pos, block_transition_attention,
                             gather_column_rows, pool_step, top_attn_rows)
-from funnel.layout import BlockSpec, LayoutSpec, is_pow2
+from funnel.layout import BlockSpec, LayoutSpec, is_pow2, layer_plan
 from funnel.model import FunnelModel, ModelConfig
 from funnel.relattn import layer_view
 
@@ -416,15 +416,12 @@ def test_layer_plan_describes_what_runs(layout, op, monkeypatch):
     # every run_layer call of encode + decode, in order: its padded query and
     # key rows and its weights are the plan entry's.  Transitions look
     # run_layer up in encoder, other layers in relattn.
-    from funnel import encoder, relattn
-    from funnel.layout import layer_plan
-    calls = []
+    calls, run_layer = [], relattn.run_layer
 
     def record(q_in, kv_in, q_pos, k_pos, key_mask, extent, params, *args):
         calls.append((q_in.shape[0], kv_in.shape[0], params))
-        return relattn_run_layer(q_in, kv_in, q_pos, k_pos, key_mask, extent, params, *args)
+        return run_layer(q_in, kv_in, q_pos, k_pos, key_mask, extent, params, *args)
 
-    relattn_run_layer = relattn.run_layer
     monkeypatch.setattr(relattn, "run_layer", record)
     monkeypatch.setattr(encoder, "run_layer", record)
     params = FunnelModel(ModelConfig(layout=layout, vocab_size=11, seed=0)).params
