@@ -10,11 +10,8 @@ Two FLOPs models:
   query/key lengths, including the quadratic attention terms, and doubles
   them (one multiply-add = 2 FLOPs).
 
-Parameter inventory (exact, checked against the built model): per unique
-layer 12 D^2 + 15 D (packed QKVO with biases, u/v, the 4D FFN with biases,
-two norm pairs); shared across the model one D x D positional-encoding
-projection; plus the V x D tied embedding.  Tied blocks count unique
-layers only; decoder layers count in pretrain mode only.
+The parameter inventory sums the shapes of the model's own table,
+``model.param_specs``, so it is the built model's tensor tree.
 
 Display convention for relative FLOPs, matching the published comparison
 tables cell for cell: finetune-mode ratios round half up to 2 decimals,
@@ -25,11 +22,14 @@ Exact rational values are returned by the API; rounding is display-only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .layout import LayoutSpec, format_layout, is_pow2, layer_plan, parse_layout
+from .corpus import SPECIALS
+from .layout import FFN_MULTIPLIER, LayoutSpec, format_layout, is_pow2, layer_plan, parse_layout
+from .model import ModelConfig, param_specs
 
 MODES = ("finetune", "pretrain")
 DEFAULT_VOCAB = 30522  # uncased wordpiece vocabulary size ("about 30K")
@@ -85,7 +85,7 @@ def layer_flops(q_len: int, k_len: int, hidden: int, variant: str = "factorized"
       projections   q and output at q_len, key and value at k_len
       content       scores q*k*D plus the weighted value sum
       position      per variant; factorized costs 2 q D^2 + 4 q k D FLOPs
-      FFN           two 4D-wide matmuls at q_len
+      FFN           two matmuls FFN_MULTIPLIER * D wide at q_len
 
     Position-term costs follow the published single-head analysis (the
     width-D outer-product form); the per-head implementation of the
@@ -107,7 +107,7 @@ def layer_flops(q_len: int, k_len: int, hidden: int, variant: str = "factorized"
         macs += q_len * k_len * d * d + q_len * k_len * d
     else:
         raise CostModelError(f"unknown attention variant {variant!r}")
-    macs += 2 * q_len * d * (4 * d)                    # FFN in and out
+    macs += 2 * q_len * d * (FFN_MULTIPLIER * d)       # FFN in and out
     return FLOPS_PER_MAC * macs
 
 
@@ -124,19 +124,8 @@ def flops_exact(layout, seq_len: int, mode: str = "finetune",
     if not is_pow2(seq_len):
         raise CostModelError(f"sequence length {seq_len} must be a power of two")
     return sum(layer_flops(run.q_len, run.k_len, layout.hidden, variant)
-               for run in layer_plan(layout, seq_len, True, True)
+               for run in layer_plan(layout, seq_len, True, True, True)
                if mode == "pretrain" or run.kind != "decoder")
-
-
-def params_per_layer(hidden: int, ffn_inner: int | None = None) -> int:
-    """12 D^2 + 15 D with the default 4D FFN; spelled out term by term."""
-    d = hidden
-    inner = 4 * d if ffn_inner is None else ffn_inner
-    attn = 4 * (d * d + d)          # packed QKVO projections with biases
-    biases = 2 * d                  # position/content biases u, v
-    ffn = d * inner + inner + inner * d + d
-    norms = 2 * (2 * d)
-    return attn + biases + ffn + norms
 
 
 @dataclass(frozen=True)
@@ -167,16 +156,18 @@ class CostReport:
 
 
 def param_count(layout, vocab: int = DEFAULT_VOCAB, mode: str = "finetune") -> dict:
-    """Exact parameter inventory split into transformer/embedding/shared."""
+    """Sizes of the model's parameter table: embedding ``embed/token``, shared
+    ``rel/w_r``, and as transformer every ``enc/`` tensor and, in pretrain
+    mode only, every ``dec/`` one."""
     _check_mode(mode)
     layout = _as_layout(layout)
-    if vocab <= 0:
-        raise CostModelError(f"vocab must be positive, got {vocab}")
-    sets = {run.prefix for run in layer_plan(layout, 1, False, False)
-            if mode == "pretrain" or run.kind != "decoder"}
-    transformer = len(sets) * params_per_layer(layout.hidden, layout.ffn_inner)
-    embedding = vocab * layout.hidden
-    shared = layout.hidden * layout.hidden  # positional-encoding projection
+    if vocab < len(SPECIALS):
+        raise CostModelError(f"vocab must cover the {len(SPECIALS)} special tokens, got {vocab}")
+    sizes = {name: math.prod(spec.shape) for name, spec
+             in param_specs(ModelConfig(layout=layout, vocab_size=vocab)).items()
+             if mode == "pretrain" or not name.startswith("dec/")}
+    embedding, shared = sizes.pop("embed/token"), sizes.pop("rel/w_r")
+    transformer = sum(sizes.values())
     return {
         "params_transformer": transformer,
         "params_embedding": embedding,

@@ -61,7 +61,8 @@ def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPos
     t = h_first.shape[0]
     fused = hidden = add(h_first, upsample(h_last, t))
     pos = np.arange(t, dtype=np.int64)
-    for run in layer_plan(config.layout, t, config.separate_cls, config.truncate_seq):
+    for run in layer_plan(config.layout, t, config.separate_cls, config.truncate_seq,
+                          config.pool_query_only):
         if run.kind == "decoder":
             hidden, _ = transformer_layer(hidden, pos, pad_mask, layer_view(params, run.prefix),
                                           config, enc, rng)

@@ -208,7 +208,8 @@ def encoder_forward(config, params, token_ids: np.ndarray,
     state = PooledState(hidden, np.arange(t, dtype=np.int64), pad_mask)
 
     kept, extent, last_attn = [], real, None  # kept: each finished block's final state
-    for run in layer_plan(config.layout, t, config.separate_cls, config.truncate_seq):
+    for run in layer_plan(config.layout, t, config.separate_cls, config.truncate_seq,
+                          config.pool_query_only):
         if run.kind == "decoder":
             break
         lp = layer_view(params, run.prefix)

@@ -105,17 +105,19 @@ class LayerRun(NamedTuple):
     k_len: int
 
 
-def layer_plan(layout: LayoutSpec, seq_len: int, separate_cls: bool,
-               truncate: bool) -> list[LayerRun]:
+def layer_plan(layout: LayoutSpec, seq_len: int, separate_cls: bool, truncate: bool,
+               pool_query_only: bool) -> list[LayerRun]:
     """Every layer a forward pass over ``seq_len`` rows runs, in order.
 
-    Block m > 0 opens with a transition: pooled queries, the previous block's
-    keys (pooled ones with ``pool_query_only`` off).  A tied block runs its
-    sets in turn, 3x2 as 0, 0, 1, 1, 2, 2; decoder layers run at full length."""
+    Block m > 0 opens with a transition: pooled queries over the previous
+    block's keys, or over the pooled rows with ``pool_query_only`` off.  A tied
+    block runs its sets in turn, 3x2 as 0, 0, 1, 1, 2, 2; decoder layers run
+    at full length."""
     runs, t = [], seq_len
     for m, block in enumerate(layout.blocks):
         k, t = t, pooled_length(t, separate_cls, truncate) if m else t
-        runs.append(LayerRun(f"enc/b{m}/l0", "transition" if m else "layer", t, k))
+        runs.append(LayerRun(f"enc/b{m}/l0", "transition" if m else "layer", t,
+                             k if pool_query_only else t))
         runs += [LayerRun(f"enc/b{m}/l{i // block.repeat}", "layer", t, t)
                  for i in range(1, block.total_layers)]
     return runs + [LayerRun(f"dec/l{i}", "decoder", seq_len, seq_len)

@@ -130,7 +130,8 @@ def param_specs(config: ModelConfig) -> dict[str, ParamSpec]:
     specs = {"embed/token": ParamSpec((config.vocab_size, d), dt, "normal"),
              "rel/w_r": ParamSpec((d, d), dt, "normal")}
     # a prefix's first run sets its place; lengths play no part
-    for prefix in dict.fromkeys(run.prefix for run in layer_plan(config.layout, 1, False, False)):
+    plan = layer_plan(config.layout, 1, False, False, True)
+    for prefix in dict.fromkeys(run.prefix for run in plan):
         for _, key, dims, init in LAYER_TENSORS:
             specs[f"{prefix}/{key}"] = ParamSpec(tuple(size[n] for n in dims), dt, init)
     return specs

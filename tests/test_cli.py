@@ -37,6 +37,11 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("error: parse: layout 'L1H0': hidden size 0 holds no")
 
+    def test_vocab_below_the_special_tokens_exit_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--layout", "B2-2H64", "--vocab", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: input: vocab must cover the 5 special tokens, got 4\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "analyze", "--layout", "B6-6-6H768D2",
                            "--mode", "pretrain", "--format", "json")
@@ -110,6 +115,45 @@ class TestCompare:
                            "--baseline", "L24H1024")
         assert code == 2
         assert "error:" in err
+
+    # README's two compare commands, byte for byte; cells are left-justified
+    # to the header width, so rows end in spaces
+    def test_readme_finetune_table(self, capsys):
+        code, out, err = run(capsys, "compare", "--layouts",
+                             "B6-6-6H768,B6-3x2-3x2H768,B4-4-4H768", "--baseline", "L12H768")
+        assert (code, err) == (0, "")
+        assert out == "\n".join([
+            "layout          flops_ratio_linear  flops_ratio_exact  params_ratio",
+            "--------------  ------------------  -----------------  ------------",
+            "B6-6-6H768      0.88                0.85               1.39        ",
+            "B6-3x2-3x2H768  0.88                0.85               1.00        ",
+            "B4-4-4H768      0.58                0.57               1.00        ",
+            "baseline: L12H768  mode: finetune",
+        ]) + "\n"
+
+    PRETRAIN_ARGS = ("compare", "--layouts", "B6-6-6H768D2,B4-4-4H768D2",
+                     "--baseline", "L12H768", "--mode", "pretrain")
+
+    def test_readme_pretrain_table(self, capsys):
+        code, out, err = run(capsys, *self.PRETRAIN_ARGS)
+        assert (code, err) == (0, "")
+        assert out == "\n".join([
+            "layout        flops_ratio_linear  flops_ratio_exact  params_ratio",
+            "------------  ------------------  -----------------  ------------",
+            "B6-6-6H768D2  1.04                1.02               1.52        ",
+            "B4-4-4H768D2  0.75                0.74               1.13        ",
+            "baseline: L12H768  mode: pretrain",
+        ]) + "\n"
+
+    def test_readme_pretrain_table_json(self, capsys):
+        code, out, err = run(capsys, *self.PRETRAIN_ARGS, "--format", "json")
+        assert (code, err) == (0, "")
+        rows = [{"layout": "B6-6-6H768D2", "flops_ratio_linear": "1.04",
+                 "flops_ratio_exact": "1.02", "params_ratio": "1.52"},
+                {"layout": "B4-4-4H768D2", "flops_ratio_linear": "0.75",
+                 "flops_ratio_exact": "0.74", "params_ratio": "1.13"}]
+        assert out == json.dumps({"baseline": "L12H768", "mode": "pretrain", "seq_len": 512,
+                                  "rows": rows}, indent=2) + "\n"
 
 
 class TestVerifyAttn:

@@ -8,9 +8,15 @@ import pytest
 
 from funnel.costmodel import (CostModelError, compare_report, cost_report,
                               display_ratio, effective_layers, flops_exact,
-                              flops_ratio, layer_flops, param_count, params_per_layer)
+                              flops_ratio, layer_flops, param_count)
 from funnel.layout import BlockSpec, LayoutSpec, layer_plan, parse_layout
 from funnel.model import FunnelModel, ModelConfig, build_params
+
+
+def per_layer(d):
+    """One layer's parameters in closed form: packed QKVO with biases (4 D^2 + 4 D),
+    u and v (2 D), the 4D FFN with biases (8 D^2 + 5 D), two norm pairs (4 D)."""
+    return 12 * d * d + 15 * d
 
 
 class TestEffectiveLayers:
@@ -124,7 +130,7 @@ class TestFlopsExact:
 
         def flops(t, truncate):
             return sum(layer_flops(run.q_len, run.k_len, 256)
-                       for run in layer_plan(spec, t, True, truncate))
+                       for run in layer_plan(spec, t, True, truncate, True))
 
         assert flops(128, True) == flops_exact(spec, 128, "pretrain")
         assert round(flops(128, False) / flops(128, True), 4) == 1.0067
@@ -133,7 +139,25 @@ class TestFlopsExact:
 
 class TestParams:
     def test_per_layer_closed_form(self):
-        assert params_per_layer(768) == 12 * 768 * 768 + 15 * 768
+        # one layer of L1H768 is the transformer count
+        assert param_count("L1H768")["params_transformer"] == 12 * 768 * 768 + 15 * 768
+
+    @pytest.mark.parametrize("layout,unique,decoder", [
+        ("B6-3x2-3x2H768", 12, 0), ("B6-6-6H768", 18, 0), ("L12H768", 12, 0),
+        ("B2-2H128D2", 4, 2), ("B2-1x2-2H64D2", 5, 2),
+    ])
+    @pytest.mark.parametrize("mode", ["finetune", "pretrain"])
+    @pytest.mark.parametrize("vocab", [5, 37, 30522])
+    def test_closed_form_grid(self, layout, unique, decoder, mode, vocab):
+        # unique layers x (12 D^2 + 15 D) + V x D + D x D; decoder layers in pretrain only
+        d = parse_layout(layout).hidden
+        layers = unique + (decoder if mode == "pretrain" else 0)
+        assert param_count(layout, vocab, mode) == {
+            "params_transformer": layers * per_layer(d),
+            "params_embedding": vocab * d,
+            "params_shared": d * d,
+            "params_total": layers * per_layer(d) + vocab * d + d * d,
+        }
 
     def test_transformer_ratio_exactly_1_5(self):
         a = param_count("B6-6-6H768")
@@ -155,7 +179,7 @@ class TestParams:
     def test_pretrain_counts_decoder(self):
         ft = param_count("B2-2H128D2", mode="finetune")
         pt = param_count("B2-2H128D2", mode="pretrain")
-        assert pt["params_transformer"] - ft["params_transformer"] == 2 * params_per_layer(128)
+        assert pt["params_transformer"] - ft["params_transformer"] == 2 * per_layer(128)
 
     def test_matches_built_model_exactly(self):
         # the inventory is not an estimate: it equals the real tensor tree
@@ -169,12 +193,14 @@ class TestParams:
     def test_tied_blocks_count_unique_only(self):
         tied = param_count("B6-3x2-3x2H768")["params_transformer"]
         untied = param_count("B6-6-6H768")["params_transformer"]
-        assert tied == 12 * params_per_layer(768)
-        assert untied == 18 * params_per_layer(768)
+        assert tied == 12 * per_layer(768)
+        assert untied == 18 * per_layer(768)
 
     def test_bad_vocab_rejected(self):
-        with pytest.raises(CostModelError):
-            param_count("L1H64", vocab=0)
+        # below the 5 special tokens ModelConfig refuses the model: nothing to count
+        for vocab in (-1, 0, 1, 4):
+            with pytest.raises(CostModelError, match="special tokens"):
+                param_count("L1H64", vocab=vocab)
 
 
 class TestCompareReport:

@@ -403,12 +403,13 @@ class TestEncoderForward:
         assert err < 1e-4
 
 
-PLAN_CASES = [(sep, trunc, t) for sep in (True, False) for trunc in (True, False)
-              for t in (1, 2, 4, 8, 16)] + [(sep, False, 12) for sep in (True, False)]
+PLAN_CASES = [(sep, trunc, pqo, t) for sep in (True, False) for trunc in (True, False)
+              for pqo in (True, False) for t in (1, 2, 4, 8, 16)] + [
+    (sep, False, pqo, 12) for sep in (True, False) for pqo in (True, False)]
 
 
-# top_attn is refused for B1-1-1H64D1: its middle block's lone transition has
-# no same-length map for the next pooling
+# top_attn is left out for B1-1-1H64D1: with pool_query_only on, its middle
+# block's lone transition has no same-length map for the next pooling
 @pytest.mark.parametrize("layout,op", [
     (layout, op) for layout in ("B2-1x2-2H64D2", "B1-1-1H64D1", "L3H64")
     for op in ("mean", "max", "top_attn") if (layout, op) != ("B1-1-1H64D1", "top_attn")])
@@ -425,16 +426,16 @@ def test_layer_plan_describes_what_runs(layout, op, monkeypatch):
     monkeypatch.setattr(relattn, "run_layer", record)
     monkeypatch.setattr(encoder, "run_layer", record)
     params = FunnelModel(ModelConfig(layout=layout, vocab_size=11, seed=0)).params
-    for sep, trunc, t in PLAN_CASES:
+    for sep, trunc, pqo, t in PLAN_CASES:
         config = ModelConfig(layout=layout, vocab_size=11, pool_op=op, separate_cls=sep,
-                             truncate_seq=trunc, seed=0)
+                             truncate_seq=trunc, pool_query_only=pqo, seed=0)
         model = FunnelModel(config, params)
         ids = Rng(t).integers(5, 11, (t, 2))
         mask = np.arange(t)[:, None] < np.array([t, (t + 1) // 2])  # column 1 padded
         calls.clear()
         model.decode(model.encode(ids, mask))
-        plan = layer_plan(config.layout, t, sep, trunc)
-        case = f"{op} separate_cls={sep} truncate={trunc} T={t}"
+        plan = layer_plan(config.layout, t, sep, trunc, pqo)
+        case = f"{op} separate_cls={sep} truncate={trunc} pool_query_only={pqo} T={t}"
         assert [(q, k) for q, k, _ in calls] == [(run.q_len, run.k_len) for run in plan], case
         # LayerParams compare field by field, and a Tensor equals only itself
         assert [lp for _, _, lp in calls] == [layer_view(params, run.prefix) for run in plan], case

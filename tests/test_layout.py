@@ -9,12 +9,13 @@ from funnel.layout import (BlockSpec, LayoutError, LayoutSpec, format_layout, la
 
 def unique_encoder_sets(spec):
     """Parameter sets the encoder's runs use: one per distinct prefix."""
-    return len({run.prefix for run in layer_plan(spec, 1, False, False) if run.kind != "decoder"})
+    return len({run.prefix for run in layer_plan(spec, 1, False, False, True)
+                if run.kind != "decoder"})
 
 
 def block_lengths(spec, t, separate_cls=True, truncate=True):
     """Each encoder block's length: the query length of its first run."""
-    runs = layer_plan(spec, t, separate_cls, truncate)
+    runs = layer_plan(spec, t, separate_cls, truncate, True)
     return [runs[0].q_len] + [run.q_len for run in runs if run.kind == "transition"]
 
 
@@ -87,7 +88,7 @@ class TestDerived:
 
     def test_consecutive_tying_assignment(self):
         spec = LayoutSpec(blocks=(BlockSpec(3, 2),), hidden=64)
-        assert [run.prefix for run in layer_plan(spec, 8, True, True)] == [
+        assert [run.prefix for run in layer_plan(spec, 8, True, True, True)] == [
             f"enc/b0/l{s}" for s in (0, 0, 1, 1, 2, 2)]
 
     def test_head_dim_override_for_programmatic_specs(self):
@@ -138,13 +139,13 @@ def test_total_vs_unique_layer_accounting():
 
 class TestLayerPlan:
     def test_runs_in_order(self):
-        runs = layer_plan(parse_layout("B2-1x2H64D2"), 16, True, True)
+        runs = layer_plan(parse_layout("B2-1x2H64D2"), 16, True, True, True)
         assert runs == [("enc/b0/l0", "layer", 16, 16), ("enc/b0/l1", "layer", 16, 16),
                         ("enc/b1/l0", "transition", 8, 16), ("enc/b1/l0", "layer", 8, 8),
                         ("dec/l0", "decoder", 16, 16), ("dec/l1", "decoder", 16, 16)]
 
     def test_plain_stack_has_no_transition(self):
-        runs = layer_plan(parse_layout("L3H64"), 12, True, False)
+        runs = layer_plan(parse_layout("L3H64"), 12, True, False, True)
         assert [run.kind for run in runs] == ["layer"] * 3
         assert {(run.q_len, run.k_len) for run in runs} == {(12, 12)}
 
@@ -159,7 +160,7 @@ class TestLayerPlan:
     def test_paper_separate_cls_lengths(self):
         # CLS out of pooling, no truncation: 2^p rows pool to 2^(p-1)+1
         spec = parse_layout("B4-4-4H256D2")
-        transitions = [(run.q_len, run.k_len) for run in layer_plan(spec, 512, True, False)
+        transitions = [(run.q_len, run.k_len) for run in layer_plan(spec, 512, True, False, True)
                        if run.kind == "transition"]
         assert transitions == [(257, 512), (129, 257)]
         assert block_lengths(spec, 128, truncate=False) == [128, 65, 33]

@@ -92,14 +92,14 @@ class TestParams:
         params = build_params(cfg)
         # block 1's transition and the layer after it run the one tied set
         first, second = (layer_view(params, run.prefix)
-                         for run in layer_plan(cfg.layout, 16, True, True)[2:4])
+                         for run in layer_plan(cfg.layout, 16, True, True, True)[2:4])
         assert first.w_q is second.w_q
 
     def test_untied_layers_differ(self):
         cfg = ModelConfig(layout="B2-2H64", vocab_size=11, seed=0)
         params = build_params(cfg)
         first, second = (layer_view(params, run.prefix)
-                         for run in layer_plan(cfg.layout, 16, True, True)[:2])
+                         for run in layer_plan(cfg.layout, 16, True, True, True)[:2])
         assert first.w_q is not second.w_q
 
     def test_decoder_params_never_tied_to_encoder(self):
