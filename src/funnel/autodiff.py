@@ -21,14 +21,6 @@ over then (``training.AdamW.fold`` folds it into the moments).  After
 ``backward`` only the leaf gradients not handed over remain, and the
 tape cannot be walked a second time.
 
-One array is rebuilt rather than kept: a recorded GeLU output carries a
-``rebuild`` that reruns GeLU's forward on the input its pull-back keeps.
-``matmul``, which would keep that output for its weight gradient, keeps
-the rebuild and calls it during the walk, and leaves the tanh it
-recomputed for GeLU's pull-back, reached later in the walk.  Each
-feed-forward sub-layer so keeps one inner activation, not three, for one
-more GeLU forward during ``backward``.
-
 The engine implements exactly the operations the funnel model needs:
 matmul, elementwise arithmetic, softmax, layer norm, GeLU, gathers, axis
 moves (reshape, transpose and the attention head split and merge, one
@@ -38,7 +30,10 @@ Binary ops and matmul broadcast as numpy does; their backward sums over
 the broadcast axes.
 Some nodes fold a neighbour's work into their own pass: matmul adds a
 bias, softmax applies the attention scale and key mask, layer norm
-adds the residual.
+adds the residual, and ``gelu(x, w, bias)`` the product that reads
+GeLU's output.  Keeping ``x`` only and rerunning GeLU in its pull-back,
+that node leaves each feed-forward sub-layer one kept inner activation,
+not three, for one more GeLU forward during ``backward``.
 """
 
 from __future__ import annotations
@@ -77,11 +72,9 @@ class Tensor:
     ``recorded`` is True for the output of an op recorded on a tape: not a
     leaf, so no gradient of it outlives ``Tape.backward``.  ``key`` names
     it on a tape for the process's lifetime, as a reusable ``id()`` cannot.
-    ``rebuild``, set only on a recorded ``gelu`` output, recomputes ``data``
-    from the op's kept input, so a pull-back can keep it instead of ``data``.
     """
 
-    __slots__ = ("data", "requires_grad", "recorded", "key", "rebuild")
+    __slots__ = ("data", "requires_grad", "recorded", "key")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -93,7 +86,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.recorded = False
         self.key = next(_KEYS)
-        self.rebuild = None
 
     @property
     def shape(self) -> tuple:
@@ -303,35 +295,27 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x, y)
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Matrix product with ``np.matmul`` semantics: [..., m, k] @ [..., k, n], plus ``bias``.
-
-    Both operands have rank 2 or more; their batch axes broadcast.  The
-    optional ``bias`` (e.g. [n]) broadcasts against the product and is
-    added in place, one node for ``a @ b + bias``.  An operand is kept for
-    the backward pass only when the other one requires grad, and ``a`` as
-    its ``rebuild`` when it has one: the pull-back recomputes it.
-    """
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    y = _mm(a.data, b.data)
+def _product(a: Tensor, ad: np.ndarray, b: Tensor, bias: Tensor | None, op: str) -> tuple:
+    """``ad @ b + bias`` (bias added in place), ``ad`` being ``a``'s data or made from it, and
+    its pull-back ``(g, ad) -> (a's, b's, bias's gradient)``, which keeps ``b`` only when ``a``
+    requires grad and reads ``ad`` only when ``b`` does: the caller keeps or remakes it."""
+    if ad.ndim < 2 or b.data.ndim < 2 or ad.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"{op}: incompatible shapes {ad.shape} and {b.shape}")
+    y = _mm(ad, b.data)
     if bias is not None:
         try:
             y += bias.data
         except ValueError:
-            raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to {y.shape}") from None
-    out = Tensor(y)
-    a_shape, b_shape = a.shape, b.shape
+            raise ShapeError(f"{op}: bias {bias.shape} does not broadcast to {y.shape}") from None
+    a_shape, b_shape, b_grad = ad.shape, b.shape, b.requires_grad
     bias_shape = bias.shape if bias is not None and bias.requires_grad else None
-    kept_a = (a.rebuild or a.data) if b.requires_grad else None  # an array or a function
     bd = b.data if a.requires_grad else None
 
-    def backward(g):
+    def pull(g, ad):
         ga = gb = None
         if bd is not None:
             ga = _unbroadcast(_mm(g, np.swapaxes(bd, -1, -2)), a_shape)
-        if kept_a is not None:
-            ad = kept_a() if callable(kept_a) else kept_a
+        if b_grad:
             if len(b_shape) == 2:
                 # a shared weight: one product over every row of the batch
                 k, n = b_shape
@@ -340,7 +324,21 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
                 gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape)
         return ga, gb, None if bias_shape is None else _unbroadcast(g, bias_shape)
 
-    return _record(out, (a, b) if bias is None else (a, b, bias), backward, "matmul")
+    return y, pull
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product with ``np.matmul`` semantics: [..., m, k] @ [..., k, n], plus ``bias``.
+
+    Both operands have rank 2 or more; their batch axes broadcast.  The
+    optional ``bias`` (e.g. [n]) broadcasts against the product and is
+    added in place, one node for ``a @ b + bias``.  An operand is kept for
+    the backward pass only when the other one requires grad.
+    """
+    y, pull = _product(a, a.data, b, bias, "matmul")
+    ad = a.data if b.requires_grad else None
+    inputs = (a, b) if bias is None else (a, b, bias)
+    return _record(Tensor(y), inputs, lambda g: pull(g, ad), "matmul")
 
 
 def _move(a: Tensor, before: tuple, axes: tuple, name: str, after: tuple | None = None) -> Tensor:
@@ -477,8 +475,8 @@ def _gelu(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The cubic is formed by multiplication, c*x*(1 + a*x*x), not ``x ** 3``:
     numpy sends a cube to libm ``pow`` element by element.  Every step
     rounds as in the one-expression form, since IEEE products and sums
-    commute.  ``gelu``'s forward, rebuild and fallback all run these same
-    steps, so they see the same bytes.
+    commute.  ``gelu``'s forward and pull-back both run these same steps,
+    so they see the same bytes.
     """
     t, scaled = np.empty_like(xd), np.empty_like(xd)  # arrays even for a 0-d input
     np.multiply(xd, xd, out=t)
@@ -491,45 +489,49 @@ def _gelu(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GeLU, tanh approximation (constants GELU_C, GELU_A above).
+def _gelu_slope(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GeLU's derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2) and its output,
+    from ``_gelu``: the derivative is formed in place in its tanh."""
+    t, y = _gelu(xd)
+    d, rest = np.empty_like(t), np.empty_like(t)
+    np.multiply(t, t, out=d)
+    np.subtract(1.0, d, out=d)
+    np.multiply(xd, 0.5, out=rest)
+    rest *= d
+    rest *= GELU_C
+    np.multiply(xd, xd, out=d)
+    d *= 3.0 * GELU_A
+    d += 1.0
+    rest *= d
+    np.add(t, 1.0, out=t)
+    t *= 0.5
+    t += rest
+    return t, y
 
-    The pull-back works in place and keeps ``x`` only.  A recorded output
-    gets a ``rebuild`` that reruns the forward on ``x``: ``matmul`` keeps
-    it in place of the output and leaves the tanh it recomputes for this
-    pull-back, which recomputes the tanh itself when no rebuild ran.
+
+def gelu(x: Tensor, w: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+    """GeLU, tanh approximation (constants GELU_C, GELU_A above); given ``w``,
+    GeLU(x) @ w + bias in one node, with ``matmul``'s shapes and broadcasting.
+
+    The pull-back keeps ``x`` only and reruns the forward on it once: the
+    tanh serves GeLU's derivative, the output ``w``'s gradient, so neither
+    outlives the forward pass.  A plain GeLU's output read by a matmul
+    whose weight requires grad is kept by that matmul.
     """
-    xd = x.data
-    out = Tensor(_gelu(xd)[1])
-    rebuilt = []                                       # the tanh of the latest rebuild
-
-    def rebuild():
-        t, y = _gelu(xd)
-        rebuilt[:] = [t]
-        return y
+    xd, pull = x.data, None
+    out, inputs = _gelu(xd)[1], (x,)
+    if w is not None:
+        out, pull = _product(x, out, w, bias, "gelu")
+        inputs = (x, w) if bias is None else (x, w, bias)
 
     def backward(g):
-        # d = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
-        t = rebuilt.pop() if rebuilt else _gelu(xd)[0]
-        d, rest = np.empty_like(t), np.empty_like(t)
-        np.multiply(t, t, out=d)
-        np.subtract(1.0, d, out=d)
-        np.multiply(xd, 0.5, out=rest)
-        rest *= d
-        rest *= GELU_C
-        np.multiply(xd, xd, out=d)
-        d *= 3.0 * GELU_A
-        d += 1.0
-        rest *= d
-        np.add(t, 1.0, out=t)
-        t *= 0.5
-        t += rest
-        t *= g
-        return (t,)
+        # the derivative first: its scratch is gone before w's gradient exists
+        slope, y = _gelu_slope(xd)
+        g, *tail = (g,) if pull is None else pull(g, y)  # tail: w's and bias's gradients
+        del y
+        return (None if g is None else np.multiply(slope, g, out=slope), *tail)
 
-    if _record(out, (x,), backward, "gelu").recorded:
-        out.rebuild = rebuild
-    return out
+    return _record(Tensor(out), inputs, backward, "gelu")
 
 
 def dropout(x: Tensor, rate: float, rng) -> Tensor:

@@ -291,9 +291,9 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
 
 
 def pffn(x: Tensor, params: LayerParams, config, rng=None) -> Tensor:
-    """Position-wise FFN with GeLU, wrapped in residual + layer norm."""
-    inner = gelu(matmul(x, params.w_ffn1, params.b_ffn1))
-    out = dropout(matmul(inner, params.w_ffn2, params.b_ffn2), config.dropout, rng)
+    """Position-wise FFN, wrapped in residual + layer norm; GeLU and ``w_ffn2`` are one node."""
+    inner = matmul(x, params.w_ffn1, params.b_ffn1)
+    out = dropout(gelu(inner, params.w_ffn2, params.b_ffn2), config.dropout, rng)
     return layer_norm(x, params.ln_ffn_g, params.ln_ffn_b, residual=out)
 
 

@@ -101,6 +101,9 @@ class AdamW:
         self._folded: set[int] = set()  # the keys of the tensors folded this step
         self._scratch = np.empty((2, min(self.CHUNK, self.flat.size)), dtype=self.flat.dtype)
         self.cfg = cfg
+        # arrays of the buffer's dtype round as Python scalars do against its rows
+        self._betas = np.array([[cfg.beta1], [cfg.beta2]], self.flat.dtype)
+        self._rates = np.array([[1.0 - cfg.beta1], [1.0 - cfg.beta2]], self.flat.dtype)
         self.t = 0
 
     def step(self, tape: Tape, lr: float) -> None:
@@ -127,34 +130,28 @@ class AdamW:
         self._fold(g, self._offsets[i])
 
     def _fold(self, g: np.ndarray, lo: int) -> None:
-        """m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g on [lo, lo + g.size)."""
-        c = self.cfg
+        """m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g on [lo, lo + g.size),
+        both moments at once as a [2, n] view."""
         g = g.reshape(-1).astype(self.flat.dtype, copy=False)
         for at in range(0, len(g), self.CHUNK):
             gc = g[at:at + self.CHUNK]
-            m, v = self.buffer[1:, lo + at:lo + at + len(gc)]
-            s = self._scratch[0, :len(gc)]
-            m *= c.beta1
-            np.multiply(gc, 1.0 - c.beta1, out=s)
-            m += s
-            v *= c.beta2
-            np.multiply(gc, 1.0 - c.beta2, out=s)
-            s *= gc
-            v += s
+            mv = self.buffer[1:, lo + at:lo + at + len(gc)]
+            s = self._scratch[:, :len(gc)]
+            mv *= self._betas
+            np.multiply(gc, self._rates, out=s)
+            s[1] *= gc
+            mv += s
 
     def _move(self, lr: float) -> None:
         """p = p - lr ((m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay p]) over the buffer."""
         c = self.cfg
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
+        bc = np.array([[1.0 - c.beta1 ** self.t], [1.0 - c.beta2 ** self.t]], self.flat.dtype)
         n_decay = self.n_decay if c.weight_decay else 0
         for lo in range(0, self.flat.size, self.CHUNK):
-            p, m, v = self.buffer[:, lo:lo + self.CHUNK]
-            s, u = self._scratch[:, :len(p)]
-            np.divide(v, bc2, out=u)
+            p = self.flat[lo:lo + self.CHUNK]
+            s, u = np.divide(self.buffer[1:, lo:lo + len(p)], bc, out=self._scratch[:, :len(p)])
             np.sqrt(u, out=u)
             u += c.eps
-            np.divide(m, bc1, out=s)
             s /= u
             k = min(max(n_decay - lo, 0), len(p))  # decaying elements of this chunk
             if k:

@@ -307,15 +307,16 @@ def train_one_step(objective, dtype, on_backward):
 
 @pytest.mark.parametrize("model, train, most", [
     (dict(layout="B2-2H64D2", vocab_size=20, pool_op="mean", attn_variant="factorized"),
-     dict(batch_size=8, seq_len=16, objective="mlm"), 171),
+     dict(batch_size=8, seq_len=16, objective="mlm"), 165),
     (dict(layout="B2-2H128D2", vocab_size=64, pool_op="max", attn_variant="gather"),
-     dict(batch_size=4, seq_len=32, objective="electra", mask_sampler="span"), 358),
+     dict(batch_size=4, seq_len=32, objective="electra", mask_sampler="span"), 346),
 ])
 def test_training_step_tape_census(model, train, most):
     """One training step's tapes, counted together (an ELECTRA step records the generator's
     and the discriminator's): each attention sub-layer moves axes in five nodes (three head
     splits, one merge, the shared ``w_r``'s head view), and no generic permute is left;
-    a factorized sub-layer rotates its query in one node."""
+    a factorized sub-layer rotates its query in one node, and each FFN records its GeLU
+    and output product as one ``gelu`` node."""
     gen = Rng(5)
     corpus = [" ".join(f"w{int(gen.integers(0, 40))}" for _ in range(10 + 3 * i))
               for i in range(8)]
@@ -331,6 +332,7 @@ def test_training_step_tape_census(model, train, most):
         train_toy(ModelConfig(dtype="f64", seed=0, **model), corpus, TrainSettings(steps=1, **train))
     assert "permute" not in names and "fold_products" not in names
     assert names.count("split_heads") == 4 * names.count("merge_heads") > 0
+    assert names.count("gelu") == names.count("merge_heads")
     if model["attn_variant"] == "factorized":
         assert names.count("rotate") == names.count("merge_heads")
     assert len(walks) == (2 if train["objective"] == "electra" else 1)
@@ -553,10 +555,10 @@ class TestTapeKeeps:
 
         A tape that holds every op's output and inputs keeps 5.02 MiB on the
         ELECTRA step.  Pull-backs that keep only the arrays they read keep
-        3.99 MiB (ELECTRA) and 7.06 MiB (MLM); with GeLU keeping its input
-        only, and its output rebuilt for the second FFN projection, 2.70 and
-        4.56 MiB.  The ELECTRA step's 2.70 MiB now splits over its two tapes:
-        0.66 MiB on the generator's and 2.01 MiB on the discriminator's.
+        3.99 MiB (ELECTRA) and 7.06 MiB (MLM); with GeLU and the second FFN
+        projection one node that keeps GeLU's input only, 2.70 and 4.56 MiB.
+        The ELECTRA step's 2.70 MiB now splits over its two tapes: 0.66 MiB
+        on the generator's and 2.01 MiB on the discriminator's.
         """
         start, growth = [], []
         real_enter = Tape.__enter__
@@ -615,55 +617,60 @@ class TestTapeKeeps:
         for g, ref in zip(grads, held_grads):
             assert g.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("reader, runs", [("matmul", 2), ("sum_all", 2), ("two matmuls", 3)],
-                             ids=["matmul", "sum_all", "two_matmuls"])
-    def test_gelu_keeps_only_its_input(self, reader, runs):
-        """GeLU's tanh and output die in the forward pass and only its input stays.  A matmul
-        whose weight requires grad rebuilds the output and leaves the tanh for GeLU's
-        pull-back; with no rebuild (a reader that keeps nothing) that pull-back recomputes
-        the tanh; two matmuls rebuild once each.  ``runs`` counts GeLU's forward passes."""
+    @pytest.mark.parametrize("reader, kept", [
+        ("product", {"input"}), ("product_bias", {"input"}), ("sum_all", {"input"}),
+        ("matmul", {"input", "output"})], ids=["product", "product_bias", "sum_all", "matmul"])
+    def test_gelu_keeps_only_its_input(self, reader, kept):
+        """The FFN's node ``gelu(h, w, bias)`` keeps only ``h``: GeLU's tanh and output die in
+        the forward pass, and its pull-back reruns ``_gelu`` once for both, so ``_gelu`` runs
+        twice per step.  A plain ``gelu`` read by ``sum_all`` keeps only ``h`` too.  A plain
+        ``gelu`` output read by a matmul whose weight requires grad is kept by that matmul,
+        as any left operand is (by every such matmul, if several read it); no model code
+        has that pattern, since ``pffn`` fuses the product.  Holding every array changes no
+        gradient byte, and the fused node's gradients are ``matmul(gelu(h), w, bias)``'s."""
         gen = np.random.Generator(np.random.Philox(41))
-        x, w1, w2, w3 = (Tensor(gen.standard_normal(shape), requires_grad=True)
-                         for shape in ((3, 4), (4, 8), (8, 2), (8, 2)))
-        assert gelu(x).rebuild is None                           # no tape: nothing to rebuild
+        x, w1, w2, b2 = (Tensor(gen.standard_normal(shape), requires_grad=True)
+                         for shape in ((3, 2, 4), (4, 8), (8, 5), 5))
+        up = Tensor(gen.standard_normal((3, 2, 5)))               # a constant: mul keeps nothing
+        bias = b2 if reader == "product_bias" else None
         real, made = autodiff._gelu, []
 
-        def spy(xd):
-            t, y = real(xd)
-            made.append(weakref.ref(t))
-            return t, y
-
-        def step(hold):
-            """Forward and backward; ``hold`` keeps GeLU's input and output, and the matmuls
-            keep the output itself in place of its rebuild."""
-            made.clear()
-            with Tape() as tape:
-                h = matmul(x, w1)
-                a = gelu(h)
-                refs = {"input": weakref.ref(h.data), "output": weakref.ref(a.data),
-                        "tanh": made[0]}
+        def step(form, hold):
+            """Forward and backward; ``hold`` is None or a list that keeps every array."""
+            def spy(xd):
+                t, y = real(xd)
+                made.append({"tanh": weakref.ref(t), "output": weakref.ref(y)})
                 if hold is not None:
-                    a.rebuild = None
-                    hold.extend([h, a])
-                if reader == "sum_all":
-                    root = sum_all(a)
-                elif reader == "matmul":
-                    root = sum_all(matmul(a, w2))
+                    hold.extend([t, y])
+                return t, y
+
+            made.clear()
+            with pytest.MonkeyPatch.context() as mp, Tape() as tape:
+                mp.setattr(autodiff, "_gelu", spy)
+                h = matmul(x, w1)
+                if form == "product":
+                    root = sum_all(mul(gelu(h, w2, bias), up))
+                elif form == "sum_all":
+                    root = sum_all(gelu(h))
                 else:
-                    root = sum_all(add(matmul(a, w2), matmul(a, w3)))
-                del h, a
+                    root = sum_all(mul(matmul(gelu(h), w2, bias), up))
+                refs = dict(made[0], input=weakref.ref(h.data))
+                if hold is not None:
+                    hold.append(h)
+                del h
                 alive = {name for name, ref in refs.items() if ref() is not None}
                 tape.backward(root)
-            return alive, len(made), [tape.grad(t) for t in (x, w1, w2, w3)]
+            return alive, len(made), [tape.grad(t) for t in (x, w1, w2, b2)]
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(autodiff, "_gelu", spy)
-            alive, n_runs, grads = step(None)
-            held_alive, held_runs, held_grads = step([])
-        assert (alive, n_runs) == ({"input"}, runs)
-        assert (held_alive, held_runs) == ({"input", "output"}, 2)   # forward, then fallback
-        for g, ref in zip(grads, held_grads):
-            assert g.tobytes() == ref.tobytes()
+        form = "product" if reader.startswith("product") else reader
+        alive, runs, grads = step(form, None)
+        held_alive, held_runs, held_grads = step(form, [])
+        assert (alive, runs) == (kept, 2)
+        assert (held_alive, held_runs) == ({"input", "output", "tanh"}, 2)
+        refs = [held_grads] + ([step("matmul", None)[2]] if form == "product" else [])
+        for ref in refs:
+            for g, r in zip(grads, ref):
+                assert g.tobytes() == r.tobytes()
 
 
 class TestGradCheck:
@@ -798,6 +805,8 @@ def test_every_op_grad_below_1e4(seed):
     w2243 = Tensor(gen.standard_normal((2, 2, 4, 3)))
     heads = Tensor(gen.standard_normal((2, 2, 3, 4)), requires_grad=True)  # [B, H, T, dh]
     w328 = Tensor(gen.standard_normal((3, 2, 8)))
+    w83 = Tensor(gen.standard_normal((8, 3)), requires_grad=True)
+    bias3 = Tensor(gen.standard_normal(3), requires_grad=True)
 
     cases = {
         "matmul": (lambda: sum_all(mul(matmul(x, m), w32)), [x, m]),
@@ -814,6 +823,11 @@ def test_every_op_grad_below_1e4(seed):
         "layer_norm_residual": (lambda: sum_all(mul(layer_norm(x, gamma, bias, residual=y), w)),
                                 [x, gamma, bias, y]),
         "gelu": (lambda: sum_all(mul(gelu(x), w)), [x]),
+        "gelu_product": (lambda: sum_all(mul(gelu(x, m), w32)), [x, m]),
+        "gelu_product_bias": (lambda: sum_all(mul(gelu(x, m, bias2), w32)), [x, m, bias2]),
+        "gelu_product_time_major": (lambda: sum_all(mul(gelu(x328, w83), w32_3)), [x328, w83]),
+        "gelu_product_bias_time_major": (lambda: sum_all(mul(gelu(x328, w83, bias3), w32_3)),
+                                         [x328, w83, bias3]),
         "gather_rows": (lambda: sum_all(mul(gather_rows(x, rows), w44)), [x]),
         "gather_rows_distinct": (lambda: sum_all(mul(gather_rows(x3, [1, 0]), w234)), [x3]),
         "gather_rows_negative": (lambda: sum_all(mul(gather_rows(x3, [-1, 1]), w234)), [x3]),
