@@ -68,9 +68,10 @@ def corpus() -> list[str]:
             for i in range(12)]
 
 
-def train_trace(name: str, dtype: str, steps: int = 15, variant: str = "") -> np.ndarray:
+def train_trace(name: str, dtype: str, steps: int = 15, **changes) -> np.ndarray:
     """The loss trace of one benchmark training config, ``mlm_toy`` or ``electra_span``,
-    with the config's own position term (``mlm_toy``'s is ``factorized``) or ``variant``."""
+    with the model fields in ``changes`` replaced (``mlm_toy``'s position term is
+    ``factorized``)."""
     if name == "mlm_toy":
         config = ModelConfig(layout="B2-2H64D2", vocab_size=20, pool_op="mean",
                              attn_variant="factorized", dtype=dtype, seed=0)
@@ -81,14 +82,13 @@ def train_trace(name: str, dtype: str, steps: int = 15, variant: str = "") -> np
                              attn_variant="gather", dtype=dtype, seed=0)
         settings = TrainSettings(steps=steps, batch_size=4, seq_len=32, objective="electra",
                                  mask_sampler="span")
-    if variant:
-        config = replace(config, attn_variant=variant)
+    config = replace(config, **changes)
     return np.array([row.loss for row in train_toy(config, corpus(), settings)])
 
 
-def trace_case(name: str, dtype: str, variant: str = ""):
+def trace_case(name: str, dtype: str, **changes):
     """The 15-step loss trace of ``train_trace``."""
-    trace = train_trace(name, dtype, variant=variant)
+    trace = train_trace(name, dtype, **changes)
     return trace.tobytes(), [trace]
 
 
@@ -139,8 +139,12 @@ CASES = {
     **{f"trace/{name}/{dtype}": (dtype, lambda name=name, dtype=dtype: trace_case(name, dtype))
        for name in ("mlm_toy", "electra_span") for dtype in ("f64", "f32")},
     **{f"trace/electra_span_factorized/{dtype}":
-       (dtype, lambda dtype=dtype: trace_case("electra_span", dtype, "factorized"))
+       (dtype, lambda dtype=dtype: trace_case("electra_span", dtype, attn_variant="factorized"))
        for dtype in ("f64", "f32")},
+    **{f"trace/mlm_top_attn/truncate_{'on' if t else 'off'}/{dtype}":
+       (dtype, lambda dtype=dtype, t=t: trace_case("mlm_toy", dtype, layout="B2-2-2H64D2",
+                                                   pool_op="top_attn", truncate_seq=t))
+       for t in (True, False) for dtype in ("f64", "f32")},
     "checkpoint/readme_mlm/f64": ("f64", checkpoint_case),
     **{f"encode/{op}/truncate_{'on' if t else 'off'}":
        ("f64", lambda op=op, t=t: encode_case(op, t))
