@@ -701,27 +701,31 @@ def rotate(x: Tensor, r: np.ndarray) -> Tensor:
     return _record(out, (x,), backward, "rotate")
 
 
+def window_index(windows: np.ndarray, real: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index of each window's members, [n, 2, ...]: ``windows`` is [n, 2] row
+    indices shared by every column, or [n, 2, B], one window per column of a
+    [T, B] ``real``.  A window may name one row twice, but each column names
+    a row at most once."""
+    windows, real = np.asarray(windows, dtype=np.int64), np.asarray(real)
+    if windows.ndim not in (2, 3) or windows.shape[1:] != (2,) + real.shape[1:windows.ndim - 1]:
+        raise ShapeError(f"windows {windows.shape} not [n, 2] or [n, 2, B] for real {real.shape}")
+    return (windows,) + tuple(np.arange(b) for b in windows.shape[2:])
+
+
 def _windows(x: np.ndarray, real: np.ndarray, windows: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Members of each window, [n, 2, ...], with a broadcastable real mask and the index.
-
-    ``windows`` is [n, 2] row indices into axis 0 of ``x``; a window may
-    name one row twice, but each column names a row at most once.
-    ``real`` covers the leading axes of ``x``: [T], or [T, B] for a
-    time-major batch, one mask per column.
-    """
-    windows = np.asarray(windows, dtype=np.int64)
-    if windows.ndim != 2 or windows.shape[1] != 2:
-        raise ShapeError(f"pooling windows must be [n, 2], got {windows.shape}")
-    xr, real = x[windows], np.asarray(real, dtype=bool)[windows]
-    return xr, real.reshape(real.shape + (1,) * (xr.ndim - real.ndim)), windows
+             ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Members of each window, [n, 2, ...], a real mask broadcast to them and ``window_index``;
+    ``real`` covers the leading axes of ``x``: [T], or [T, B] for a time-major batch."""
+    idx = window_index(windows, real)
+    xr, real = x[idx], np.asarray(real, dtype=bool)[idx]
+    return xr, real.reshape(real.shape + (1,) * (xr.ndim - real.ndim)), idx
 
 
-def _unwindow(gw: np.ndarray, windows: np.ndarray, shape: tuple) -> np.ndarray:
-    """Adjoint of the windowed read: each member's [n, 2, ...] gradient added back to its row."""
+def _unwindow(gw: np.ndarray, idx: tuple[np.ndarray, ...], shape: tuple) -> np.ndarray:
+    """Adjoint of the windowed read ``x[idx]``: each member's gradient added back to its row."""
     dx = np.zeros(shape, dtype=gw.dtype)
-    dx[windows[:, 0]] = gw[:, 0]  # a column names a row at most once, so store the first
-    dx[windows[:, 1]] += gw[:, 1]
+    dx[(idx[0][:, 0],) + idx[1:]] = gw[:, 0]  # a column names a row at most once: store the first
+    dx[(idx[0][:, 1],) + idx[1:]] += gw[:, 1]
     return dx
 
 
@@ -732,7 +736,7 @@ def mean_pool_pairs(x: Tensor, real: np.ndarray, windows: np.ndarray) -> Tensor:
     and sends g/2 + g/2 back to it, exact except for subnormal g.
     All-pad windows yield zeros.
     """
-    xr, rr, windows = _windows(x.data, real, windows)
+    xr, rr, idx = _windows(x.data, real, windows)
     counts = rr.sum(axis=1)
     divisor = np.maximum(counts, 1).astype(x.dtype)
     # -0.0 is the exact additive identity, so a lone member passes unchanged
@@ -741,7 +745,7 @@ def mean_pool_pairs(x: Tensor, real: np.ndarray, windows: np.ndarray) -> Tensor:
     shape = x.shape
 
     def backward(g):
-        return (_unwindow(np.where(rr, (g / divisor)[:, None], 0.0), windows, shape),)
+        return (_unwindow(np.where(rr, (g / divisor)[:, None], 0.0), idx, shape),)
 
     return _record(out, (x,), backward, "mean_pool_pairs")
 
@@ -750,10 +754,10 @@ def max_pool_pairs(x: Tensor, real: np.ndarray, windows: np.ndarray) -> Tensor:
     """Elementwise max of each window's members (``_windows``), padded rows excluded.
 
     Ties go to the first member, so a window naming one row twice yields
-    it and routes its whole gradient back once.  All-pad windows yield
-    zeros and pass no gradient.
+    it and routes its whole gradient back once: top-attention pooling
+    keeps rows this way.  All-pad windows yield zeros and pass no gradient.
     """
-    xr, rr, windows = _windows(x.data, real, windows)
+    xr, rr, idx = _windows(x.data, real, windows)
     has_real = rr.any(axis=1)
     sel = np.where(~rr[:, 0], 1, np.where(~rr[:, 1], 0, np.argmax(xr, axis=1)))
     picked = np.take_along_axis(xr, sel[:, None], axis=1)[:, 0]
@@ -762,7 +766,7 @@ def max_pool_pairs(x: Tensor, real: np.ndarray, windows: np.ndarray) -> Tensor:
 
     def backward(g):
         route = np.stack([sel == 0, sel == 1], axis=1) & has_real[:, None]
-        return (_unwindow(np.where(route, g[:, None], 0.0), windows, shape),)
+        return (_unwindow(np.where(route, g[:, None], 0.0), idx, shape),)
 
     return _record(out, (x,), backward, "max_pool_pairs")
 

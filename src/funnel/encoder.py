@@ -6,14 +6,14 @@ with the pooled sequence as queries against the unpooled sequence as
 keys/values (pool-query-only attention), after which standard layers
 continue at the reduced length.
 
-A mean or max pooling window is a pair of row indices that may name one
-row twice, and that one rule covers both uneven cases: the
-classification token at index 0 is kept out of the other tokens'
-windows (``separate_cls``) by pairing it with itself, and an odd tail
-pairs with itself.  To keep lengths at powers of two afterwards, the
-same row index leaves out the final pooled state (``truncate_seq``).
-Pooled states keep the position id of the first token of their window
-so relative distances against unpooled keys stay meaningful.
+Every pooling op reads windows of two row indices, and a window may name
+one row twice.  That one rule covers the classification token at index
+0, kept out of the other tokens' windows (``separate_cls``), an odd tail
+and each state top-attention pooling keeps: each pairs with itself.  To
+keep lengths at powers of two afterwards, the same row index leaves out
+the final pooled state (``truncate_seq``).  Pooled states keep the
+position id of the first token of their window so relative distances
+against unpooled keys stay meaningful; an all-pad window pools to 0.0.
 
 States are time-major, [T, D] for one sequence or [T, B, D] for a batch,
 with pad masks [T] or [T, B]; every pooling op works along axis 0, one
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (ContractError, Tensor, dropout, gather_rows, max_pool_pairs,
-                       mean_pool_pairs, reshape)
+                       mean_pool_pairs, window_index)
 from .decoder import upsample_source
 from .layout import is_pow2, layer_plan, pooled_length
 # attention and pffn stay bound here though only relattn calls them: the
@@ -76,12 +76,6 @@ class EncoderState:
         return self.block_hidden[-1]
 
 
-def _column_pos(pos: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Positions broadcast to the mask's shape: one position id per state and column."""
-    pos = np.asarray(pos)
-    return np.broadcast_to(pos.reshape(pos.shape + (1,) * (mask.ndim - pos.ndim)), mask.shape)
-
-
 def top_attn_rows(mask: np.ndarray, prev_attn: np.ndarray | None) -> np.ndarray:
     """Rows kept by top-attention pooling, [ceil(n/2)] or [ceil(n/2), B] like the mask.
 
@@ -103,36 +97,23 @@ def top_attn_rows(mask: np.ndarray, prev_attn: np.ndarray | None) -> np.ndarray:
     return np.moveaxis(chosen, -1, 0)
 
 
-def gather_column_rows(h: Tensor, pos: np.ndarray, mask: np.ndarray, rows: np.ndarray
-                       ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """States, positions and mask at ``rows``, which has the mask's shape: one gather.
-
-    A batch [n, B, D] is gathered from its [n*B, D] rows, so each column
-    keeps its own states; positions come back with the mask's shape.
-    """
-    cols = mask[0].size
-    flat = h if mask.ndim == 1 else reshape(h, (mask.size,) + h.shape[2:])
-    return (gather_rows(flat, rows * cols + np.arange(cols)),
-            np.take_along_axis(_column_pos(pos, mask), rows, axis=0),
-            np.take_along_axis(mask, rows, axis=0))
-
-
 def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
               prev_attn: np.ndarray | None = None) -> PooledState:
     """One inter-block compression step: one row index, then one pooling op.
 
-    Mean and max pool windows of two row indices (``mean_pool_pairs``),
-    taken in order from the rows 0, 1, ..., t-1, or with ``separate_cls``
-    from 0, 0, 1, ..., t-1: the index-0 state shares a window only with
-    itself and comes through unchanged (``(x + x) / 2 == x``; max ties go
-    to the first member), so a pad index 0 pools to zero like any all-pad
-    window.  An odd tail pairs with itself the same way.  A pooled state
-    keeps its window's first position and is real iff any member is.
-    Top-attention keeps row 0 ahead of its choice among the rest.  The
-    index stops at ``layout.pooled_length`` states: with ``separate_cls`` and
-    ``truncate`` it leaves out the final state of a power-of-two input.
-    Top-attention scores count only real queries: a pad query's attention
-    row depends on the ids at pad positions.
+    Every op pools windows of two row indices (``autodiff.window_index``).
+    Mean and max take them in order from the rows 0, 1, ..., t-1, or with
+    ``separate_cls`` from 0, 0, 1, ..., t-1: the index-0 state shares a
+    window only with itself and comes through unchanged (``(x + x) / 2 ==
+    x``; max ties go to the first member), and so does an odd tail.
+    Top-attention pairs row 0, then its choice among the rest, each with
+    itself, one window per column, and pools them as max does.  A pooled
+    state keeps its window's first position and is real iff any member is;
+    an all-pad window pools to exactly 0.0.  The index stops at
+    ``layout.pooled_length`` states: with ``separate_cls`` and ``truncate``
+    it leaves out the final state of a power-of-two input.  Top-attention
+    scores count only real queries: a pad query's attention row depends on
+    the ids at pad positions.
     """
     if op not in POOL_OPS:
         raise ValueError(f"unknown pool op {op!r}")
@@ -144,14 +125,14 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     if op == "top_attn":
         if prev_attn is not None:
             prev_attn = (prev_attn * np.moveaxis(mask, 0, -1)[..., None, :, None])[..., cls:]
-        chosen = top_attn_rows(mask[cls:], prev_attn) + cls
-        rows = np.concatenate([np.zeros_like(chosen[:cls]), chosen])
-        return PooledState(*gather_column_rows(hidden, pos, mask, rows[:n]))
-    # rows 0, 0, 1, ... with separate CLS; a last window past row t - 1 repeats it
-    windows = np.clip(np.arange(-cls, 2 * n - cls), 0, t - 1).reshape(-1, 2)
+        chosen = top_attn_rows(mask[cls:], prev_attn) + cls  # each kept row paired with itself
+        windows = np.concatenate([np.zeros_like(chosen[:cls]), chosen])[:n, None].repeat(2, axis=1)
+    else:  # rows 0, 0, 1, ... with separate CLS; a last window past row t - 1 repeats it
+        windows = np.clip(np.arange(-cls, 2 * n - cls), 0, t - 1).reshape(-1, 2)
+    idx = window_index(windows, mask)  # positions from first members: [T] ones skip columns
     pool = mean_pool_pairs if op == "mean" else max_pool_pairs
-    return PooledState(pool(hidden, mask, windows), pos[windows[:, 0]],
-                       mask[windows].any(axis=1))
+    return PooledState(pool(hidden, mask, windows), pos[(idx[0][:, 0],) + idx[1:pos.ndim]],
+                       mask[idx].any(axis=1))
 
 
 def block_transition_attention(pooled: PooledState, unpooled: PooledState, params,

@@ -204,13 +204,13 @@ def sequence_logits(state: EncoderState, w: Tensor, b: Tensor) -> Tensor:
 def generator_config(config: ModelConfig) -> ModelConfig:
     """Shrink a discriminator config into its generator: a quarter of the hidden size.
 
-    The scaled hidden size may fall off the 64-wide head grid, in which
-    case it becomes a single wide head.
+    Off the 64-wide head grid it takes the most heads, at most ``hidden //
+    64``, that divide it: 144 (from 576) holds two heads of 72.
     """
     gen_hidden = max(2, config.hidden // 4)
     if gen_hidden % 2:
         gen_hidden += 1
-    heads = max(1, gen_hidden // 64)
+    heads = next(h for h in range(max(1, gen_hidden // 64), 0, -1) if gen_hidden % h == 0)
     gen_layout = LayoutSpec(blocks=config.layout.blocks, hidden=gen_hidden,
                             decoder_layers=config.layout.decoder_layers,
                             pooled=config.layout.pooled,

@@ -15,7 +15,7 @@ from funnel.autodiff import Rng, Tensor, bce_with_logits_mean, grad_check
 from funnel.checkpoint import (BadMagic, ShapeMismatch, TruncatedPayload, load, save)
 from funnel.corpus import CLS, SEP, Batch, build_vocab, encode_line
 from funnel.costmodel import display_ratio, flops_ratio, param_count
-from funnel.encoder import PooledState, gather_column_rows, pool_step, top_attn_rows
+from funnel.encoder import PooledState, pool_step
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig, build_params, generator_config
 from funnel.objectives import electra_step, mlm_loss, sample_mask_single
@@ -198,9 +198,9 @@ def test_criterion_7_pooling_semantics():
                 scores = attn.sum(axis=(0, 1))
                 keep = (t + 1) // 2
                 expected = sorted(sorted(range(t), key=lambda i: (-scores[i], i))[:keep])
-                mask = np.ones(t, bool)
-                got, got_pos, _ = gather_column_rows(Tensor(vals), np.arange(t), mask,
-                                                     top_attn_rows(mask, attn))
+                top = pool_step(state, "top_attn", separate_cls=False, truncate=True,
+                                prev_attn=attn)
+                got, got_pos = top.hidden, top.pos
                 np.testing.assert_array_equal(got_pos, expected)
                 np.testing.assert_array_equal(got.data, vals[expected])
                 assert got.shape[0] == keep

@@ -988,6 +988,37 @@ class TestPoolingOps:
         with pytest.raises(ShapeError):
             mean_pool_pairs(Tensor(np.zeros((4, 1))), np.ones(4, bool), [0, 1, 2, 3])
 
+    def test_windows_shared_or_one_per_column(self):
+        x, real = rand((4, 3, 2)), np.ones((4, 3), bool)
+        per_column = np.array([[[0, 1, 2], [0, 1, 2]], [[3, 2, 0], [3, 3, 1]]])   # [2, 2, 3]
+        xr, rr, _ = autodiff._windows(x, real, per_column)
+        assert xr.shape == (2, 2, 3, 2) and rr.shape == (2, 2, 3, 1)
+        for b in range(3):
+            np.testing.assert_array_equal(xr[:, :, b], x[per_column[:, :, b], b])
+        assert autodiff._windows(x, real, STRIDE2)[0].shape == (2, 2, 3, 2)
+        for bad in (per_column[..., :2], [[0, 1, 2], [1, 2, 3]], [0, 1, 2, 3]):
+            with pytest.raises(ShapeError):
+                autodiff._windows(x, real, bad)
+
+    @pytest.mark.parametrize("op", [mean_pool_pairs, max_pool_pairs])
+    def test_per_column_windows_pool_each_column_alone(self, op):
+        gen = np.random.Generator(np.random.Philox(9))
+        x, g = rand((6, 3, 2), 1), rand((3, 3, 2), 2)
+        real = gen.random((6, 3)) > 0.3
+        windows = np.stack([np.stack([gen.permutation(6)[:3], gen.permutation(6)[:3]], axis=1)
+                            for _ in range(3)], axis=-1)                    # [3, 2, 3]
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = op(xt, real, windows)
+            tape.backward(sum_all(mul(out, Tensor(g))))
+        for b in range(3):
+            xb = Tensor(x[:, b], requires_grad=True)
+            with Tape() as tape_b:
+                out_b = op(xb, real[:, b], windows[:, :, b])
+                tape_b.backward(sum_all(mul(out_b, Tensor(g[:, b]))))
+            assert out.data[:, b].tobytes() == out_b.data.tobytes()
+            assert tape.grad(xt)[:, b].tobytes() == tape_b.grad(xb).tobytes()
+
 
 def loop_mean_pool(x, real, windows):
     """Per-window reference: (pooled, dpooled -> dx) for mean_pool_pairs."""

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from funnel import autodiff, encoder, relattn
-from funnel.autodiff import (ContractError, Rng, Tape, Tensor, gather_rows, grad_check, mul,
-                             sum_all)
-from funnel.encoder import (PooledState, _column_pos, block_transition_attention,
-                            gather_column_rows, pool_step, top_attn_rows)
+from funnel.autodiff import (ContractError, Rng, Tape, Tensor, fit_rows, gather_rows, grad_check,
+                             mul, reshape, sum_all)
+from funnel.encoder import PooledState, block_transition_attention, pool_step, top_attn_rows
 from funnel.layout import BlockSpec, LayoutSpec, is_pow2, layer_plan
 from funnel.model import FunnelModel, ModelConfig
 from funnel.relattn import layer_view
@@ -31,9 +30,21 @@ def stride2(values, pos=None, mask=None, op="mean"):
     return out.hidden, out.pos, out.mask
 
 
+def column_pos(pos, mask):
+    """Positions broadcast to the mask's shape: one position id per state and column."""
+    pos = np.asarray(pos)
+    return np.broadcast_to(pos.reshape(pos.shape + (1,) * (mask.ndim - pos.ndim)), mask.shape)
+
+
 def top_attn(h, pos, mask, attn):
-    """Top-attention pooling over all rows: the rows ``top_attn_rows`` keeps, gathered."""
-    return gather_column_rows(h, pos, mask, top_attn_rows(mask, attn))
+    """Top-attention pooling over all rows as a plain gather: the rows ``top_attn_rows``
+    keeps in each column, with the picked pad rows zeroed."""
+    rows = top_attn_rows(mask, attn)
+    cols = mask[0].size
+    flat = h if mask.ndim == 1 else reshape(h, (mask.size,) + h.shape[2:])
+    picked = np.take_along_axis(mask, rows, axis=0)
+    return (fit_rows(gather_rows(flat, rows * cols + np.arange(cols)), len(rows), picked),
+            np.take_along_axis(column_pos(pos, mask), rows, axis=0), picked)
 
 
 class TestPoolPair:
@@ -166,7 +177,7 @@ def split_concat_drop(state, op, separate_cls, truncate, prev_attn=None):
         return state
     pos = state.pos
     if op == "top_attn":
-        pos = _column_pos(pos, state.mask)
+        pos = column_pos(pos, state.mask)
         if prev_attn is not None:
             prev_attn = prev_attn * np.moveaxis(state.mask, 0, -1)[..., None, :, None]
     rest = slice(1, None) if separate_cls else slice(None)
@@ -231,7 +242,7 @@ class TestPoolStepMatchesSplitConcatDrop:
                     assert dgot.tobytes() == dref.tobytes(), where
 
     @pytest.mark.parametrize("op,cols,nodes", [("mean", None, 1), ("max", 3, 1),
-                                               ("top_attn", None, 1), ("top_attn", 3, 2)])
+                                               ("top_attn", None, 1), ("top_attn", 3, 1)])
     def test_tape_nodes(self, op, cols, nodes):
         # the three-step composition records 5 (mean, max) or 6 (top_attn) nodes
         gen = np.random.Generator(np.random.Philox(1))
@@ -242,16 +253,19 @@ class TestPoolStepMatchesSplitConcatDrop:
         out, _, names = pooled_with_grad(pool_step, state, op, True, True, attn, 2)
         assert out.hidden.shape[0] == 4
         assert len(names) == nodes + 2                     # plus mul and sum_all
-        assert op == "top_attn" or "gather_rows" not in names
+        assert "gather_rows" not in names
 
-    @pytest.mark.parametrize("op", ["mean", "max"])
+    @pytest.mark.parametrize("op", ["mean", "max", "top_attn"])
     def test_pad_cls_pools_like_an_all_pad_window(self, op):
         # encode_line and Batch always make position 0 real; a hand-built
         # state with a pad CLS reads it twice, an all-pad window: zero, still pad
         vals = np.array([100.0, 1, 3, 5, 7, 9, 11, 13])
         mask = np.ones(8, bool)
         mask[0] = False
-        out = pool_step(make_state(vals, mask=mask), op, separate_cls=True, truncate=True)
+        attn = np.zeros((1, 8, 8))
+        attn[..., 1::2] = 1.0                              # top-attention: CLS, 1, 3, 5
+        out = pool_step(make_state(vals, mask=mask), op, separate_cls=True, truncate=True,
+                        prev_attn=attn)
         assert out.hidden.data[0, 0] == 0.0
         np.testing.assert_array_equal(out.mask, [False, True, True, True])
         np.testing.assert_array_equal(out.pos, [0, 1, 3, 5])

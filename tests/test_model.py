@@ -192,6 +192,22 @@ class TestGeneratorConfig:
         assert gen.hidden == 192
         assert gen.layout.head_dim == 64
 
+    @pytest.mark.parametrize("hidden,heads,head_dim", [(768, 3, 64), (576, 2, 72),
+                                                       (832, 2, 104)])
+    def test_head_split(self, hidden, heads, head_dim):
+        gen = generator_config(ModelConfig(layout=f"B2-2H{hidden}D2", vocab_size=11, seed=0))
+        assert (gen.layout.heads, gen.layout.head_dim) == (heads, head_dim)
+
+    def test_every_width_on_the_head_grid_builds(self):
+        for hidden in range(64, 2049, 64):
+            gen = generator_config(ModelConfig(layout=f"B2-2H{hidden}D2", vocab_size=11,
+                                               seed=0))
+            heads, most = gen.layout.heads, max(1, gen.hidden // 64)
+            assert gen.hidden == hidden // 4 and heads * gen.layout.head_dim == gen.hidden
+            # the most heads up to hidden // 64: a width that built before keeps its heads
+            assert heads <= most
+            assert all(gen.hidden % h for h in range(heads + 1, most + 1)), hidden
+
     def test_odd_quarter_rounds_up_to_an_even_width(self):
         # 20 // 4 is 5, but the sinusoidal position tables need an even width
         layout = LayoutSpec(blocks=(BlockSpec(1), BlockSpec(1)), hidden=20, decoder_layers=1,
