@@ -758,14 +758,14 @@ def max_pool_pairs(x: Tensor, real: np.ndarray, windows: np.ndarray) -> Tensor:
     keeps rows this way.  All-pad windows yield zeros and pass no gradient.
     """
     xr, rr, idx = _windows(x.data, real, windows)
-    has_real = rr.any(axis=1)
-    sel = np.where(~rr[:, 0], 1, np.where(~rr[:, 1], 0, np.argmax(xr, axis=1)))
-    picked = np.take_along_axis(xr, sel[:, None], axis=1)[:, 0]
-    out = Tensor(np.where(has_real, picked, 0.0))
+    has_real, a, b = rr.any(axis=1), xr[:, 0], xr[:, 1]
+    # argmax over each pair, elementwise: ties and a NaN first member keep the first
+    second = ~rr[:, 0] | rr[:, 1] & ~(a >= b) & (a == a)
+    out = Tensor(np.where(has_real, np.where(second, b, a), 0.0))
     shape = x.shape
 
     def backward(g):
-        route = np.stack([sel == 0, sel == 1], axis=1) & has_real[:, None]
+        route = np.stack([~second, second], axis=1) & has_real[:, None]
         return (_unwindow(np.where(route, g[:, None], 0.0), idx, shape),)
 
     return _record(out, (x,), backward, "max_pool_pairs")

@@ -125,7 +125,7 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     if op == "top_attn":
         if prev_attn is not None:
             prev_attn = (prev_attn * np.moveaxis(mask, 0, -1)[..., None, :, None])[..., cls:]
-        chosen = top_attn_rows(mask[cls:], prev_attn) + cls  # each kept row paired with itself
+        chosen = top_attn_rows(mask[cls:], prev_attn) + cls  # after CLS; each pairs with itself
         windows = np.concatenate([np.zeros_like(chosen[:cls]), chosen])[:n, None].repeat(2, axis=1)
     else:  # rows 0, 0, 1, ... with separate CLS; a last window past row t - 1 repeats it
         windows = np.clip(np.arange(-cls, 2 * n - cls), 0, t - 1).reshape(-1, 2)

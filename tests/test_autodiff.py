@@ -984,6 +984,15 @@ class TestPoolingOps:
             assert out.data[0, 0] == 1.5
             assert tape.grad(x)[0, 0] == 0.7
 
+    def test_max_keeps_a_nan_member(self):
+        # as np.argmax does: NaN propagates, and its member gets the gradient
+        x = Tensor([[1.0], [np.nan], [np.nan], [2.0]], requires_grad=True)
+        with Tape() as tape:
+            out = max_pool_pairs(x, np.ones(4, bool), STRIDE2)
+            tape.backward(sum_all(mul(out, Tensor([[0.5], [0.25]]))))
+        assert np.isnan(out.data).all()
+        np.testing.assert_array_equal(tape.grad(x)[:, 0], [0.0, 0.5, 0.25, 0.0])
+
     def test_windows_must_be_pairs(self):
         with pytest.raises(ShapeError):
             mean_pool_pairs(Tensor(np.zeros((4, 1))), np.ones(4, bool), [0, 1, 2, 3])
