@@ -31,9 +31,9 @@ the broadcast axes.
 Some nodes fold a neighbour's work into their own pass: matmul adds a
 bias, softmax applies the attention scale and key mask, layer norm
 adds the residual, and ``gelu(x, w, bias)`` the product that reads
-GeLU's output.  Keeping ``x`` only and rerunning GeLU in its pull-back,
-that node leaves each feed-forward sub-layer one kept inner activation,
-not three, for one more GeLU forward during ``backward``.
+GeLU's output.  That node keeps ``x`` only and reruns GeLU in its
+pull-back, so each feed-forward sub-layer keeps one inner activation,
+not three; GeLU walks 256 KiB blocks, so its scratch stays in cache.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ MAX_RANK = 4
 # tanh-approximation GeLU constants: gelu(x) = 0.5x(1 + tanh(c*(x + a*x^3)))
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
+GELU_BLOCK = 1 << 18  # bytes: GeLU's kernel walks its input in blocks of this size
 
 _KEYS = itertools.count()
 
@@ -469,66 +470,64 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
     return _record(out, inputs, backward, "layer_norm")
 
 
-def _gelu(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tanh(c x (1 + a x^2)) and GeLU's output 0.5 x (1 + tanh), each in a fresh array.
+def _gelu(xd: np.ndarray, slope: bool = False) -> list[np.ndarray]:
+    """GeLU's output 0.5 x (1 + t), t = tanh(c x (1 + a x^2)), then given ``slope`` its
+    derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), each in a fresh array.
 
-    The cubic is formed by multiplication, c*x*(1 + a*x*x), not ``x ** 3``:
-    numpy sends a cube to libm ``pow`` element by element.  Every step
-    rounds as in the one-expression form, since IEEE products and sums
-    commute.  ``gelu``'s forward and pull-back both run these same steps,
-    so they see the same bytes.
+    Each pass walks ``GELU_BLOCK``-byte blocks of the flat input, t forming in an output
+    block beside one scratch block (two with ``slope``); x^2, 0.5 x and 1 + t are formed
+    once.  The cubic is c*x*(1 + a*x*x), not ``x ** 3``, which numpy sends to libm ``pow``.
+    Every step rounds as the one-expression form does, so both calls give the same bytes.
     """
-    t, scaled = np.empty_like(xd), np.empty_like(xd)  # arrays even for a 0-d input
-    np.multiply(xd, xd, out=t)
-    t *= GELU_A
-    t += 1.0
-    t *= np.multiply(xd, GELU_C, out=scaled)
-    np.tanh(t, out=t)                                  # tanh(c x (1 + a x^2))
-    y = np.add(t, 1.0, out=np.empty_like(xd))
-    y *= np.multiply(xd, 0.5, out=scaled)              # 0.5 x (1 + t)
-    return t, y
-
-
-def _gelu_slope(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GeLU's derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2) and its output,
-    from ``_gelu``: the derivative is formed in place in its tanh."""
-    t, y = _gelu(xd)
-    d, rest = np.empty_like(t), np.empty_like(t)
-    np.multiply(t, t, out=d)
-    np.subtract(1.0, d, out=d)
-    np.multiply(xd, 0.5, out=rest)
-    rest *= d
-    rest *= GELU_C
-    np.multiply(xd, xd, out=d)
-    d *= 3.0 * GELU_A
-    d += 1.0
-    rest *= d
-    np.add(t, 1.0, out=t)
-    t *= 0.5
-    t += rest
-    return t, y
+    outs = [np.empty(xd.shape, xd.dtype) for _ in range(1 + slope)]  # C order: views write them
+    flats = [f.reshape(-1) for f in (xd, *outs)]
+    step = GELU_BLOCK // xd.itemsize
+    rows = np.empty((1 + slope, min(step, xd.size)), xd.dtype)
+    for lo in range(0, xd.size, step):
+        x, y, *d = (f[lo:lo + step] for f in flats)
+        a, b = rows[0, :len(x)], rows[-1, :len(x)]  # one row in the forward pass: b is a
+        t = d[0] if d else y
+        np.multiply(x, x, out=a)                     # x^2
+        np.multiply(a, GELU_A, out=t)
+        t += 1.0
+        t *= np.multiply(x, GELU_C, out=b)
+        np.tanh(t, out=t)                            # tanh(c x (1 + a x^2))
+        if not d:
+            t += 1.0
+            t *= np.multiply(x, 0.5, out=a)          # 0.5 x (1 + t)
+            continue
+        np.add(t, 1.0, out=y)                        # 1 + t
+        np.multiply(t, t, out=b)
+        np.subtract(1.0, b, out=b)
+        b *= np.multiply(x, 0.5, out=t)              # t holds 0.5 x from here
+        b *= GELU_C
+        a *= 3.0 * GELU_A
+        a += 1.0
+        b *= a                                       # 0.5 x (1 - t^2) c (1 + 3 a x^2)
+        np.multiply(y, 0.5, out=a)
+        y *= t                                       # 0.5 x (1 + t)
+        np.add(a, b, out=t)
+    return outs
 
 
 def gelu(x: Tensor, w: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     """GeLU, tanh approximation (constants GELU_C, GELU_A above); given ``w``,
     GeLU(x) @ w + bias in one node, with ``matmul``'s shapes and broadcasting.
 
-    The pull-back keeps ``x`` only and reruns the forward on it once: the
-    tanh serves GeLU's derivative, the output ``w``'s gradient, so neither
-    outlives the forward pass.  A plain GeLU's output read by a matmul
-    whose weight requires grad is kept by that matmul.
+    The pull-back keeps ``x`` only and reruns ``_gelu``, in ``GELU_BLOCK``-byte blocks, once
+    for the output (``w``'s gradient) and the derivative, so neither outlives the forward
+    pass.  A matmul whose weight requires grad keeps a plain GeLU's output it reads.
     """
     xd, pull = x.data, None
-    out, inputs = _gelu(xd)[1], (x,)
+    out, inputs = _gelu(xd)[0], (x,)
     if w is not None:
         out, pull = _product(x, out, w, bias, "gelu")
         inputs = (x, w) if bias is None else (x, w, bias)
 
     def backward(g):
         # the derivative first: its scratch is gone before w's gradient exists
-        slope, y = _gelu_slope(xd)
+        y, slope = _gelu(xd, slope=True)
         g, *tail = (g,) if pull is None else pull(g, y)  # tail: w's and bias's gradients
-        del y
         return (None if g is None else np.multiply(slope, g, out=slope), *tail)
 
     return _record(Tensor(out), inputs, backward, "gelu")

@@ -227,6 +227,87 @@ class TestGelu:
         np.testing.assert_allclose(out, self.textbook(x.astype(np.float64)), rtol=1e-6,
                                    atol=1e-7)
 
+    @staticmethod
+    def whole_array(xd):
+        """The earlier whole-array kernel: output and derivative, each pass over all of ``xd``,
+        its rerun forming x^2 and 0.5 x twice; the blocked kernel must round exactly like it."""
+        t, scaled = np.empty_like(xd), np.empty_like(xd)
+        np.multiply(xd, xd, out=t)
+        t *= GELU_A
+        t += 1.0
+        t *= np.multiply(xd, GELU_C, out=scaled)
+        np.tanh(t, out=t)
+        y = np.add(t, 1.0, out=np.empty_like(xd))
+        y *= np.multiply(xd, 0.5, out=scaled)
+        d, rest = np.empty_like(t), np.empty_like(t)
+        np.multiply(t, t, out=d)
+        np.subtract(1.0, d, out=d)
+        np.multiply(xd, 0.5, out=rest)
+        rest *= d
+        rest *= GELU_C
+        np.multiply(xd, xd, out=d)
+        d *= 3.0 * GELU_A
+        d += 1.0
+        rest *= d
+        np.add(t, 1.0, out=t)
+        t *= 0.5
+        t += rest
+        return y, t
+
+    SPECIALS = [0.0, 1e-300, -1e-300, 30.0, -30.0, 1e200, -1e200, np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", ["0-d", "1", "block-1", "block", "block+1", "3block+5",
+                                      "[n,1,1024]", "[n,4,512]"])
+    def test_blocks_match_whole_array_bytes(self, dtype, size):
+        """Blocked output and derivative equal the whole-array kernel's bytes on both sides of
+        each block edge, at FFN shapes ending in a part block, and at zero, subnormal-sized,
+        saturating (+-30), overflowing (+-1e200), infinite and NaN inputs."""
+        k = autodiff.GELU_BLOCK // np.dtype(dtype).itemsize
+        shape = {"0-d": (), "1": (1,), "block-1": (k - 1,), "block": (k,), "block+1": (k + 1,),
+                 "3block+5": (3 * k + 5,), "[n,1,1024]": (k // 1024 + 1, 1, 1024),
+                 "[n,4,512]": (3 * k // 2048 + 1, 4, 512)}[size]
+        if len(shape) < 2 and math.prod(shape) == 1:
+            inputs = [np.full(shape, v) for v in self.SPECIALS + [0.3, -2.5]]
+        else:
+            x = rand(shape, 5) * 4
+            n = x.size
+            edges = [e + o for e in range(k, n, k) for o in (-2, -1, 0, 1) if e + o < n]
+            at = np.unique(np.r_[np.arange(0, n, 7), np.array(edges, int), n - 1])
+            x.flat[at] = np.resize(self.SPECIALS, len(at))
+            inputs = [x]
+        for x in inputs:
+            with np.errstate(all="ignore"):
+                xd = x.astype(dtype)
+                ref_y, ref_d = self.whole_array(xd)
+                (y,), (y2, d) = autodiff._gelu(xd), autodiff._gelu(xd, slope=True)
+            for out in (y, y2, d):
+                assert (out.shape, out.dtype) == (shape, np.dtype(dtype))
+            assert y.tobytes() == y2.tobytes() == ref_y.tobytes()
+            assert d.tobytes() == ref_d.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks", [4, 0.25])
+    def test_kernel_scratch_is_blocks(self, dtype, blocks):
+        """The forward pass peaks at its output plus one block and the pull-back at its two
+        outputs plus two blocks (a sub-block input's whole size being its block), plus 4 KiB
+        of array headers and views: no full-size temporary."""
+        n = int(blocks * autodiff.GELU_BLOCK) // np.dtype(dtype).itemsize
+        xd = rand((n // 1024, 1, 1024), 6).astype(dtype)
+        block = min(xd.nbytes, autodiff.GELU_BLOCK)
+        autodiff._gelu(xd, slope=True)                       # first-call caches out of the count
+        peaks = []
+        for slope in (False, True):
+            tracemalloc.start()
+            try:
+                outs = autodiff._gelu(xd, slope)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del outs
+        assert peaks[0] <= xd.nbytes + block + 4096
+        assert peaks[1] <= 2 * xd.nbytes + 2 * block + 4096
+
 
 class TestBackward:
     def test_square_sum(self):
@@ -621,9 +702,10 @@ class TestTapeKeeps:
         ("product", {"input"}), ("product_bias", {"input"}), ("sum_all", {"input"}),
         ("matmul", {"input", "output"})], ids=["product", "product_bias", "sum_all", "matmul"])
     def test_gelu_keeps_only_its_input(self, reader, kept):
-        """The FFN's node ``gelu(h, w, bias)`` keeps only ``h``: GeLU's tanh and output die in
-        the forward pass, and its pull-back reruns ``_gelu`` once for both, so ``_gelu`` runs
-        twice per step.  A plain ``gelu`` read by ``sum_all`` keeps only ``h`` too.  A plain
+        """The FFN's node ``gelu(h, w, bias)`` keeps only ``h``: GeLU's output dies in the
+        forward pass (its tanh lives in the kernel's blocks only), and the pull-back reruns
+        ``_gelu`` once for the output and the derivative, so ``_gelu`` runs twice per step.
+        A plain ``gelu`` read by ``sum_all`` keeps only ``h`` too.  A plain
         ``gelu`` output read by a matmul whose weight requires grad is kept by that matmul,
         as any left operand is (by every such matmul, if several read it); no model code
         has that pattern, since ``pffn`` fuses the product.  Holding every array changes no
@@ -637,12 +719,12 @@ class TestTapeKeeps:
 
         def step(form, hold):
             """Forward and backward; ``hold`` is None or a list that keeps every array."""
-            def spy(xd):
-                t, y = real(xd)
-                made.append({"tanh": weakref.ref(t), "output": weakref.ref(y)})
+            def spy(xd, slope=False):
+                outs = real(xd, slope)
+                made.append((slope, dict(zip(("output", "slope"), map(weakref.ref, outs)))))
                 if hold is not None:
-                    hold.extend([t, y])
-                return t, y
+                    hold.extend(outs)
+                return outs
 
             made.clear()
             with pytest.MonkeyPatch.context() as mp, Tape() as tape:
@@ -654,19 +736,19 @@ class TestTapeKeeps:
                     root = sum_all(gelu(h))
                 else:
                     root = sum_all(mul(matmul(gelu(h), w2, bias), up))
-                refs = dict(made[0], input=weakref.ref(h.data))
+                refs = dict(made[0][1], input=weakref.ref(h.data))
                 if hold is not None:
                     hold.append(h)
                 del h
                 alive = {name for name, ref in refs.items() if ref() is not None}
                 tape.backward(root)
-            return alive, len(made), [tape.grad(t) for t in (x, w1, w2, b2)]
+            return alive, [slope for slope, _ in made], [tape.grad(t) for t in (x, w1, w2, b2)]
 
         form = "product" if reader.startswith("product") else reader
         alive, runs, grads = step(form, None)
         held_alive, held_runs, held_grads = step(form, [])
-        assert (alive, runs) == (kept, 2)
-        assert (held_alive, held_runs) == ({"input", "output", "tanh"}, 2)
+        assert (alive, runs) == (kept, [False, True])
+        assert (held_alive, held_runs) == ({"input", "output"}, [False, True])
         refs = [held_grads] + ([step("matmul", None)[2]] if form == "product" else [])
         for ref in refs:
             for g, r in zip(grads, ref):
