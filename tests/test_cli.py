@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import itertools
 import json
 import struct
 
@@ -593,6 +594,45 @@ class TestEncode:
                            "--input", str(corpus), "--dump", "tokens", "--seq-len", "16")
         assert code == 0
         assert len(out.splitlines()) == 16
+
+
+# the faults funnel encode checks for, in the order it checks them: the error names the
+# first one present.  Each entry is (fault, category, a fragment of the detail).  Breaking
+# a file both ways at once is not possible.
+ENCODE_FAULTS = [("missing_config", "config", "does not exist"),
+                 ("missing_checkpoint", "checkpoint", "does not exist"),
+                 ("missing_input", "input", "does not exist"),
+                 ("bad_config", "config", "vocab_size"),
+                 ("bad_checkpoint", "checkpoint", "bad magic"),
+                 ("vocab", "vocab", "does not exist")]
+SAME_FILE = {("missing_config", "bad_config"), ("missing_checkpoint", "bad_checkpoint")}
+
+
+@pytest.mark.parametrize("faults", [
+    c for n in (1, 2) for c in itertools.combinations(ENCODE_FAULTS, n)
+    if tuple(f[0] for f in c) not in SAME_FILE
+], ids=lambda c: "+".join(f[0] for f in c))
+def test_encode_reports_the_first_fault(train_setup, capsys, faults):
+    cfg, corpus, tmp = train_setup
+    run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
+        "--out", str(tmp / "run"))
+    paths = {"--config": tmp / "run" / "config.json",
+             "--checkpoint": tmp / "run" / "model.ftnt", "--input": corpus}
+    for fault, _, _ in faults:
+        if fault.startswith("missing_"):
+            flag = "--" + fault.removeprefix("missing_")
+            paths[flag] = tmp / f"absent{paths[flag].suffix}"
+        elif fault == "bad_config":
+            paths["--config"].write_text(json.dumps({"layout": "B2-2H64D2"}))
+        elif fault == "bad_checkpoint":
+            paths["--checkpoint"].write_bytes(b"JUNK" + bytes(60))
+        else:
+            (tmp / "run" / "vocab.txt").unlink()
+    code, out, err = run(capsys, "encode", *(a for k, v in paths.items() for a in (k, str(v))))
+    _, category, detail = faults[0]
+    assert code == 2
+    assert err.startswith(f"error: {category}: ") and detail in err
+    assert out == ""
 
 
 def test_shapes_three_blocks(tmp_path, capsys):

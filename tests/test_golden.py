@@ -12,19 +12,25 @@ at 6e-8 and 1e-10 would pin their bytes on every host.  A command's
 printed line holds a rounding-level error (three digits of a finite
 difference or of a variant deviation) that another CPU moves freely, so
 off that fingerprint its number must only stay within the bound the
-command itself enforces.  A change that moves results on purpose
-rewrites the pins in the same commit (``OPENBLAS_NUM_THREADS=1
-PYTHONPATH=src python tests/test_golden.py``) and states old and new
-values and the reason.
+command itself enforces.  ``funnel encode`` stdout prints its values
+rounded to 6 decimals, and another CPU may move any printed value by one
+step of that grid, so off the fingerprint each summary value of its
+numbers may move only as far as such steps allow.  A change that moves
+results on purpose rewrites the pins in the same commit
+(``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py``)
+and states old and new values and the reason.
 """
 
+import atexit
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
 import platform
 import re
+import shutil
 import sys
 import tempfile
 from dataclasses import replace
@@ -44,6 +50,8 @@ LINES = {"verify-attn": (("--trials", "100", "--seed", "0"), 1e-8),
          "gradcheck": (("--layout", "B2-2H64", "--seq-len", "8"), 1e-4)}
 ENCODE_T, ENCODE_LENGTHS = 32, (32, 17, 3)
 CHECKPOINT_STEPS = 30
+STDOUT_FIELDS = {"shapes": "block_shapes", "cls": "cls", "tokens": "vectors"}
+PRINT_GRID = 1e-6  # funnel encode prints values rounded to 6 decimals
 
 
 def fingerprint() -> dict:
@@ -92,6 +100,22 @@ def trace_case(name: str, dtype: str, **changes):
     return trace.tobytes(), [trace]
 
 
+@functools.cache
+def readme_run() -> Path:
+    """A directory holding ``train_toy``'s outputs under README's config, for fewer
+    steps, and the golden corpus as ``corpus.txt``; trained once per process."""
+    config = ModelConfig(layout="B2-2H64D2", vocab_size=20, pool_op="mean",
+                         attn_variant="factorized", dtype="f64", seed=0)
+    settings = TrainSettings(steps=CHECKPOINT_STEPS, batch_size=8, seq_len=16,
+                             objective="mlm", mask_sampler="single",
+                             optimizer=OptimizerConfig(lr=1e-3, warmup_steps=20))
+    out = Path(tempfile.mkdtemp())
+    atexit.register(shutil.rmtree, out, ignore_errors=True)
+    train_toy(config, corpus(), settings, out_dir=out)
+    (out / "corpus.txt").write_text("\n".join(corpus()) + "\n")
+    return out
+
+
 def checkpoint_case():
     """``model.ftnt`` written by ``train_toy`` under README's config, for fewer steps.
 
@@ -100,17 +124,9 @@ def checkpoint_case():
     """
     from funnel.checkpoint import load
 
-    config = ModelConfig(layout="B2-2H64D2", vocab_size=20, pool_op="mean",
-                         attn_variant="factorized", dtype="f64", seed=0)
-    settings = TrainSettings(steps=CHECKPOINT_STEPS, batch_size=8, seq_len=16,
-                             objective="mlm", mask_sampler="single",
-                             optimizer=OptimizerConfig(lr=1e-3, warmup_steps=20))
-    with tempfile.TemporaryDirectory() as out:
-        train_toy(config, corpus(), settings, out_dir=out)
-        path = Path(out) / "model.ftnt"
-        params = load(path)
-        arrays = [params[name].data for name in sorted(params)]
-        return b"".join(a.tobytes() for a in arrays), arrays
+    params = load(readme_run() / "model.ftnt")
+    arrays = [params[name].data for name in sorted(params)]
+    return b"".join(a.tobytes() for a in arrays), arrays
 
 
 def encode_case(pool_op: str, truncate: bool):
@@ -135,6 +151,35 @@ def line_case(command: str):
     return line.encode(), [np.array([float(re.search(r"\d\.\d+e[-+]\d+", line)[0])])]
 
 
+def stdout_case(dump: str, seq_len: int):
+    """``funnel encode`` stdout for the ``readme_run`` model over the golden corpus.
+
+    The value array is the printed numbers of ``dump``'s field, one row per line.
+    """
+    run = readme_run()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["encode", "--config", str(run / "config.json"),
+                         "--checkpoint", str(run / "model.ftnt"),
+                         "--input", str(run / "corpus.txt"), "--dump", dump,
+                         "--seq-len", str(seq_len)]) == 0
+    text = out.getvalue()
+    rows = [json.loads(line)[STDOUT_FIELDS[dump]] for line in text.splitlines()]
+    return text.encode(), [np.array(rows, dtype=np.float64)]
+
+
+def grid_bounds(arrays, values) -> np.ndarray:
+    """How far ``summarise``'s values of printed arrays may move when each printed
+    number moves by one step of the print grid, as it may on another CPU, plus
+    1e-12 relative for the order of summation."""
+    bounds = []
+    for a, (_, _, _, abs_sum) in zip(arrays, np.reshape(values, (-1, 4))):
+        n = a.size
+        bounds += [n * PRINT_GRID, 2 * abs_sum * PRINT_GRID + n * PRINT_GRID ** 2,
+                   PRINT_GRID, n * PRINT_GRID]
+    return np.array(bounds) + 1e-12 * np.abs(values)
+
+
 CASES = {
     **{f"trace/{name}/{dtype}": (dtype, lambda name=name, dtype=dtype: trace_case(name, dtype))
        for name in ("mlm_toy", "electra_span") for dtype in ("f64", "f32")},
@@ -151,6 +196,8 @@ CASES = {
        for op in ("mean", "max", "top_attn") for t in (True, False)},
     **{f"line/{command}": (command, lambda command=command: line_case(command))
        for command in LINES},
+    **{f"stdout/encode/{dump}/seq_len_{t}": ("stdout", lambda dump=dump, t=t: stdout_case(dump, t))
+       for dump in STDOUT_FIELDS for t in (16, 64)},
 }
 
 
@@ -172,12 +219,19 @@ def pins() -> dict:
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_pinned_output(case, pins):
-    kind, run = CASES[case]  # a dtype, or the command whose line is pinned
-    got, want = summarise(run()), pins["cases"][case]
+    kind, run = CASES[case]  # a dtype, "stdout", or the command whose line is pinned
+    output = run()
+    got, want = summarise(output), pins["cases"][case]
     same_host = pins["fingerprint"] == fingerprint()
     if kind in LINES:
         bound = LINES[kind][1]
         assert got["values"][0] <= bound, f"{case}: {got['values'][0]:.3e} above {bound:g}"
+    elif kind == "stdout":
+        off = np.abs(np.subtract(got["values"], want["values"]))
+        bounds = grid_bounds(output[1], want["values"])
+        assert (off <= bounds).all(), (
+            f"{case}: printed values off the pins by {off.tolist()}, beyond the print "
+            f"grid's {bounds.tolist()}")
     else:
         tol = TOLERANCE[kind]
         scale = max(abs(v) for v in want["values"])
