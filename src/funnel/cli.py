@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costmodel
-from .autodiff import ContractError, Rng, Tensor, grad_check
+from .autodiff import ContractError, NumericError, Rng, Tensor, grad_check
 from .checkpoint import CheckpointError, load
 from .corpus import CLS, SEP, SPECIALS, Vocab, encode_line, load_corpus
 from .layout import LayoutError, parse_layout
@@ -157,21 +157,24 @@ def cmd_train_toy(args) -> int:
     return 0
 
 
-def cmd_encode(args) -> int:
-    cfg_path = Path(args.config)
-    ckpt_path = Path(args.checkpoint)
-    input_path = Path(args.input)
-    for p, cat in ((cfg_path, "config"), (ckpt_path, "checkpoint"), (input_path, "input")):
-        if not p.exists():
-            raise CliError(cat, f"{p} does not exist")
-    config, _ = _load_config(cfg_path)
+def load_encoder(config_path: Path, checkpoint_path: Path,
+                 vocab_path: Path | None = None) -> tuple[FunnelModel, Vocab]:
+    """The model and vocabulary ``funnel encode`` runs.
+
+    Reads the config, loads the checkpoint against its ``param_specs`` (no
+    parameter is drawn) and loads the vocabulary, ``vocab.txt`` next to the
+    checkpoint unless ``vocab_path`` is given, whose size must match the
+    config.  Faults are ``CliError`` of category ``config``, ``checkpoint`` or
+    ``vocab``, in that order; a config file that cannot be read is ``OSError``.
+    """
+    config, _ = _load_config(config_path)
     try:
-        params = load(ckpt_path, expected=param_specs(config))
+        params = load(checkpoint_path, expected=param_specs(config))
     except CheckpointError as e:
         raise CliError("checkpoint", str(e)) from e
     model = FunnelModel(config, params)
 
-    vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
+    vocab_path = vocab_path or checkpoint_path.parent / "vocab.txt"
     if not vocab_path.exists():
         raise CliError("vocab", f"{vocab_path} does not exist")
     try:
@@ -181,21 +184,41 @@ def cmd_encode(args) -> int:
     if len(vocab) != config.vocab_size:
         raise CliError("vocab", f"vocabulary size {len(vocab)} does not match config "
                                 f"{config.vocab_size}")
+    return model, vocab
 
+
+def encode_request(model: FunnelModel, vocab: Vocab, line: str, seq_len: int,
+                   dump: str) -> str:
+    """The JSON line ``funnel encode --dump <dump>`` prints for one input line.
+
+    ``shapes`` gives each encoder block's output shape, ``cls`` the top
+    block's CLS row, and ``tokens`` the decoder's output rows; values are
+    rounded to 6 decimals.  A value that is not finite raises ``ValueError``
+    rather than being printed as ``NaN`` or ``Infinity``.
+    """
+    enc = encode_line(line, vocab, seq_len)
+    state = model.encode(enc.token_ids, enc.pad_mask)
+    if dump == "shapes":
+        record = {"line": line, "block_shapes": [list(h.shape) for h in state.block_hidden]}
+    elif dump == "cls":
+        record = {"line": line, "cls": [round(x, 6) for x in state.h_last.data[0].tolist()]}
+    else:
+        hidden = model.decode(state).hidden.data
+        record = {"line": line, "tokens": len(hidden),
+                  "vectors": [[round(x, 6) for x in row] for row in hidden.tolist()]}
+    return json.dumps(record, allow_nan=False)
+
+
+def cmd_encode(args) -> int:
+    cfg_path = Path(args.config)
+    ckpt_path = Path(args.checkpoint)
+    input_path = Path(args.input)
+    for p, cat in ((cfg_path, "config"), (ckpt_path, "checkpoint"), (input_path, "input")):
+        if not p.exists():
+            raise CliError(cat, f"{p} does not exist")
+    model, vocab = load_encoder(cfg_path, ckpt_path, Path(args.vocab) if args.vocab else None)
     for line in load_corpus(input_path):
-        enc = encode_line(line, vocab, args.seq_len)
-        state = model.encode(enc.token_ids, enc.pad_mask)
-        if args.dump == "shapes":
-            shapes = [list(h.shape) for h in state.block_hidden]
-            print(json.dumps({"line": line, "block_shapes": shapes}))
-        elif args.dump == "cls":
-            print(json.dumps({"line": line,
-                              "cls": [round(x, 6) for x in state.h_last.data[0].tolist()]}))
-        else:
-            out = model.decode(state)
-            print(json.dumps({"line": line, "tokens": len(out.hidden.data),
-                              "vectors": [[round(x, 6) for x in row]
-                                          for row in out.hidden.data.tolist()]}))
+        print(encode_request(model, vocab, line, args.seq_len, args.dump))
     return 0
 
 
@@ -269,7 +292,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e.category}: {e}", file=sys.stderr)
         return e.code
-    except (ContractError, ValueError, OSError) as e:
+    except (ContractError, NumericError, ValueError, OSError) as e:
         print(f"error: input: {e}", file=sys.stderr)
         return 2
 

@@ -389,14 +389,10 @@ class TestTrainToy:
 def dump_by_numpy_scalars(cfg, ckpt, corpus, dump):
     """``encode --dump cls|tokens --seq-len 16`` stdout, each value written as
     ``round(float(x), 6)`` of a numpy scalar of the output rows."""
-    from funnel.checkpoint import load
-    from funnel.cli import _load_config
-    from funnel.corpus import Vocab, encode_line, load_corpus
-    from funnel.model import FunnelModel, param_specs
+    from funnel.cli import load_encoder
+    from funnel.corpus import encode_line, load_corpus
 
-    config, _ = _load_config(cfg)
-    model = FunnelModel(config, load(ckpt, expected=param_specs(config)))
-    vocab = Vocab.load(ckpt.parent / "vocab.txt")
+    model, vocab = load_encoder(cfg, ckpt)
     out = []
     for line in load_corpus(corpus):
         enc = encode_line(line, vocab, 16)
@@ -409,6 +405,12 @@ def dump_by_numpy_scalars(cfg, ckpt, corpus, dump):
                       "vectors": [[round(float(x), 6) for x in row] for row in hidden]}
         out.append(json.dumps(record) + "\n")
     return "".join(out)
+
+
+# one element of each tensor made non-finite: NaN before the first softmax, or NaN in the
+# decoder's last layer and inf in the encoder's
+NON_FINITE = {"nan_attention": {"enc/b0/l0/attn/w_q": np.nan},
+              "nan_decoder_inf_encoder": {"dec/l1/ffn/w2": np.nan, "enc/b1/l1/ffn/w2": np.inf}}
 
 
 class TestEncode:
@@ -581,6 +583,7 @@ class TestEncode:
 
     def test_loading_draws_no_initial_parameters(self, train_setup, capsys, monkeypatch):
         from funnel.autodiff import Rng
+        from funnel.cli import load_encoder
         cfg, corpus, tmp = train_setup
         run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
             "--out", str(tmp / "run"))
@@ -589,11 +592,43 @@ class TestEncode:
             raise AssertionError("encode drew an initial parameter")
 
         monkeypatch.setattr(Rng, "truncated_normal", refuse)
+        load_encoder(tmp / "run" / "config.json", tmp / "run" / "model.ftnt")
         code, out, _ = run(capsys, "encode", "--config", str(tmp / "run" / "config.json"),
                            "--checkpoint", str(tmp / "run" / "model.ftnt"),
                            "--input", str(corpus), "--dump", "tokens", "--seq-len", "16")
         assert code == 0
         assert len(out.splitlines()) == 16
+
+    @pytest.mark.parametrize("poison,dump,code", [
+        ("nan_attention", "shapes", 2), ("nan_attention", "cls", 2),
+        ("nan_attention", "tokens", 2),
+        ("nan_decoder_inf_encoder", "shapes", 0),  # shapes hold no value to poison
+        ("nan_decoder_inf_encoder", "cls", 2), ("nan_decoder_inf_encoder", "tokens", 2),
+    ])
+    def test_non_finite_checkpoint_exit_2(self, train_setup, capsys, poison, dump, code):
+        from funnel.checkpoint import load, save
+        cfg, corpus, tmp = train_setup
+        run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
+            "--out", str(tmp / "run"))
+        params = load(tmp / "run" / "model.ftnt")
+        for name, value in NON_FINITE[poison].items():
+            params[name].data.flat[0] = value
+        save(params, tmp / "run" / "poisoned.ftnt")
+
+        def refuse(constant):
+            raise AssertionError(f"stdout holds {constant}")
+
+        got, out, err = run(capsys, "encode", "--config", str(tmp / "run" / "config.json"),
+                            "--checkpoint", str(tmp / "run" / "poisoned.ftnt"),
+                            "--input", str(corpus), "--dump", dump, "--seq-len", "16")
+        assert got == code
+        for line in out.splitlines():
+            json.loads(line, parse_constant=refuse)
+        if code:
+            assert err.startswith("error: input: ") and len(err.splitlines()) == 1
+            assert out == ""
+        else:
+            assert len(out.splitlines()) == 16
 
 
 # the faults funnel encode checks for, in the order it checks them: the error names the
