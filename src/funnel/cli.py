@@ -217,8 +217,11 @@ def cmd_encode(args) -> int:
         if not p.exists():
             raise CliError(cat, f"{p} does not exist")
     model, vocab = load_encoder(cfg_path, ckpt_path, Path(args.vocab) if args.vocab else None)
-    for line in load_corpus(input_path):
-        print(encode_request(model, vocab, line, args.seq_len, args.dump))
+    for number, line in enumerate(load_corpus(input_path), start=1):
+        try:
+            print(encode_request(model, vocab, line, args.seq_len, args.dump))
+        except (NumericError, ValueError) as e:
+            raise CliError("input", f"{input_path} line {number}: {e}") from e
     return 0
 
 
@@ -229,20 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="cost report for one layout")
     a.add_argument("--layout", required=True)
-    a.add_argument("--seq-len", type=int, default=512)
-    a.add_argument("--mode", choices=costmodel.MODES, default="finetune")
-    a.add_argument("--format", choices=("text", "json"), default="text")
-    a.add_argument("--vocab", type=int, default=costmodel.DEFAULT_VOCAB)
     a.set_defaults(fn=cmd_analyze)
-
     c = sub.add_parser("compare", help="ratio table against a baseline layout")
     c.add_argument("--layouts", required=True, help="comma separated layout strings")
     c.add_argument("--baseline", required=True)
-    c.add_argument("--seq-len", type=int, default=512)
-    c.add_argument("--mode", choices=costmodel.MODES, default="finetune")
-    c.add_argument("--format", choices=("text", "json"), default="text")
-    c.add_argument("--vocab", type=int, default=costmodel.DEFAULT_VOCAB)
     c.set_defaults(fn=cmd_compare)
+    for cost in (a, c):  # the cost model's own flags
+        cost.add_argument("--seq-len", type=int, default=512)
+        cost.add_argument("--mode", choices=costmodel.MODES, default="finetune")
+        cost.add_argument("--format", choices=("text", "json"), default="text")
+        cost.add_argument("--vocab", type=int, default=costmodel.DEFAULT_VOCAB)
 
     v = sub.add_parser("verify-attn", help="three-way position-term equivalence check")
     v.add_argument("--trials", type=int, default=100)
@@ -288,7 +287,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"))
             if value < low:
                 raise CliError("usage", f"{flag} must be >= {low}, got {value}")
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # softmax and json refuse non-finite values
+            return args.fn(args)
     except CliError as e:
         print(f"error: {e.category}: {e}", file=sys.stderr)
         return e.code

@@ -90,10 +90,6 @@ def load_corpus(path) -> list[str]:
         return [line.rstrip("\n") for line in f]
 
 
-def encode_corpus(lines, vocab: Vocab, seq_len: int) -> list[EncodedLine]:
-    return [encode_line(line, vocab, seq_len) for line in lines]
-
-
 @dataclass
 class Batch:
     """Stacked sequences: [B, T] ids and pad mask.

@@ -64,6 +64,6 @@ def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPos
     for run in layer_plan(config.layout, t, config.separate_cls, config.truncate_seq,
                           config.pool_query_only):
         if run.kind == "decoder":
-            hidden, _ = transformer_layer(hidden, pos, pad_mask, layer_view(params, run.prefix),
-                                          config, enc, rng)
+            hidden = transformer_layer(hidden, pos, pad_mask, layer_view(params, run.prefix),
+                                       config, enc, rng)[0]  # the map dies before the next layer
     return DecoderOutput(fused=fused, hidden=hidden)

@@ -64,7 +64,6 @@ class EncoderState:
     block_hidden: list[Tensor]
     block_pos: list[np.ndarray]
     block_mask: list[np.ndarray]
-    last_attn: np.ndarray | None  # attention map of the final layer run
 
     @property
     def h_first(self) -> Tensor:
@@ -112,8 +111,8 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     an all-pad window pools to exactly 0.0.  The index stops at
     ``layout.pooled_length`` states: with ``separate_cls`` and ``truncate``
     it leaves out the final state of a power-of-two input.  Top-attention
-    scores count only real queries: a pad query's attention row depends on
-    the ids at pad positions.
+    reads ``prev_attn`` as computed, [..., q, k] for q, k <= t, and scores
+    real queries only: a pad query's row depends on the ids at pad positions.
     """
     if op not in POOL_OPS:
         raise ValueError(f"unknown pool op {op!r}")
@@ -123,8 +122,13 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     cls, n = int(separate_cls), pooled_length(t, separate_cls, truncate)
     hidden, pos, mask = state.hidden, np.asarray(state.pos), np.asarray(state.mask, dtype=bool)
     if op == "top_attn":
-        if prev_attn is not None:
-            prev_attn = (prev_attn * np.moveaxis(mask, 0, -1)[..., None, :, None])[..., cls:]
+        if prev_attn is not None:  # zero-padded to [..., t, t], real queries' rows copied
+            q, k = prev_attn.shape[-2:]
+            if q > t or k > t:
+                raise ContractError(f"attention map {prev_attn.shape} exceeds the {t} states")
+            full = np.zeros(prev_attn.shape[:-2] + (t, t), dtype=prev_attn.dtype)
+            np.copyto(full[..., :q, :k], prev_attn, where=mask[:q].T[..., None, :, None])
+            prev_attn = full[..., cls:]
         chosen = top_attn_rows(mask[cls:], prev_attn) + cls  # after CLS; each pairs with itself
         windows = np.concatenate([np.zeros_like(chosen[:cls]), chosen])[:n, None].repeat(2, axis=1)
     else:  # rows 0, 0, 1, ... with separate CLS; a last window past row t - 1 repeats it
@@ -188,7 +192,7 @@ def encoder_forward(config, params, token_ids: np.ndarray,
     hidden = dropout(gather_rows(params["embed/token"], token_ids), config.dropout, rng)
     state = PooledState(hidden, np.arange(t, dtype=np.int64), pad_mask)
 
-    kept, extent, last_attn = [], real, None  # kept: each finished block's final state
+    kept, extent, attn = [], real, None  # kept: each finished block's final state
     for run in layer_plan(config.layout, t, config.separate_cls, config.truncate_seq,
                           config.pool_query_only):
         if run.kind == "decoder":
@@ -197,17 +201,16 @@ def encoder_forward(config, params, token_ids: np.ndarray,
         if run.kind == "transition":
             kept.append(state)
             pooled = pool_step(state, config.pool_op, config.separate_cls, config.truncate_seq,
-                               prev_attn=last_attn)
+                               prev_attn=attn)
             extent = row_extent(pooled.mask)
             if len(kept) == len(config.layout.blocks) - 1:  # final block: rows the decoder reads
                 extent = np.maximum(extent, upsample_source(real - 1, len(pooled.mask), t) + 1)
-            hidden, last_attn = block_transition_attention(pooled, state, lp, config, enc, rng,
-                                                           extent)
+            hidden, attn = block_transition_attention(pooled, state, lp, config, enc, rng, extent)
             state = PooledState(hidden, pooled.pos, pooled.mask)
         else:
-            hidden, last_attn = transformer_layer(state.hidden, state.pos, state.mask, lp,
-                                                  config, enc, rng, extent)
+            hidden, attn = transformer_layer(state.hidden, state.pos, state.mask, lp, config,
+                                             enc, rng, extent)
             state = PooledState(hidden, state.pos, state.mask)
     kept.append(state)
     return EncoderState(enc, [s.hidden for s in kept], [s.pos for s in kept],
-                        [s.mask for s in kept], last_attn)
+                        [s.mask for s in kept])

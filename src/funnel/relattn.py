@@ -32,9 +32,9 @@ layer, standard or transition, runs through ``run_layer`` on the first
 max(extent) rows and the keys up to the last real one, where a column's
 extent is one past its last real row (``row_extent``), and pads the
 result back to full length.  Rows past each column's own extent come
-back exactly 0.0, and so do their rows of the attention map, so a batch
-still equals its sequences run one at a time.  With dropout on, fewer
-elements draw masks than a full-length pass would draw.
+back exactly 0.0, so a batch still equals its sequences run one at a
+time.  With dropout on, fewer elements draw masks than a full-length pass
+would draw.
 """
 
 from __future__ import annotations
@@ -264,9 +264,9 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     Per head: scores = (content + position) / sqrt(head_dim), masked keys
     forced to -inf before the softmax.  Head outputs are merged, projected
     by w_o, added to the residual ``q_in`` and layer normed.  Returns the
-    new hidden states and the attention map (detached; used by
-    top-attention pooling): [heads, Tq, Tk] for one sequence,
-    [B, heads, Tq, Tk] for a batch.
+    new hidden states and the attention map over the queries and keys
+    given (detached; used by top-attention pooling): [heads, Tq, Tk] for
+    one sequence, [B, heads, Tq, Tk] for a batch.
     """
     n_heads, dh = config.heads, q_in.shape[-1] // config.heads
     scale = 1.0 / np.sqrt(dh)
@@ -310,13 +310,13 @@ def run_layer(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     """``attention`` then ``pffn`` on the first max(``extent``) queries and the real keys.
 
     ``extent`` holds one query row count per column ([] or [B]).  Hidden
-    states and attention map come back at full length ([Tq, ...] and
-    [..., Tq, Tk]), exactly 0.0 past each column's extent.  With every row
-    real, ``fit_rows`` returns its inputs and only the map is copied.
+    states come back at full length, exactly 0.0 past each column's extent,
+    and the attention map as computed, [..., n, nk] for the n queries and
+    the nk keys up to the last real one.  With every row real, nothing is copied.
     """
     key_mask = np.asarray(key_mask, dtype=bool)
     extent = np.asarray(extent)
-    tq, tk = q_in.shape[0], kv_in.shape[0]
+    tq = q_in.shape[0]
     n, nk = int(extent.max()), int(row_extent(key_mask).max())
     q = fit_rows(q_in, n)
     kv = q if kv_in is q_in and nk == n else fit_rows(kv_in, nk)
@@ -324,14 +324,13 @@ def run_layer(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
                              key_mask[:nk], params, config, enc, rng)
     hidden = pffn(hidden, params, config, rng)
     keep = np.arange(tq).reshape((tq,) + (1,) * extent.ndim) < extent  # [Tq] or [Tq, B]
-    full = np.zeros(maps.shape[:-2] + (tq, tk), dtype=maps.dtype)
-    np.copyto(full[..., :n, :nk], maps, where=np.moveaxis(keep[:n], 0, -1)[..., None, :, None])
-    return fit_rows(hidden, tq, keep), full
+    return fit_rows(hidden, tq, keep), maps
 
 
 def transformer_layer(x: Tensor, pos: np.ndarray, key_mask: np.ndarray, params: LayerParams,
                       config, enc: RelPosEncoding, rng=None,
                       extent: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Self-attention over ``x`` (``run_layer``), by default up to each column's last real row."""
+    """Self-attention over ``x`` (``run_layer``), by default up to each column's last real row,
+    where its map is [..., n, n] for n one past the last real row of any column."""
     extent = row_extent(key_mask) if extent is None else extent
     return run_layer(x, x, pos, pos, key_mask, extent, params, config, enc, rng)

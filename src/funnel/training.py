@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import DTYPES, ContractError, NumericError, Rng, Tape, Tensor
-from .corpus import Batch, EncodedLine, Vocab, build_vocab, encode_corpus
+from .corpus import Batch, EncodedLine, Vocab, build_vocab, encode_line
 from .layout import is_pow2
 from .model import (INIT_STD, FunnelModel, ModelConfig, check_fields, generator_config,
                     param_specs)
@@ -204,7 +204,7 @@ def train_toy(config: ModelConfig, corpus_lines: list[str], settings: TrainSetti
     """
     vocab = build_vocab(corpus_lines, config.vocab_size)
     config.vocab_size = len(vocab)
-    lines = encode_corpus(corpus_lines, vocab, settings.seq_len)
+    lines = [encode_line(line, vocab, settings.seq_len) for line in corpus_lines]
     if not lines:
         raise ValueError("empty corpus")
 

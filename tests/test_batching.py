@@ -52,7 +52,6 @@ def test_batched_forward_equals_stacked_sequences(pool_op, variant):
             pos = state.block_pos[block]  # shared [T_m], or [T_m, B] after top-attention
             np.testing.assert_array_equal(one.block_pos[block], pos if pos.ndim == 1 else pos[:, b])
             np.testing.assert_array_equal(one.block_mask[block], state.block_mask[block][:, b])
-        np.testing.assert_allclose(one.last_attn, state.last_attn[b], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("pool_op", POOL_OPS)

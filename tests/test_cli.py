@@ -3,6 +3,7 @@
 import itertools
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -618,14 +619,18 @@ class TestEncode:
         def refuse(constant):
             raise AssertionError(f"stdout holds {constant}")
 
-        got, out, err = run(capsys, "encode", "--config", str(tmp / "run" / "config.json"),
-                            "--checkpoint", str(tmp / "run" / "poisoned.ftnt"),
-                            "--input", str(corpus), "--dump", dump, "--seq-len", "16")
+        with warnings.catch_warnings(record=True) as caught:  # a process would print them
+            warnings.simplefilter("always")
+            got, out, err = run(capsys, "encode", "--config", str(tmp / "run" / "config.json"),
+                                "--checkpoint", str(tmp / "run" / "poisoned.ftnt"),
+                                "--input", str(corpus), "--dump", dump, "--seq-len", "16")
+        assert [str(w.message) for w in caught] == []
         assert got == code
         for line in out.splitlines():
             json.loads(line, parse_constant=refuse)
-        if code:
-            assert err.startswith("error: input: ") and len(err.splitlines()) == 1
+        if code:  # every line meets the poisoned values, so the first one fails
+            assert err.startswith(f"error: input: {corpus} line 1: ")
+            assert len(err.splitlines()) == 1
             assert out == ""
         else:
             assert len(out.splitlines()) == 16

@@ -128,6 +128,34 @@ class TestPoolStep:
         np.testing.assert_allclose(out.hidden.data[:, 0], [50.5, 4.0, 8.0, 12.0])
         assert len(out.pos) == 4
 
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_top_attn_reads_a_map_of_computed_size(self, cols):
+        # a layer computes q = max(extent) query rows, pads among them, and k keys
+        # up to the last real one; q exceeds k where the final block's extent widens
+        for t in (8, 9):
+            gen = np.random.Generator(np.random.Philox(t + (cols or 0)))
+            shape = (t,) if cols is None else (t, cols)
+            mask = gen.random(shape) > 0.4
+            mask[0], mask[6:] = True, False
+            q, k = 7, int(relattn.row_extent(mask).max())
+            m = gen.random(((cols,) if cols else ()) + (2, t, t))  # random pad-query rows
+            full = np.zeros_like(m)
+            full[..., :q, :k] = m[..., :q, :k]
+            state = PooledState(Tensor(gen.standard_normal(shape + (4,))), np.arange(t), mask)
+            for separate_cls in (True, False):
+                for truncate in (True, False):
+                    got, ref = (pool_step(state, "top_attn", separate_cls, truncate, prev_attn=a)
+                                for a in (m[..., :q, :k], full))
+                    assert got.hidden.data.tobytes() == ref.hidden.data.tobytes()
+                    np.testing.assert_array_equal(got.pos, ref.pos)
+                    np.testing.assert_array_equal(got.mask, ref.mask)
+
+    @pytest.mark.parametrize("attn_shape", [(1, 8, 9), (1, 9, 8), (2, 1, 8, 8)])
+    def test_top_attn_refuses_a_map_that_does_not_fit(self, attn_shape):
+        with pytest.raises(ContractError):
+            pool_step(make_state(np.arange(8.0)), "top_attn", separate_cls=True, truncate=True,
+                      prev_attn=np.ones(attn_shape))
+
     def test_length_one_rest_unchanged(self):
         out = pool_step(make_state([5.0]), "mean", separate_cls=True, truncate=True)
         np.testing.assert_allclose(out.hidden.data, [[5.0]])

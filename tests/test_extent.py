@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from funnel import encoder, relattn
+from funnel.autodiff import gather_rows
 from funnel.model import FunnelModel
-from funnel.relattn import row_extent
+from funnel.relattn import layer_view, row_extent
 
 from test_decoder import grid_configs
 
@@ -96,13 +97,14 @@ def test_rows_past_each_extent_are_zero(config):
         assert (hidden[past] == 0.0).all() and not np.signbit(hidden[past]).any()
 
 
-def test_attention_map_rows_past_the_extent_are_zero():
-    config = next(c for c in CONFIGS if c.pool_op == "top_attn" and len(c.layout.blocks) == 3)
-    t, real = 16, np.array([3, 9, 11])
-    state, _ = run(FunnelModel(config), *suffix_batch(t, real))
-    mask, maps = state.block_mask[-1], state.last_attn       # maps: [B, H, T_M, T_M]
-    assert maps.shape == (3, config.heads, len(mask), len(mask))
-    computed = np.arange(len(mask)) < last_block_rows(mask, real, t)[:, None]  # [B, T_M]
-    rows = maps.transpose(0, 2, 1, 3)                        # [B, T_M, H, T_M]
-    np.testing.assert_allclose(rows[computed].sum(axis=-1), 1.0, rtol=1e-12)
-    assert (rows[~computed] == 0.0).all()
+def test_layer_returns_the_map_at_its_computed_size():
+    """A [64, 2] batch with real lengths 5 and 9: the map covers the first 9 queries and keys."""
+    config = CONFIGS[0]
+    model = FunnelModel(config)
+    ids, mask = suffix_batch(64, [5, 9])
+    x = gather_rows(model.params["embed/token"], ids)
+    lp = layer_view(model.params, "enc/b0/l0")
+    _, maps = relattn.transformer_layer(x, np.arange(64), mask, lp, config, config.encoding())
+    assert maps.shape == (2, config.heads, 9, 9)
+    np.testing.assert_allclose(maps.sum(axis=-1), 1.0, rtol=1e-12)
+    assert (maps[0, ..., 5:] == 0.0).all()                   # column 0's pad keys
