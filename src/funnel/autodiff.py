@@ -400,8 +400,8 @@ def softmax_lastdim(x: Tensor, scale: float = 1.0, keep: np.ndarray | None = Non
 
     ``keep`` (bool, broadcasting against ``x``) masks logits to -inf where
     False; they get zero weight and no gradient.  Raises NumericError
-    when a row holds a NaN or has every logit masked, both read off the
-    row maxima.
+    when a row holds a NaN, a +inf scaled logit (infinite, or overflowed by
+    ``scale``) or has every logit masked, all read off the row maxima.
     """
     y = x.data * x.data.dtype.type(scale)
     if keep is not None:
@@ -410,9 +410,10 @@ def softmax_lastdim(x: Tensor, scale: float = 1.0, keep: np.ndarray | None = Non
     if not np.isfinite(m).all():
         if np.isnan(m).any():
             raise NumericError("softmax input contains NaN")
+        if (m == np.inf).any():
+            raise NumericError("softmax input is +inf once scaled")
         # -inf entries are legal (masked logits); a row of all -inf is not
-        if (m == -np.inf).any():
-            raise NumericError("softmax row with every logit masked")
+        raise NumericError("softmax row with every logit masked")
     y -= m
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)

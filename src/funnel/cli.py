@@ -20,7 +20,7 @@ from . import costmodel
 from .autodiff import ContractError, NumericError, Rng, Tensor, grad_check
 from .checkpoint import CheckpointError, load
 from .corpus import CLS, SEP, SPECIALS, Vocab, encode_line, load_corpus
-from .layout import LayoutError, parse_layout
+from .layout import LayoutError, is_pow2, parse_layout
 from .model import FunnelModel, ModelConfig, param_specs
 from .objectives import mlm_loss, sample_mask_single
 from .relattn import RelPosEncoding, variant_deviation
@@ -287,6 +287,9 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"))
             if value < low:
                 raise CliError("usage", f"{flag} must be >= {low}, got {value}")
+        seq_len = getattr(args, "seq_len", 2)  # analyze, compare, gradcheck, encode
+        if seq_len < 2 or not is_pow2(seq_len):
+            raise CliError("usage", f"--seq-len must be a power of two >= 2, got {seq_len}")
         with np.errstate(all="ignore"):  # softmax and json refuse non-finite values
             return args.fn(args)
     except CliError as e:

@@ -75,25 +75,29 @@ class EncoderState:
         return self.block_hidden[-1]
 
 
-def top_attn_rows(mask: np.ndarray, prev_attn: np.ndarray | None) -> np.ndarray:
-    """Rows kept by top-attention pooling, [ceil(n/2)] or [ceil(n/2), B] like the mask.
+def top_attn_rows(mask: np.ndarray, prev_attn: np.ndarray | None, skip: int = 0) -> np.ndarray:
+    """Rows kept by top-attention pooling among rows ``skip``.., [ceil(n/2)] or [ceil(n/2), B].
 
-    Per-key score = attention map summed over heads and queries.  Exactly
-    ceil(n/2) rows are kept per column, ties broken toward the lower index,
-    in original order.  The map ([heads, Tq, n], or [B, heads, Tq, n] for a
-    batch) must come from a same-length attention layer, so blocks need at
+    ``mask`` is the full [t] or [t, B] mask, n = t - skip.  A key's score is
+    the map as computed ([heads, q, k] or [B, heads, q, k], q, k <= t)
+    summed over heads and real queries (a pad query's row depends on the
+    ids at pad positions); keys past k score 0.  Exactly ceil(n/2) rows are
+    kept per column, ties broken toward the lower index, in original order.
+    The map must come from a same-length attention layer, so blocks need at
     least one standard layer after a pool-query-only transition.
     """
     if prev_attn is None:
         raise ContractError("top-attention pooling needs the previous layer's attention map")
-    n = mask.shape[0]
-    scores = prev_attn.sum(axis=(-3, -2))                    # [*cols, n]
-    if scores.shape != mask.shape[1:] + (n,):
-        raise ContractError(f"attention map keys ({scores.shape}) do not match states ({n})")
-    keep = (n + 1) // 2
+    t = mask.shape[0]
+    q, k = prev_attn.shape[-2:]
+    if prev_attn.ndim != mask.ndim + 2 or prev_attn.shape[:-3] != mask.shape[1:] or max(q, k) > t:
+        raise ContractError(f"attention map {prev_attn.shape} does not fit states {mask.shape}")
+    scores = np.zeros(mask.shape[1:] + (t,), dtype=prev_attn.dtype)  # [*cols, t]
+    scores[..., :k] = np.where(mask[:q].T[..., None, :, None], prev_attn, 0.0).sum(axis=(-3, -2))
+    keep = (t - skip + 1) // 2
     # a stable sort of the negated scores puts ties in index order
-    chosen = np.sort(np.argsort(-scores, axis=-1, kind="stable")[..., :keep], axis=-1)
-    return np.moveaxis(chosen, -1, 0)
+    chosen = np.argsort(-scores[..., skip:], axis=-1, kind="stable")[..., :keep]
+    return np.moveaxis(np.sort(chosen, axis=-1), -1, 0) + skip
 
 
 def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
@@ -111,8 +115,8 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     an all-pad window pools to exactly 0.0.  The index stops at
     ``layout.pooled_length`` states: with ``separate_cls`` and ``truncate``
     it leaves out the final state of a power-of-two input.  Top-attention
-    reads ``prev_attn`` as computed, [..., q, k] for q, k <= t, and scores
-    real queries only: a pad query's row depends on the ids at pad positions.
+    reads ``prev_attn`` as computed, [..., q, k] for q, k <= t, and never
+    ranks a separate CLS (``top_attn_rows``' ``skip``).
     """
     if op not in POOL_OPS:
         raise ValueError(f"unknown pool op {op!r}")
@@ -122,14 +126,7 @@ def pool_step(state: PooledState, op: str, separate_cls: bool, truncate: bool,
     cls, n = int(separate_cls), pooled_length(t, separate_cls, truncate)
     hidden, pos, mask = state.hidden, np.asarray(state.pos), np.asarray(state.mask, dtype=bool)
     if op == "top_attn":
-        if prev_attn is not None:  # zero-padded to [..., t, t], real queries' rows copied
-            q, k = prev_attn.shape[-2:]
-            if q > t or k > t:
-                raise ContractError(f"attention map {prev_attn.shape} exceeds the {t} states")
-            full = np.zeros(prev_attn.shape[:-2] + (t, t), dtype=prev_attn.dtype)
-            np.copyto(full[..., :q, :k], prev_attn, where=mask[:q].T[..., None, :, None])
-            prev_attn = full[..., cls:]
-        chosen = top_attn_rows(mask[cls:], prev_attn) + cls  # after CLS; each pairs with itself
+        chosen = top_attn_rows(mask, prev_attn, cls)  # after CLS; each pairs with itself
         windows = np.concatenate([np.zeros_like(chosen[:cls]), chosen])[:n, None].repeat(2, axis=1)
     else:  # rows 0, 0, 1, ... with separate CLS; a last window past row t - 1 repeats it
         windows = np.clip(np.arange(-cls, 2 * n - cls), 0, t - 1).reshape(-1, 2)
@@ -170,9 +167,9 @@ def encoder_forward(config, params, token_ids: np.ndarray,
     Each layer runs up to each column's last real row only, and rows past
     it are exactly 0.0.  The final block is the exception: the decoder
     up-samples real position i from its row ``upsample_source(i, T_M, T)``,
-    which can lie past the block's real rows when truncation is off.  Its
-    extent is widened to cover that row, and the widened rows carry
-    computed states.
+    which can lie past the block's real rows: with truncation off, or on
+    when it left out the window of the last real token.  Its extent is
+    widened to cover that row, and the widened rows carry computed states.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     t = len(token_ids)
@@ -211,6 +208,8 @@ def encoder_forward(config, params, token_ids: np.ndarray,
             hidden, attn = transformer_layer(state.hidden, state.pos, state.mask, lp, config,
                                              enc, rng, extent)
             state = PooledState(hidden, state.pos, state.mask)
+        if config.pool_op != "top_attn":  # no other op reads a map: drop it with its layer
+            attn = None
     kept.append(state)
     return EncoderState(enc, [s.hidden for s in kept], [s.pos for s in kept],
                         [s.mask for s in kept])

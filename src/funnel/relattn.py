@@ -70,12 +70,13 @@ class RelPosEncoding:
     definitions for reference.
 
     Positions may be any integer array; tables gain a trailing axis of
-    width D.  Tables are memoised on the instance, keyed by kind and the
+    width D.  ``encode`` tables are memoised on the instance, keyed by the
     position array's dtype, shape and bytes, so each distinct array's
-    angles are computed once.  The memo lives as long as the instance,
-    which the encoder builds once per forward call and hands on to the
-    decoder, so every head and layer of a model pass shares its tables and
-    nothing outlives the pass.  Returned tables are read-only.
+    angles are computed once; ``psi``, ``pi`` and ``omega`` are built from
+    them on each call.  The memo lives as long as the instance, which the
+    encoder builds once per forward call and hands on to the decoder, so
+    every head and layer of a model pass shares its tables and nothing
+    outlives the pass.  Returned tables are read-only.
     """
 
     def __init__(self, width: int, dtype=np.float64):
@@ -91,43 +92,36 @@ class RelPosEncoding:
         # angles in f64 regardless of output dtype: positions can be large
         return np.asarray(t, dtype=np.float64)[..., None] * self.inv_freq
 
-    def _memoised(self, kind: str, pos: np.ndarray, build):
-        pos = np.asarray(pos)
-        key = (kind, pos.dtype.str, pos.shape, pos.tobytes())
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = build(pos)
-        return value
-
     def _frozen(self, halves) -> np.ndarray:
         table = np.concatenate(halves, axis=-1).astype(self.dtype, copy=False)
         table.setflags(write=False)
         return table
 
     def encode(self, t: np.ndarray) -> np.ndarray:
-        """r_t rows for an array of signed distances or positions: [..., D]."""
-        def build(t):
+        """r_t rows for an array of signed distances or positions: [..., D], memoised."""
+        t = np.asarray(t)
+        key = (t.dtype.str, t.shape, t.tobytes())
+        table = self._memo.get(key)
+        if table is None:
             a = self._angles(t)
-            return self._frozen([np.sin(a), np.cos(a)])
-        return self._memoised("encode", t, build)
+            table = self._memo[key] = self._frozen([np.sin(a), np.cos(a)])
+        return table
 
-    def _halves(self, kind: str, pos: np.ndarray, pick) -> np.ndarray:
-        def build(p):
-            r, h = self.encode(p), self.width // 2
-            return self._frozen(pick(r[..., :h], r[..., h:]))
-        return self._memoised(kind, pos, build)
+    def _halves(self, pos: np.ndarray, pick) -> np.ndarray:
+        r, h = self.encode(pos), self.width // 2
+        return self._frozen(pick(r[..., :h], r[..., h:]))
 
     def phi(self, pos: np.ndarray) -> np.ndarray:
         return self.encode(pos)
 
     def psi(self, pos: np.ndarray) -> np.ndarray:
-        return self._halves("psi", pos, lambda s, c: (c, c))
+        return self._halves(pos, lambda s, c: (c, c))
 
     def pi(self, pos: np.ndarray) -> np.ndarray:
-        return self._halves("pi", pos, lambda s, c: (-c, s))
+        return self._halves(pos, lambda s, c: (-c, s))
 
     def omega(self, pos: np.ndarray) -> np.ndarray:
-        return self._halves("omega", pos, lambda s, c: (s, s))
+        return self._halves(pos, lambda s, c: (s, s))
 
 
 def _by_column(a: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -113,6 +113,15 @@ class TestSoftmax:
         with pytest.raises(NumericError, match="NaN"):
             softmax_lastdim(Tensor([[np.nan, 1.0]]), 2.0, keep)
 
+    @pytest.mark.parametrize("x,scale", [([[1.0, np.inf, 0.0]], 1.0),
+                                         ([[1e308, 1e308, 0.0]], 10.0)])
+    def test_plus_inf_row_maximum_rejected(self, x, scale):
+        # max-subtracting a +inf maximum gives inf - inf: a row of NaN weights
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"\+inf"):
+            softmax_lastdim(Tensor(x), scale)
+        out = softmax_lastdim(Tensor([[1.0, np.inf]]), 1.0, np.array([True, False])).data
+        np.testing.assert_array_equal(out, [[1.0, 0.0]])  # a masked +inf is no fault
+
     def test_all_masked_by_keep_rejected(self):
         keep = np.array([[True, True], [False, False]])
         with pytest.raises(NumericError, match="every logit masked"):
@@ -780,6 +789,49 @@ class TestGradCheck:
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(NumericError):
             grad_check(lambda: sum_all(mul(x, np.inf)), [x])
+
+    def test_non_finite_perturbed_value_rejected(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(NumericError, match="perturbed"):  # finite only at x = 1
+            grad_check(lambda: sum_all(mul(x, 1.0 if x.data[0] == 1.0 else np.inf)), [x])
+
+
+class TestRefusals:
+    """An op refuses a misuse with its own error rather than computing on it."""
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: Tensor(np.zeros((1,) * 5)), ShapeError, "rank 5 > 4"),
+        (lambda: add(Tensor(np.zeros(3)), Tensor(np.zeros(4))), ShapeError, "add: incompatible"),
+        (lambda: mul(Tensor(np.zeros(3)), Tensor(np.zeros(4))), ShapeError, "mul: incompatible"),
+        (lambda: transpose(Tensor(np.zeros(3))), ShapeError, "rank >= 2"),
+        (lambda: layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(3))),
+         ShapeError, "gamma/beta"),
+        (lambda: layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                            residual=Tensor(np.zeros((3, 3)))), ShapeError, "residual"),
+        (lambda: dropout(Tensor(np.zeros(3)), 1.0, Rng(0)), ContractError, "dropout rate"),
+        (lambda: take_along_last(Tensor(np.zeros((2, 3))), np.array([[0, 3]])), ShapeError,
+         r"outside 0\.\.2"),
+        (lambda: einsum_id_ijd(Tensor(np.zeros((2, 3))), np.zeros((3, 4, 3))), ShapeError,
+         "einsum_id_ijd"),
+        (lambda: cross_entropy_mean(Tensor(np.zeros((0, 5))), [], []), ContractError,
+         "zero rows"),
+        (lambda: bce_with_logits_mean(Tensor(np.zeros(0)), [], []), ContractError,
+         "zero elements"),
+    ], ids=["rank", "add", "mul", "transpose", "norm_affine", "norm_residual", "dropout",
+            "take_along_last", "einsum_id_ijd", "cross_entropy", "bce"])
+    def test_misuse_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_second_active_tape_refused(self):
+        with Tape():
+            with pytest.raises(ContractError, match="already active"):
+                Tape().__enter__()
+
+    def test_integer_data_becomes_f64(self):
+        t = Tensor([[1, 2]])
+        assert t.data.dtype == np.float64
+        assert repr(t) == "Tensor(shape=(1, 2), dtype=float64)"
 
 
 def test_rotate_folds_each_product_by_halves():

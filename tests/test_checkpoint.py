@@ -195,6 +195,10 @@ class TestErrors:
         with pytest.raises(CheckpointError):
             load(tmp_path / "nope.ftnt")
 
+    def test_unwritable_path(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot write"):
+            save({"w": Tensor(np.zeros(2))}, tmp_path / "no_such_dir" / "m.ftnt")
+
     def test_failed_save_keeps_the_earlier_archive(self, tmp_path):
         """A save that raises part-way leaves the archive it would replace byte-identical and
         no temporary file in the directory."""

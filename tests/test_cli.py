@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from funnel import cli
 from funnel.cli import main
 
 
@@ -118,6 +119,12 @@ class TestCompare:
         assert code == 2
         assert "error:" in err
 
+    def test_no_layouts_exit_2(self, capsys):
+        code, out, err = run(capsys, "compare", "--layouts", ",", "--baseline", "L12H768")
+        assert code == 2
+        assert err == "error: usage: no layouts given\n"
+        assert out == ""
+
     # README's two compare commands, byte for byte; cells are left-justified
     # to the header width, so rows end in spaces
     def test_readme_finetune_table(self, capsys):
@@ -182,6 +189,14 @@ class TestVerifyAttn:
         assert "max deviation" not in out
 
 
+    def test_deviation_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "variant_deviation", lambda *args: 2e-8)
+        code, out, err = run(capsys, "verify-attn", "--trials", "3")
+        assert code == 1
+        assert out == "max deviation 2.000e-08 over 3 trials\n"
+        assert err == "error: verify: attention variants deviate by 2.000e-08\n"
+
+
 class TestGradcheck:
     def test_funnel_passes(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--layout", "B2-2H64",
@@ -199,6 +214,14 @@ class TestGradcheck:
                            "--dropout", "0.1")
         assert code == 2
         assert "unrecognized arguments: --dropout" in err
+
+
+    def test_error_above_bound_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: 2e-4)
+        code, out, err = run(capsys, "gradcheck", "--layout", "B2-2H64")
+        assert code == 1
+        assert out == "max relative error 2.000e-04\n"
+        assert err == "error: gradcheck: max relative error 2.000e-04 above 1e-4\n"
 
 
 class TestFlagMinimums:
@@ -225,6 +248,26 @@ class TestFlagMinimums:
                            "--vocab", "6", "--coords-per-param", "1")
         assert code == 0
         assert float(out.split()[-1]) < 1e-4
+
+    @pytest.mark.parametrize("command,value", [
+        (command, value) for command in ("analyze", "compare", "gradcheck", "encode")
+        for value in ("12", "1", "0", "-4") if command != "gradcheck" or int(value) >= 8])
+    def test_seq_len_not_a_power_of_two_refused(self, train_setup, capsys, command, value):
+        cfg, corpus, tmp = train_setup
+        argv = {"analyze": ("--layout", "B2-2H64"),
+                "compare": ("--layouts", "B2-2H64", "--baseline", "L4H64"),
+                "gradcheck": ("--layout", "B2-2H64")}.get(command)
+        if command == "encode":  # a working model and an empty input: no line to fault
+            run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
+                "--out", str(tmp / "run"))
+            (tmp / "empty.txt").write_text("")
+            argv = ("--config", str(tmp / "run" / "config.json"),
+                    "--checkpoint", str(tmp / "run" / "model.ftnt"),
+                    "--input", str(tmp / "empty.txt"))
+        code, out, err = run(capsys, command, *argv, "--seq-len", value)
+        assert code == 2
+        assert err == f"error: usage: --seq-len must be a power of two >= 2, got {value}\n"
+        assert out == ""
 
     def test_bounds_belong_to_their_command(self, capsys):
         code, out, _ = run(capsys, "analyze", "--layout", "B2-2H64", "--seq-len", "4")
@@ -262,6 +305,18 @@ class TestTrainToy:
                (tmp / "run2" / "trace.csv").read_text()
         assert (tmp / "run1" / "model.ftnt").read_bytes() == \
                (tmp / "run2" / "model.ftnt").read_bytes()
+
+    def test_divergence_exit_1(self, train_setup, capsys):
+        cfg, corpus, tmp = train_setup
+        d = json.loads(cfg.read_text())
+        d["train"].update(lr=1e18, warmup_steps=0, steps=50)
+        cfg.write_text(json.dumps(d))
+        code, out, err = run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
+                             "--out", str(tmp / "run"))
+        assert code == 1
+        assert err.startswith("error: diverged: loss is not finite at step ")
+        assert len(err.splitlines()) == 1 and out == ""
+        assert not (tmp / "run").exists()
 
     def test_missing_corpus_exit_2(self, train_setup, capsys):
         cfg, _, tmp = train_setup
@@ -490,6 +545,21 @@ class TestEncode:
                              "--input", str(corpus))
         assert code == 2
         assert "error: vocab:" in err
+        assert out == ""
+
+    def test_vocab_size_mismatch_exit_2(self, train_setup, capsys):
+        cfg, corpus, tmp = train_setup
+        run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),
+            "--out", str(tmp / "run"))
+        vocab = tmp / "run" / "vocab.txt"
+        size = len(vocab.read_text().splitlines())
+        vocab.write_text(vocab.read_text() + "extra\n")
+        code, out, err = run(capsys, "encode", "--config", str(tmp / "run" / "config.json"),
+                             "--checkpoint", str(tmp / "run" / "model.ftnt"),
+                             "--input", str(corpus))
+        assert code == 2
+        assert err == (f"error: vocab: vocabulary size {size + 1} does not match config "
+                       f"{size}\n")
         assert out == ""
 
     def test_blank_vocab_line_exit_2(self, train_setup, capsys):

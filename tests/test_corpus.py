@@ -44,6 +44,16 @@ class TestVocab:
             Vocab.load(path)
 
 
+    def test_duplicate_token_refused(self):
+        with pytest.raises(ValueError, match="duplicate tokens"):
+            Vocab(["alpha", "alpha"])
+
+    def test_file_without_the_special_tokens_refused(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("alpha\n" + "\n".join(SPECIALS) + "\n")
+        with pytest.raises(ValueError, match="does not start with the special tokens"):
+            Vocab.load(path)
+
 class TestEncodeLine:
     def test_empty_line(self):
         v = build_vocab([], 10)
@@ -111,6 +121,11 @@ class TestBatch:
         from funnel.corpus import Batch
         with pytest.raises(ValueError, match="power of two"):
             Batch(np.full((1, 6), CLS), np.ones((1, 6), bool))
+
+    def test_rejects_fields_of_different_shapes(self):
+        from funnel.corpus import Batch
+        with pytest.raises(ValueError, match="disagree on their shape"):
+            Batch(np.full((2, 8), CLS), np.ones((2, 4), bool))
 
     def test_rejects_missing_cls(self):
         from funnel.corpus import Batch

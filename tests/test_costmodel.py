@@ -99,6 +99,15 @@ class TestFlopsExact:
     def test_funnel_cheaper_than_equal_depth_stack(self):
         assert flops_exact("B6-6-6H768", 512) < flops_exact("L18H768", 512)
 
+    @pytest.mark.parametrize("variant,macs", [
+        ("factorized", 352 + 144),        # + q D^2 + 2 q k D
+        ("gather", 352 + 180 + 16),       # + (2k - 1) D^2 + q (2k - 1) D, + ceil(q k / 2)
+        ("naive", 352 + 192),             # + q k D^2 + q k D
+    ])
+    def test_position_term_per_variant(self, variant, macs):
+        # q = 4, k = 8, D = 2: projections 96, scores and sum 128, FFN 128 MACs
+        assert layer_flops(4, 8, 2, variant) == 2 * macs
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(CostModelError):
             flops_exact("L2H64", 24)
@@ -195,6 +204,16 @@ class TestParams:
         untied = param_count("B6-6-6H768")["params_transformer"]
         assert tied == 12 * per_layer(768)
         assert untied == 18 * per_layer(768)
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: effective_layers("L12H768", mode="train"), "mode must be one of"),
+        (lambda: compare_report([], "L12H768"), "no layouts to compare"),
+        (lambda: compare_report(["L12H768"], "L12H768", fmt="csv"), "format must be text or json"),
+        (lambda: layer_flops(4, 8, 2, "flash"), "unknown attention variant"),
+    ], ids=["mode", "no_layouts", "format", "variant"])
+    def test_argument_refused(self, call, match):
+        with pytest.raises(CostModelError, match=match):
+            call()
 
     def test_bad_vocab_rejected(self):
         # below the 5 special tokens ModelConfig refuses the model: nothing to count

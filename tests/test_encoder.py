@@ -1,5 +1,6 @@
 """Encoder: pooling semantics, separate-CLS handling, length schedules."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -36,10 +37,12 @@ def column_pos(pos, mask):
     return np.broadcast_to(pos.reshape(pos.shape + (1,) * (mask.ndim - pos.ndim)), mask.shape)
 
 
-def top_attn(h, pos, mask, attn):
-    """Top-attention pooling over all rows as a plain gather: the rows ``top_attn_rows``
-    keeps in each column, with the picked pad rows zeroed."""
-    rows = top_attn_rows(mask, attn)
+def top_attn(h, pos, mask, attn, skip=0):
+    """Top-attention pooling over the rows ``skip``.. as a plain gather: the rows
+    ``top_attn_rows`` keeps in each column, with the picked pad rows zeroed.  ``h``
+    and ``pos`` hold those rows only; ``mask`` is the full mask the map was computed with."""
+    rows = top_attn_rows(mask, attn, skip) - skip
+    mask = mask[skip:]
     cols = mask[0].size
     flat = h if mask.ndim == 1 else reshape(h, (mask.size,) + h.shape[2:])
     picked = np.take_along_axis(mask, rows, axis=0)
@@ -108,6 +111,23 @@ class TestPoolTopAttn:
             assert out.shape[0] == (t + 1) // 2
             assert (np.diff(pos) > 0).all()
 
+    def test_skip_ranks_later_rows_of_a_computed_size_map(self):
+        # t = 8 rows, two columns; the layer computed q = k = 7 rows and keys
+        mask = np.ones((8, 2), bool)
+        mask[[2, 7], 0] = False                   # column 0: a pad among the real rows
+        mask[5:, 1] = False                       # column 1: real rows 0..4
+        attn = np.zeros((2, 2, 7, 7))             # [B, heads, q, k]
+        col = attn[0]
+        col[:, :, 0] = 1.0                        # CLS draws the most but is skipped
+        col[1, 4, [1, 5, 6]] = [2.0, 1.5, 1.0]
+        col[0, [0, 1, 3], 3] = [0.3, 0.2, 0.1]    # summed in head, query order: 0.6
+        col[0, [0, 1, 3], 4] = [0.1, 0.2, 0.3]    # 0.6000000000000001: row 4 takes the slot
+        col[0, 2, 3] = 10.0                       # a pad query's row is left out
+        attn[1, :, :5, :5] = 0.2                  # uniform over keys 0..4: a pure tie
+        attn[1, :, 5:, 6] = 5.0                   # pad queries of column 1
+        rows = top_attn_rows(mask, attn, skip=1)
+        np.testing.assert_array_equal(rows, [[1, 1], [4, 2], [5, 3], [6, 4]])
+
     def test_missing_map_is_contract_error(self):
         with pytest.raises(ContractError):
             top_attn_rows(np.ones(4, bool), None)
@@ -155,6 +175,10 @@ class TestPoolStep:
         with pytest.raises(ContractError):
             pool_step(make_state(np.arange(8.0)), "top_attn", separate_cls=True, truncate=True,
                       prev_attn=np.ones(attn_shape))
+
+    def test_unknown_op_refused(self):
+        with pytest.raises(ValueError, match="unknown pool op 'sum'"):
+            pool_step(make_state(np.arange(8.0)), "sum", separate_cls=True, truncate=True)
 
     def test_length_one_rest_unchanged(self):
         out = pool_step(make_state([5.0]), "mean", separate_cls=True, truncate=True)
@@ -211,8 +235,8 @@ def split_concat_drop(state, op, separate_cls, truncate, prev_attn=None):
     rest = slice(1, None) if separate_cls else slice(None)
     hidden = gather_rows(state.hidden, np.arange(1, t)) if separate_cls else state.hidden
     if op == "top_attn":
-        pooled, ppos, pmask = top_attn(hidden, pos[rest], state.mask[rest],
-                                       None if prev_attn is None else prev_attn[..., rest])
+        pooled, ppos, pmask = top_attn(hidden, pos[rest], state.mask, prev_attn,
+                                       int(separate_cls))
     else:
         plain = pool_step(PooledState(hidden, pos[rest], state.mask[rest]), op,
                           separate_cls=False, truncate=truncate)
@@ -390,6 +414,11 @@ class TestEncoderForward:
         with pytest.raises(ContractError, match=r"token ids must lie in \[0, 11\)"):
             FunnelModel(tiny_config).encode(np.array([2, -6, 6, 3]))
 
+    def test_pad_mask_of_another_shape_rejected(self, tiny_config):
+        with pytest.raises(ContractError, match=r"pad mask \(4,\) does not match token ids \(4, 2\)"):
+            encoder.encoder_forward(tiny_config, FunnelModel(tiny_config).params,
+                                    np.full((4, 2), 5), np.ones(4, bool))
+
     def test_token_id_at_vocab_size_rejected(self, tiny_config):
         with pytest.raises(ContractError, match=r"token ids must lie in \[0, 11\)"):
             FunnelModel(tiny_config).encode(np.array([[2, 2], [5, 11], [6, 6], [3, 3]]))
@@ -411,6 +440,35 @@ class TestEncoderForward:
         state = model.encode(toks)
         assert state.h_last.shape[0] == 4
         assert state.block_pos[1][0] == 0
+
+    @pytest.mark.parametrize("op", ["mean", "max", "top_attn"])
+    def test_a_map_outlives_its_layer_only_for_top_attention(self, monkeypatch, op):
+        # no tape: a map is held by nothing but the encoder loop
+        maps, pools = [], []
+
+        def track(layer):
+            def run(*args, **kwargs):
+                if op != "top_attn":
+                    assert all(ref() is None for ref in maps), "a map outlived its layer"
+                hidden, attn = layer(*args, **kwargs)
+                maps.append(weakref.ref(attn))
+                return hidden, attn
+            return run
+
+        def pool(state, pool_op, separate_cls, truncate, prev_attn=None):
+            pools.append(prev_attn)
+            if op == "top_attn":  # the map of the block's last layer, still alive
+                assert prev_attn is maps[-1]()
+            return pool_step(state, pool_op, separate_cls, truncate, prev_attn)
+
+        for name in ("transformer_layer", "block_transition_attention"):
+            monkeypatch.setattr(encoder, name, track(getattr(encoder, name)))
+        monkeypatch.setattr(encoder, "pool_step", pool)
+        model = FunnelModel(ModelConfig(layout="B2-2-2H64D1", vocab_size=20, pool_op=op, seed=0))
+        ids = np.random.Generator(np.random.Philox(6)).integers(5, 20, size=(16, 2))
+        model.encode(ids, np.arange(16)[:, None] < np.array([16, 11]))
+        assert len(maps) == 6 and len(pools) == 2
+        assert all((m is None) == (op != "top_attn") for m in pools)
 
     def test_variant_swap_equivalent_through_whole_model(self):
         # pooled queries against unpooled keys included: the decoder output

@@ -56,6 +56,8 @@ class TestParse:
         ("B6-6H768D", 9),
         ("B6-6H768D2x", 10),
         ("b6-6h768", 0),
+        ("L12H768x", 7),
+        ("B6-6H768X", 8),
     ])
     def test_malformed_reports_offset(self, bad, offset):
         with pytest.raises(LayoutError) as e:
@@ -74,6 +76,14 @@ class TestParse:
     def test_no_attention_head_rejected(self, text):
         with pytest.raises(LayoutError, match="hidden size 0 holds no 64-wide attention head"):
             parse_layout(text)
+
+    @pytest.mark.parametrize("kw,match", [
+        (dict(blocks=()), "at least one block"),
+        (dict(decoder_layers=-1), "decoder layer count must be >= 0"),
+    ])
+    def test_spec_fields_checked(self, kw, match):
+        with pytest.raises(LayoutError, match=match):
+            LayoutSpec(**{"blocks": (BlockSpec(1),), "hidden": 64, **kw})
 
     def test_hidden_narrower_than_a_head_rejected(self):
         with pytest.raises(LayoutError, match="hidden size 4 holds no 8-wide"):

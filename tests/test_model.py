@@ -28,6 +28,11 @@ class TestConfig:
         assert again.dtype == "f32"
         assert not again.separate_cls
 
+    def test_layout_off_the_head_grid_has_no_json_form(self):
+        layout = LayoutSpec(blocks=(BlockSpec(1),), hidden=16, head_dim=8)
+        with pytest.raises(ValueError, match="no string form"):
+            ModelConfig(layout=layout, vocab_size=10).to_json()
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):
             ModelConfig.from_json('{"layout": "L1H64", "vocab_size": 10, "extra": 1}')

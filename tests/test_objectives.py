@@ -105,6 +105,13 @@ class TestSpanSampler:
             assert not np.isin(toks[plan.positions], [PAD, CLS, SEP, MASK]).any()
 
 
+@pytest.mark.parametrize("rate", [0.0, 1.0, -0.5])
+@pytest.mark.parametrize("sampler", [sample_mask_single, sample_mask_span])
+def test_mask_rate_outside_zero_one_refused(sampler, rate):
+    with pytest.raises(ContractError, match="mask rate must be in"):
+        sampler(toy_tokens(), rate=rate, rng=Rng(0))
+
+
 class TestMlmLoss:
     @pytest.mark.parametrize("shape,n_plans", [((8, 4, 6), 3), ((8,), 2), ((8, 6), 2)],
                              ids=["four_columns_three_plans", "one_dim", "no_column_axis"])

@@ -432,6 +432,25 @@ class TestTrainToy:
         assert e.value.step > 0
         assert "step" in str(e.value)
 
+    def test_non_finite_loss_that_no_op_refuses_diverges(self, monkeypatch):
+        """An infinite embedding row for [UNK], which no batch holds, reaches only the
+        tied output logits; ``cross_entropy_mean`` returns NaN there without raising,
+        so the loss check names the step and no op is the cause."""
+        from funnel.corpus import UNK
+        from funnel.training import TrainingDiverged
+        build = training.FunnelModel
+
+        def poisoned(config):
+            model = build(config)
+            model.params["embed/token"].data[UNK] = np.inf
+            return model
+
+        monkeypatch.setattr(training, "FunnelModel", poisoned)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(TrainingDiverged, match="step 0") as e:
+                train_toy(tiny_config(), tiny_corpus(), tiny_settings())
+        assert e.value.step == 0 and e.value.__cause__ is None
+
     def test_non_finite_generator_loss_stops_before_the_discriminator(self, monkeypatch):
         """The generator's loss goes non-finite at step 1: ``TrainingDiverged`` names the
         step, the generator's tape is not walked and the discriminator never runs."""
