@@ -37,17 +37,18 @@ def column_pos(pos, mask):
     return np.broadcast_to(pos.reshape(pos.shape + (1,) * (mask.ndim - pos.ndim)), mask.shape)
 
 
-def top_attn(h, pos, mask, attn, skip=0):
-    """Top-attention pooling over the rows ``skip``.. as a plain gather: the rows
-    ``top_attn_rows`` keeps in each column, with the picked pad rows zeroed.  ``h``
-    and ``pos`` hold those rows only; ``mask`` is the full mask the map was computed with."""
-    rows = top_attn_rows(mask, attn, skip) - skip
-    mask = mask[skip:]
+def gather_top(h, pos, mask, rows):
+    """The ``rows`` ([m] or [m, B]) of each column as a plain gather, with the picked pad rows zeroed."""
     cols = mask[0].size
     flat = h if mask.ndim == 1 else reshape(h, (mask.size,) + h.shape[2:])
     picked = np.take_along_axis(mask, rows, axis=0)
     return (fit_rows(gather_rows(flat, rows * cols + np.arange(cols)), len(rows), picked),
             np.take_along_axis(column_pos(pos, mask), rows, axis=0), picked)
+
+
+def top_attn(h, pos, mask, attn):
+    """Top-attention pooling over all rows: the rows ``top_attn_rows`` keeps in each column."""
+    return gather_top(h, pos, mask, top_attn_rows(mask, attn))
 
 
 class TestPoolPair:
@@ -235,8 +236,12 @@ def split_concat_drop(state, op, separate_cls, truncate, prev_attn=None):
     rest = slice(1, None) if separate_cls else slice(None)
     hidden = gather_rows(state.hidden, np.arange(1, t)) if separate_cls else state.hidden
     if op == "top_attn":
-        pooled, ppos, pmask = top_attn(hidden, pos[rest], state.mask, prev_attn,
-                                       int(separate_cls))
+        # rank the keys after CLS by the query-masked map summed over heads and queries
+        scores = prev_attn.sum(axis=(-3, -2))[..., rest]
+        keep = (scores.shape[-1] + 1) // 2
+        rows = np.sort(np.argsort(-scores, axis=-1, kind="stable")[..., :keep], axis=-1)
+        pooled, ppos, pmask = gather_top(hidden, pos[rest], state.mask[rest],
+                                         np.moveaxis(rows, -1, 0))
     else:
         plain = pool_step(PooledState(hidden, pos[rest], state.mask[rest]), op,
                           separate_cls=False, truncate=truncate)

@@ -16,7 +16,6 @@ not by line number, so edits elsewhere in a file do not churn the list.  A
 text that occurs several times in a module is listed once per unrun copy.
 Each entry carries a ``reason`` saying why no tier-1 test reaches it; ``--out``
 keeps the reasons of entries already in the file and leaves new ones empty.
-Extra arguments after ``--`` go to pytest, for example ``-- tests/test_cli.py``.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ def statements(path: Path) -> dict[int, str]:
             and not isinstance(node, (ast.Global, ast.Nonlocal))}
 
 
-def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest in this process and return its exit code and the lines hit per file."""
+def run_traced() -> tuple[int, dict[str, set[int]]]:
+    """Run the tier-1 suite in this process and return its exit code and the lines hit per file."""
     targets = {str(p): set() for p in SRC.glob("*.py")}
 
     def local(frame, event, arg):
@@ -69,7 +68,7 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        code = pytest.main(PYTEST_ARGS + pytest_args, plugins=[])
+        code = pytest.main(PYTEST_ARGS, plugins=[])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -124,13 +123,12 @@ def check(path: Path, unrun: dict[str, list[str]]) -> list[str]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--lines", action="store_true", required=True,
-                   help="list the statements the tier-1 suite never runs")
+    p.add_argument("--lines", dest="mode", action="store_const", const="lines", required=True,
+                   help="the mode, the only one so far: list the statements tier-1 never runs")
     p.add_argument("--out", type=Path, help="write the listing as JSON to this file")
     p.add_argument("--check", type=Path, help="fail on an unrun statement this file does not list")
-    p.add_argument("pytest_args", nargs="*", help="extra pytest arguments, after --")
     args = p.parse_args(argv)
-    code, hits = run_traced(args.pytest_args)
+    code, hits = run_traced()
     unrun, total = unrun_by_module(hits)
     count = sum(len(v) for v in unrun.values())
     print(f"{count} of {total} statements in src/funnel never ran")
