@@ -64,6 +64,19 @@ class TestParse:
             parse_layout(bad)
         assert e.value.offset == offset
 
+    @pytest.mark.parametrize("bad,message,offset", [
+        ("L0", "expected 'H<hidden>'", 2),          # the L form's block waits for the whole string
+        ("L0H64", "block 0x1 must be >= 1x1", None),
+        ("B0-x", "block 0x1 must be >= 1x1", None),  # a B block is refused as it is read
+        ("Lx", "expected layer count", 1),
+        ("Bx", "expected block layer count", 1),
+    ])
+    def test_refusal_precedence(self, bad, message, offset):
+        with pytest.raises(LayoutError) as e:
+            parse_layout(bad)
+        assert message in str(e.value)
+        assert e.value.offset == offset
+
     def test_case_sensitive_tying_marker(self):
         with pytest.raises(LayoutError):
             parse_layout("B3X2H64")
