@@ -5,8 +5,9 @@ The pre-softmax score between query position i and key position j is
     A[i,j] = (q_i + v)' k_j  +  (q_i + u)' (W_R r_{i-j})
 
 with q = x W_Q, k = x W_K, a sinusoidal encoding r of the signed distance
-i-j, and trainable biases u (position) and v (content).  Three
-interchangeable implementations of the position term are provided:
+i-j, and trainable biases u (position) and v (content).  The content
+product adds the position term in place: the sum is no node of its own.
+Three interchangeable implementations of the position term are provided:
 
 * ``naive``      -- materializes every r_{i-j}; the reference/oracle form.
 * ``gather``     -- one projection of a 2L-1 distance table, then a
@@ -256,11 +257,12 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     ``key_mask`` ([Tk] or [Tk, B], True at real keys) match it.  ``config``
     supplies ``heads``, ``attn_variant``, ``attn_dropout`` and ``dropout``.
     Per head: scores = (content + position) / sqrt(head_dim), masked keys
-    forced to -inf before the softmax.  Head outputs are merged, projected
-    by w_o, added to the residual ``q_in`` and layer normed.  Returns the
-    new hidden states and the attention map over the queries and keys
-    given (detached; used by top-attention pooling): [heads, Tq, Tk] for
-    one sequence, [B, heads, Tq, Tk] for a batch.
+    forced to -inf before the softmax; the content product adds the
+    position term as its bias, so the sum is not a node of its own.  Head
+    outputs are merged, projected by w_o, added to the residual ``q_in``
+    and layer normed.  Returns the new hidden states and the attention map
+    over the queries and keys given (detached; used by top-attention
+    pooling): [heads, Tq, Tk] for one sequence, [B, heads, Tq, Tk] for a batch.
     """
     n_heads, dh = config.heads, q_in.shape[-1] // config.heads
     scale = 1.0 / np.sqrt(dh)
@@ -272,10 +274,10 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     k_t = split_heads(matmul(kv_in, params.w_k, params.b_k), n_heads, keys=True)
     val = split_heads(matmul(kv_in, params.w_v, params.b_v), n_heads)
 
-    content = matmul(add(q, reshape(params.v, (n_heads, 1, dh))), k_t)
     position = _POSITION_TERMS[config.attn_variant](  # w_r's head view: [H, D, dh]
         q, q_pos, k_pos, split_heads(params.w_r, n_heads), reshape(params.u, (n_heads, 1, dh)), enc)
-    weights = softmax_lastdim(add(content, position), scale, key_mask.T[..., None, None, :])
+    scores = matmul(add(q, reshape(params.v, (n_heads, 1, dh))), k_t, position)  # content + it
+    weights = softmax_lastdim(scores, scale, key_mask.T[..., None, None, :])
     maps = weights.data
     weights = dropout(weights, config.attn_dropout, rng)
     merged = merge_heads(matmul(weights, val))

@@ -395,18 +395,21 @@ def train_one_step(objective, dtype, on_backward):
         train_toy(config, corpus, settings)
 
 
-@pytest.mark.parametrize("model, train, most", [
+@pytest.mark.parametrize("model, train, nodes, adds", [
     (dict(layout="B2-2H64D2", vocab_size=20, pool_op="mean", attn_variant="factorized"),
-     dict(batch_size=8, seq_len=16, objective="mlm"), 165),
+     dict(batch_size=8, seq_len=16, objective="mlm"), 159, 13),
     (dict(layout="B2-2H128D2", vocab_size=64, pool_op="max", attn_variant="gather"),
-     dict(batch_size=4, seq_len=32, objective="electra", mask_sampler="span"), 346),
+     dict(batch_size=4, seq_len=32, objective="electra", mask_sampler="span"), 334, 27),
 ])
-def test_training_step_tape_census(model, train, most):
+def test_training_step_tape_census(model, train, nodes, adds):
     """One training step's tapes, counted together (an ELECTRA step records the generator's
     and the discriminator's): each attention sub-layer moves axes in five nodes (three head
-    splits, one merge, the shared ``w_r``'s head view), and no generic permute is left;
-    a factorized sub-layer rotates its query in one node, and each FFN records its GeLU
-    and output product as one ``gelu`` node."""
+    splits, one merge, the shared ``w_r``'s head view), and no generic permute is left; it
+    adds its biases in two ``add`` nodes (v to the content query, u to the position query),
+    and its content product adds the position term, so the score sum is no node of its own.
+    Each model pass adds one ``add`` for the decoder's input, and an ELECTRA step one for its
+    total loss.  A factorized sub-layer rotates its query in one node, and each FFN records
+    its GeLU and output product as one ``gelu`` node."""
     gen = Rng(5)
     corpus = [" ".join(f"w{int(gen.integers(0, 40))}" for _ in range(10 + 3 * i))
               for i in range(8)]
@@ -420,13 +423,15 @@ def test_training_step_tape_census(model, train, most):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Tape, "backward", census)
         train_toy(ModelConfig(dtype="f64", seed=0, **model), corpus, TrainSettings(steps=1, **train))
+    electra = train["objective"] == "electra"
     assert "permute" not in names and "fold_products" not in names
     assert names.count("split_heads") == 4 * names.count("merge_heads") > 0
     assert names.count("gelu") == names.count("merge_heads")
     if model["attn_variant"] == "factorized":
         assert names.count("rotate") == names.count("merge_heads")
-    assert len(walks) == (2 if train["objective"] == "electra" else 1)
-    assert len(names) <= most
+    assert len(walks) == (2 if electra else 1)
+    assert names.count("add") == 2 * names.count("merge_heads") + len(walks) + electra == adds
+    assert len(names) == nodes
 
 
 class TestBackwardFrees:

@@ -1,12 +1,14 @@
 """Relative attention: encodings, three-way score equivalence, layer semantics."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from funnel.autodiff import NumericError, Tensor, grad_check, mul, sum_all
+from funnel.autodiff import (NumericError, Tape, Tensor, add, grad_check, layer_norm, matmul,
+                             merge_heads, mul, reshape, softmax_lastdim, split_heads, sum_all)
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
 from funnel import relattn
@@ -386,6 +388,80 @@ class TestAttentionLayer:
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             np.testing.assert_allclose(maps[h], e / e.sum(axis=-1, keepdims=True),
                                        atol=1e-12)
+
+
+def composed_attention(q_in, kv_in, q_pos, k_pos, key_mask, p, config, enc):
+    """``attention`` without dropout, its score sum a standalone ``add(content, position)``."""
+    n_heads, dh = config.heads, q_in.shape[-1] // config.heads
+    q = split_heads(matmul(q_in, p.w_q, p.b_q), n_heads)
+    k_t = split_heads(matmul(kv_in, p.w_k, p.b_k), n_heads, keys=True)
+    val = split_heads(matmul(kv_in, p.w_v, p.b_v), n_heads)
+    content = matmul(add(q, reshape(p.v, (n_heads, 1, dh))), k_t)
+    position = VARIANT_FNS[config.attn_variant](
+        q, q_pos, k_pos, split_heads(p.w_r, n_heads), reshape(p.u, (n_heads, 1, dh)), enc)
+    weights = softmax_lastdim(add(content, position), 1.0 / np.sqrt(dh),
+                              key_mask.T[..., None, None, :])
+    out = matmul(merge_heads(matmul(weights, val)), p.w_o, p.b_o)
+    return layer_norm(q_in, p.ln_attn_g, p.ln_attn_b, residual=out), weights.data
+
+
+@pytest.mark.parametrize("variant", relattn.VARIANTS)
+@pytest.mark.parametrize("per_column", [False, True])
+def test_content_product_adds_the_position_term(tiny_layer, variant, per_column):
+    """Softmax reads the content ``matmul`` that took the position term as its bias, with no
+    ``add`` between them; hidden states, map and every gradient keep the bytes of
+    ``add(content, position)``.  Pooled queries [3, 2, 8] attend to keys [5, 2, 8]."""
+    config, model, lp = tiny_layer
+    config = replace(config, attn_variant=variant)
+    gen = np.random.Generator(np.random.Philox(13))
+    q_data, kv_data = gen.standard_normal((3, 2, 8)), gen.standard_normal((5, 2, 8))
+    w = Tensor(gen.standard_normal((3, 2, 8)))
+    k_pos = np.arange(5)
+    q_pos = np.array([[0, 0], [2, 1], [4, 3]]) if per_column else np.array([0, 2, 4])
+    mask = np.array([[True, True], [True, False], [False, True], [True, True], [True, False]])
+    params = [lp.w_q, lp.b_q, lp.w_k, lp.b_k, lp.w_v, lp.b_v, lp.w_o, lp.b_o, lp.u, lp.v,
+              lp.ln_attn_g, lp.ln_attn_b, lp.w_r]
+    runs = []
+    for fn in (attention, composed_attention):
+        q_in, kv_in = Tensor(q_data, requires_grad=True), Tensor(kv_data, requires_grad=True)
+        with Tape() as tape:
+            hidden, maps = fn(q_in, kv_in, q_pos, k_pos, mask, lp, config, config.encoding())
+            loss = sum_all(mul(hidden, w))
+        nodes = [(node.name, node.out, node.inputs) for node in tape.nodes]
+        tape.backward(loss)
+        grads = [tape.grad(t) for t in [q_in, kv_in] + params]
+        runs.append((nodes, hidden.data, maps, grads))
+    (nodes, hidden, maps, grads), (_, ref_hidden, ref_maps, ref_grads) = runs
+    made_by = {out: (name, inputs) for name, out, inputs in nodes}
+    (softmax_input,), = [inputs for name, _, inputs in nodes if name == "softmax"]
+    name, (_, _, position) = made_by[softmax_input]
+    assert name == "matmul" and made_by[position][0] != "add"
+    assert [name for name, _, _ in nodes].count("add") == 2  # q + v and q + u
+    assert hidden.tobytes() == ref_hidden.tobytes()
+    assert maps.tobytes() == ref_maps.tobytes()
+    for g, ref in zip(grads, ref_grads):
+        assert g.tobytes() == ref.tobytes()
+
+
+def test_encode_request_holds_no_separate_score_sum():
+    """Peak traced memory of one no-tape encode request (encoder then decoder) at the
+    ``encode_long`` benchmark's config, B4-4-4H256D2 in f64, on a line of 128 real rows.
+
+    A score sum in its own node holds one more [4, 128, 128] f64 array (0.5 MiB) beside
+    the two terms: 6.14 MiB against 5.64 MiB when the content product adds the position
+    term.  The bound is 0.2 MiB above the latter.
+    """
+    config = ModelConfig(layout="B4-4-4H256D2", vocab_size=1000, pool_op="mean",
+                         attn_variant="factorized", dtype="f64", seed=0)
+    model = FunnelModel(config)
+    ids = np.random.Generator(np.random.Philox(14)).integers(5, 1000, 128)
+    tracemalloc.start()
+    try:
+        model.decode(model.encode(ids))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.85, f"one encode request peaked at {peak:.3f} MiB"
 
 
 class TestPffn:
