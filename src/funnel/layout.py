@@ -138,41 +138,32 @@ def parse_layout(s: str) -> LayoutSpec:
     """Parse a layout string, reporting the byte offset of the first bad character."""
     if not s:
         raise LayoutError("empty layout string", 0)
-    if s[0] == "L":
-        layers, pos = _read_int(s, 1, "layer count")
-        if pos >= len(s) or s[pos] != "H":
-            raise LayoutError(f"expected 'H<hidden>' in {s!r}", pos)
-        hidden, pos = _read_int(s, pos + 1, "hidden size")
-        if pos != len(s):
-            raise LayoutError(f"trailing characters in {s!r}", pos)
-        return LayoutSpec(blocks=(BlockSpec(layers),), hidden=hidden,
-                          decoder_layers=0, pooled=False)
-    if s[0] != "B":
+    if s[0] not in "LB":
         raise LayoutError(f"layout must start with 'L' or 'B', got {s[0]!r}", 0)
-
-    pos = 1
-    blocks: list[BlockSpec] = []
-    while True:
-        unique, pos = _read_int(s, pos, "block layer count")
-        repeat = 1
-        if pos < len(s) and s[pos] == "x":
-            repeat, pos = _read_int(s, pos + 1, "tying multiplier")
-        blocks.append(BlockSpec(unique, repeat))
-        if pos < len(s) and s[pos] == "-":
-            pos += 1
-            continue
-        break
+    pooled = s[0] == "B"
+    if pooled:  # each block follows the 'B' or a '-', and is checked as it is read
+        blocks, pos = [], 0
+        while pos == 0 or pos < len(s) and s[pos] == "-":
+            unique, pos = _read_int(s, pos + 1, "block layer count")
+            repeat = 1
+            if pos < len(s) and s[pos] == "x":
+                repeat, pos = _read_int(s, pos + 1, "tying multiplier")
+            blocks.append(BlockSpec(unique, repeat))
+    else:
+        layers, pos = _read_int(s, 1, "layer count")
     if pos >= len(s) or s[pos] != "H":
         raise LayoutError(f"expected 'H<hidden>' in {s!r}", pos)
     hidden, pos = _read_int(s, pos + 1, "hidden size")
     decoder = 0
-    if pos < len(s):
+    if pooled and pos < len(s):
         if s[pos] != "D":
             raise LayoutError(f"unexpected character {s[pos]!r} in {s!r}", pos)
         decoder, pos = _read_int(s, pos + 1, "decoder depth")
     if pos != len(s):
         raise LayoutError(f"trailing characters in {s!r}", pos)
-    return LayoutSpec(blocks=tuple(blocks), hidden=hidden, decoder_layers=decoder)
+    # the L form's one block is checked only once the whole string has parsed
+    return LayoutSpec(blocks=tuple(blocks) if pooled else (BlockSpec(layers),), hidden=hidden,
+                      decoder_layers=decoder, pooled=pooled)
 
 
 def format_layout(spec: LayoutSpec) -> str:
