@@ -199,6 +199,7 @@ def encoder_forward(config, params, token_ids: np.ndarray,
             kept.append(state)
             pooled = pool_step(state, config.pool_op, config.separate_cls, config.truncate_seq,
                                prev_attn=attn)
+            attn = None  # read: the block's last map is not held through the transition
             extent = row_extent(pooled.mask)
             if len(kept) == len(config.layout.blocks) - 1:  # final block: rows the decoder reads
                 extent = np.maximum(extent, upsample_source(real - 1, len(pooled.mask), t) + 1)
