@@ -276,7 +276,7 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
 
     position = _POSITION_TERMS[config.attn_variant](  # w_r's head view: [H, D, dh]
         q, q_pos, k_pos, split_heads(params.w_r, n_heads), reshape(params.u, (n_heads, 1, dh)), enc)
-    scores = matmul(add(q, reshape(params.v, (n_heads, 1, dh))), k_t, position)  # content + it
+    scores = matmul(add(q, reshape(params.v, (n_heads, 1, dh))), k_t, position)
     weights = softmax_lastdim(scores, scale, key_mask.T[..., None, None, :])
     maps = weights.data
     weights = dropout(weights, config.attn_dropout, rng)

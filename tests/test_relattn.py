@@ -447,9 +447,9 @@ def test_encode_request_holds_no_separate_score_sum():
     """Peak traced memory of one no-tape encode request (encoder then decoder) at the
     ``encode_long`` benchmark's config, B4-4-4H256D2 in f64, on a line of 128 real rows.
 
-    A score sum in its own node holds one more [4, 128, 128] f64 array (0.5 MiB) beside
-    the two terms: 6.14 MiB against 5.64 MiB when the content product adds the position
-    term.  The bound is 0.2 MiB above the latter.
+    The content product adds the position term in place, and the peak is 5.64 MiB.  A
+    score sum in a node of its own would hold one more [4, 128, 128] f64 array (0.5 MiB),
+    6.14 MiB; the bound lies 0.2 MiB above 5.64.
     """
     config = ModelConfig(layout="B4-4-4H256D2", vocab_size=1000, pool_op="mean",
                          attn_variant="factorized", dtype="f64", seed=0)
