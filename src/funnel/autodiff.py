@@ -385,16 +385,6 @@ def merge_heads(x: Tensor) -> Tensor:
     return _move(x, x.shape, (n + 1, *range(n + 1), n + 2), "merge_heads", (t, *cols, h * dh))
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-    shape, dtype = a.shape, a.dtype
-
-    def backward(g):
-        return (np.full(shape, g, dtype=dtype),)
-
-    return _record(out, (a,), backward, "sum_all")
-
-
 def softmax_lastdim(x: Tensor, scale: float = 1.0, keep: np.ndarray | None = None) -> Tensor:
     """Row-stochastic softmax over the last axis of ``scale * x``, max-subtracted.
 

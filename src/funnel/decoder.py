@@ -23,8 +23,7 @@ from .relattn import RelPosEncoding, layer_view, transformer_layer
 
 @dataclass
 class DecoderOutput:
-    fused: Tensor   # h1 + upsample(hM), length T: [T, D] or [T, B, D]
-    hidden: Tensor  # after the decoder layers, length T
+    hidden: Tensor  # h1 + upsample(hM) after the decoder layers, length T: [T, D] or [T, B, D]
 
 
 def upsample_source(i, n: int, t: int):
@@ -55,15 +54,15 @@ def decoder_forward(h_first: Tensor, h_last: Tensor, config, params, enc: RelPos
     block's output, both time-major, and ``pad_mask`` the full-length
     mask the encoder ran with.  ``enc`` is the encoder pass's encoding,
     whose tables already hold the full-length positions.  With
-    zero decoder layers the fused representation is returned unchanged;
-    otherwise ``hidden`` is 0.0 past each column's last real row.
+    zero decoder layers ``hidden`` is the fused sum itself; otherwise it
+    is 0.0 past each column's last real row.
     """
     t = h_first.shape[0]
-    fused = hidden = add(h_first, upsample(h_last, t))
+    hidden = add(h_first, upsample(h_last, t))
     pos = np.arange(t, dtype=np.int64)
     for run in layer_plan(config.layout, t, config.separate_cls, config.truncate_seq,
                           config.pool_query_only):
         if run.kind == "decoder":
             hidden = transformer_layer(hidden, pos, pad_mask, layer_view(params, run.prefix),
                                        config, enc, rng)[0]  # the map dies before the next layer
-    return DecoderOutput(fused=fused, hidden=hidden)
+    return DecoderOutput(hidden)

@@ -62,7 +62,6 @@ class EncoderState:
 
     encoding: RelPosEncoding  # the pass's tables, reused by the decoder
     block_hidden: list[Tensor]
-    block_pos: list[np.ndarray]
     block_mask: list[np.ndarray]
 
     @property
@@ -212,5 +211,4 @@ def encoder_forward(config, params, token_ids: np.ndarray,
         if config.pool_op != "top_attn":  # no other op reads a map: drop it with its layer
             attn = None
     kept.append(state)
-    return EncoderState(enc, [s.hidden for s in kept], [s.pos for s in kept],
-                        [s.mask for s in kept])
+    return EncoderState(enc, [s.hidden for s in kept], [s.mask for s in kept])

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import DTYPES, ContractError, Rng, Tensor, gather_rows, matmul
+from .autodiff import DTYPES, ContractError, Rng, Tensor
 from .corpus import SPECIALS
 from .decoder import DecoderOutput, decoder_forward
 from .encoder import POOL_OPS, EncoderState, encoder_forward
@@ -189,16 +189,6 @@ class FunnelModel:
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         return sorted(self.params.items())
-
-
-def sequence_logits(state: EncoderState, w: Tensor, b: Tensor) -> Tensor:
-    """Sequence-level demo head: a linear layer on the CLS vector.
-
-    The compressed final-block output keeps CLS at index 0, so downstream
-    classification never needs the decoder.
-    """
-    cls = gather_rows(state.h_last, np.arange(1))
-    return matmul(cls, w, b)
 
 
 def generator_config(config: ModelConfig) -> ModelConfig:

@@ -15,9 +15,11 @@ from funnel.autodiff import (GELU_A, GELU_C, ContractError, NumericError, Rng, S
                              gather_rows,
                              gelu, grad_check, layer_norm, matmul,
                              max_pool_pairs, mean_pool_pairs, merge_heads, mul, reshape, rotate,
-                             softmax_lastdim, split_heads, sum_all, take_along_last, transpose)
+                             softmax_lastdim, split_heads, take_along_last, transpose)
 from funnel.model import ModelConfig
 from funnel.training import TrainSettings, train_toy
+
+from helpers import sum_all
 
 
 def rand(shape, seed=0):

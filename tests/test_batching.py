@@ -9,6 +9,8 @@ from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
 from funnel.objectives import mlm_loss, sample_mask_single
 
+from helpers import record_pooled_positions
+
 POOL_OPS = ("mean", "max", "top_attn")
 VARIANTS = ("naive", "gather", "factorized")
 T, B = 16, 3
@@ -36,22 +38,26 @@ def random_batch(seed):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("pool_op", POOL_OPS)
-def test_batched_forward_equals_stacked_sequences(pool_op, variant):
+def test_batched_forward_equals_stacked_sequences(pool_op, variant, monkeypatch):
+    pooled = record_pooled_positions(monkeypatch)
     model = make_model(pool_op, variant)
     ids, mask = random_batch(seed=POOL_OPS.index(pool_op) * 10 + VARIANTS.index(variant))
     state = model.encode(ids, mask)
     hidden = model.decode(state, mask).hidden.data
     assert hidden.shape == (T, B, 16)
+    batch_pos = pooled[:]  # one per pooled block: [T_m], or [T_m, B] after top-attention
+    assert len(batch_pos) == 2
     for b in range(B):
+        pooled.clear()
         one = model.encode(ids[:, b], mask[:, b])
         np.testing.assert_allclose(model.decode(one, mask[:, b]).hidden.data, hidden[:, b],
                                    rtol=0, atol=1e-12)
         for block, h in enumerate(one.block_hidden):
             np.testing.assert_allclose(h.data, state.block_hidden[block].data[:, b],
                                        rtol=0, atol=1e-12)
-            pos = state.block_pos[block]  # shared [T_m], or [T_m, B] after top-attention
-            np.testing.assert_array_equal(one.block_pos[block], pos if pos.ndim == 1 else pos[:, b])
             np.testing.assert_array_equal(one.block_mask[block], state.block_mask[block][:, b])
+        for pos, one_pos in zip(batch_pos, pooled, strict=True):
+            np.testing.assert_array_equal(one_pos, pos if pos.ndim == 1 else pos[:, b])
 
 
 @pytest.mark.parametrize("pool_op", POOL_OPS)

@@ -5,10 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from funnel.autodiff import ContractError, Rng, Tape, Tensor, mul, sum_all
+from funnel.autodiff import ContractError, Rng, Tape, Tensor, add, mul
 from funnel.decoder import decoder_forward, upsample, upsample_source
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
+
+from helpers import sum_all
 
 
 class TestUpsample:
@@ -69,55 +71,60 @@ def funnel_model():
     return FunnelModel(ModelConfig(layout=layout, vocab_size=11, seed=0))
 
 
+@pytest.fixture
+def fusion_model():
+    """No decoder layers: ``decode(...).hidden`` is the skip fusion itself."""
+    layout = LayoutSpec(blocks=(BlockSpec(2), BlockSpec(2)), hidden=16,
+                        decoder_layers=0, head_dim=8)
+    return FunnelModel(ModelConfig(layout=layout, vocab_size=11, seed=0))
+
+
 def encode(model, seed=0, t=8):
     toks = np.concatenate([[2], Rng(seed).integers(5, 11, t - 2), [3]])
     return toks, model.encode(toks)
 
 
-class TestDecoderForward:
-    def test_zero_compressed_states_give_skip_only(self, funnel_model):
-        _, state = encode(funnel_model)
-        zero_last = Tensor(np.zeros_like(state.h_last.data))
-        out = decoder_forward(state.h_first, zero_last, funnel_model.config,
-                              funnel_model.params, state.encoding, state.block_mask[0])
-        np.testing.assert_array_equal(out.fused.data, state.h_first.data)
+def fuse(model, state, h_first):
+    """The decoder's output for ``h_first`` in place of block 1's states."""
+    return decoder_forward(h_first, state.h_last, model.config, model.params, state.encoding,
+                           state.block_mask[0]).hidden
 
-    def test_zero_decoder_layers_returns_fusion(self):
-        layout = LayoutSpec(blocks=(BlockSpec(2), BlockSpec(2)), hidden=16,
-                            decoder_layers=0, head_dim=8)
-        model = FunnelModel(ModelConfig(layout=layout, vocab_size=11, seed=0))
-        _, state = encode(model)
-        out = model.decode(state)
-        assert out.hidden is out.fused
+
+class TestDecoderForward:
+    def test_zero_compressed_states_give_skip_only(self, fusion_model):
+        _, state = encode(fusion_model)
+        zero_last = Tensor(np.zeros_like(state.h_last.data))
+        out = decoder_forward(state.h_first, zero_last, fusion_model.config,
+                              fusion_model.params, state.encoding, state.block_mask[0])
+        np.testing.assert_array_equal(out.hidden.data, state.h_first.data)
+
+    def test_zero_decoder_layers_returns_fusion(self, fusion_model):
+        toks, state = encode(fusion_model)
+        out = fusion_model.decode(state)
+        fused = add(state.h_first, upsample(state.h_last, len(toks)))
+        np.testing.assert_array_equal(out.hidden.data, fused.data)
 
     def test_output_length_equals_input_length(self, funnel_model):
         toks, state = encode(funnel_model)
         out = funnel_model.decode(state)
         assert out.hidden.shape == (len(toks), 16)
 
-    def test_fusion_additivity(self, funnel_model):
-        _, state = encode(funnel_model)
+    def test_fusion_additivity(self, fusion_model):
+        _, state = encode(fusion_model)
         delta = np.zeros_like(state.h_first.data)
         delta[3] = 1.25
-        base = decoder_forward(state.h_first, state.h_last, funnel_model.config,
-                               funnel_model.params, state.encoding, state.block_mask[0])
-        shifted = decoder_forward(Tensor(state.h_first.data + delta), state.h_last,
-                                  funnel_model.config, funnel_model.params, state.encoding,
-                                  state.block_mask[0])
-        np.testing.assert_allclose(shifted.fused.data - base.fused.data, delta,
-                                   atol=1e-12)
+        base = fuse(fusion_model, state, state.h_first)
+        shifted = fuse(fusion_model, state, Tensor(state.h_first.data + delta))
+        np.testing.assert_allclose(shifted.data - base.data, delta, atol=1e-12)
 
-    def test_token_detail_preserved(self, funnel_model):
+    def test_token_detail_preserved(self, fusion_model):
         # changing h1 at one position changes the decoder input only there
-        _, state = encode(funnel_model)
+        _, state = encode(fusion_model)
+        base = fuse(fusion_model, state, state.h_first)
         for i in range(8):
             bumped = state.h_first.data.copy()
             bumped[i] += 0.5
-            out = decoder_forward(Tensor(bumped), state.h_last, funnel_model.config,
-                                  funnel_model.params, state.encoding, state.block_mask[0])
-            base = decoder_forward(state.h_first, state.h_last, funnel_model.config,
-                                   funnel_model.params, state.encoding, state.block_mask[0])
-            diff = np.abs(out.fused.data - base.fused.data).sum(axis=1)
+            diff = np.abs(fuse(fusion_model, state, Tensor(bumped)).data - base.data).sum(axis=1)
             assert diff[i] > 0
             assert np.count_nonzero(diff) == 1
 

@@ -8,11 +8,13 @@ import pytest
 
 from funnel import autodiff, encoder, relattn
 from funnel.autodiff import (ContractError, Rng, Tape, Tensor, fit_rows, gather_rows, grad_check,
-                             mul, reshape, sum_all)
+                             mul, reshape)
 from funnel.encoder import PooledState, block_transition_attention, pool_step, top_attn_rows
 from funnel.layout import BlockSpec, LayoutSpec, is_pow2, layer_plan
 from funnel.model import FunnelModel, ModelConfig
 from funnel.relattn import layer_view
+
+from helpers import record_pooled_positions, sum_all
 
 
 def make_state(values, pos=None, mask=None):
@@ -428,23 +430,27 @@ class TestEncoderForward:
         with pytest.raises(ContractError, match=r"token ids must lie in \[0, 11\)"):
             FunnelModel(tiny_config).encode(np.array([[2, 2], [5, 11], [6, 6], [3, 3]]))
 
-    def test_cls_row_propagates_through_pooling(self, tiny_config):
+    def test_cls_row_propagates_through_pooling(self, tiny_config, monkeypatch):
         # position 0 keeps pos id 0 and real mask in every block
+        pooled = record_pooled_positions(monkeypatch)
         model = FunnelModel(tiny_config)
         toks = np.concatenate([[2], Rng(4).integers(5, 11, 6), [3]])
         state = model.encode(toks)
-        for pos, mask in zip(state.block_pos, state.block_mask):
+        assert len(pooled) == len(state.block_mask) - 1
+        for pos, mask in zip([np.arange(8)] + pooled, state.block_mask):
             assert pos[0] == 0
             assert mask[0]
 
-    def test_top_attn_encoder_runs(self):
+    def test_top_attn_encoder_runs(self, monkeypatch):
+        pooled = record_pooled_positions(monkeypatch)
         layout = LayoutSpec(blocks=(BlockSpec(2), BlockSpec(2)), hidden=16, head_dim=8)
         config = ModelConfig(layout=layout, vocab_size=11, pool_op="top_attn", seed=0)
         model = FunnelModel(config)
         toks = np.concatenate([[2], Rng(5).integers(5, 11, 6), [3]])
         state = model.encode(toks)
         assert state.h_last.shape[0] == 4
-        assert state.block_pos[1][0] == 0
+        [pos] = pooled
+        assert pos[0] == 0
 
     @pytest.mark.parametrize("op", ["mean", "max", "top_attn"])
     def test_a_map_outlives_its_layer_only_for_top_attention(self, monkeypatch, op):

@@ -259,27 +259,6 @@ def test_grad_check_through_dropout():
     assert err < 1e-4, f"gradient error through dropout {err:.3e}"
 
 
-class TestSequenceHead:
-    def test_cls_linear_demo(self):
-        from funnel.autodiff import Tape, Tensor, grad_check, sum_all
-        from funnel.model import sequence_logits
-        cfg = ModelConfig(layout="B2-2H64", vocab_size=11, seed=0)
-        model = FunnelModel(cfg)
-        toks = np.arange(16) % 5 + 5
-        w = Tensor(np.random.Generator(np.random.Philox(0)).standard_normal((64, 3)),
-                   requires_grad=True)
-        b = Tensor(np.zeros(3), requires_grad=True)
-        state = model.encode(toks)
-        logits = sequence_logits(state, w, b)
-        assert logits.shape == (1, 3)
-        np.testing.assert_allclose(logits.data[0],
-                                   state.h_last.data[0] @ w.data + b.data)
-        # gradients reach the head through the compressed CLS vector
-        err = grad_check(lambda: sum_all(sequence_logits(model.encode(toks), w, b)),
-                         [w, b], seed=1)
-        assert err < 1e-6
-
-
 class TestDtypePurity:
     def test_f32_forward_and_step_stay_f32(self):
         from funnel.training import TrainSettings, OptimizerConfig, train_toy

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from funnel.autodiff import (NumericError, Tape, Tensor, add, grad_check, layer_norm, matmul,
-                             merge_heads, mul, reshape, softmax_lastdim, split_heads, sum_all)
+                             merge_heads, mul, reshape, softmax_lastdim, split_heads)
 from funnel.layout import BlockSpec, LayoutSpec
 from funnel.model import FunnelModel, ModelConfig
 from funnel import relattn
 from funnel.relattn import (RelPosEncoding, attention, gather_index_matrix, layer_view, pffn,
                             position_term_factorized, position_term_gather,
                             position_term_naive, transformer_layer, variant_deviation)
+
+from helpers import record_pooled_positions, sum_all
 
 VARIANT_FNS = {
     "naive": position_term_naive,
@@ -112,6 +114,7 @@ class TestEncodingMemo:
             return angles(self, t)
 
         monkeypatch.setattr(RelPosEncoding, "_angles", spy)
+        pooled = record_pooled_positions(monkeypatch)
         model = FunnelModel(ModelConfig(layout="B4-4-4H256D2", vocab_size=30, seed=0))
         ids = np.random.Generator(np.random.Philox(0)).integers(5, 30, size=128)
         state = model.encode(ids)
@@ -119,16 +122,19 @@ class TestEncodingMemo:
         # one encoding object per model pass, shared by encoder and
         # decoder, computing angles for every distinct position vector once
         assert {owner for owner, _ in calls} == {state.encoding}
-        assert sorted(key for _, key in calls) == sorted({p.tobytes() for p in state.block_pos})
+        blocks = [np.arange(128)] + pooled
+        assert sorted(key for _, key in calls) == sorted({p.tobytes() for p in blocks})
 
-    def test_factorized_pass_memoises_one_encode_table_per_position_vector(self):
+    def test_factorized_pass_memoises_one_encode_table_per_position_vector(self, monkeypatch):
+        pooled = record_pooled_positions(monkeypatch)
         model = FunnelModel(ModelConfig(layout="B4-4-4H256D2", vocab_size=30, seed=0,
                                         attn_variant="factorized"))
         ids = np.random.Generator(np.random.Philox(0)).integers(5, 30, size=128)
         state = model.encode(ids)
         model.decode(state)
         memo = state.encoding._memo
-        assert sorted(key[-1] for key in memo) == sorted({p.tobytes() for p in state.block_pos})
+        blocks = [np.arange(128)] + pooled
+        assert sorted(key[-1] for key in memo) == sorted({p.tobytes() for p in blocks})
 
     def test_naive_memo_holds_no_more_than_twice_the_gather_tables(self):
         # the naive form picks its pairwise rows out of the gather form's

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from funnel import training
-from funnel.autodiff import ContractError, Rng, Tape, Tensor, add, mul, sum_all
+from funnel.autodiff import ContractError, Rng, Tape, Tensor, add, mul
 from funnel.checkpoint import load
 from funnel.model import ModelConfig, param_specs
 from funnel.training import (AdamW, OptimizerConfig, TrainSettings, linear_schedule,
                              settings_from_json, train_toy)
+
+from helpers import sum_all
 
 
 def tiny_corpus(n_sentences=4, n_words=8, vocab_words=10, seed=1):
