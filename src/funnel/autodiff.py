@@ -30,10 +30,12 @@ Binary ops and matmul broadcast as numpy does; their backward sums over
 the broadcast axes.
 Some nodes fold a neighbour's work into their own pass: matmul adds a
 bias, softmax applies the attention scale and key mask, layer norm
-adds the residual, and ``gelu(x, w, bias)`` the product that reads
-GeLU's output.  That node keeps ``x`` only and reruns GeLU in its
-pull-back, so each feed-forward sub-layer keeps one inner activation,
-not three; GeLU walks 256 KiB blocks, so its scratch stays in cache.
+adds the residual, and ``gelu(x, w, bias, w_in=, b_in=)`` is a whole
+feed-forward sub-layer, the products on both sides of GeLU.  That node
+keeps ``x`` only: its pull-back rebuilds the inner activation with one
+more product and reruns GeLU, so the sub-layer keeps no array of its
+inner width for the backward pass.  GeLU walks 256 KiB blocks, so its
+scratch stays in cache.
 """
 
 from __future__ import annotations
@@ -296,10 +298,10 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x, y)
 
 
-def _product(a: Tensor, ad: np.ndarray, b: Tensor, bias: Tensor | None, op: str) -> tuple:
-    """``ad @ b + bias`` (bias added in place), ``ad`` being ``a``'s data or made from it, and
-    its pull-back ``(g, ad) -> (a's, b's, bias's gradient)``, which keeps ``b`` only when ``a``
-    requires grad and reads ``ad`` only when ``b`` does: the caller keeps or remakes it."""
+def _product(ad: np.ndarray, a_grad: bool, b: Tensor, bias: Tensor | None, op: str) -> tuple:
+    """``ad @ b + bias`` (bias added in place) and its pull-back ``(g, ad) -> (ad's, b's, bias's
+    gradient)``, which keeps ``b`` only when ``a_grad`` (the left operand requires grad) and
+    reads ``ad`` only when ``b`` requires grad: the caller keeps or remakes it."""
     if ad.ndim < 2 or b.data.ndim < 2 or ad.shape[-1] != b.shape[-2]:
         raise ShapeError(f"{op}: incompatible shapes {ad.shape} and {b.shape}")
     y = _mm(ad, b.data)
@@ -310,7 +312,7 @@ def _product(a: Tensor, ad: np.ndarray, b: Tensor, bias: Tensor | None, op: str)
             raise ShapeError(f"{op}: bias {bias.shape} does not broadcast to {y.shape}") from None
     a_shape, b_shape, b_grad = ad.shape, b.shape, b.requires_grad
     bias_shape = bias.shape if bias is not None and bias.requires_grad else None
-    bd = b.data if a.requires_grad else None
+    bd = b.data if a_grad else None
 
     def pull(g, ad):
         ga = gb = None
@@ -336,7 +338,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     added in place, one node for ``a @ b + bias``.  An operand is kept for
     the backward pass only when the other one requires grad.
     """
-    y, pull = _product(a, a.data, b, bias, "matmul")
+    y, pull = _product(a.data, a.requires_grad, b, bias, "matmul")
     ad = a.data if b.requires_grad else None
     inputs = (a, b) if bias is None else (a, b, bias)
     return _record(Tensor(y), inputs, lambda g: pull(g, ad), "matmul")
@@ -461,23 +463,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
     return _record(out, inputs, backward, "layer_norm")
 
 
-def _gelu(xd: np.ndarray, slope: bool = False) -> list[np.ndarray]:
+def _gelu(xd: np.ndarray, slope: bool = False, inplace: bool = False) -> list[np.ndarray]:
     """GeLU's output 0.5 x (1 + t), t = tanh(c x (1 + a x^2)), then given ``slope`` its
-    derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), each in a fresh array.
+    derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), each in a fresh array, or
+    ``inplace`` the output over ``xd`` itself (C-contiguous, read by nothing after).
 
     Each pass walks ``GELU_BLOCK``-byte blocks of the flat input, t forming in an output
-    block beside one scratch block (two with ``slope``); x^2, 0.5 x and 1 + t are formed
-    once.  The cubic is c*x*(1 + a*x*x), not ``x ** 3``, which numpy sends to libm ``pow``.
-    Every step rounds as the one-expression form does, so both calls give the same bytes.
+    block beside one scratch block (two with ``slope``); ``inplace``, t forms in a second
+    scratch block instead, as x is read until the last product.  x^2, 0.5 x and 1 + t are
+    formed once.  The cubic is c*x*(1 + a*x*x), not ``x ** 3``, which numpy sends to libm
+    ``pow``.  Every step rounds as the one-expression form does, so all calls give the same
+    bytes.
     """
-    outs = [np.empty(xd.shape, xd.dtype) for _ in range(1 + slope)]  # C order: views write them
+    outs = [xd if inplace else np.empty(xd.shape, xd.dtype)]  # C order: views write them
+    outs += [np.empty(xd.shape, xd.dtype) for _ in range(slope)]
     flats = [f.reshape(-1) for f in (xd, *outs)]
     step = GELU_BLOCK // xd.itemsize
-    rows = np.empty((1 + slope, min(step, xd.size)), xd.dtype)
+    rows = np.empty((1 + (slope or inplace), min(step, xd.size)), xd.dtype)
     for lo in range(0, xd.size, step):
         x, y, *d = (f[lo:lo + step] for f in flats)
-        a, b = rows[0, :len(x)], rows[-1, :len(x)]  # one row in the forward pass: b is a
-        t = d[0] if d else y
+        a, s = rows[0, :len(x)], rows[-1, :len(x)]
+        t, b = (d[0], s) if d else (s if inplace else y, a)  # forward: b is a
         np.multiply(x, x, out=a)                     # x^2
         np.multiply(a, GELU_A, out=t)
         t += 1.0
@@ -485,7 +491,7 @@ def _gelu(xd: np.ndarray, slope: bool = False) -> list[np.ndarray]:
         np.tanh(t, out=t)                            # tanh(c x (1 + a x^2))
         if not d:
             t += 1.0
-            t *= np.multiply(x, 0.5, out=a)          # 0.5 x (1 + t)
+            np.multiply(t, np.multiply(x, 0.5, out=a), out=y)  # 0.5 x (1 + t), y last
             continue
         np.add(t, 1.0, out=y)                        # 1 + t
         np.multiply(t, t, out=b)
@@ -501,27 +507,44 @@ def _gelu(xd: np.ndarray, slope: bool = False) -> list[np.ndarray]:
     return outs
 
 
-def gelu(x: Tensor, w: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+def gelu(x: Tensor, w: Tensor | None = None, bias: Tensor | None = None,
+         w_in: Tensor | None = None, b_in: Tensor | None = None) -> Tensor:
     """GeLU, tanh approximation (constants GELU_C, GELU_A above); given ``w``,
-    GeLU(x) @ w + bias in one node, with ``matmul``'s shapes and broadcasting.
+    GeLU(x) @ w + bias in one node, with ``matmul``'s shapes and broadcasting; given
+    ``w_in`` too, GeLU(x @ w_in + b_in) @ w + bias, a whole feed-forward sub-layer.
 
-    The pull-back keeps ``x`` only and reruns ``_gelu``, in ``GELU_BLOCK``-byte blocks, once
-    for the output (``w``'s gradient) and the derivative, so neither outlives the forward
-    pass.  A matmul whose weight requires grad keeps a plain GeLU's output it reads.
+    The node owns the inner activation x @ w_in + b_in and writes GeLU over it.  The
+    pull-back keeps ``x`` only: it rebuilds the inner activation with the forward pass's
+    own product and bias add, so to the byte, and reruns ``_gelu``, in ``GELU_BLOCK``-byte
+    blocks, once for the output (``w``'s gradient) and the derivative, so none of them
+    outlives the forward pass.  Its gradients are ``gelu(matmul(x, w_in, b_in), w, bias)``'s,
+    in the order x, w_in, b_in, w, bias (absent ones left out).  A matmul whose weight
+    requires grad keeps a plain GeLU's output it reads.
     """
-    xd, pull = x.data, None
-    out, inputs = _gelu(xd)[0], (x,)
+    given = [t is not None for t in (x, w_in, b_in, w, bias)]
+    xd, pull_in, pull = x.data, None, None
+    if w_in is None:
+        out = _gelu(xd)[0]
+    else:                                            # the node owns the inner activation
+        out, pull_in = _product(xd, x.requires_grad, w_in, b_in, "gelu")
+        _gelu(out, inplace=True)
     if w is not None:
-        out, pull = _product(x, out, w, bias, "gelu")
-        inputs = (x, w) if bias is None else (x, w, bias)
+        out, pull = _product(out, x.requires_grad or pull_in is not None, w, bias, "gelu")
 
     def backward(g):
+        h = xd if pull_in is None else _product(xd, False, w_in, b_in, "gelu")[0]
         # the derivative first: its scratch is gone before w's gradient exists
-        y, slope = _gelu(xd, slope=True)
-        g, *tail = (g,) if pull is None else pull(g, y)  # tail: w's and bias's gradients
-        return (None if g is None else np.multiply(slope, g, out=slope), *tail)
+        y, slope = _gelu(h, slope=True)
+        del h                                        # free a rebuilt one before the products
+        gw = gb = None
+        if pull is not None:
+            g, gw, gb = pull(g, y)
+        g = None if g is None else np.multiply(slope, g, out=slope)
+        head = (g, None, None) if pull_in is None else pull_in(g, xd)
+        return list(itertools.compress((*head, gw, gb), given))
 
-    return _record(Tensor(out), inputs, backward, "gelu")
+    return _record(Tensor(out), list(itertools.compress((x, w_in, b_in, w, bias), given)),
+                   backward, "gelu")
 
 
 def dropout(x: Tensor, rate: float, rng) -> Tensor:
