@@ -29,13 +29,15 @@ indices, fused losses and the factorized position term's rotation.
 Binary ops and matmul broadcast as numpy does; their backward sums over
 the broadcast axes.
 Some nodes fold a neighbour's work into their own pass: matmul adds a
-bias, softmax applies the attention scale and key mask, layer norm
+bias and shifts its left operand by a broadcast ``left`` (keeping the
+unshifted operand, so attention keeps each query once for its two
+biases), softmax applies the attention scale and key mask, layer norm
 adds the residual, and ``gelu(x, w, bias, w_in=, b_in=)`` is a whole
 feed-forward sub-layer, the products on both sides of GeLU.  That node
 keeps ``x`` only: its pull-back rebuilds the inner activation with one
-more product and reruns GeLU, so the sub-layer keeps no array of its
-inner width for the backward pass.  GeLU walks 256 KiB blocks, so its
-scratch stays in cache.
+more product and reruns GeLU over it in place, so the sub-layer keeps no
+array of its inner width for the backward pass.  GeLU walks 256 KiB
+blocks, so its scratch stays in cache.
 """
 
 from __future__ import annotations
@@ -298,10 +300,19 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x, y)
 
 
-def _product(ad: np.ndarray, a_grad: bool, b: Tensor, bias: Tensor | None, op: str) -> tuple:
-    """``ad @ b + bias`` (bias added in place) and its pull-back ``(g, ad) -> (ad's, b's, bias's
-    gradient)``, which keeps ``b`` only when ``a_grad`` (the left operand requires grad) and
-    reads ``ad`` only when ``b`` requires grad: the caller keeps or remakes it."""
+def _product(ad: np.ndarray, a_grad: bool, b: Tensor, bias: Tensor | None, op: str,
+             left: Tensor | None = None) -> tuple:
+    """``(ad + left) @ b + bias`` (bias added in place) and its pull-back ``(g, ad) -> (ad's, b's,
+    bias's, left's gradient)``, which keeps ``b`` only when ``a_grad`` (the left operand requires
+    grad) or ``left`` requires grad, and reads ``ad`` only when ``b`` requires grad: the caller
+    keeps or remakes it, and the pull-back adds ``left`` to it again for ``b``'s gradient."""
+    a_shape, ld = ad.shape, None if left is None else left.data
+    if ld is not None:
+        try:
+            ad = ad + ld
+        except ValueError:
+            raise ShapeError(f"{op}: left shift {left.shape} does not broadcast to "
+                             f"{a_shape}") from None
     if ad.ndim < 2 or b.data.ndim < 2 or ad.shape[-1] != b.shape[-2]:
         raise ShapeError(f"{op}: incompatible shapes {ad.shape} and {b.shape}")
     y = _mm(ad, b.data)
@@ -310,38 +321,48 @@ def _product(ad: np.ndarray, a_grad: bool, b: Tensor, bias: Tensor | None, op: s
             y += bias.data
         except ValueError:
             raise ShapeError(f"{op}: bias {bias.shape} does not broadcast to {y.shape}") from None
-    a_shape, b_shape, b_grad = ad.shape, b.shape, b.requires_grad
+    sum_shape, b_shape, b_grad = ad.shape, b.shape, b.requires_grad
     bias_shape = bias.shape if bias is not None and bias.requires_grad else None
-    bd = b.data if a_grad else None
+    left_shape = left.shape if ld is not None and left.requires_grad else None
+    bd = b.data if a_grad or left_shape is not None else None
 
     def pull(g, ad):
-        ga = gb = None
+        ga = gb = gl = None
         if bd is not None:
-            ga = _unbroadcast(_mm(g, np.swapaxes(bd, -1, -2)), a_shape)
+            ga = _unbroadcast(_mm(g, np.swapaxes(bd, -1, -2)), sum_shape)
+            gl = None if left_shape is None else _unbroadcast(ga, left_shape)
+            ga = _unbroadcast(ga, a_shape)
         if b_grad:
+            if ld is not None:
+                ad = ad + ld                         # the forward pass's sum, to the byte
             if len(b_shape) == 2:
                 # a shared weight: one product over every row of the batch
                 k, n = b_shape
                 gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
             else:
                 gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b_shape)
-        return ga, gb, None if bias_shape is None else _unbroadcast(g, bias_shape)
+        return ga, gb, None if bias_shape is None else _unbroadcast(g, bias_shape), gl
 
     return y, pull
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, left: Tensor | None = None) -> Tensor:
     """Matrix product with ``np.matmul`` semantics: [..., m, k] @ [..., k, n], plus ``bias``.
 
     Both operands have rank 2 or more; their batch axes broadcast.  The
     optional ``bias`` (e.g. [n]) broadcasts against the product and is
     added in place, one node for ``a @ b + bias``.  An operand is kept for
-    the backward pass only when the other one requires grad.
+    the backward pass only when the other one requires grad.  The optional
+    ``left`` shifts ``a`` first, broadcasting against it (e.g. [H, 1, dh]
+    against [B, H, T, dh]): one node for ``(a + left) @ b + bias`` that keeps
+    ``a``, not the sum, which its pull-back rebuilds for ``b``'s gradient
+    only; ``left``'s gradient sums over its broadcast axes.
     """
-    y, pull = _product(a.data, a.requires_grad, b, bias, "matmul")
+    y, pull = _product(a.data, a.requires_grad, b, bias, "matmul", left)
     ad = a.data if b.requires_grad else None
-    inputs = (a, b) if bias is None else (a, b, bias)
-    return _record(Tensor(y), inputs, lambda g: pull(g, ad), "matmul")
+    given = (True, True, bias is not None, left is not None)
+    return _record(Tensor(y), list(itertools.compress((a, b, bias, left), given)),
+                   lambda g: itertools.compress(pull(g, ad), given), "matmul")
 
 
 def _move(a: Tensor, before: tuple, axes: tuple, name: str, after: tuple | None = None) -> Tensor:
@@ -469,11 +490,12 @@ def _gelu(xd: np.ndarray, slope: bool = False, inplace: bool = False) -> list[np
     ``inplace`` the output over ``xd`` itself (C-contiguous, read by nothing after).
 
     Each pass walks ``GELU_BLOCK``-byte blocks of the flat input, t forming in an output
-    block beside one scratch block (two with ``slope``); ``inplace``, t forms in a second
-    scratch block instead, as x is read until the last product.  x^2, 0.5 x and 1 + t are
-    formed once.  The cubic is c*x*(1 + a*x*x), not ``x ** 3``, which numpy sends to libm
-    ``pow``.  Every step rounds as the one-expression form does, so all calls give the same
-    bytes.
+    block beside one scratch block; ``inplace``, t forms in a second scratch block instead,
+    as x is read until the last product.  With ``slope``, t forms in the derivative's block
+    beside two scratch blocks, and 0.5 x goes to one of them before 1 + t is written, so
+    ``inplace`` needs no more.  x^2, 0.5 x and 1 + t are formed once.  The cubic is
+    c*x*(1 + a*x*x), not ``x ** 3``, which numpy sends to libm ``pow``.  Every step rounds
+    as the one-expression form does, so all calls give the same bytes.
     """
     outs = [xd if inplace else np.empty(xd.shape, xd.dtype)]  # C order: views write them
     outs += [np.empty(xd.shape, xd.dtype) for _ in range(slope)]
@@ -493,17 +515,18 @@ def _gelu(xd: np.ndarray, slope: bool = False, inplace: bool = False) -> list[np
             t += 1.0
             np.multiply(t, np.multiply(x, 0.5, out=a), out=y)  # 0.5 x (1 + t), y last
             continue
+        np.multiply(x, 0.5, out=b)                   # 0.5 x, x's last read: y may be x
         np.add(t, 1.0, out=y)                        # 1 + t
-        np.multiply(t, t, out=b)
-        np.subtract(1.0, b, out=b)
-        b *= np.multiply(x, 0.5, out=t)              # t holds 0.5 x from here
-        b *= GELU_C
+        np.multiply(t, t, out=t)
+        np.subtract(1.0, t, out=t)
+        t *= b
+        t *= GELU_C
         a *= 3.0 * GELU_A
         a += 1.0
-        b *= a                                       # 0.5 x (1 - t^2) c (1 + 3 a x^2)
+        t *= a                                       # 0.5 x (1 - t^2) c (1 + 3 a x^2)
         np.multiply(y, 0.5, out=a)
-        y *= t                                       # 0.5 x (1 + t)
-        np.add(a, b, out=t)
+        y *= b                                       # 0.5 x (1 + t)
+        t += a
     return outs
 
 
@@ -516,7 +539,8 @@ def gelu(x: Tensor, w: Tensor | None = None, bias: Tensor | None = None,
     The node owns the inner activation x @ w_in + b_in and writes GeLU over it.  The
     pull-back keeps ``x`` only: it rebuilds the inner activation with the forward pass's
     own product and bias add, so to the byte, and reruns ``_gelu``, in ``GELU_BLOCK``-byte
-    blocks, once for the output (``w``'s gradient) and the derivative, so none of them
+    blocks, once for the derivative and the output (``w``'s gradient), which it writes over
+    the rebuilt activation and drops before the input product's gradients, so none of them
     outlives the forward pass.  Its gradients are ``gelu(matmul(x, w_in, b_in), w, bias)``'s,
     in the order x, w_in, b_in, w, bias (absent ones left out).  A matmul whose weight
     requires grad keeps a plain GeLU's output it reads.
@@ -534,13 +558,14 @@ def gelu(x: Tensor, w: Tensor | None = None, bias: Tensor | None = None,
     def backward(g):
         h = xd if pull_in is None else _product(xd, False, w_in, b_in, "gelu")[0]
         # the derivative first: its scratch is gone before w's gradient exists
-        y, slope = _gelu(h, slope=True)
-        del h                                        # free a rebuilt one before the products
+        y, slope = _gelu(h, slope=True, inplace=pull_in is not None)
+        del h
         gw = gb = None
         if pull is not None:
-            g, gw, gb = pull(g, y)
+            g, gw, gb, _ = pull(g, y)
+        del y                                        # read by w's gradient only
         g = None if g is None else np.multiply(slope, g, out=slope)
-        head = (g, None, None) if pull_in is None else pull_in(g, xd)
+        head = (g, None, None) if pull_in is None else pull_in(g, xd)[:3]
         return list(itertools.compress((*head, gw, gb), given))
 
     return _record(Tensor(out), list(itertools.compress((x, w_in, b_in, w, bias), given)),

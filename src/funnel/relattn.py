@@ -7,6 +7,8 @@ The pre-softmax score between query position i and key position j is
 with q = x W_Q, k = x W_K, a sinusoidal encoding r of the signed distance
 i-j, and trainable biases u (position) and v (content).  The content
 product adds the position term in place: the sum is no node of its own.
+Each bias shifts the query inside the product that reads it (``matmul``'s
+``left``), so a sub-layer keeps its query once, not two biased copies.
 Three interchangeable implementations of the position term are provided:
 
 * ``naive``      -- materializes every r_{i-j}; the reference/oracle form.
@@ -44,7 +46,7 @@ from dataclasses import make_dataclass
 
 import numpy as np
 
-from .autodiff import (NumericError, ShapeError, Tensor, add, dropout, einsum_id_ijd,
+from .autodiff import (NumericError, ShapeError, Tensor, dropout, einsum_id_ijd,
                        fit_rows, gelu, layer_norm, matmul, merge_heads, reshape, rotate,
                        softmax_lastdim, split_heads, take_along_last, transpose)
 
@@ -153,7 +155,7 @@ def position_term_naive(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     """
     idx, span = gather_index_matrix(q_pos, k_pos)
     table = enc.encode(np.arange(-span, span + 1))           # the gather form's table
-    qr = matmul(add(proj_q, u), transpose(w_r))              # [..., tq, D]
+    qr = matmul(proj_q, transpose(w_r), left=u)              # [..., tq, D]
     return einsum_id_ijd(qr, table[idx])                     # r: [..., tq, tk, D]
 
 
@@ -178,7 +180,7 @@ def position_term_gather(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     idx, span = gather_index_matrix(q_pos, k_pos)
     table = Tensor(enc.encode(np.arange(-span, span + 1)))  # ascending distances
     table_w = matmul(table, w_r)                             # [..., 2L-1, dh]
-    full = matmul(add(proj_q, u), transpose(table_w))        # [..., tq, 2L-1]
+    full = matmul(proj_q, transpose(table_w), left=u)        # [..., tq, 2L-1]
     return take_along_last(full, idx)
 
 
@@ -195,7 +197,7 @@ def position_term_factorized(proj_q: Tensor, q_pos: np.ndarray, k_pos: np.ndarra
     """
     q_pos = np.asarray(q_pos, dtype=np.int64)
     k_pos = np.asarray(k_pos, dtype=np.int64)
-    qr = matmul(add(proj_q, u), transpose(w_r))              # [..., tq, D]
+    qr = matmul(proj_q, transpose(w_r), left=u)              # [..., tq, D]
     rotated = rotate(qr, _by_column(enc.encode(q_pos), q_pos))
     r_k, h = _by_column(enc.encode(k_pos), k_pos), enc.width // 2
     # cat(cos, sin)', laid out contiguously as [..., D, tk] for the product
@@ -257,8 +259,9 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
     ``key_mask`` ([Tk] or [Tk, B], True at real keys) match it.  ``config``
     supplies ``heads``, ``attn_variant``, ``attn_dropout`` and ``dropout``.
     Per head: scores = (content + position) / sqrt(head_dim), masked keys
-    forced to -inf before the softmax; the content product adds the
-    position term as its bias, so the sum is not a node of its own.  Head
+    forced to -inf before the softmax; the content product shifts the
+    query by v and adds the position term as its bias, so neither the
+    biased query nor the sum is a node of its own.  Head
     outputs are merged, projected by w_o, added to the residual ``q_in``
     and layer normed.  Returns the new hidden states and the attention map
     over the queries and keys given (detached; used by top-attention
@@ -276,7 +279,7 @@ def attention(q_in: Tensor, kv_in: Tensor, q_pos: np.ndarray, k_pos: np.ndarray,
 
     position = _POSITION_TERMS[config.attn_variant](  # w_r's head view: [H, D, dh]
         q, q_pos, k_pos, split_heads(params.w_r, n_heads), reshape(params.u, (n_heads, 1, dh)), enc)
-    scores = matmul(add(q, reshape(params.v, (n_heads, 1, dh))), k_t, position)
+    scores = matmul(q, k_t, position, left=reshape(params.v, (n_heads, 1, dh)))
     weights = softmax_lastdim(scores, scale, key_mask.T[..., None, None, :])
     maps = weights.data
     weights = dropout(weights, config.attn_dropout, rng)

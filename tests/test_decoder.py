@@ -59,7 +59,7 @@ class TestUpsample:
         with pytest.raises(ContractError, match="shorter length"):
             upsample(Tensor(np.zeros((5, 2))), 4)
 
-    def test_bad_rate_rejected(self):
+    def test_two_rows_to_length_zero_rejected(self):
         with pytest.raises(ContractError, match="shorter length"):
             upsample(Tensor(np.zeros((2, 2))), 0)
 

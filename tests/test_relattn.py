@@ -282,8 +282,8 @@ def test_factorized_issues_one_score_sized_matmul(monkeypatch):
     shapes = []
     real = relattn.matmul
 
-    def spy(a, b, bias=None):
-        out = real(a, b, bias)
+    def spy(a, b, bias=None, left=None):
+        out = real(a, b, bias, left)
         shapes.append(out.shape)
         return out
 
@@ -414,9 +414,11 @@ def composed_attention(q_in, kv_in, q_pos, k_pos, key_mask, p, config, enc):
 @pytest.mark.parametrize("variant", relattn.VARIANTS)
 @pytest.mark.parametrize("per_column", [False, True])
 def test_content_product_adds_the_position_term(tiny_layer, variant, per_column):
-    """Softmax reads the content ``matmul`` that took the position term as its bias, with no
-    ``add`` between them; hidden states, map and every gradient keep the bytes of
-    ``add(content, position)``.  Pooled queries [3, 2, 8] attend to keys [5, 2, 8]."""
+    """Softmax reads the content ``matmul`` that took the position term as its bias and ``v``
+    as its left shift, and the position term's query product takes ``u`` the same way, so
+    the split query is read by those two nodes and the sub-layer records no ``add``; hidden
+    states, map and every gradient keep the bytes of ``add(content, position)`` over
+    ``add(q, v)``.  Pooled queries [3, 2, 8] attend to keys [5, 2, 8]."""
     config, model, lp = tiny_layer
     config = replace(config, attn_variant=variant)
     gen = np.random.Generator(np.random.Philox(13))
@@ -440,9 +442,12 @@ def test_content_product_adds_the_position_term(tiny_layer, variant, per_column)
     (nodes, hidden, maps, grads), (_, ref_hidden, ref_maps, ref_grads) = runs
     made_by = {out: (name, inputs) for name, out, inputs in nodes}
     (softmax_input,), = [inputs for name, _, inputs in nodes if name == "softmax"]
-    name, (_, _, position) = made_by[softmax_input]
+    name, (q, k_t, position, v) = made_by[softmax_input]
     assert name == "matmul" and made_by[position][0] != "add"
-    assert [name for name, _, _ in nodes].count("add") == 2  # q + v and q + u
+    assert [made_by[key][0] for key in (q, k_t, v)] == ["split_heads", "split_heads", "reshape"]
+    query_product, content = [inputs for _, _, inputs in nodes if q in inputs]
+    assert content == (q, k_t, position, v) and made_by[query_product[-1]][0] == "reshape"
+    assert "add" not in [name for name, _, _ in nodes]
     assert hidden.tobytes() == ref_hidden.tobytes()
     assert maps.tobytes() == ref_maps.tobytes()
     for g, ref in zip(grads, ref_grads):
