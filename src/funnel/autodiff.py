@@ -9,8 +9,9 @@ active, every operation appends a node holding a backward closure;
 reverse topological order because inputs are always recorded before the
 ops that consume them.
 
-The tape holds keys, not tensors: a node names its output and inputs by
-``Tensor.key``, and each pull-back keeps only the arrays it reads, so an
+The tape holds keys, not tensors: a node names its output and its fixed
+input slots by ``Tensor.key`` (None for an absent input, such as a matmul's
+missing bias), and each pull-back keeps only the arrays it reads, so an
 intermediate array no pull-back reads is freed during the forward pass
 once the caller drops it.  The walk frees as it goes: a node's output
 gradient is final when the walk reaches it (every consumer comes later
@@ -35,9 +36,10 @@ biases), softmax applies the attention scale and key mask, layer norm
 adds the residual, and ``gelu(x, w, bias, w_in=, b_in=)`` is a whole
 feed-forward sub-layer, the products on both sides of GeLU.  That node
 keeps ``x`` only: its pull-back rebuilds the inner activation with one
-more product and reruns GeLU over it in place, so the sub-layer keeps no
-array of its inner width for the backward pass.  GeLU walks 256 KiB
-blocks, so its scratch stays in cache.
+more product and reruns GeLU over it, so the sub-layer keeps no array of
+its inner width for the backward pass.  GeLU's kernel always writes its
+output over its input, walking 256 KiB blocks beside two scratch blocks,
+so its scratch stays in cache.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "recorded", "key")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if arr.ndim > MAX_RANK:
@@ -110,9 +112,9 @@ class Tensor:
 class Node:
     """One executed op on the tape: output and input keys, and a pull-back.
 
-    An input's key is None when it requires no grad.  The pull-back maps the
-    output gradient to one gradient per input (an optional input's comes
-    last, ignored when the op got none) and keeps only the arrays it reads.
+    Each op records a fixed list of input slots, a slot's key None when its
+    input is absent or requires no grad.  The pull-back maps the output
+    gradient to one gradient per slot and keeps only the arrays it reads.
     ``Tape.backward`` sets all three to None once it has run it.
     """
 
@@ -229,11 +231,11 @@ class Tape:
         return g
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable, name: str):
+def _record(out: Tensor, inputs: Sequence[Tensor | None], backward: Callable, name: str):
     tape = _ACTIVE_TAPE
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if tape is not None and any(t is not None and t.requires_grad for t in inputs):
         out.requires_grad = out.recorded = True
-        keys = tuple(t.key if t.requires_grad else None for t in inputs)
+        keys = tuple(t.key if t is not None and t.requires_grad else None for t in inputs)
         tape.nodes.append(Node(out.key, keys, backward, name))
     return out
 
@@ -360,9 +362,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, left: Tensor | None
     """
     y, pull = _product(a.data, a.requires_grad, b, bias, "matmul", left)
     ad = a.data if b.requires_grad else None
-    given = (True, True, bias is not None, left is not None)
-    return _record(Tensor(y), list(itertools.compress((a, b, bias, left), given)),
-                   lambda g: itertools.compress(pull(g, ad), given), "matmul")
+    return _record(Tensor(y), (a, b, bias, left), lambda g: pull(g, ad), "matmul")
 
 
 def _move(a: Tensor, before: tuple, axes: tuple, name: str, after: tuple | None = None) -> Tensor:
@@ -480,32 +480,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
         np.multiply(g, xhat, out=t)
         return dx, t.sum(axis=axes), g.sum(axis=axes), dx  # the last for a residual
 
-    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
-    return _record(out, inputs, backward, "layer_norm")
+    return _record(out, (x, gamma, beta, residual), backward, "layer_norm")
 
 
-def _gelu(xd: np.ndarray, slope: bool = False, inplace: bool = False) -> list[np.ndarray]:
-    """GeLU's output 0.5 x (1 + t), t = tanh(c x (1 + a x^2)), then given ``slope`` its
-    derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), each in a fresh array, or
-    ``inplace`` the output over ``xd`` itself (C-contiguous, read by nothing after).
+def _gelu(xd: np.ndarray, slope: bool = False) -> list[np.ndarray]:
+    """GeLU's output 0.5 x (1 + t), t = tanh(c x (1 + a x^2)), written over ``xd`` itself
+    (C-contiguous, read by nothing after), then given ``slope`` its derivative
+    0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2) in a fresh array.
 
-    Each pass walks ``GELU_BLOCK``-byte blocks of the flat input, t forming in an output
-    block beside one scratch block; ``inplace``, t forms in a second scratch block instead,
-    as x is read until the last product.  With ``slope``, t forms in the derivative's block
-    beside two scratch blocks, and 0.5 x goes to one of them before 1 + t is written, so
-    ``inplace`` needs no more.  x^2, 0.5 x and 1 + t are formed once.  The cubic is
+    Each pass walks ``GELU_BLOCK``-byte blocks of the flat input beside two scratch blocks.
+    The output pass forms t in the second, as x is read until the last product.  With
+    ``slope``, t forms in the derivative's block, and 0.5 x goes to a scratch block before
+    1 + t is written over x.  x^2, 0.5 x and 1 + t are formed once.  The cubic is
     c*x*(1 + a*x*x), not ``x ** 3``, which numpy sends to libm ``pow``.  Every step rounds
-    as the one-expression form does, so all calls give the same bytes.
+    as the one-expression form does, so both passes give the same output bytes.
     """
-    outs = [xd if inplace else np.empty(xd.shape, xd.dtype)]  # C order: views write them
-    outs += [np.empty(xd.shape, xd.dtype) for _ in range(slope)]
-    flats = [f.reshape(-1) for f in (xd, *outs)]
+    outs = [xd] + [np.empty(xd.shape, xd.dtype) for _ in range(slope)]  # C order: views write them
+    flats = [f.reshape(-1) for f in outs]
     step = GELU_BLOCK // xd.itemsize
-    rows = np.empty((1 + (slope or inplace), min(step, xd.size)), xd.dtype)
+    rows = np.empty((2, min(step, xd.size)), xd.dtype)
     for lo in range(0, xd.size, step):
-        x, y, *d = (f[lo:lo + step] for f in flats)
-        a, s = rows[0, :len(x)], rows[-1, :len(x)]
-        t, b = (d[0], s) if d else (s if inplace else y, a)  # forward: b is a
+        x, *d = (f[lo:lo + step] for f in flats)
+        a, s = rows[:, :len(x)]
+        t, b = (d[0], s) if d else (s, a)            # output pass: b is a
         np.multiply(x, x, out=a)                     # x^2
         np.multiply(a, GELU_A, out=t)
         t += 1.0
@@ -513,10 +510,10 @@ def _gelu(xd: np.ndarray, slope: bool = False, inplace: bool = False) -> list[np
         np.tanh(t, out=t)                            # tanh(c x (1 + a x^2))
         if not d:
             t += 1.0
-            np.multiply(t, np.multiply(x, 0.5, out=a), out=y)  # 0.5 x (1 + t), y last
+            np.multiply(t, np.multiply(x, 0.5, out=a), out=x)  # 0.5 x (1 + t), x last
             continue
-        np.multiply(x, 0.5, out=b)                   # 0.5 x, x's last read: y may be x
-        np.add(t, 1.0, out=y)                        # 1 + t
+        np.multiply(x, 0.5, out=b)                   # 0.5 x, x's last read
+        np.add(t, 1.0, out=x)                        # 1 + t
         np.multiply(t, t, out=t)
         np.subtract(1.0, t, out=t)
         t *= b
@@ -524,52 +521,46 @@ def _gelu(xd: np.ndarray, slope: bool = False, inplace: bool = False) -> list[np
         a *= 3.0 * GELU_A
         a += 1.0
         t *= a                                       # 0.5 x (1 - t^2) c (1 + 3 a x^2)
-        np.multiply(y, 0.5, out=a)
-        y *= b                                       # 0.5 x (1 + t)
+        np.multiply(x, 0.5, out=a)
+        x *= b                                       # 0.5 x (1 + t)
         t += a
     return outs
 
 
 def gelu(x: Tensor, w: Tensor | None = None, bias: Tensor | None = None,
          w_in: Tensor | None = None, b_in: Tensor | None = None) -> Tensor:
-    """GeLU, tanh approximation (constants GELU_C, GELU_A above); given ``w``,
-    GeLU(x) @ w + bias in one node, with ``matmul``'s shapes and broadcasting; given
-    ``w_in`` too, GeLU(x @ w_in + b_in) @ w + bias, a whole feed-forward sub-layer.
+    """GeLU, tanh approximation (constants GELU_C, GELU_A above), of ``x`` alone; given
+    ``w``, ``bias``, ``w_in`` and ``b_in`` too, GeLU(x @ w_in + b_in) @ w + bias, a whole
+    feed-forward sub-layer, with ``matmul``'s shapes and broadcasting.
 
-    The node owns the inner activation x @ w_in + b_in and writes GeLU over it.  The
-    pull-back keeps ``x`` only: it rebuilds the inner activation with the forward pass's
-    own product and bias add, so to the byte, and reruns ``_gelu``, in ``GELU_BLOCK``-byte
-    blocks, once for the derivative and the output (``w``'s gradient), which it writes over
-    the rebuilt activation and drops before the input product's gradients, so none of them
-    outlives the forward pass.  Its gradients are ``gelu(matmul(x, w_in, b_in), w, bias)``'s,
-    in the order x, w_in, b_in, w, bias (absent ones left out).  A matmul whose weight
-    requires grad keeps a plain GeLU's output it reads.
+    The sub-layer owns its inner activation x @ w_in + b_in and writes GeLU over it; the
+    plain form writes it over a copy of ``x``.  The pull-back keeps ``x`` only: it rebuilds
+    the inner activation with the forward pass's own product and bias add, so to the byte,
+    and reruns ``_gelu``, in ``GELU_BLOCK``-byte blocks, once for the derivative and the
+    output (``w``'s gradient), which it writes over the rebuilt activation and drops before
+    the input product's gradients, so none of them outlives the forward pass.  Its gradients
+    are ``matmul(gelu(matmul(x, w_in, b_in)), w, bias)``'s, in the order x, w_in, b_in, w, bias.
     """
-    given = [t is not None for t in (x, w_in, b_in, w, bias)]
-    xd, pull_in, pull = x.data, None, None
-    if w_in is None:
-        out = _gelu(xd)[0]
-    else:                                            # the node owns the inner activation
+    slots = (x, w_in, b_in, w, bias)
+    ffn = w_in is not None
+    if any((t is None) == ffn for t in slots[1:]):
+        raise ContractError("gelu takes x alone or all of w, bias, w_in and b_in")
+    xd = x.data
+    if ffn:                                          # the node owns the inner activation
         out, pull_in = _product(xd, x.requires_grad, w_in, b_in, "gelu")
-        _gelu(out, inplace=True)
-    if w is not None:
-        out, pull = _product(out, x.requires_grad or pull_in is not None, w, bias, "gelu")
+        out, pull = _product(_gelu(out)[0], True, w, bias, "gelu")
+    else:
+        out = _gelu(xd.copy())[0]
 
     def backward(g):
-        h = xd if pull_in is None else _product(xd, False, w_in, b_in, "gelu")[0]
         # the derivative first: its scratch is gone before w's gradient exists
-        y, slope = _gelu(h, slope=True, inplace=pull_in is not None)
-        del h
-        gw = gb = None
-        if pull is not None:
-            g, gw, gb, _ = pull(g, y)
+        y, slope = _gelu(_product(xd, False, w_in, b_in, "gelu")[0] if ffn else xd.copy(), True)
+        g, gw, gb, _ = pull(g, y) if ffn else (g, None, None, None)
         del y                                        # read by w's gradient only
-        g = None if g is None else np.multiply(slope, g, out=slope)
-        head = (g, None, None) if pull_in is None else pull_in(g, xd)[:3]
-        return list(itertools.compress((*head, gw, gb), given))
+        g = np.multiply(slope, g, out=slope)
+        return (*(pull_in(g, xd)[:3] if ffn else (g, None, None)), gw, gb)
 
-    return _record(Tensor(out), list(itertools.compress((x, w_in, b_in, w, bias), given)),
-                   backward, "gelu")
+    return _record(Tensor(out), slots, backward, "gelu")
 
 
 def dropout(x: Tensor, rate: float, rng) -> Tensor:

@@ -192,9 +192,9 @@ def encode_request(model: FunnelModel, vocab: Vocab, line: str, seq_len: int,
     """The JSON line ``funnel encode --dump <dump>`` prints for one input line.
 
     ``shapes`` gives each encoder block's output shape, ``cls`` the top
-    block's CLS row, and ``tokens`` the decoder's output rows; values are
-    rounded to 6 decimals.  A value that is not finite raises ``ValueError``
-    rather than being printed as ``NaN`` or ``Infinity``.
+    block's CLS row, and ``tokens`` the full-length rows token-level
+    training reads; values are rounded to 6 decimals.  A value that is not
+    finite raises ``ValueError`` rather than being printed as ``NaN`` or ``Infinity``.
     """
     enc = encode_line(line, vocab, seq_len)
     state = model.encode(enc.token_ids, enc.pad_mask)

@@ -23,7 +23,7 @@ from .relattn import RelPosEncoding, layer_view, transformer_layer
 
 @dataclass
 class DecoderOutput:
-    hidden: Tensor  # h1 + upsample(hM) after the decoder layers, length T: [T, D] or [T, B, D]
+    hidden: Tensor  # h1 + upsample(hM) + decoder layers (plain stack: h1), [T, D] or [T, B, D]
 
 
 def upsample_source(i, n: int, t: int):

@@ -168,22 +168,18 @@ class FunnelModel:
 
     def token_hidden(self, token_ids: np.ndarray, pad_mask: np.ndarray | None = None,
                      rng: Rng | None = None) -> Tensor:
-        """Full-length hidden states for token-level objectives: [T, D] or [T, B, D].
-
-        Funnel layouts go through fuse + decoder; a plain single-block
-        stack is already full length, so its encoder output is used as is.
-        """
-        state = self.encode(token_ids, pad_mask, rng=rng)
-        if len(self.config.layout.blocks) == 1 and self.config.layout.decoder_layers == 0:
-            return state.h_last
-        return self.decode(state, rng=rng).hidden
+        """Full-length hidden states for token-level objectives: [T, D] or [T, B, D]."""
+        return self.decode(self.encode(token_ids, pad_mask, rng=rng), rng=rng).hidden
 
     def decode(self, state: EncoderState, pad_mask: np.ndarray | None = None,
                rng: Rng | None = None) -> DecoderOutput:
-        """Decoder pass over the encoder's pad mask; a different ``pad_mask`` is refused."""
+        """Decoder pass over the encoder's pad mask (a different ``pad_mask`` is refused); a
+        plain single-block stack is already full length, so its encoder output is used as is."""
         mask = state.block_mask[0]
         if pad_mask is not None and not np.array_equal(pad_mask, mask):
             raise ContractError("pad mask differs from the one the encoder ran with")
+        if len(self.config.layout.blocks) == 1 and self.config.layout.decoder_layers == 0:
+            return DecoderOutput(state.h_last)
         return decoder_forward(state.h_first, state.h_last, self.config, self.params,
                                state.encoding, mask, rng=rng)
 

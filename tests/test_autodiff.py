@@ -335,7 +335,8 @@ class TestGelu:
         """Blocked output and derivative equal the whole-array kernel's bytes on both sides of
         each block edge, at FFN shapes ending in a part block, and at zero, subnormal-sized,
         saturating (+-30), overflowing (+-1e200), infinite and NaN inputs; the pull-back pass
-        writing the output over its input gives the same bytes."""
+        writing the output over its input gives the same bytes, and the plain ``gelu`` node
+        gives them too, leaving its input's array unchanged."""
         k = autodiff.GELU_BLOCK // np.dtype(dtype).itemsize
         shape = {"0-d": (), "1": (1,), "block-1": (k - 1,), "block": (k,), "block+1": (k + 1,),
                  "3block+5": (3 * k + 5,), "[n,1,1024]": (k // 1024 + 1, 1, 1024),
@@ -353,50 +354,38 @@ class TestGelu:
             with np.errstate(all="ignore"):
                 xd = x.astype(dtype)
                 ref_y, ref_d = self.whole_array(xd)
-                (y,), (y2, d) = autodiff._gelu(xd), autodiff._gelu(xd, slope=True)
-                inner = xd.copy()
-                y3, d3 = autodiff._gelu(inner, slope=True, inplace=True)
-            for out in (y, y2, d, d3):
+                inners, before = [xd.copy(), xd.copy()], xd.tobytes()
+                (y,), (y2, d) = autodiff._gelu(inners[0]), autodiff._gelu(inners[1], slope=True)
+                y3 = gelu(Tensor(xd)).data
+            for out in (y, y2, d, y3):
                 assert (out.shape, out.dtype) == (shape, np.dtype(dtype))
-            assert y3 is inner
+            assert y is inners[0] and y2 is inners[1] and xd.tobytes() == before
             assert y.tobytes() == y2.tobytes() == y3.tobytes() == ref_y.tobytes()
-            assert d.tobytes() == d3.tobytes() == ref_d.tobytes()
+            assert d.tobytes() == ref_d.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("blocks", [4, 0.25])
     def test_kernel_scratch_is_blocks(self, dtype, blocks):
-        """The forward pass peaks at its output plus one block, or at two blocks when it writes
-        over its input, and the pull-back at its two outputs plus two blocks, or at the
-        derivative plus two blocks when it writes the output over its input (a sub-block
-        input's whole size being its block), plus 4 KiB of array headers and views: no
-        full-size temporary.  Written over its input, the output has the same bytes."""
+        """Writing over its input, the forward pass peaks at two blocks and the pull-back at
+        the derivative plus two blocks (a sub-block input's whole size being its block), plus
+        4 KiB of array headers and views: no full-size temporary.  The output has the bytes
+        of a plain ``gelu`` node's."""
         n = int(blocks * autodiff.GELU_BLOCK) // np.dtype(dtype).itemsize
         xd = rand((n // 1024, 1, 1024), 6).astype(dtype)
         block = min(xd.nbytes, autodiff.GELU_BLOCK)
-        autodiff._gelu(xd, slope=True)                       # first-call caches out of the count
-        peaks = []
-        for slope in (False, True):
-            tracemalloc.start()
-            try:
-                outs = autodiff._gelu(xd, slope)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            del outs
-        inners = [xd.copy(), xd.copy()]
+        autodiff._gelu(xd.copy(), slope=True)                # first-call caches out of the count
+        peaks, inners = [], [xd.copy(), xd.copy()]
         for slope, inner in zip((False, True), inners):
             tracemalloc.start()
             try:
-                autodiff._gelu(inner, slope, inplace=True)
+                autodiff._gelu(inner, slope)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= xd.nbytes + block + 4096
-        assert peaks[1] <= 2 * xd.nbytes + 2 * block + 4096
-        assert peaks[2] <= 2 * block + 4096
-        assert peaks[3] <= xd.nbytes + 2 * block + 4096
+        assert peaks[0] <= 2 * block + 4096
+        assert peaks[1] <= xd.nbytes + 2 * block + 4096
         for inner in inners:
-            assert inner.tobytes() == autodiff._gelu(xd)[0].tobytes()
+            assert inner.tobytes() == gelu(Tensor(xd)).data.tobytes()
 
 
 class TestBackward:
@@ -800,28 +789,25 @@ class TestTapeKeeps:
             assert g.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("reader, kept", [
-        ("product", {"input"}), ("product_bias", {"input"}), ("sum_all", {"input"}),
-        ("matmul", {"input", "output"})], ids=["product", "product_bias", "sum_all", "matmul"])
+        ("sum_all", {"input"}), ("matmul", {"input", "output"})], ids=["sum_all", "matmul"])
     def test_gelu_keeps_only_its_input(self, reader, kept):
-        """The FFN's node ``gelu(h, w, bias)`` keeps only ``h``: GeLU's output dies in the
-        forward pass (its tanh lives in the kernel's blocks only), and the pull-back reruns
-        ``_gelu`` once for the output and the derivative, so ``_gelu`` runs twice per step.
-        A plain ``gelu`` read by ``sum_all`` keeps only ``h`` too.  A plain
-        ``gelu`` output read by a matmul whose weight requires grad is kept by that matmul,
-        as any left operand is (by every such matmul, if several read it); no model code
-        has that pattern, since ``pffn`` fuses the product.  Holding every array changes no
-        gradient byte, and the fused node's gradients are ``matmul(gelu(h), w, bias)``'s."""
+        """A plain ``gelu`` read by ``sum_all`` keeps only its input ``h``: GeLU's output dies
+        in the forward pass (its tanh lives in the kernel's blocks only), and the pull-back
+        reruns ``_gelu`` once for the output and the derivative, so ``_gelu`` runs twice per
+        step.  A plain ``gelu`` output read by a matmul whose weight requires grad is kept by
+        that matmul, as any left operand is (by every such matmul, if several read it); no
+        model code has that pattern, since ``pffn`` is one ``gelu`` node.  Holding every
+        array changes no gradient byte."""
         gen = np.random.Generator(np.random.Philox(41))
-        x, w1, w2, b2 = (Tensor(gen.standard_normal(shape), requires_grad=True)
-                         for shape in ((3, 2, 4), (4, 8), (8, 5), 5))
+        x, w1, w2 = (Tensor(gen.standard_normal(shape), requires_grad=True)
+                     for shape in ((3, 2, 4), (4, 8), (8, 5)))
         up = Tensor(gen.standard_normal((3, 2, 5)))               # a constant: mul keeps nothing
-        bias = b2 if reader == "product_bias" else None
         real, made = autodiff._gelu, []
 
-        def step(form, hold):
+        def step(hold):
             """Forward and backward; ``hold`` is None or a list that keeps every array."""
-            def spy(xd, slope=False, inplace=False):
-                outs = real(xd, slope, inplace)
+            def spy(xd, slope=False):
+                outs = real(xd, slope)
                 made.append((slope, dict(zip(("output", "slope"), map(weakref.ref, outs)))))
                 if hold is not None:
                     hold.extend(outs)
@@ -831,36 +817,31 @@ class TestTapeKeeps:
             with pytest.MonkeyPatch.context() as mp, Tape() as tape:
                 mp.setattr(autodiff, "_gelu", spy)
                 h = matmul(x, w1)
-                if form == "product":
-                    root = sum_all(mul(gelu(h, w2, bias), up))
-                elif form == "sum_all":
+                if reader == "sum_all":
                     root = sum_all(gelu(h))
                 else:
-                    root = sum_all(mul(matmul(gelu(h), w2, bias), up))
+                    root = sum_all(mul(matmul(gelu(h), w2), up))
                 refs = dict(made[0][1], input=weakref.ref(h.data))
                 if hold is not None:
                     hold.append(h)
                 del h
                 alive = {name for name, ref in refs.items() if ref() is not None}
                 tape.backward(root)
-            return alive, [slope for slope, _ in made], [tape.grad(t) for t in (x, w1, w2, b2)]
+            return alive, [slope for slope, _ in made], [tape.grad(t) for t in (x, w1, w2)]
 
-        form = "product" if reader.startswith("product") else reader
-        alive, runs, grads = step(form, None)
-        held_alive, held_runs, held_grads = step(form, [])
+        alive, runs, grads = step(None)
+        held_alive, held_runs, held_grads = step([])
         assert (alive, runs) == (kept, [False, True])
         assert (held_alive, held_runs) == ({"input", "output"}, [False, True])
-        refs = [held_grads] + ([step("matmul", None)[2]] if form == "product" else [])
-        for ref in refs:
-            for g, r in zip(grads, ref):
-                assert g.tobytes() == r.tobytes()
+        for g, r in zip(grads, held_grads):
+            assert g.tobytes() == r.tobytes()
 
     @pytest.mark.parametrize("taped", [True, False], ids=["tape", "no_tape"])
     @pytest.mark.parametrize("shape", [(520, 32), (130, 4, 32)], ids=["rows", "time_major"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_ffn_node_equals_composed_nodes(self, dtype, shape, taped):
         """``gelu(x, w2, b2, w_in=w1, b_in=b1)``, the FFN as one node, gives the output and the
-        five gradients of ``gelu(matmul(x, w1, b1), w2, b2)`` byte for byte, inside the
+        five gradients of ``matmul(gelu(matmul(x, w1, b1)), w2, b2)`` byte for byte, inside the
         residual layer norm ``pffn`` wraps it in, so ``x``'s two gradients add in the same
         order.  The inner activation spans more than one GeLU block in both dtypes."""
         gen = np.random.Generator(np.random.Philox(43))
@@ -873,7 +854,7 @@ class TestTapeKeeps:
 
         def run(fused):
             ffn = (gelu(x, w2, b2, w_in=w1, b_in=b1) if fused
-                   else gelu(matmul(x, w1, b1), w2, b2))
+                   else matmul(gelu(matmul(x, w1, b1)), w2, b2))
             return ffn, sum_all(mul(layer_norm(x, gamma, beta, residual=ffn), up))
 
         if not taped:
@@ -888,7 +869,7 @@ class TestTapeKeeps:
             outs.append(ffn.data)
             grads.append([tape.grad(t) for t in leaves])
         assert nodes == [["gelu", "layer_norm", "mul", "sum_all"],
-                         ["matmul", "gelu", "layer_norm", "mul", "sum_all"]]
+                         ["matmul", "gelu", "matmul", "layer_norm", "mul", "sum_all"]]
         assert outs[0].dtype == dtype and outs[0].tobytes() == outs[1].tobytes()
         for g, ref in zip(*grads):
             assert g.dtype == dtype and g.tobytes() == ref.tobytes()
@@ -903,8 +884,8 @@ class TestTapeKeeps:
         up = Tensor(gen.standard_normal((6, 2, 8)))
         real_gelu, real_mm, seen = autodiff._gelu, autodiff._mm, {}
 
-        def gelu_spy(xd, slope=False, inplace=False):
-            outs = real_gelu(xd, slope, inplace)
+        def gelu_spy(xd, slope=False):
+            outs = real_gelu(xd, slope)
             if slope:
                 seen.update(rebuilt=outs[0] is xd, output=weakref.ref(outs[0]))
             return outs
@@ -986,6 +967,8 @@ class TestRefusals:
         (lambda: mul(Tensor(np.zeros(3)), Tensor(np.zeros(4))), ShapeError, "mul: incompatible"),
         (lambda: matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))),
                         left=Tensor(np.zeros(4))), ShapeError, "matmul: left shift"),
+        (lambda: gelu(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))), ContractError,
+         "gelu takes x alone or all"),
         (lambda: transpose(Tensor(np.zeros(3))), ShapeError, "rank >= 2"),
         (lambda: layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(3))),
          ShapeError, "gamma/beta"),
@@ -1000,8 +983,8 @@ class TestRefusals:
          "zero rows"),
         (lambda: bce_with_logits_mean(Tensor(np.zeros(0)), [], []), ContractError,
          "zero elements"),
-    ], ids=["rank", "add", "mul", "left_shift", "transpose", "norm_affine", "norm_residual",
-            "dropout", "take_along_last", "einsum_id_ijd", "cross_entropy", "bce"])
+    ], ids=["rank", "add", "mul", "left_shift", "gelu_partial_ffn", "transpose", "norm_affine",
+            "norm_residual", "dropout", "take_along_last", "einsum_id_ijd", "cross_entropy", "bce"])
     def test_misuse_refused(self, call, error, match):
         with pytest.raises(error, match=match):
             call()
@@ -1149,11 +1132,6 @@ def test_every_op_grad_below_1e4(seed):
         "layer_norm_residual": (lambda: sum_all(mul(layer_norm(x, gamma, bias, residual=y), w)),
                                 [x, gamma, bias, y]),
         "gelu": (lambda: sum_all(mul(gelu(x), w)), [x]),
-        "gelu_product": (lambda: sum_all(mul(gelu(x, m), w32)), [x, m]),
-        "gelu_product_bias": (lambda: sum_all(mul(gelu(x, m, bias2), w32)), [x, m, bias2]),
-        "gelu_product_time_major": (lambda: sum_all(mul(gelu(x328, w83), w32_3)), [x328, w83]),
-        "gelu_product_bias_time_major": (lambda: sum_all(mul(gelu(x328, w83, bias3), w32_3)),
-                                         [x328, w83, bias3]),
         "gelu_ffn": (lambda: sum_all(mul(gelu(x, m, bias2, w_in=w_in, b_in=bias), w32)),
                      [x, w_in, bias, m, bias2]),
         "gelu_ffn_time_major": (lambda: sum_all(mul(gelu(x328, w33, bias3_out, w_in=w83,

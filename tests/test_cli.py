@@ -504,6 +504,33 @@ class TestEncode:
         assert (vectors[:10] != 0.0).any(axis=1).all()
         assert out == dump_by_numpy_scalars(trained_cfg, ckpt, corpus, "tokens")
 
+    def test_plain_stack_tokens_are_its_encoder_rows(self, train_setup, capsys):
+        """A plain stack (``L2H64``: one block, no decoder) prints as ``--dump tokens`` the
+        rows it trains on, its encoder's output, not that output added to itself."""
+        from funnel.cli import load_encoder
+        from funnel.corpus import encode_line, load_corpus
+
+        cfg, corpus, tmp = train_setup
+        d = json.loads(cfg.read_text())
+        d["layout"] = "L2H64"
+        cfg.write_text(json.dumps(d))
+        code, _, _ = run(capsys, "train-toy", "--config", str(cfg),
+                         "--corpus", str(corpus), "--out", str(tmp / "run"))
+        assert code == 0
+        trained_cfg, ckpt = tmp / "run" / "config.json", tmp / "run" / "model.ftnt"
+        code, out, _ = run(capsys, "encode", "--config", str(trained_cfg),
+                           "--checkpoint", str(ckpt), "--input", str(corpus),
+                           "--dump", "tokens", "--seq-len", "16")
+        assert code == 0
+        model, vocab = load_encoder(trained_cfg, ckpt)
+        lines = load_corpus(corpus)
+        assert len(out.splitlines()) == len(lines)
+        for line, printed in zip(lines, out.splitlines()):
+            enc = encode_line(line, vocab, 16)
+            rows = model.encode(enc.token_ids, enc.pad_mask).h_last.data
+            assert json.loads(printed)["vectors"] == [[round(x, 6) for x in row]
+                                                      for row in rows.tolist()]
+
     def test_explicit_vocab_flag(self, train_setup, capsys):
         cfg, corpus, tmp = train_setup
         run(capsys, "train-toy", "--config", str(cfg), "--corpus", str(corpus),

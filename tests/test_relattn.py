@@ -327,6 +327,27 @@ def test_equivalence_survives_pretraining_scale_positions():
         assert dev < 1e-9, f"deviation {dev:.2e} at D={d}"
 
 
+@pytest.mark.parametrize("variant", ["naive", "gather", "factorized"])
+def test_layer_output_is_invariant_to_shifting_every_position(variant):
+    """Attention reads positions only through the distances i - j, so shifting every
+    position by c leaves ``transformer_layer``'s output unchanged: byte for byte for
+    ``naive`` and ``gather``, which build their tables from the distances, and within 1e-14
+    for ``factorized``, which rotates by each absolute position's own angles.  At
+    ``B2-2H128D1`` with a padded [16, 3] batch."""
+    config = ModelConfig(layout="B2-2H128D1", vocab_size=11, attn_variant=variant, seed=0)
+    lp = layer_view(FunnelModel(config).params, "enc/b0/l0")
+    x = Tensor(np.random.Generator(np.random.Philox(17)).standard_normal((16, 3, 128)))
+    mask = np.arange(16)[:, None] < np.array([16, 11, 5])
+    pos, enc = np.arange(16), config.encoding()
+    ref = transformer_layer(x, pos, mask, lp, config, enc)[0].data
+    for c in (1, 7, 1000, 100000):
+        out = transformer_layer(x, pos + c, mask, lp, config, enc)[0].data
+        if variant == "factorized":
+            assert np.abs(out - ref).max() <= 1e-14, f"shift {c}"
+        else:
+            assert out.tobytes() == ref.tobytes(), f"shift {c}"
+
+
 @pytest.fixture
 def tiny_layer():
     layout = LayoutSpec(blocks=(BlockSpec(1),), hidden=8, head_dim=4)
